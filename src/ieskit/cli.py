@@ -13,7 +13,7 @@ from pathlib import Path
 from ieskit import __version__
 from ieskit.invariance import NoInvariantLevelError
 from ieskit.scenarios import (
-    ACTIONS,
+    SCHEMA,
     BlowUpError,
     ConfigError,
     Scenario,
@@ -52,9 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario config file (key = value sections)")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="sampler seed (overrides the config)")
-        p.add_argument("--tolerance", type=float, default=None,
+        p.add_argument("--tolerance", default=None,
                        help="check tolerance (overrides the config)")
     return parser
 
@@ -74,10 +74,12 @@ def _scenario_from_args(args) -> Scenario:
         scenario = Scenario(system="fhn", action=action, name=action)
     if args.out is not None:
         scenario.output_path = args.out
+    # the overrides are read and checked like the config keys they replace
     if args.seed is not None:
-        scenario.seed = args.seed
+        scenario.seed = SCHEMA["scenario"]["seed"].read("seed", args.seed, "--seed")
     if args.tolerance is not None:
-        scenario.tolerance = args.tolerance
+        scenario.tolerance = SCHEMA["scenario"]["tolerance"].read(
+            "tolerance", args.tolerance, "--tolerance")
     return scenario
 
 

@@ -30,36 +30,38 @@ class TimeVaryingField:
     """A vector field f(t, z) together with its state Jacobian.
 
     ``rhs`` maps (t, z) to dz/dt for any finite state; ``jacobian`` maps
-    (t, z) to the dim x dim matrix of partials in z.  ``lipschitz_hint``
-    records a known global Lipschitz constant when one is available.
+    (t, z) to the dim x dim matrix of partials in z.
     """
 
     dim: int
     rhs: RhsFn
     jacobian: JacFn
-    lipschitz_hint: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"field dimension must be positive, got {self.dim}")
-        if self.lipschitz_hint is not None and self.lipschitz_hint < 0:
-            raise ValueError("lipschitz_hint must be nonnegative")
+
+
+def central_difference(f: Callable[[Array], Array], x, rel_step: float = 1e-6) -> Array:
+    """Central differences of ``f`` at ``x``, one per coordinate, stacked on
+    the first axis: entry i is (f(x + h e_i) - f(x - h e_i)) / (2 h) with
+    h = rel_step * (1 + |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    rows = []
+    for i in range(len(x)):
+        h = rel_step * (1.0 + abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
+    return np.array(rows)
 
 
 def fd_jacobian(rhs: RhsFn, dim: int, rel_step: float = 1e-6) -> JacFn:
     """Central-difference Jacobian of ``rhs`` with step rel_step*(1+|z_i|)."""
 
     def jac(t: float, z: Array) -> Array:
-        z = np.asarray(z, dtype=float)
-        out = np.empty((dim, dim))
-        for i in range(dim):
-            h = rel_step * (1.0 + abs(z[i]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[i] += h
-            zm[i] -= h
-            out[:, i] = (rhs(t, zp) - rhs(t, zm)) / (2.0 * h)
-        return out
+        return central_difference(lambda w: rhs(t, w), z, rel_step).T
 
     return jac
 
@@ -70,12 +72,10 @@ def linear_field(a: Array) -> TimeVaryingField:
     dim = a.shape[0]
     if a.shape != (dim, dim):
         raise ValueError(f"A must be square, got shape {a.shape}")
-    lip = float(np.linalg.norm(a, 2))
     return TimeVaryingField(
         dim=dim,
         rhs=lambda t, z: a @ z,
         jacobian=lambda t, z: a.copy(),
-        lipschitz_hint=lip,
     )
 
 
@@ -172,7 +172,6 @@ class IntegratorConfig:
     step: float = 1e-2
     atol: float = 1e-9
     rtol: float = 1e-6
-    dense_output: bool = True
 
     def __post_init__(self):
         if self.max_time <= 0:
@@ -202,7 +201,6 @@ class Trajectory:
     times: Array
     states: Array
     derivatives: Array
-    step: float
     displacements: Optional[Array] = None
     displacement_derivatives: Optional[Array] = None
     blew_up: bool = False
@@ -390,8 +388,7 @@ def integrate(
             field.rhs, t0, z0, config.max_time, config.atol, config.rtol
         )
     return Trajectory(
-        t0=t0, times=times, states=states, derivatives=derivs, step=config.step,
-        blew_up=blew,
+        t0=t0, times=times, states=states, derivatives=derivs, blew_up=blew,
     )
 
 
@@ -428,7 +425,6 @@ def integrate_with_displacement(
         times=times,
         states=states[:, :dim],
         derivatives=derivs[:, :dim],
-        step=config.step,
         displacements=states[:, dim:],
         displacement_derivatives=derivs[:, dim:],
         blew_up=blew,

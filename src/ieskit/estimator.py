@@ -7,6 +7,7 @@ a strongly contracting run is not misread as flat noise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -182,10 +183,7 @@ def ensemble_ies(
     t0: float = 0.0,
 ) -> EnsembleReport:
     if abs(config.max_time - horizon) > 1e-12:
-        config = IntegratorConfig(
-            max_time=horizon, method=config.method, step=config.step,
-            atol=config.atol, rtol=config.rtol, dense_output=config.dense_output,
-        )
+        config = dataclasses.replace(config, max_time=horizon)
     results = []
     for i, (z1, z2) in enumerate(pairs):
         series = flow_difference(field, t0, z1, z2, config)

@@ -112,7 +112,7 @@ def y_subsystem(params: FhnParams) -> TimeVaryingField:
     def jac(t: float, y: Array) -> Array:
         return np.array([[-rate]])
 
-    return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac, lipschitz_hint=rate)
+    return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac)
 
 
 def fhn_field(params: FhnParams) -> Interconnection:

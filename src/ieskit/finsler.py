@@ -7,12 +7,13 @@ verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ieskit.dynsys import TimeVaryingField
+from ieskit.dynsys import TimeVaryingField, central_difference
 from ieskit.sampling import halton_box, halton_sphere
 
 Array = np.ndarray
@@ -43,17 +44,6 @@ class FinslerCandidate:
             raise ValueError("c_lower must not exceed c_upper")
 
 
-def _fd_grad(f: Callable[[Array], float], x: Array, rel_step: float = 1e-6) -> Array:
-    out = np.empty(len(x))
-    for i in range(len(x)):
-        h = rel_step * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return out
-
-
 def generic_candidate(
     dim: int,
     value: Callable[[Array, Array], float],
@@ -63,10 +53,10 @@ def generic_candidate(
     """Candidate from a value function alone; gradients by central differences."""
 
     def grad_state(z: Array, dz: Array) -> Array:
-        return _fd_grad(lambda w: value(w, dz), np.asarray(z, dtype=float))
+        return central_difference(lambda w: value(w, dz), z)
 
     def grad_disp(z: Array, dz: Array) -> Array:
-        return _fd_grad(lambda w: value(z, w), np.asarray(dz, dtype=float))
+        return central_difference(lambda w: value(z, w), dz)
 
     return FinslerCandidate(dim, value, grad_state, grad_disp, c_lower, c_upper)
 
@@ -87,14 +77,7 @@ def quadratic_candidate(
     def _dmetric(z: Array) -> Array:
         if metric_grad is not None:
             return np.asarray(metric_grad(z), dtype=float)
-        out = np.empty((dim, dim, dim))
-        for k in range(dim):
-            h = 1e-6 * (1.0 + abs(z[k]))
-            zp, zm = z.copy(), z.copy()
-            zp[k] += h
-            zm[k] -= h
-            out[k] = (np.asarray(metric(zp)) - np.asarray(metric(zm))) / (2.0 * h)
-        return out
+        return central_difference(metric, z)
 
     def value(z: Array, dz: Array) -> float:
         return float(dz @ metric(z) @ dz)
@@ -306,10 +289,13 @@ def check_decay(
         vd = vdot(candidate, field, t, z, dz)
         compared = v if comparator == "candidate" else float(dz @ dz)
         violation = vd + alpha * compared - _slack(tol, v)
+        if not math.isfinite(violation):  # it would never compare as the worst
+            worst, worst_i = violation, i
+            break
         if violation > worst:
             worst = violation
             worst_i = i
-    passed = worst <= 0.0
+    passed = bool(worst <= 0.0) and math.isfinite(worst)
     note = NO_VIOLATION_NOTE if passed else f"decay violated at sample {worst_i}"
     return DecayReport(
         passed=passed,

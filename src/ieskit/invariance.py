@@ -3,7 +3,6 @@ Lyapunov function, plus the dissipation chain of the FitzHugh-Nagumo model."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,8 +29,6 @@ class OuterLyapunov:
     gradient: Callable[[float, Array], tuple[Array, float]]
     class_lower: Optional[Callable[[float], float]] = None
     class_upper: Optional[Callable[[float], float]] = None
-    decay_rate: Optional[Callable[[float], float]] = None
-    decay_threshold: Optional[float] = None
 
 
 def wdot(w: OuterLyapunov, field: TimeVaryingField, t: float, z) -> float:
@@ -81,7 +78,7 @@ def find_invariant_level(
         hi_ok = all(v <= w.class_upper(n) + 1e-12 for n, v in zip(norms, w_vals))
         if not (lo_ok and hi_ok):
             raise ValueError("class bounds violated on the sampling grid")
-    cell = np.linalg.norm((box[:, 1] - box[:, 0]) / (grid_density - 1)) / 2.0
+    cell = float(np.linalg.norm((box[:, 1] - box[:, 0]) / (grid_density - 1))) / 2.0
 
     levels = np.linspace(lo, hi, n_levels)
     for level in levels:
@@ -125,8 +122,6 @@ def write_invariant_report(est: InvariantSetEstimate, path) -> None:
 def fhn_outer_lyapunov(params: FhnParams) -> OuterLyapunov:
     """W(x, y) = (x^2 + eps y^2) / 2 for the coupled model."""
     eps = params.epsilon
-    kappa = 2.0 * min(0.125, params.b / eps)
-    offset = 2.0 + params.c**2 / 2.0
 
     def value(t: float, z: Array) -> float:
         return 0.5 * (z[0] * z[0] + eps * z[1] * z[1])
@@ -139,8 +134,6 @@ def fhn_outer_lyapunov(params: FhnParams) -> OuterLyapunov:
         gradient=gradient,
         class_lower=lambda s: 0.5 * min(1.0, eps) * s * s,
         class_upper=lambda s: 0.5 * max(1.0, eps) * s * s,
-        decay_rate=lambda s: kappa * min(1.0, eps) * s * s - offset,
-        decay_threshold=math.sqrt(offset / (kappa * min(1.0, eps))),
     )
 
 

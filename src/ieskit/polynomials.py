@@ -83,6 +83,8 @@ def parse_polynomial_component(text: str, in_dim: int) -> Component:
             )
         coef = float(parts[0])
         exps = tuple(int(p) for p in parts[1:])
+        if any(e < 0 for e in exps):
+            raise ValueError(f"term {chunk!r} has a negative exponent")
         terms.append((coef, exps))
     return tuple(terms)
 

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -64,19 +64,125 @@ class BlowUpError(RuntimeError):
     """Integration hit non-finite values."""
 
 
-_SCENARIO_KEYS = {
-    "name", "system", "action", "horizon", "step", "seed", "tolerance",
-    "initial", "out",
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _vectors(text: str) -> list[Array]:
+    """'x1 .. xd; x1 .. xd; ...' as a list of vectors of finite numbers."""
+    return [np.array([_number(v) for v in chunk.split()])
+            for chunk in text.split(";") if chunk.strip()]
+
+
+def _matrix(text: str) -> Array:
+    rows = _vectors(text)
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"must be rows 'a b; c d' of equal length, got {text!r}")
+    return np.vstack(rows)
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: the parser of its text, its value when absent, and an
+    optional (predicate, phrase) rule the parsed value must satisfy."""
+
+    parse: Callable[[str], Any]
+    default: Any = None
+    rule: Optional[tuple[Callable[[Any], bool], str]] = None
+
+    def read(self, key: str, text: str, where: str):
+        """Typed value of ``text``, or a ConfigError anchored at ``where``."""
+        try:
+            value = self.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {key} {exc}") from None
+        if self.rule is not None and not self.rule[0](value):
+            raise ConfigError(f"{where}: {key} {self.rule[1]}, got {text!r}")
+        return value
+
+
+# Every key each section accepts.  Checks that need a second key or the field
+# dimension are made in parse_config once all sections are read.
+SCHEMA: dict[str, dict[str, Key]] = {
+    "scenario": {
+        "name": Key(str, "scenario"),
+        "system": Key(str, _REQUIRED),
+        "action": Key(str, _REQUIRED),
+        "horizon": Key(_number, 100.0, _POSITIVE),
+        "step": Key(_number, 0.01, _POSITIVE),
+        "seed": Key(_integer, 0, _NONNEGATIVE),
+        "tolerance": Key(_number, 1e-9, _NONNEGATIVE),
+        "initial": Key(_vectors, ()),
+        "out": Key(Path, Path("out")),
+    },
+    "estimate": {
+        "pairs": Key(_integer, 20, _POSITIVE),
+        "box": Key(_matrix),  # default [-3, 3] on every axis
+        "transient_skip": Key(_number, 0.2),
+    },
+    # an absent key takes a default derived from [params] in run_certify
+    "certify": {
+        "radius": Key(_number, None, _POSITIVE),
+        "alpha": Key(_number, None, _POSITIVE),
+        "alpha1": Key(_number, None, _POSITIVE),
+        "alpha2": Key(_number, None, _POSITIVE),
+        "rho1": Key(_number, None, _NONNEGATIVE),
+        "rho2": Key(_number, None, _NONNEGATIVE),
+    },
+    "invariant": {
+        "level_min": Key(_number, 1.0, _POSITIVE),
+        "level_max": Key(_number, 40.0, _POSITIVE),
+        "levels": Key(_integer, 40, _POSITIVE),
+        "box_halfwidth": Key(_number, 8.0, _POSITIVE),
+        "density": Key(_integer, 81, (lambda v: v >= 2, "must be at least 2")),
+        "shell_width": Key(_number, 0.05, _POSITIVE),
+    },
 }
-_FHN_KEYS = {"b", "epsilon", "rho1", "rho2", "c", "r", "alpha"}
-_LINEAR_KEYS = {"matrix", "dim"}
-_POLY_FIXED_KEYS = {"n", "m", "rho1", "rho2"}
+
+# [params] per system.  user_polynomial also takes the block components
+# f1_i, f2_i, g1_i, g2_i, whose parser needs n and m.
+PARAMS: dict[str, dict[str, Key]] = {
+    "fhn": {
+        "b": Key(_number, 0.1, _POSITIVE),
+        "epsilon": Key(_number, 1.0, _POSITIVE),
+        "rho1": Key(_number, 1.0, _NONNEGATIVE),
+        "rho2": Key(_number, 1.0, _NONNEGATIVE),
+        "c": Key(_number, 1.0),
+        "r": Key(_number),  # replaces c = r^3 - r when given
+        "alpha": Key(_number, 1.0),  # FhnParams checks it against r
+    },
+    "builtin_linear": {
+        "matrix": Key(_matrix, None, (lambda a: a.shape[0] == a.shape[1], "must be square")),
+        "dim": Key(_integer, 1, _POSITIVE),  # minus identity unless matrix is given
+    },
+    "user_polynomial": {
+        "n": Key(_integer, _REQUIRED, _POSITIVE),
+        "m": Key(_integer, _REQUIRED, _POSITIVE),
+        "rho1": Key(_number, 0.0, _NONNEGATIVE),
+        "rho2": Key(_number, 0.0, _NONNEGATIVE),
+    },
+}
 _POLY_BLOCK_RE = re.compile(r"^(f1|f2|g1|g2)_(\d+)$")
-_ESTIMATE_KEYS = {"pairs", "box", "transient_skip"}
-_CERTIFY_KEYS = {"radius", "alpha", "alpha1", "alpha2", "rho1", "rho2"}
-_INVARIANT_KEYS = {"level_min", "level_max", "levels", "box_halfwidth", "density",
-                   "shell_width"}
-_SECTIONS = {"scenario", "params", "estimate", "certify", "invariant"}
+
+_DEFAULTS = SCHEMA["scenario"]
 
 
 @dataclass
@@ -85,14 +191,14 @@ class Scenario:
 
     system: str
     action: str
-    name: str = "scenario"
+    name: str = _DEFAULTS["name"].default
     params: dict = dc_field(default_factory=dict)
-    horizon: float = 100.0
-    step: float = 0.01
-    seed: int = 0
-    tolerance: float = 1e-9
-    initial_conditions: list = dc_field(default_factory=list)
-    output_path: Path = Path("out")
+    horizon: float = _DEFAULTS["horizon"].default
+    step: float = _DEFAULTS["step"].default
+    seed: int = _DEFAULTS["seed"].default
+    tolerance: float = _DEFAULTS["tolerance"].default
+    initial_conditions: Sequence[Array] = _DEFAULTS["initial"].default
+    output_path: Path = _DEFAULTS["out"].default
     options: dict = dc_field(default_factory=dict)
 
     def echo(self) -> str:
@@ -114,7 +220,7 @@ def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SECTIONS:
+            if current not in SCHEMA and current != "params":
                 raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
             if current in sections:
                 raise ConfigError(f"{path}:{lineno}: duplicate section [{current}]")
@@ -132,193 +238,124 @@ def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _want_float(entries, key: str, path, default=None) -> Optional[float]:
-    if key not in entries:
-        if default is None:
-            return None
-        return default
-    value, lineno = entries[key]
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: {key} must be a number, got {value!r}")
+def _at(path: Path, entries, *keys: str) -> str:
+    """'path:line' of the first of ``keys`` the section gives, else 'path'."""
+    for key in keys:
+        if key in entries:
+            return f"{path}:{entries[key][1]}"
+    return str(path)
 
 
-def _want_int(entries, key: str, path, default=None) -> Optional[int]:
-    if key not in entries:
-        return default
-    value, lineno = entries[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {value!r}")
-
-
-def _parse_vectors(text: str) -> list[Array]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(np.array([float(v) for v in chunk.split()]))
-    return out
+def _read(path: Path, section: str, entries, schema: dict[str, Key]) -> dict:
+    """Typed values of one section, absent keys at their defaults."""
+    values = {}
+    for key, (text, lineno) in entries.items():
+        if key not in schema:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
+        values[key] = schema[key].read(key, text, f"{path}:{lineno}")
+    for key, spec in schema.items():
+        if key not in values:
+            if spec.default is _REQUIRED:
+                raise ConfigError(f"{path}: missing mandatory key {key!r} in [{section}]")
+            values[key] = spec.default
+    return values
 
 
 def parse_config(path) -> Scenario:
-    """Parse and validate a scenario config; unknown keys are errors."""
+    """Parse and check a scenario config: every key must be known, every
+    value must parse and satisfy its rule, and the keys must agree with each
+    other and with the field dimension."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     sections = _parse_sections(path)
     if "scenario" not in sections:
         raise ConfigError(f"{path}: missing mandatory section [scenario]")
-    sc = sections["scenario"]
-
-    for key, (_, lineno) in sc.items():
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [scenario]")
-    for mandatory in ("system", "action"):
-        if mandatory not in sc:
-            raise ConfigError(f"{path}: missing mandatory key {mandatory!r} in [scenario]")
-
-    system, line_sys = sc["system"]
-    if system not in SYSTEMS:
-        raise ConfigError(
-            f"{path}:{line_sys}: unknown system {system!r}; expected one of {SYSTEMS}"
-        )
-    action, line_act = sc["action"]
-    if action not in ACTIONS:
-        raise ConfigError(
-            f"{path}:{line_act}: unknown action {action!r}; expected one of {ACTIONS}"
-        )
-
-    scenario = Scenario(system=system, action=action)
-    if "name" in sc:
-        scenario.name = sc["name"][0]
-    scenario.horizon = _want_float(sc, "horizon", path, default=100.0)
-    scenario.step = _want_float(sc, "step", path, default=0.01)
-    scenario.seed = _want_int(sc, "seed", path, default=0)
-    scenario.tolerance = _want_float(sc, "tolerance", path, default=1e-9)
-    if scenario.horizon <= 0:
-        raise ConfigError(f"{path}:{sc['horizon'][1]}: horizon must be positive")
-    if scenario.step <= 0:
-        raise ConfigError(f"{path}:{sc['step'][1]}: step must be positive")
-    if "initial" in sc:
-        try:
-            scenario.initial_conditions = _parse_vectors(sc["initial"][0])
-        except ValueError:
-            raise ConfigError(f"{path}:{sc['initial'][1]}: malformed initial conditions")
-    if "out" in sc:
-        scenario.output_path = Path(sc["out"][0])
-
-    params = sections.get("params", {})
-    scenario.params = _validate_params(system, params, path)
-
-    for extra in ("estimate", "certify", "invariant"):
-        entries = sections.get(extra, {})
-        known = {"estimate": _ESTIMATE_KEYS, "certify": _CERTIFY_KEYS,
-                 "invariant": _INVARIANT_KEYS}[extra]
-        for key, (_, lineno) in entries.items():
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{extra}]")
-        scenario.options[extra] = {k: v[0] for k, v in entries.items()}
-
-    if scenario.action == "simulate" and not scenario.initial_conditions:
-        raise ConfigError(f"{path}: simulate requires at least one initial condition")
-    return scenario
-
-
-def _validate_params(system: str, entries, path) -> dict:
-    params: dict = {}
-    if system == "fhn":
-        for key, (_, lineno) in entries.items():
-            if key not in _FHN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [params]")
-        b = _want_float(entries, "b", path, default=0.1)
-        epsilon = _want_float(entries, "epsilon", path, default=1.0)
-        rho1 = _want_float(entries, "rho1", path, default=1.0)
-        rho2 = _want_float(entries, "rho2", path, default=1.0)
-        alpha = _want_float(entries, "alpha", path, default=1.0)
-        c = _want_float(entries, "c", path)
-        r = _want_float(entries, "r", path)
-        if epsilon is not None and epsilon <= 0:
-            raise ConfigError(f"{path}:{entries['epsilon'][1]}: epsilon must be positive")
-        if b is not None and b <= 0:
-            raise ConfigError(f"{path}:{entries['b'][1]}: b must be positive")
-        if c is not None and r is not None:
+    raw = sections["scenario"]
+    sc = _read(path, "scenario", raw, SCHEMA["scenario"])
+    for key, choices in (("system", SYSTEMS), ("action", ACTIONS)):
+        if sc[key] not in choices:
             raise ConfigError(
-                f"{path}:{entries['c'][1]}: give either c or r, not both"
+                f"{_at(path, raw, key)}: unknown {key} {sc[key]!r}; expected one of {choices}"
             )
+    params, dim = _read_params(path, sc["system"], sections.get("params", {}))
+    options = {section: _read(path, section, sections.get(section, {}), SCHEMA[section])
+               for section in ("estimate", "certify", "invariant")}
+
+    if sc["step"] > sc["horizon"] / 2:
+        raise ConfigError(f"{_at(path, raw, 'step', 'horizon')}: step must be at most "
+                          f"horizon/2, got {sc['step']:g} and {sc['horizon']:g}")
+    field_dim = 2 if sc["action"] == "figures" else dim  # figures runs the FHN model
+    for i, z0 in enumerate(sc["initial"]):
+        if len(z0) != field_dim:
+            raise ConfigError(f"{_at(path, raw, 'initial')}: initial condition {i} has "
+                              f"dimension {len(z0)}, field needs {field_dim}")
+    if sc["action"] == "simulate" and not sc["initial"]:
+        raise ConfigError(f"{path}: simulate requires at least one initial condition")
+    box = options["estimate"]["box"]
+    if box is None:
+        options["estimate"]["box"] = np.array([[-3.0, 3.0]] * dim)
+    elif box.shape != (dim, 2) or np.any(box[:, 0] >= box[:, 1]):
+        raise ConfigError(f"{_at(path, sections['estimate'], 'box')}: box needs {dim} "
+                          f"rows 'lo hi' with lo < hi")
+    inv = options["invariant"]
+    if inv["level_min"] >= inv["level_max"]:
+        where = _at(path, sections.get("invariant", {}), "level_max", "level_min")
+        raise ConfigError(f"{where}: level_min must be below level_max")
+    return Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
+                    params=params, options=options, **sc)
+
+
+def _read_params(path: Path, system: str, entries) -> tuple[dict, int]:
+    """The [params] section as the system's model plus its echo strings, and
+    the dimension of the assembled field."""
+    if system == "fhn":
+        p = _read(path, "params", entries, PARAMS["fhn"])
+        if "c" in entries and "r" in entries:
+            raise ConfigError(f"{path}:{entries['c'][1]}: give either c or r, not both")
+        shared = dict(b=p["b"], rho1=p["rho1"], rho2=p["rho2"], epsilon=p["epsilon"],
+                      alpha=p["alpha"])
         try:
-            if r is not None:
-                fp = FhnParams(b=b, rho1=rho1, rho2=rho2, epsilon=epsilon, r=r,
-                               alpha=alpha)
+            if p["r"] is not None:
+                fp = FhnParams(r=p["r"], **shared)
             else:
-                fp = FhnParams.from_c(c=1.0 if c is None else c, b=b, rho1=rho1,
-                                      rho2=rho2, epsilon=epsilon, alpha=alpha)
+                fp = FhnParams.from_c(c=p["c"], **shared)
         except ValueError as exc:
-            anchor = entries.get("alpha", entries.get("r", entries.get("c", None)))
-            where = f"{path}:{anchor[1]}: " if anchor else f"{path}: "
-            raise ConfigError(where + str(exc))
-        params["fhn"] = fp
-        params.update({"b": f"{b:g}", "epsilon": f"{epsilon:g}",
-                       "rho1": f"{rho1:g}", "rho2": f"{rho2:g}",
-                       "c": f"{fp.c:g}", "alpha": f"{alpha:g}"})
-    elif system == "builtin_linear":
-        for key, (_, lineno) in entries.items():
-            if key not in _LINEAR_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [params]")
-        if "matrix" in entries:
-            rows = _parse_vectors(entries["matrix"][0])
-            a = np.vstack(rows)
-            if a.shape[0] != a.shape[1]:
-                raise ConfigError(
-                    f"{path}:{entries['matrix'][1]}: matrix must be square"
-                )
-        else:
-            dim = _want_int(entries, "dim", path, default=1)
-            a = -np.eye(dim)
-        params["matrix"] = a
-        params["dim"] = str(a.shape[0])
-    elif system == "user_polynomial":
-        blocks: dict[str, dict[int, str]] = {"f1": {}, "f2": {}, "g1": {}, "g2": {}}
-        for key, (value, lineno) in entries.items():
-            if key in _POLY_FIXED_KEYS:
-                continue
-            match = _POLY_BLOCK_RE.match(key)
-            if not match:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [params]")
-            blocks[match.group(1)][int(match.group(2))] = value
-        n = _want_int(entries, "n", path)
-        m = _want_int(entries, "m", path)
-        if n is None or m is None:
-            raise ConfigError(f"{path}: user_polynomial requires n and m in [params]")
-        rho1 = _want_float(entries, "rho1", path, default=0.0)
-        rho2 = _want_float(entries, "rho2", path, default=0.0)
-        try:
-            ic = _polynomial_interconnection(n, m, rho1, rho2, blocks)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}")
-        params["interconnection"] = ic
-        params.update({"n": str(n), "m": str(m), "rho1": f"{rho1:g}",
-                       "rho2": f"{rho2:g}"})
-    return params
+            raise ConfigError(f"{_at(path, entries, 'alpha', 'r', 'c')}: {exc}") from None
+        echo = {k: f"{p[k]:g}" for k in ("b", "epsilon", "rho1", "rho2", "alpha")}
+        return {"fhn": fp, "c": f"{fp.c:g}", **echo}, 2
+    if system == "builtin_linear":
+        p = _read(path, "params", entries, PARAMS["builtin_linear"])
+        a = p["matrix"] if p["matrix"] is not None else -np.eye(p["dim"])
+        return {"matrix": a, "dim": str(a.shape[0])}, a.shape[0]
 
+    blocks = {k: v for k, v in entries.items() if _POLY_BLOCK_RE.match(k)}
+    p = _read(path, "params", {k: v for k, v in entries.items() if k not in blocks},
+              PARAMS["user_polynomial"])
+    n, m = p["n"], p["m"]
 
-def _polynomial_interconnection(n, m, rho1, rho2, blocks) -> Interconnection:
-    def components(name: str, count: int, in_dim: int):
-        comp = []
-        provided = blocks[name]
+    def block(name: str, count: int, in_dim: int):
+        components = []
         for i in range(count):
-            if i not in provided:
-                raise ValueError(f"missing component {name}_{i}")
-            comp.append(parse_polynomial_component(provided[i], in_dim))
-        return tuple(comp)
+            key = f"{name}_{i}"
+            if key not in blocks:
+                raise ConfigError(f"{path}: missing component {key} in [params]")
+            text, lineno = blocks[key]
+            try:
+                components.append(parse_polynomial_component(text, in_dim))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+        return tuple(components)
 
-    f1 = polynomial_field(components("f1", n, n))
-    f2 = polynomial_field(components("f2", m, m))
-    g1 = polynomial_coupling(m, components("g1", n, m))
-    g2 = polynomial_coupling(n, components("g2", m, n))
-    return Interconnection(f1=f1, f2=f2, g1=g1, g2=g2, rho1=rho1, rho2=rho2)
+    ic = Interconnection(
+        f1=polynomial_field(block("f1", n, n)),
+        f2=polynomial_field(block("f2", m, m)),
+        g1=polynomial_coupling(m, block("g1", n, m)),
+        g2=polynomial_coupling(n, block("g2", m, n)),
+        rho1=p["rho1"], rho2=p["rho2"],
+    )
+    return {"interconnection": ic, "n": str(n), "m": str(m),
+            "rho1": f"{p['rho1']:g}", "rho2": f"{p['rho2']:g}"}, n + m
 
 
 def build_field(scenario: Scenario) -> TimeVaryingField:
@@ -344,10 +381,6 @@ def run_simulate(scenario: Scenario) -> list[Path]:
     config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
     written = []
     for i, z0 in enumerate(scenario.initial_conditions):
-        if len(z0) != field.dim:
-            raise ConfigError(
-                f"initial condition {i} has dimension {len(z0)}, field needs {field.dim}"
-            )
         tr = integrate(field, 0.0, z0, config)
         _check_blowup(tr)
         cols = ",".join(f"z{k+1}" for k in range(field.dim))
@@ -403,27 +436,15 @@ def run_figures(
 
 def run_estimate(scenario: Scenario) -> list[Path]:
     field = build_field(scenario)
-    opts = scenario.options.get("estimate", {})
-    n_pairs = int(opts.get("pairs", 20))
-    if n_pairs < 1:
-        raise ConfigError("estimate requires pairs >= 1")
-    if "box" in opts:
-        box = np.vstack(_parse_vectors(opts["box"]))
-        if box.shape != (field.dim, 2):
-            raise ConfigError(
-                f"estimate box needs {field.dim} rows of 'lo hi', got shape {box.shape}"
-            )
-    else:
-        box = np.array([[-3.0, 3.0]] * field.dim)
-    envelope = EnvelopeConfig(
-        transient_skip=float(opts.get("transient_skip", 0.2))
-    )
+    opts = scenario.options["estimate"]
+    n_pairs = opts["pairs"]
+    envelope = EnvelopeConfig(transient_skip=opts["transient_skip"])
     pairs = []
     ics = scenario.initial_conditions
     for k in range(0, len(ics) - 1, 2):
         pairs.append((ics[k], ics[k + 1]))
     if len(pairs) < n_pairs:
-        pairs += sample_pairs_box(box, n_pairs - len(pairs), scenario.seed)
+        pairs += sample_pairs_box(opts["box"], n_pairs - len(pairs), scenario.seed)
     config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
     report = ensemble_ies(field, pairs, scenario.horizon, config, envelope)
     if report.inconclusive and any(r.blew_up for r in report.results):
@@ -437,7 +458,7 @@ def run_estimate(scenario: Scenario) -> list[Path]:
 
 def run_invariant_set(scenario: Scenario):
     field = build_field(scenario)
-    opts = scenario.options.get("invariant", {})
+    opts = scenario.options["invariant"]
     if scenario.system == "fhn":
         w = fhn_outer_lyapunov(scenario.params["fhn"])
     else:
@@ -447,16 +468,12 @@ def run_invariant_set(scenario: Scenario):
             class_lower=lambda s: 0.5 * s * s,
             class_upper=lambda s: 0.5 * s * s,
         )
-    level_min = float(opts.get("level_min", 1.0))
-    level_max = float(opts.get("level_max", 40.0))
-    n_levels = int(opts.get("levels", 40))
-    half = float(opts.get("box_halfwidth", 8.0))
-    density = int(opts.get("density", 81))
-    shell = float(opts.get("shell_width", 0.05))
+    half = opts["box_halfwidth"]
     box = np.array([[-half, half]] * field.dim)
     est = find_invariant_level(
-        w, field, (level_min, level_max), box,
-        n_levels=n_levels, grid_density=density, shell_width=shell,
+        w, field, (opts["level_min"], opts["level_max"]), box,
+        n_levels=opts["levels"], grid_density=opts["density"],
+        shell_width=opts["shell_width"],
     )
     out = scenario.output_path / "invariant_set.txt"
     write_invariant_report(est, out)
@@ -472,23 +489,26 @@ def run_fc_table(scenario: Scenario) -> list[Path]:
     return [out]
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def run_certify(scenario: Scenario) -> list[Path]:
     if scenario.system != "fhn":
         raise ConfigError("certify requires system = fhn")
     params: FhnParams = scenario.params["fhn"]
-    opts = scenario.options.get("certify", {})
+    opts = scenario.options["certify"]
     table = build_fc(params)
     cand1, cand2 = fc_candidate(table)
     bounds1, bounds2 = assumption2_bounds(table)
-    alpha1 = float(opts.get("alpha1", params.alpha))
-    alpha2 = float(opts.get("alpha2", params.b / params.epsilon))
-    alpha = float(opts.get("alpha", 0.5 * min(alpha1, alpha2)))
+    alpha1 = _given(opts["alpha1"], params.alpha)
+    alpha2 = _given(opts["alpha2"], params.b / params.epsilon)
+    alpha = _given(opts["alpha"], 0.5 * min(alpha1, alpha2))
     requested = None
-    if "rho1" in opts or "rho2" in opts:
-        requested = (float(opts.get("rho1", params.rho1)),
-                     float(opts.get("rho2", params.rho2)))
-    if "radius" in opts:
-        radius = float(opts["radius"])
+    if opts["rho1"] is not None or opts["rho2"] is not None:
+        requested = (_given(opts["rho1"], params.rho1), _given(opts["rho2"], params.rho2))
+    if opts["radius"] is not None:
+        radius = opts["radius"]
     else:
         # closed-form enclosure from the dissipation chain at equal gains
         kappa = min(0.125, params.b / params.epsilon)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ieskit.cli import (
     EXIT_BLOWUP,
@@ -8,7 +10,15 @@ from ieskit.cli import (
     EXIT_REFUSED,
     main,
 )
-from ieskit.scenarios import ConfigError, parse_config
+from ieskit.scenarios import (
+    ACTIONS,
+    PARAMS,
+    SCHEMA,
+    SYSTEMS,
+    ConfigError,
+    Scenario,
+    parse_config,
+)
 from ieskit.smallgain import parse_certificate_record
 
 
@@ -348,3 +358,158 @@ pairs = 3
                          "--seed", "9"]) == EXIT_OK
             outs.append((out / "distances.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+LINEAR_ESTIMATE = """
+[scenario]
+system = builtin_linear
+action = estimate
+horizon = 2
+step = 0.1
+
+[params]
+dim = 2
+
+[estimate]
+pairs = 2
+"""
+FHN_CERTIFY = """
+[scenario]
+system = fhn
+action = certify
+
+[params]
+r = 2.1
+b = 1
+epsilon = 0.9
+
+[certify]
+radius = 6
+"""
+FHN_INVARIANT = """
+[scenario]
+system = fhn
+action = invariant_set
+
+[params]
+c = 1
+b = 0.1
+epsilon = 1
+
+[invariant]
+box_halfwidth = 6.5
+density = 41
+"""
+POLYNOMIAL_SIMULATE = """
+[scenario]
+system = user_polynomial
+action = simulate
+initial = 1 1
+
+[params]
+n = 1
+m = 1
+f1_0 = -1 1
+f2_0 = -1 1
+g1_0 = 1 1
+g2_0 = 1 1
+"""
+
+# (subcommand, config, old line -> new line, key on the line the error names)
+BAD_VALUES = {
+    "pairs_not_integer": ("estimate", LINEAR_ESTIMATE, "pairs = 2", "pairs = abc", "pairs"),
+    "radius_not_number": ("certify", FHN_CERTIFY, "radius = 6", "radius = big", "radius"),
+    "radius_negative": ("certify", FHN_CERTIFY, "radius = 6", "radius = -3", "radius"),
+    "dim_zero": ("estimate", LINEAR_ESTIMATE, "dim = 2", "dim = 0", "dim"),
+    "matrix_ragged": ("estimate", LINEAR_ESTIMATE, "dim = 2", "matrix = 1 2; 3", "matrix"),
+    "box_reversed": ("estimate", LINEAR_ESTIMATE, "pairs = 2",
+                     "pairs = 2\nbox = -1 1; 1 -1", "box"),
+    "step_over_half_horizon": ("estimate", LINEAR_ESTIMATE, "horizon = 2\nstep = 0.1",
+                               "horizon = 1\nstep = 0.9", "step"),
+    "horizon_nan": ("estimate", LINEAR_ESTIMATE, "horizon = 2", "horizon = nan", "horizon"),
+    "horizon_inf": ("estimate", LINEAR_ESTIMATE, "horizon = 2", "horizon = inf", "horizon"),
+    "levels_reversed": ("invariant-set", FHN_INVARIANT, "density = 41",
+                        "density = 41\nlevel_min = 5\nlevel_max = 2", "level_max"),
+    "density_one": ("invariant-set", FHN_INVARIANT, "density = 41", "density = 1",
+                    "density"),
+    "levels_zero": ("invariant-set", FHN_INVARIANT, "density = 41",
+                    "density = 41\nlevels = 0", "levels"),
+    "tolerance_nan": ("certify", FHN_CERTIFY, "action = certify",
+                      "action = certify\ntolerance = nan", "tolerance"),
+    "polynomial_term": ("simulate", POLYNOMIAL_SIMULATE, "f1_0 = -1 1", "f1_0 = -1 x",
+                        "f1_0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_2_with_line_anchor(case, tmp_path, capsys):
+    command, body, old, new, key = BAD_VALUES[case]
+    assert old in body
+    text = body.replace(old, new)
+    line = next(i for i, raw in enumerate(text.splitlines(), start=1)
+                if raw.startswith(f"{key} ="))
+    cfg = write_config(tmp_path, text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert f"{cfg}:{line}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--tolerance", "nan")])
+def test_bad_override_exits_2(flag, value, tmp_path, capsys):
+    rc = main(["figures", "--out", str(tmp_path), flag, value])
+    assert rc == EXIT_CONFIG
+    assert f"{flag}: " in capsys.readouterr().err
+
+
+def test_overrides_reach_the_scenario(tmp_path):
+    cfg = write_config(tmp_path, FHN_CERTIFY)
+    out = tmp_path / "cert"
+    assert main(["certify", "--config", str(cfg), "--out", str(out),
+                 "--tolerance", "1e-7", "--seed", "3"]) == EXIT_OK
+    assert parse_certificate_record(out / "certificate.rec")["decay_check"] == "pass"
+
+
+# Values the fuzz test draws from: valid small numbers (and a valid term list
+# "-1 1" for one-dimensional polynomial blocks) and each kind of bad value.
+# Few keys per section and valid values drawn half of the time, so that some
+# configs get past the first key to the cross-key checks.
+VALID = ["0.5", "1", "2", "3", "-1 1"]
+TOKENS = VALID + ["0", "-1", "nan", "inf", "1e400", "abc", "", "1 2; 3"]
+POLY_BLOCKS = ["f1_0", "f1_1", "f2_0", "f2_1", "g1_0", "g1_1", "g2_0", "g2_1"]
+
+
+@st.composite
+def config_texts(draw):
+    def some(names):
+        return draw(st.lists(st.sampled_from(sorted(names)), unique=True, max_size=3))
+
+    system = draw(st.sampled_from(SYSTEMS + ("abc",)))
+    keys = {"scenario": some(set(SCHEMA["scenario"]) - {"system", "action"}),
+            "params": some(list(PARAMS.get(system, {})) + POLY_BLOCKS)}
+    if system == "user_polynomial":
+        keys["params"] = sorted(set(keys["params"]) | {"n", "m"})
+    for section in ("estimate", "certify", "invariant"):
+        if draw(st.booleans()):
+            keys[section] = some(SCHEMA[section])
+    lines = ["[scenario]", f"system = {system}",
+             f"action = {draw(st.sampled_from(ACTIONS + ('abc',)))}"]
+    for section, names in keys.items():
+        if section != "scenario":
+            lines.append(f"[{section}]")
+        for name in names:
+            value = draw(st.one_of(st.sampled_from(VALID), st.sampled_from(TOKENS)))
+            lines.append(f"{name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=config_texts())
+def test_parse_config_returns_scenario_or_config_error(text, tmp_path_factory):
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    cfg.write_text(text)
+    try:
+        scenario = parse_config(cfg)
+    except ConfigError:
+        return
+    assert isinstance(scenario, Scenario)

@@ -112,6 +112,16 @@ class TestDecay:
         assert report.passed
         assert report.worst <= 1e-14
 
+    def test_nan_tolerance_fails_and_names_the_sample(self):
+        p = figure_params(1)
+        _, v2 = fc_candidate(build_fc(p))
+        samples = samples_on_box(1, 3.0)
+        assert check_decay(v2, y_subsystem(p), p.b / p.epsilon, samples).passed
+        report = check_decay(v2, y_subsystem(p), p.b / p.epsilon, samples,
+                             tol=float("nan"))
+        assert not report.passed
+        assert report.note == f"decay violated at sample {report.worst_index}"
+
     def test_excitable_block_decay(self, default_table):
         params = default_table.params
         v1, _ = fc_candidate(default_table)

@@ -152,6 +152,19 @@ class TestInvariantLevel:
         assert "margin = " in text
         assert "grid_density = 41" in text
 
+    def test_report_values_are_plain_numbers(self, tmp_path):
+        p = figure_params(1)
+        est = find_invariant_level(fhn_outer_lyapunov(p), assemble(fhn_field(p)),
+                                   (1.0, 20.0), [[-6.5, 6.5]] * 2, grid_density=41)
+        assert type(est.radius) is float
+        out = tmp_path / "inv.txt"
+        write_invariant_report(est, out)
+        values = [line.split(" = ", 1)[1]
+                  for line in out.read_text().splitlines()[1:]]
+        assert len(values) == 6
+        for value in values:
+            float(value)
+
 
 class TestComparisonEnvelope:
     @pytest.mark.parametrize("figure", [1, 3])
