@@ -17,6 +17,7 @@ from ieskit.dynsys import (
     Trajectory,
     assemble,
     flow_difference,
+    flow_differences,
     integrate,
     integrate_with_displacement,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "check_sandwich",
     "compose",
     "flow_difference",
+    "flow_differences",
     "integrate",
     "integrate_with_displacement",
     "vdot",

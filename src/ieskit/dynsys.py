@@ -1,15 +1,18 @@
 """Vector fields, two-block interconnections, and trajectory integration.
 
-The state and its displacement (variational) dynamics are integrated jointly
-as one augmented system, so the Jacobian is always evaluated on the exact
-integrator iterates rather than on re-interpolated states.
+Fields and couplings take states of shape ``(..., d)`` and return the same
+shape, so the solvers step a whole batch of states ``(N, d)`` in one loop;
+Jacobians are evaluated one point at a time.  The state and its displacement
+(variational) dynamics are integrated jointly as one augmented system, so the
+Jacobian is always evaluated on the exact integrator iterates rather than on
+re-interpolated states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -20,6 +23,10 @@ JacFn = Callable[[float, Array], Array]
 FIXED_RK4 = "fixed_rk4"
 ADAPTIVE_EMBEDDED = "adaptive_embedded"
 
+# Largest number of fixed steps one integration may take: every step stores a
+# state and a derivative per row, so the horizon/step ratio bounds the memory.
+MAX_STEPS = 10**7
+
 
 class DimensionMismatchError(ValueError):
     """Block dimensions of an interconnection are inconsistent."""
@@ -29,8 +36,9 @@ class DimensionMismatchError(ValueError):
 class TimeVaryingField:
     """A vector field f(t, z) together with its state Jacobian.
 
-    ``rhs`` maps (t, z) to dz/dt for any finite state; ``jacobian`` maps
-    (t, z) to the dim x dim matrix of partials in z.
+    ``rhs`` maps (t, z) to dz/dt for states z of shape (..., dim), one point
+    per row, and returns the same shape; ``jacobian`` maps one point (t, z)
+    to the dim x dim matrix of partials in z.
     """
 
     dim: int
@@ -74,14 +82,17 @@ def linear_field(a: Array) -> TimeVaryingField:
         raise ValueError(f"A must be square, got shape {a.shape}")
     return TimeVaryingField(
         dim=dim,
-        rhs=lambda t, z: a @ z,
+        rhs=lambda t, z: z @ a.T,
         jacobian=lambda t, z: a.copy(),
     )
 
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """Autonomous coupling g: R^in_dim -> R^out_dim with its Jacobian."""
+    """Autonomous coupling g: R^in_dim -> R^out_dim with its Jacobian.
+
+    ``value`` maps points of shape (..., in_dim) to (..., out_dim);
+    ``jacobian`` takes one point."""
 
     in_dim: int
     out_dim: int
@@ -94,7 +105,7 @@ def linear_coupling(matrix: Array) -> CouplingMap:
     return CouplingMap(
         in_dim=m.shape[1],
         out_dim=m.shape[0],
-        value=lambda v: m @ v,
+        value=lambda v: v @ m.T,
         jacobian=lambda v: m.copy(),
     )
 
@@ -143,10 +154,10 @@ def assemble(ic: Interconnection) -> TimeVaryingField:
     f1, f2, g1, g2 = ic.f1, ic.f2, ic.g1, ic.g2
 
     def rhs(t: float, z: Array) -> Array:
-        x, y = z[:n], z[n:]
-        out = np.empty(n + m)
-        out[:n] = f1.rhs(t, x) + rho1 * g1.value(y)
-        out[n:] = f2.rhs(t, y) + rho2 * g2.value(x)
+        x, y = z[..., :n], z[..., n:]
+        out = np.empty(z.shape)
+        out[..., :n] = f1.rhs(t, x) + rho1 * g1.value(y)
+        out[..., n:] = f2.rhs(t, y) + rho2 * g2.value(x)
         return out
 
     def jacobian(t: float, z: Array) -> Array:
@@ -183,6 +194,10 @@ class IntegratorConfig:
                 raise ValueError("fixed step must be positive")
             if self.step > self.max_time / 2:
                 raise ValueError("fixed step must divide the horizon into >= 2 steps")
+            if self.max_time / self.step > MAX_STEPS:
+                raise ValueError(f"fixed step must divide the horizon into at most "
+                                 f"{MAX_STEPS} steps, got max_time/step = "
+                                 f"{self.max_time / self.step:g}")
         else:
             if self.atol <= 0 or self.rtol <= 0:
                 raise ValueError("adaptive tolerances must be strictly positive")
@@ -195,6 +210,11 @@ class Trajectory:
     ``derivatives`` holds the right-hand side at the sample nodes, which makes
     cubic Hermite interpolation between nodes free of extra field calls.
     Interpolation at the stored nodes reproduces the samples exactly.
+
+    A batch integrated from states of shape (N, d) has states and
+    derivatives of shape (T, N, d) on the shared ``times``; ``blew_up`` and
+    ``ends`` are then per row.  Row k holds samples up to ``ends[k]`` and NaN
+    after it; ``row(k)`` cuts it out as a trajectory of its own.
     """
 
     t0: float
@@ -203,15 +223,23 @@ class Trajectory:
     derivatives: Array
     displacements: Optional[Array] = None
     displacement_derivatives: Optional[Array] = None
-    blew_up: bool = False
+    blew_up: Union[bool, Array] = False
+    ends: Optional[Array] = None
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
+
+    def row(self, k: int) -> "Trajectory":
+        end = int(self.ends[k])
+        return Trajectory(
+            t0=self.t0, times=self.times[:end], states=self.states[:end, k],
+            derivatives=self.derivatives[:end, k], blew_up=bool(self.blew_up[k]),
+        )
 
     def state_at(self, t) -> Array:
         return _hermite_eval(self.times, self.states, self.derivatives, t)
@@ -228,17 +256,17 @@ def _hermite_eval(times: Array, values: Array, derivs: Array, t) -> Array:
     """Piecewise-cubic Hermite interpolation; exact at the sample nodes."""
     tq = np.atleast_1d(np.asarray(t, dtype=float))
     if len(times) == 1:
-        out = np.tile(values[0], (len(tq), 1))
+        out = np.repeat(values[:1], len(tq), axis=0)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
     idx = np.searchsorted(times, tq, side="right") - 1
     idx = np.clip(idx, 0, len(times) - 2)
     t0 = times[idx]
-    h = times[idx + 1] - t0
-    s = ((tq - t0) / h)[:, None]
+    h = (times[idx + 1] - t0).reshape((-1,) + (1,) * (values.ndim - 1))
+    s = (tq - t0).reshape(h.shape) / h
     y0, y1 = values[idx], values[idx + 1]
-    d0, d1 = derivs[idx] * h[:, None], derivs[idx + 1] * h[:, None]
+    d0, d1 = derivs[idx] * h, derivs[idx + 1] * h
     s2, s3 = s * s, s * s * s
     out = (
         (2 * s3 - 3 * s2 + 1) * y0
@@ -247,7 +275,7 @@ def _hermite_eval(times: Array, values: Array, derivs: Array, t) -> Array:
         + (s3 - s2) * d1
     )
     # exact reproduction of stored samples at the nodes
-    exact = s[:, 0] == 0.0
+    exact = s.ravel() == 0.0
     if np.any(exact):
         out[exact] = y0[exact]
     right = tq == times[idx + 1]
@@ -258,39 +286,68 @@ def _hermite_eval(times: Array, values: Array, derivs: Array, t) -> Array:
     return out
 
 
+def _bad_rows(a: Array) -> Optional[Array]:
+    """Mask of the rows of ``a`` holding a non-finite value, None if none do."""
+    finite = np.isfinite(a)
+    return None if finite.all() else ~finite.all(axis=1)
+
+
 def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
+    """Fixed-step RK4 of the batch z0 (N, d).  A row stops at its first
+    non-finite state or derivative, keeping the samples before it; the other
+    rows go on."""
     n_steps = max(2, math.ceil(horizon / step - 1e-12))
     h = horizon / n_steps
-    dim = len(z0)
     times = t0 + h * np.arange(n_steps + 1)
     times[-1] = t0 + horizon
-    states = np.empty((n_steps + 1, dim))
+    states = np.empty((n_steps + 1,) + z0.shape)
     derivs = np.empty_like(states)
+    ends = np.full(len(z0), n_steps + 1)
+    blew = np.zeros(len(z0), dtype=bool)
+    live = np.arange(len(z0))
+    rows = slice(None)  # the live rows: all of them until one stops
+
+    def stop(bad: Array, end: int) -> None:
+        nonlocal live, rows
+        gone = live[bad]
+        ends[gone] = end
+        blew[gone] = True
+        states[end:, gone] = np.nan
+        derivs[end:, gone] = np.nan
+        live = rows = live[~bad]
+
     states[0] = z0
-    blew_up = False
     with np.errstate(over="ignore", invalid="ignore"):
         derivs[0] = rhs(t0, z0)
-        if not np.all(np.isfinite(derivs[0])):
-            return times[:1], states[:1], derivs[:1] * 0.0, True
+        bad = _bad_rows(derivs[0])
+        if bad is not None:
+            derivs[0, bad] = 0.0
+            stop(bad, 1)
         for i in range(n_steps):
-            t, y = times[i], states[i]
-            k1 = derivs[i]
+            if not live.size:
+                break
+            t, y, k1 = times[i], states[i, rows], derivs[i, rows]
             k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
             k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
             k4 = rhs(t + h, y + h * k3)
             y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y_next)):
-                blew_up = True
-                return times[: i + 1], states[: i + 1], derivs[: i + 1], blew_up
-            states[i + 1] = y_next
+            bad = _bad_rows(y_next)
+            if bad is not None:
+                stop(bad, i + 1)
+                if not live.size:
+                    break
+                y_next = y_next[~bad]
+            states[i + 1, rows] = y_next
             d_next = rhs(times[i + 1], y_next)
-            if not np.all(np.isfinite(d_next)):
-                blew_up = True
-                return times[: i + 2], states[: i + 2], np.vstack(
-                    [derivs[: i + 1], np.zeros((1, dim))]
-                ), blew_up
-            derivs[i + 1] = d_next
-    return times, states, derivs, blew_up
+            bad = _bad_rows(d_next)
+            if bad is not None:
+                d_next[bad] = 0.0
+                derivs[i + 1, rows] = d_next
+                stop(bad, i + 2)
+            else:
+                derivs[i + 1, rows] = d_next
+    last = ends.max()
+    return times[:last], states[:last], derivs[:last], ends, blew
 
 
 # Dormand-Prince 5(4) tableau
@@ -310,86 +367,112 @@ _DP_B4 = np.array(
 )
 
 
+def _combine(weights: Array, k: Array) -> Array:
+    """sum_i weights[i] k[i] over the leading axis of the stage stack ``k``."""
+    return (weights @ k.reshape(len(weights), -1)).reshape(k.shape[1:])
+
+
 def _dopri_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, atol: float, rtol: float):
-    dim = len(z0)
+    """Dormand-Prince 5(4) of the batch z0 (N, d) on one shared step size,
+    set by the worst row error norm.  A row whose step cannot be made finite
+    or accurate above the minimum step stops there; the other rows go on
+    from the last step size accepted."""
     t_end = t0 + horizon
     max_step = horizon / 2.0
+    min_step = 1e-14 * horizon
+    ends = np.zeros(len(z0), dtype=int)
+    blew = np.zeros(len(z0), dtype=bool)
+    live = np.arange(len(z0))
+
+    def full(a: Array) -> Array:
+        """``a`` on the live rows as a full batch, NaN on the stopped ones."""
+        if live.size == len(z0):
+            return a
+        out = np.full(z0.shape, np.nan)
+        out[live] = a
+        return out
+
     ts = [t0]
-    ys = [np.asarray(z0, dtype=float)]
+    ys = [z0]
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = rhs(t0, ys[0])
-        if not np.all(np.isfinite(f0)):
-            return np.array(ts), np.array(ys), np.zeros((1, dim)), True
+        f0 = rhs(t0, z0)
+        bad = _bad_rows(f0)
+        if bad is not None:
+            f0 = np.where(bad[:, None], 0.0, f0)
+            ends[bad] = 1
+            blew[bad] = True
+            live = live[~bad]
         fs = [f0]
-        t, y, f_cur = t0, ys[0], f0
-        h = min(max_step, horizon / 100.0)
-        blew_up = False
-        while t < t_end - 1e-12 * horizon:
+        t, y, f_cur = t0, z0[live], f0[live]
+        h = h_accepted = min(max_step, horizon / 100.0)
+        while live.size and t < t_end - 1e-12 * horizon:
             h = min(h, t_end - t)
-            k = np.empty((7, dim))
+            k = np.empty((7,) + y.shape)
             k[0] = f_cur
-            bad = False
             for i in range(1, 7):
-                yi = y + h * (_DP_A[i] @ k[:i])
+                yi = y + h * _combine(_DP_A[i], k[:i])
                 k[i] = rhs(t + _DP_C[i] * h, yi)
-                if not np.all(np.isfinite(k[i])):
-                    bad = True
+                bad = _bad_rows(k[i])
+                if bad is not None:
                     break
-            if bad:
-                h *= 0.5
-                if h < 1e-14 * horizon:
-                    blew_up = True
-                    break
-                continue
-            y5 = y + h * (_DP_B5 @ k)
-            y4 = y + h * (_DP_B4 @ k)
-            if not np.all(np.isfinite(y5)):
-                h *= 0.5
-                if h < 1e-14 * horizon:
-                    blew_up = True
-                    break
-                continue
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-            if err <= 1.0:
-                t = t + h
-                y = y5
-                f_cur = k[6]  # FSAL
-                ts.append(t)
-                ys.append(y)
-                fs.append(f_cur)
-                factor = 0.9 * (err + 1e-16) ** -0.2
-                h = min(max_step, h * min(5.0, max(0.2, factor)))
             else:
+                y5 = y + h * _combine(_DP_B5, k)
+                y4 = y + h * _combine(_DP_B4, k)
+                bad = _bad_rows(y5)
+            if bad is None:
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+                row_err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2, axis=1))
+                err = float(row_err.max())
+                if err <= 1.0:
+                    t = t + h
+                    y = y5
+                    f_cur = k[6].copy()  # FSAL; the copy lets k go
+                    ts.append(t)
+                    ys.append(full(y))
+                    fs.append(full(f_cur))
+                    factor = 0.9 * (err + 1e-16) ** -0.2
+                    h = h_accepted = min(max_step, h * min(5.0, max(0.2, factor)))
+                    continue
                 h = h * max(0.2, 0.9 * err**-0.25)
-                if h < 1e-14 * horizon:
-                    blew_up = True
-                    break
-    return np.array(ts), np.array(ys), np.array(fs), blew_up
+                bad = ~(row_err <= 1.0)  # NaN errors count as too large
+            else:
+                h *= 0.5
+            if h < min_step:
+                ends[live[bad]] = len(ts)
+                blew[live[bad]] = True
+                live, y, f_cur = live[~bad], y[~bad], f_cur[~bad]
+                h = h_accepted
+    ends[live] = len(ts)
+    return np.array(ts), np.array(ys), np.array(fs), ends, blew
+
+
+def _solve(rhs: RhsFn, t0: float, z0: Array, config: IntegratorConfig):
+    if config.method == FIXED_RK4:
+        return _rk4_path(rhs, t0, z0, config.max_time, config.step)
+    return _dopri_path(rhs, t0, z0, config.max_time, config.atol, config.rtol)
 
 
 def integrate(
     field: TimeVaryingField, t0: float, z0, config: IntegratorConfig
 ) -> Trajectory:
-    """Integrate dz/dt = f(t, z) from z0 over [t0, t0 + max_time].
+    """Integrate dz/dt = f(t, z) over [t0, t0 + max_time] from one state z0
+    of shape (d,), or from a batch of shape (N, d) in one solver loop.
 
     On numerical blow-up (non-finite values) the partial trajectory is
-    returned with ``blew_up`` set.
+    returned with ``blew_up`` set; in a batch, only the rows that blew up
+    stop.
     """
     z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (field.dim,):
-        raise ValueError(f"z0 must have shape ({field.dim},), got {z0.shape}")
-    if config.method == FIXED_RK4:
-        times, states, derivs, blew = _rk4_path(
-            field.rhs, t0, z0, config.max_time, config.step
-        )
-    else:
-        times, states, derivs, blew = _dopri_path(
-            field.rhs, t0, z0, config.max_time, config.atol, config.rtol
-        )
-    return Trajectory(
-        t0=t0, times=times, states=states, derivatives=derivs, blew_up=blew,
-    )
+    if z0.ndim not in (1, 2) or z0.shape[-1] != field.dim or not z0.size:
+        raise ValueError(f"z0 must have shape ({field.dim},) or (N, {field.dim}) "
+                         f"with N >= 1, got {z0.shape}")
+    times, states, derivs, ends, blew = _solve(field.rhs, t0, z0.reshape(-1, field.dim),
+                                               config)
+    if z0.ndim == 1:
+        return Trajectory(t0=t0, times=times, states=states[:, 0],
+                          derivatives=derivs[:, 0], blew_up=bool(blew[0]))
+    return Trajectory(t0=t0, times=times, states=states, derivatives=derivs,
+                      blew_up=blew, ends=ends)
 
 
 def integrate_with_displacement(
@@ -405,29 +488,22 @@ def integrate_with_displacement(
     dim = field.dim
 
     def aug_rhs(t: float, u: Array) -> Array:
-        z, dz = u[:dim], u[dim:]
-        out = np.empty(2 * dim)
-        out[:dim] = field.rhs(t, z)
-        out[dim:] = field.jacobian(t, z) @ dz
+        z, dz = u[:, :dim], u[:, dim:]
+        out = np.empty(u.shape)
+        out[:, :dim] = field.rhs(t, z)
+        out[:, dim:] = [field.jacobian(t, zk) @ dk for zk, dk in zip(z, dz)]
         return out
 
-    u0 = np.concatenate([z0, d0])
-    if config.method == FIXED_RK4:
-        times, states, derivs, blew = _rk4_path(
-            aug_rhs, t0, u0, config.max_time, config.step
-        )
-    else:
-        times, states, derivs, blew = _dopri_path(
-            aug_rhs, t0, u0, config.max_time, config.atol, config.rtol
-        )
+    u0 = np.concatenate([z0, d0])[None]
+    times, states, derivs, _, blew = _solve(aug_rhs, t0, u0, config)
     return Trajectory(
         t0=t0,
         times=times,
-        states=states[:, :dim],
-        derivatives=derivs[:, :dim],
-        displacements=states[:, dim:],
-        displacement_derivatives=derivs[:, dim:],
-        blew_up=blew,
+        states=states[:, 0, :dim],
+        derivatives=derivs[:, 0, :dim],
+        displacements=states[:, 0, dim:],
+        displacement_derivatives=derivs[:, 0, dim:],
+        blew_up=bool(blew[0]),
     )
 
 
@@ -440,25 +516,40 @@ class DistanceSeries:
     blew_up: bool = False
 
 
+def distance_series(traj: Trajectory, i: int, j: int,
+                    config: IntegratorConfig) -> DistanceSeries:
+    """t -> |z_i(t) - z_j(t)| between rows i and j of a batched trajectory:
+    on the solver grid for fixed-step RK4, else Hermite-resampled at spacing
+    ``config.step`` up to the earlier end of the two rows."""
+    tr1, tr2 = traj.row(i), traj.row(j)
+    blew = tr1.blew_up or tr2.blew_up
+    if config.method == FIXED_RK4 and not blew:
+        dist = np.linalg.norm(tr1.states - tr2.states, axis=1)
+        return DistanceSeries(times=tr1.times, values=dist, blew_up=False)
+    t0 = traj.t0
+    t_end = min(tr1.t_end, tr2.t_end)
+    n = max(2, math.ceil((t_end - t0) / config.step))
+    times = np.linspace(t0, t_end, n + 1)
+    dist = np.linalg.norm(tr1.state_at(times) - tr2.state_at(times), axis=1)
+    return DistanceSeries(times=times, values=dist, blew_up=blew)
+
+
+def flow_differences(
+    field: TimeVaryingField, t0: float, z1s, z2s, config: IntegratorConfig
+) -> list[DistanceSeries]:
+    """Distance series t -> |phi(t, z1s[k]) - phi(t, z2s[k])| of every pair,
+    with all 2N flows integrated as one batch."""
+    z1s = np.asarray(z1s, dtype=float)
+    z2s = np.asarray(z2s, dtype=float)
+    if z1s.shape != z2s.shape:
+        raise ValueError("z1 and z2 must have the same dimension")
+    n = len(z1s)
+    traj = integrate(field, t0, np.concatenate([z1s, z2s]), config)
+    return [distance_series(traj, k, n + k, config) for k in range(n)]
+
+
 def flow_difference(
     field: TimeVaryingField, t0: float, z1, z2, config: IntegratorConfig
 ) -> DistanceSeries:
     """Distance series t -> |phi(t, z1) - phi(t, z2)| on a shared grid."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if z1.shape != z2.shape:
-        raise ValueError("z1 and z2 must have the same dimension")
-    tr1 = integrate(field, t0, z1, config)
-    tr2 = integrate(field, t0, z2, config)
-    blew = tr1.blew_up or tr2.blew_up
-    if config.method == FIXED_RK4 and not blew:
-        times = tr1.times
-        dist = np.linalg.norm(tr1.states - tr2.states, axis=1)
-        return DistanceSeries(times=times, values=dist, blew_up=False)
-    t_end = min(tr1.t_end, tr2.t_end)
-    n = max(2, math.ceil((t_end - t0) / config.step))
-    times = np.linspace(t0, t_end, n + 1)
-    s1 = tr1.state_at(times)
-    s2 = tr2.state_at(times)
-    dist = np.linalg.norm(s1 - s2, axis=1)
-    return DistanceSeries(times=times, values=dist, blew_up=blew)
+    return flow_differences(field, t0, [z1], [z2], config)[0]

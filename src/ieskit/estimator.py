@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_difference
+from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_differences
 from ieskit.io_utils import atomic_write_text, fnum
 
 Array = np.ndarray
@@ -182,18 +182,17 @@ def ensemble_ies(
     envelope: EnvelopeConfig = EnvelopeConfig(),
     t0: float = 0.0,
 ) -> EnsembleReport:
+    """Fit the envelope of every pair's distance series; the 2N flows are
+    integrated as one batch, and a pair that blew up gets no fit."""
     if abs(config.max_time - horizon) > 1e-12:
         config = dataclasses.replace(config, max_time=horizon)
+    pairs = [(np.asarray(z1), np.asarray(z2)) for z1, z2 in pairs]
+    all_series = flow_differences(field, t0, *zip(*pairs), config) if pairs else []
     results = []
-    for i, (z1, z2) in enumerate(pairs):
-        series = flow_difference(field, t0, z1, z2, config)
-        if series.blew_up:
-            results.append(PairResult(i, np.asarray(z1), np.asarray(z2), series,
-                                      None, True))
-            continue
-        fit = fit_envelope(series.times, series.values, config=envelope)
-        results.append(PairResult(i, np.asarray(z1), np.asarray(z2), series, fit,
-                                  False))
+    for i, ((z1, z2), series) in enumerate(zip(pairs, all_series)):
+        fit = None if series.blew_up else fit_envelope(series.times, series.values,
+                                                       config=envelope)
+        results.append(PairResult(i, z1, z2, series, fit, series.blew_up))
     fits = [r.fit for r in results if r.fit is not None]
     any_blowup = any(r.blew_up for r in results)
     min_lambda = min((f.lam for f in fits), default=math.nan)

@@ -41,15 +41,16 @@ class PolynomialMap:
         return len(self.components)
 
     def __call__(self, x: Array) -> Array:
+        """The map at points x of shape (..., in_dim), as (..., out_dim)."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(self.out_dim)
+        out = np.zeros(x.shape[:-1] + (self.out_dim,))
         for i, comp in enumerate(self.components):
             for coef, exps in comp:
                 term = coef
-                for xv, e in zip(x, exps):
+                for j, e in enumerate(exps):
                     if e:
-                        term *= xv**e
-                out[i] += term
+                        term = term * x[..., j] ** e
+                out[..., i] += term
         return out
 
     def jacobian(self, x: Array) -> Array:

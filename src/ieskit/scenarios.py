@@ -17,10 +17,12 @@ import numpy as np
 
 from ieskit import __version__
 from ieskit.dynsys import (
+    MAX_STEPS,
     IntegratorConfig,
     Interconnection,
     TimeVaryingField,
     assemble,
+    distance_series,
     integrate,
     linear_field,
 )
@@ -207,7 +209,10 @@ class Scenario:
                  f"step={self.step:g}", f"seed={self.seed}",
                  f"tolerance={self.tolerance:g}"]
         for k in sorted(self.params):
-            parts.append(f"{k}={self.params[k]}")
+            # the polynomial model's repr holds function addresses; its
+            # f1_i/f2_i/g1_i/g2_i block texts are echoed instead
+            if k != "interconnection":
+                parts.append(f"{k}={self.params[k]}")
         return " ".join(parts)
 
 
@@ -285,6 +290,9 @@ def parse_config(path) -> Scenario:
     if sc["step"] > sc["horizon"] / 2:
         raise ConfigError(f"{_at(path, raw, 'step', 'horizon')}: step must be at most "
                           f"horizon/2, got {sc['step']:g} and {sc['horizon']:g}")
+    if sc["horizon"] / sc["step"] > MAX_STEPS:
+        raise ConfigError(f"{_at(path, raw, 'step', 'horizon')}: horizon/step must be at "
+                          f"most {MAX_STEPS}, got {sc['horizon']:g} and {sc['step']:g}")
     field_dim = 2 if sc["action"] == "figures" else dim  # figures runs the FHN model
     for i, z0 in enumerate(sc["initial"]):
         if len(z0) != field_dim:
@@ -334,6 +342,8 @@ def _read_params(path: Path, system: str, entries) -> tuple[dict, int]:
               PARAMS["user_polynomial"])
     n, m = p["n"], p["m"]
 
+    echo = {}  # block texts by key
+
     def block(name: str, count: int, in_dim: int):
         components = []
         for i in range(count):
@@ -345,6 +355,7 @@ def _read_params(path: Path, system: str, entries) -> tuple[dict, int]:
                 components.append(parse_polynomial_component(text, in_dim))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+            echo[key] = text
         return tuple(components)
 
     ic = Interconnection(
@@ -355,7 +366,7 @@ def _read_params(path: Path, system: str, entries) -> tuple[dict, int]:
         rho1=p["rho1"], rho2=p["rho2"],
     )
     return {"interconnection": ic, "n": str(n), "m": str(m),
-            "rho1": f"{p['rho1']:g}", "rho2": f"{p['rho2']:g}"}, n + m
+            "rho1": f"{p['rho1']:g}", "rho2": f"{p['rho2']:g}", **echo}, n + m
 
 
 def build_field(scenario: Scenario) -> TimeVaryingField:
@@ -371,21 +382,23 @@ def _csv_header(scenario: Scenario, extra: str = "") -> str:
     return f"# ieskit {__version__} {scenario.echo()}{tail}"
 
 
-def _check_blowup(*trajectories) -> None:
-    if any(tr.blew_up for tr in trajectories):
+def _integrate_all(field: TimeVaryingField, states, config: IntegratorConfig):
+    """One batched integration of ``states``; any row blowing up is an error."""
+    tr = integrate(field, 0.0, np.array(states), config)
+    if np.any(tr.blew_up):
         raise BlowUpError("integration hit non-finite values; partial output discarded")
+    return tr
 
 
 def run_simulate(scenario: Scenario) -> list[Path]:
     field = build_field(scenario)
     config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
+    tr = _integrate_all(field, scenario.initial_conditions, config)
+    cols = ",".join(f"z{k+1}" for k in range(field.dim))
     written = []
-    for i, z0 in enumerate(scenario.initial_conditions):
-        tr = integrate(field, 0.0, z0, config)
-        _check_blowup(tr)
-        cols = ",".join(f"z{k+1}" for k in range(field.dim))
+    for i in range(len(scenario.initial_conditions)):
         lines = [_csv_header(scenario, extra=f"ic={i}"), f"t,{cols}"]
-        for t, state in zip(tr.times, tr.states):
+        for t, state in zip(tr.times, tr.states[:, i]):
             lines.append(fnum(t) + "," + ",".join(fnum(v) for v in state))
         out = scenario.output_path / f"trajectory_{i:02d}.csv"
         atomic_write_text(out, "\n".join(lines) + "\n")
@@ -411,11 +424,8 @@ def run_figures(
     written = []
     for fig in (1, 2, 3):
         p = figure_params(fig)
-        field = assemble(fhn_field(p))
-        tr1 = integrate(field, 0.0, z1, config)
-        tr2 = integrate(field, 0.0, z2, config)
-        _check_blowup(tr1, tr2)
-        dist = np.linalg.norm(tr1.states - tr2.states, axis=1)
+        tr = _integrate_all(assemble(fhn_field(p)), (z1, z2), config)
+        dist = distance_series(tr, 0, 1, config).values
         header = (
             f"# ieskit {__version__} figure={fig} c={p.c:g} b={p.b:g} "
             f"epsilon={p.epsilon:g} rho1={p.rho1:g} rho2={p.rho2:g} "
@@ -424,7 +434,7 @@ def run_figures(
             f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}"
         )
         lines = [header, "t,x1,y1,x2,y2,distance"]
-        for t, s1, s2, d in zip(tr1.times, tr1.states, tr2.states, dist):
+        for t, s1, s2, d in zip(tr.times, tr.states[:, 0], tr.states[:, 1], dist):
             lines.append(
                 ",".join(fnum(v) for v in (t, s1[0], s1[1], s2[0], s2[1], d))
             )

@@ -513,3 +513,27 @@ def test_parse_config_returns_scenario_or_config_error(text, tmp_path_factory):
     except ConfigError:
         return
     assert isinstance(scenario, Scenario)
+
+
+def test_horizon_over_max_steps_exits_2(tmp_path, capsys):
+    # at the default step this horizon asks for 1e14 fixed steps
+    cfg = write_config(tmp_path, """
+[scenario]
+system = builtin_linear
+action = simulate
+initial = 1
+horizon = 1e12
+""")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}:6: " in err and "horizon/step" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_polynomial_echo_is_deterministic(tmp_path):
+    cfg = write_config(tmp_path, POLYNOMIAL_SIMULATE)
+    first, second = parse_config(cfg), parse_config(cfg)
+    assert first.echo() == second.echo()
+    assert "0x" not in first.echo()
+    assert "f1_0=-1 1 f2_0=-1 1 g1_0=1 1 g2_0=1 1" in first.echo()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ieskit.dynsys import (
     ADAPTIVE_EMBEDDED,
+    MAX_STEPS,
     CouplingMap,
     DimensionMismatchError,
     IntegratorConfig,
@@ -286,3 +287,11 @@ def test_config_validation():
         IntegratorConfig(max_time=1.0, method=ADAPTIVE_EMBEDDED, atol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_time=1.0, method="rk9000")
+
+
+def test_fixed_step_count_bounded():
+    with pytest.raises(ValueError, match="at most"):
+        IntegratorConfig(max_time=1e12)
+    with pytest.raises(ValueError, match="at most"):
+        IntegratorConfig(max_time=1.0, step=0.5 / MAX_STEPS)
+    assert IntegratorConfig(max_time=1.0, step=1.0 / MAX_STEPS).step == 1.0 / MAX_STEPS
