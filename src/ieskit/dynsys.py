@@ -1,11 +1,12 @@
 """Vector fields, two-block interconnections, and trajectory integration.
 
-Fields and couplings take states of shape ``(..., d)`` and return the same
-shape, so the solvers step a whole batch of states ``(N, d)`` in one loop;
-Jacobians are evaluated one point at a time.  The state and its displacement
-(variational) dynamics are integrated jointly as one augmented system, so the
-Jacobian is always evaluated on the exact integrator iterates rather than on
-re-interpolated states.
+Every callable takes points of shape ``(..., d)``, one point per row, and a
+single point ``(d,)`` is the case without a batch axis: fields and couplings
+return ``(..., d)`` values and ``(..., out, in)`` Jacobians.  The solvers
+step a whole batch of states ``(N, d)`` in one loop.  The state and its
+displacement (variational) dynamics are integrated jointly as one augmented
+system, so the Jacobian is always evaluated on the exact integrator iterates
+rather than on re-interpolated states.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class DimensionMismatchError(ValueError):
 class TimeVaryingField:
     """A vector field f(t, z) together with its state Jacobian.
 
-    ``rhs`` maps (t, z) to dz/dt for states z of shape (..., dim), one point
-    per row, and returns the same shape; ``jacobian`` maps one point (t, z)
-    to the dim x dim matrix of partials in z.
+    For states z of shape (..., dim), one point per row, ``rhs`` returns
+    dz/dt of shape (..., dim) and ``jacobian`` the matrices of partials in z,
+    of shape (..., dim, dim).
     """
 
     dim: int
@@ -50,26 +51,38 @@ class TimeVaryingField:
             raise ValueError(f"field dimension must be positive, got {self.dim}")
 
 
+def rowdot(a: Array, b: Array) -> Array:
+    """Dot products of matching rows of two (..., d) arrays, as (...); the
+    stacked matmul rounds each row as the 1-D ``a @ b`` does, a sum need not."""
+    return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def matvec(m: Array, v: Array) -> Array:
+    """Products of (..., p, d) matrices with matching (..., d) vectors, as (..., p)."""
+    return (m @ np.asarray(v)[..., None])[..., 0]
+
+
 def central_difference(f: Callable[[Array], Array], x, rel_step: float = 1e-6) -> Array:
-    """Central differences of ``f`` at ``x``, one per coordinate, stacked on
-    the first axis: entry i is (f(x + h e_i) - f(x - h e_i)) / (2 h) with
-    h = rel_step * (1 + |x_i|)."""
+    """Central differences of ``f`` at points x of shape (..., d), one per
+    coordinate, stacked on a new last axis: entry [..., i] is
+    (f(x + h e_i) - f(x - h e_i)) / (2 h) with h = rel_step * (1 + |x_i|)."""
     x = np.asarray(x, dtype=float)
-    rows = []
-    for i in range(len(x)):
-        h = rel_step * (1.0 + abs(x[i]))
+    cols = []
+    for i in range(x.shape[-1]):
+        h = rel_step * (1.0 + np.abs(x[..., i]))
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
-    return np.array(rows)
+        xp[..., i] += h
+        xm[..., i] -= h
+        diff = np.asarray(f(xp)) - np.asarray(f(xm))
+        cols.append(diff / (2.0 * h.reshape(h.shape + (1,) * (diff.ndim - h.ndim))))
+    return np.stack(cols, axis=-1)
 
 
 def fd_jacobian(rhs: RhsFn, dim: int, rel_step: float = 1e-6) -> JacFn:
     """Central-difference Jacobian of ``rhs`` with step rel_step*(1+|z_i|)."""
 
     def jac(t: float, z: Array) -> Array:
-        return central_difference(lambda w: rhs(t, w), z, rel_step).T
+        return central_difference(lambda w: rhs(t, w), z, rel_step)
 
     return jac
 
@@ -83,7 +96,7 @@ def linear_field(a: Array) -> TimeVaryingField:
     return TimeVaryingField(
         dim=dim,
         rhs=lambda t, z: z @ a.T,
-        jacobian=lambda t, z: a.copy(),
+        jacobian=lambda t, z: np.broadcast_to(a, np.shape(z)[:-1] + a.shape).copy(),
     )
 
 
@@ -91,8 +104,8 @@ def linear_field(a: Array) -> TimeVaryingField:
 class CouplingMap:
     """Autonomous coupling g: R^in_dim -> R^out_dim with its Jacobian.
 
-    ``value`` maps points of shape (..., in_dim) to (..., out_dim);
-    ``jacobian`` takes one point."""
+    For points of shape (..., in_dim), ``value`` returns (..., out_dim) and
+    ``jacobian`` (..., out_dim, in_dim)."""
 
     in_dim: int
     out_dim: int
@@ -106,7 +119,7 @@ def linear_coupling(matrix: Array) -> CouplingMap:
         in_dim=m.shape[1],
         out_dim=m.shape[0],
         value=lambda v: v @ m.T,
-        jacobian=lambda v: m.copy(),
+        jacobian=lambda v: np.broadcast_to(m, np.shape(v)[:-1] + m.shape).copy(),
     )
 
 
@@ -161,14 +174,14 @@ def assemble(ic: Interconnection) -> TimeVaryingField:
         return out
 
     def jacobian(t: float, z: Array) -> Array:
-        x, y = z[:n], z[n:]
-        jac = np.zeros((n + m, n + m))
-        jac[:n, :n] = f1.jacobian(t, x)
-        jac[n:, n:] = f2.jacobian(t, y)
+        x, y = z[..., :n], z[..., n:]
+        jac = np.zeros(z.shape + (n + m,))
+        jac[..., :n, :n] = f1.jacobian(t, x)
+        jac[..., n:, n:] = f2.jacobian(t, y)
         if rho1 != 0.0:
-            jac[:n, n:] = rho1 * g1.jacobian(y)
+            jac[..., :n, n:] = rho1 * g1.jacobian(y)
         if rho2 != 0.0:
-            jac[n:, :n] = rho2 * g2.jacobian(x)
+            jac[..., n:, :n] = rho2 * g2.jacobian(x)
         return jac
 
     return TimeVaryingField(dim=n + m, rhs=rhs, jacobian=jacobian)
@@ -222,7 +235,6 @@ class Trajectory:
     states: Array
     derivatives: Array
     displacements: Optional[Array] = None
-    displacement_derivatives: Optional[Array] = None
     blew_up: Union[bool, Array] = False
     ends: Optional[Array] = None
 
@@ -243,13 +255,6 @@ class Trajectory:
 
     def state_at(self, t) -> Array:
         return _hermite_eval(self.times, self.states, self.derivatives, t)
-
-    def displacement_at(self, t) -> Array:
-        if self.displacements is None:
-            raise ValueError("trajectory carries no displacement samples")
-        return _hermite_eval(
-            self.times, self.displacements, self.displacement_derivatives, t
-        )
 
 
 def _hermite_eval(times: Array, values: Array, derivs: Array, t) -> Array:
@@ -491,7 +496,7 @@ def integrate_with_displacement(
         z, dz = u[:, :dim], u[:, dim:]
         out = np.empty(u.shape)
         out[:, :dim] = field.rhs(t, z)
-        out[:, dim:] = [field.jacobian(t, zk) @ dk for zk, dk in zip(z, dz)]
+        out[:, dim:] = matvec(field.jacobian(t, z), dz)
         return out
 
     u0 = np.concatenate([z0, d0])[None]
@@ -502,7 +507,6 @@ def integrate_with_displacement(
         states=states[:, 0, :dim],
         derivatives=derivs[:, 0, :dim],
         displacements=states[:, 0, dim:],
-        displacement_derivatives=derivs[:, 0, dim:],
         blew_up=bool(blew[0]),
     )
 

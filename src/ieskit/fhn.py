@@ -97,7 +97,7 @@ def x_subsystem(params: FhnParams) -> TimeVaryingField:
         return x - x**3 / 3.0 + c
 
     def jac(t: float, x: Array) -> Array:
-        return np.array([[1.0 - x[0] * x[0]]])
+        return (1.0 - x * x)[..., None]
 
     return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac)
 
@@ -110,7 +110,7 @@ def y_subsystem(params: FhnParams) -> TimeVaryingField:
         return -rate * y
 
     def jac(t: float, y: Array) -> Array:
-        return np.array([[-rate]])
+        return np.full(y.shape + (1,), -rate)
 
     return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac)
 
@@ -126,13 +126,13 @@ def fhn_field(params: FhnParams) -> Interconnection:
         in_dim=1,
         out_dim=1,
         value=lambda y: -y,
-        jacobian=lambda y: np.array([[-1.0]]),
+        jacobian=lambda y: np.full(y.shape + (1,), -1.0),
     )
     g2 = CouplingMap(
         in_dim=1,
         out_dim=1,
         value=lambda x: x / eps,
-        jacobian=lambda x: np.array([[1.0 / eps]]),
+        jacobian=lambda x: np.full(x.shape + (1,), 1.0 / eps),
     )
     return Interconnection(
         f1=x_subsystem(params),
@@ -320,16 +320,15 @@ def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
     """Component candidates: f_c(x) dx^2 for the excitable block (sandwich
     constants 1 and exp(mu)) and dy^2 / 2 for the recovery block."""
 
-    def value1(z: Array, dz: Array) -> float:
-        return float(table.fc(z[0]) * dz[0] * dz[0])
+    def value1(z: Array, dz: Array) -> Array:
+        return (table.fc(z[..., :1]) * dz[..., :1] * dz[..., :1])[..., 0]
 
     def grad_state1(z: Array, dz: Array) -> Array:
-        _, d = table.fc_pair(z[0])
-        return np.array([d * dz[0] * dz[0]])
+        _, d = table.fc_pair(z[..., :1])
+        return d * dz[..., :1] * dz[..., :1]
 
     def grad_disp1(z: Array, dz: Array) -> Array:
-        v = table.fc(z[0])
-        return np.array([2.0 * v * dz[0]])
+        return 2.0 * table.fc(z[..., :1]) * dz[..., :1]
 
     v1 = FinslerCandidate(
         dim=1,
@@ -342,9 +341,9 @@ def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
 
     v2 = FinslerCandidate(
         dim=1,
-        value=lambda z, dz: 0.5 * float(dz[0] * dz[0]),
-        grad_state=lambda z, dz: np.zeros(1),
-        grad_disp=lambda z, dz: np.array([float(dz[0])]),
+        value=lambda z, dz: 0.5 * (dz[..., 0] * dz[..., 0]),
+        grad_state=lambda z, dz: np.zeros(np.shape(z)),
+        grad_disp=lambda z, dz: np.array(dz, dtype=float),
         c_lower=0.5,
         c_upper=0.5,
     )
@@ -354,10 +353,11 @@ def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
 def assumption2_bounds(table: FcTable) -> tuple[AssumptionTwoBounds, AssumptionTwoBounds]:
     """Gradient-bound functions for the two component candidates."""
     b1 = AssumptionTwoBounds(
-        gamma=lambda z: abs(float(table.fc_prime(z[0]))),
-        zeta=lambda z: 2.0 * float(table.fc(z[0])),
+        gamma=lambda z: np.abs(table.fc_prime(z[..., 0])),
+        zeta=lambda z: 2.0 * table.fc(z[..., 0]),
     )
-    b2 = AssumptionTwoBounds(gamma=lambda z: 0.0, zeta=lambda z: 1.0)
+    b2 = AssumptionTwoBounds(gamma=lambda z: np.zeros(np.shape(z)[:-1]),
+                             zeta=lambda z: np.ones(np.shape(z)[:-1]))
     return b1, b2
 
 

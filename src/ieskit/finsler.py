@@ -1,5 +1,8 @@
 """Finsler Lyapunov candidates: evaluation and sampled inequality checks.
 
+Candidates and gradient bounds take points of shape (..., d) as the fields of
+``ieskit.dynsys`` do, so each check calls them once on its whole sample set.
+
 Grid checks can only refute an inequality, never prove it over a continuum,
 so every report carries a "no violation found" note rather than a claim of
 verification.
@@ -7,13 +10,12 @@ verification.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ieskit.dynsys import TimeVaryingField, central_difference
+from ieskit.dynsys import TimeVaryingField, central_difference, matvec, rowdot
 from ieskit.sampling import halton_box, halton_sphere
 
 Array = np.ndarray
@@ -25,13 +27,14 @@ NO_VIOLATION_NOTE = "no violation found on the sampled set (sampling refutes, it
 class FinslerCandidate:
     """Candidate V(z, dz) with both partial gradients and sandwich constants.
 
-    ``value`` must satisfy c_lower |dz|^2 <= V <= c_upper |dz|^2 on the working
-    set; ``grad_state`` and ``grad_disp`` return the row vectors dV/dz and
-    dV/d(dz).
+    For z and dz of shape (..., dim), ``value`` returns V of shape (...), and
+    ``grad_state`` and ``grad_disp`` return dV/dz and dV/d(dz) of shape
+    (..., dim).  V must satisfy c_lower |dz|^2 <= V <= c_upper |dz|^2 on the
+    working set.
     """
 
     dim: int
-    value: Callable[[Array, Array], float]
+    value: Callable[[Array, Array], Array]
     grad_state: Callable[[Array, Array], Array]
     grad_disp: Callable[[Array, Array], Array]
     c_lower: float
@@ -46,7 +49,7 @@ class FinslerCandidate:
 
 def generic_candidate(
     dim: int,
-    value: Callable[[Array, Array], float],
+    value: Callable[[Array, Array], Array],
     c_lower: float,
     c_upper: float,
 ) -> FinslerCandidate:
@@ -70,8 +73,9 @@ def quadratic_candidate(
 ) -> FinslerCandidate:
     """Quadratic-form candidate V = dz^T M(z) dz.
 
-    ``metric_grad`` returns the (dim, dim, dim) array dM/dz_k; when omitted it
-    is approximated by central differences of M.
+    ``metric`` returns M of shape (..., dim, dim), and ``metric_grad`` the
+    (..., dim, dim, dim) array whose [..., i, j, k] entry is dM_ij/dz_k; when
+    omitted it is approximated by central differences of M.
     """
 
     def _dmetric(z: Array) -> Array:
@@ -79,41 +83,40 @@ def quadratic_candidate(
             return np.asarray(metric_grad(z), dtype=float)
         return central_difference(metric, z)
 
-    def value(z: Array, dz: Array) -> float:
-        return float(dz @ metric(z) @ dz)
+    def value(z: Array, dz: Array) -> Array:
+        return _quadform(metric(z), dz)
 
     def grad_state(z: Array, dz: Array) -> Array:
         dm = _dmetric(np.asarray(z, dtype=float))
-        return np.array([float(dz @ dm[k] @ dz) for k in range(dim)])
+        return _quadform(np.moveaxis(dm, -1, -3), np.asarray(dz)[..., None, :])
 
     def grad_disp(z: Array, dz: Array) -> Array:
-        return 2.0 * (np.asarray(metric(z)) @ dz)
+        return 2.0 * matvec(np.asarray(metric(z)), dz)
 
     return FinslerCandidate(dim, value, grad_state, grad_disp, c_lower, c_upper)
+
+
+def _quadform(m: Array, v: Array) -> Array:
+    """v^T m v for (..., d, d) matrices and (..., d) vectors, as (...)."""
+    return (v[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
 
 
 def compose(a: FinslerCandidate, b: FinslerCandidate) -> FinslerCandidate:
     """Direct sum on the product space: values add, gradients concatenate."""
     na = a.dim
 
-    def value(z: Array, dz: Array) -> float:
-        return a.value(z[:na], dz[:na]) + b.value(z[na:], dz[na:])
+    def value(z: Array, dz: Array) -> Array:
+        return a.value(z[..., :na], dz[..., :na]) + b.value(z[..., na:], dz[..., na:])
 
-    def grad_state(z: Array, dz: Array) -> Array:
-        return np.concatenate(
-            [a.grad_state(z[:na], dz[:na]), b.grad_state(z[na:], dz[na:])]
-        )
-
-    def grad_disp(z: Array, dz: Array) -> Array:
-        return np.concatenate(
-            [a.grad_disp(z[:na], dz[:na]), b.grad_disp(z[na:], dz[na:])]
-        )
+    def joined(grad_a, grad_b):
+        return lambda z, dz: np.concatenate(
+            [grad_a(z[..., :na], dz[..., :na]), grad_b(z[..., na:], dz[..., na:])], axis=-1)
 
     return FinslerCandidate(
         dim=a.dim + b.dim,
         value=value,
-        grad_state=grad_state,
-        grad_disp=grad_disp,
+        grad_state=joined(a.grad_state, b.grad_state),
+        grad_disp=joined(a.grad_disp, b.grad_disp),
         c_lower=min(a.c_lower, b.c_lower),
         c_upper=max(a.c_upper, b.c_upper),
     )
@@ -125,13 +128,14 @@ def vdot(
     t: float,
     z: Array,
     dz: Array,
-) -> float:
-    """Lie derivative of V along the augmented (state, displacement) system."""
+) -> Array:
+    """Lie derivative of V along the augmented (state, displacement) system,
+    at states and displacements of shape (..., d), as (...)."""
     z = np.asarray(z, dtype=float)
     dz = np.asarray(dz, dtype=float)
     f = field.rhs(t, z)
-    jdz = field.jacobian(t, z) @ dz
-    return float(candidate.grad_state(z, dz) @ f + candidate.grad_disp(z, dz) @ jdz)
+    jdz = matvec(field.jacobian(t, z), dz)
+    return rowdot(candidate.grad_state(z, dz), f) + rowdot(candidate.grad_disp(z, dz), jdz)
 
 
 def vdot_quadratic(
@@ -141,16 +145,17 @@ def vdot_quadratic(
     t: float,
     z: Array,
     dz: Array,
-) -> float:
-    """V-dot of a quadratic form via dz^T (Mdot + M J + J^T M) dz."""
+) -> Array:
+    """V-dot of a quadratic form via dz^T (Mdot + M J + J^T M) dz, with the
+    layouts of ``quadratic_candidate``."""
     z = np.asarray(z, dtype=float)
     dz = np.asarray(dz, dtype=float)
     m = np.asarray(metric(z), dtype=float)
     dm = np.asarray(metric_grad(z), dtype=float)
     f = field.rhs(t, z)
     j = field.jacobian(t, z)
-    mdot = np.tensordot(f, dm, axes=(0, 0))
-    return float(dz @ (mdot + m @ j + j.T @ m) @ dz)
+    mdot = matvec(dm, f[..., None, :])
+    return _quadform(mdot + m @ j + np.swapaxes(j, -1, -2) @ m, dz)
 
 
 @dataclass(frozen=True)
@@ -201,10 +206,6 @@ class DisplacementSamples:
         return cls(zs=samples.zs[keep], dzs=samples.dzs[keep], ts=samples.ts[keep])
 
 
-def _slack(tol: float, value: float) -> float:
-    return tol * (1.0 + abs(value))
-
-
 @dataclass(frozen=True)
 class SandwichReport:
     passed: bool
@@ -222,16 +223,12 @@ def check_sandwich(
     """Margins of c_lower |dz|^2 <= V <= c_upper |dz|^2 over the sample set."""
     if len(samples) == 0:
         raise ValueError("sample set must be nonempty")
-    lower = np.empty(len(samples))
-    upper = np.empty(len(samples))
-    for i in range(len(samples)):
-        z, dz = samples.zs[i], samples.dzs[i]
-        q = float(dz @ dz)
-        if q == 0.0:
-            raise ValueError("sandwich samples require nonzero displacement")
-        v = candidate.value(z, dz)
-        lower[i] = v - candidate.c_lower * q
-        upper[i] = candidate.c_upper * q - v
+    q = rowdot(samples.dzs, samples.dzs)
+    if np.any(q == 0.0):
+        raise ValueError("sandwich samples require nonzero displacement")
+    v = candidate.value(samples.zs, samples.dzs)
+    lower = v - candidate.c_lower * q
+    upper = candidate.c_upper * q - v
     i_lo = int(np.argmin(lower))
     i_up = int(np.argmin(upper))
     passed = lower[i_lo] >= -tol and upper[i_up] >= -tol
@@ -275,27 +272,26 @@ def check_decay(
     ("squared_norm") over the sample set.
 
     The worst violation is Vdot plus the compared quantity; a negative worst
-    value means every sampled point has margin.
+    value means every sampled point has margin.  The first non-finite
+    violation counts as the worst, since it would never compare as one.
     """
     if len(samples) == 0:
         raise ValueError("sample set must be nonempty")
     if comparator not in ("candidate", "squared_norm"):
         raise ValueError(f"unknown comparator {comparator!r}")
-    worst = -np.inf
-    worst_i = 0
-    for i in range(len(samples)):
-        t, z, dz = samples.ts[i], samples.zs[i], samples.dzs[i]
-        v = candidate.value(z, dz)
-        vd = vdot(candidate, field, t, z, dz)
-        compared = v if comparator == "candidate" else float(dz @ dz)
-        violation = vd + alpha * compared - _slack(tol, v)
-        if not math.isfinite(violation):  # it would never compare as the worst
-            worst, worst_i = violation, i
-            break
-        if violation > worst:
-            worst = violation
-            worst_i = i
-    passed = bool(worst <= 0.0) and math.isfinite(worst)
+    zs, dzs = samples.zs, samples.dzs
+    v = candidate.value(zs, dzs)
+    vd = np.empty(len(samples))
+    times, at_time = np.unique(samples.ts, return_inverse=True)
+    for k, t in enumerate(times):  # one batch per distinct sample time
+        rows = at_time == k
+        vd[rows] = vdot(candidate, field, t, zs[rows], dzs[rows])
+    compared = v if comparator == "candidate" else rowdot(dzs, dzs)
+    violation = vd + alpha * compared - tol * (1.0 + np.abs(v))
+    bad = ~np.isfinite(violation)
+    worst_i = int(np.argmax(bad) if bad.any() else np.argmax(violation))
+    worst = float(violation[worst_i])
+    passed = bool(worst <= 0.0) and not bad.any()
     note = NO_VIOLATION_NOTE if passed else f"decay violated at sample {worst_i}"
     return DecayReport(
         passed=passed,
@@ -313,10 +309,11 @@ def check_decay(
 
 @dataclass(frozen=True)
 class AssumptionTwoBounds:
-    """Continuous bounds |dV/dz| <= gamma(z)|dz|^2 and |dV/d(dz)| <= zeta(z)|dz|."""
+    """Continuous bounds |dV/dz| <= gamma(z)|dz|^2 and |dV/d(dz)| <= zeta(z)|dz|;
+    ``gamma`` and ``zeta`` map states of shape (..., d) to (...)."""
 
-    gamma: Callable[[Array], float]
-    zeta: Callable[[Array], float]
+    gamma: Callable[[Array], Array]
+    zeta: Callable[[Array], Array]
 
 
 @dataclass(frozen=True)
@@ -339,15 +336,12 @@ def verify_assumption2(
     """Check both gradient inequalities at every sample within tolerance."""
     if len(samples) == 0:
         raise ValueError("sample set must be nonempty")
-    state_m = np.empty(len(samples))
-    disp_m = np.empty(len(samples))
-    for i in range(len(samples)):
-        z, dz = samples.zs[i], samples.dzs[i]
-        q = float(dz @ dz)
-        gs = np.linalg.norm(candidate.grad_state(z, dz))
-        gd = np.linalg.norm(candidate.grad_disp(z, dz))
-        state_m[i] = bounds.gamma(z) * q - gs
-        disp_m[i] = bounds.zeta(z) * np.sqrt(q) - gd
+    zs, dzs = samples.zs, samples.dzs
+    q = rowdot(dzs, dzs)
+    gs = candidate.grad_state(zs, dzs)
+    gd = candidate.grad_disp(zs, dzs)
+    state_m = bounds.gamma(zs) * q - np.sqrt(rowdot(gs, gs))
+    disp_m = bounds.zeta(zs) * np.sqrt(q) - np.sqrt(rowdot(gd, gd))
     i_s = int(np.argmin(state_m))
     i_d = int(np.argmin(disp_m))
     passed = state_m[i_s] >= -tol and disp_m[i_d] >= -tol

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ieskit.dynsys import TimeVaryingField, Trajectory
+from ieskit.dynsys import TimeVaryingField, Trajectory, rowdot
 from ieskit.fhn import FhnParams
 from ieskit.io_utils import atomic_write_text
 from ieskit.sampling import box_grid
@@ -23,19 +23,24 @@ class NoInvariantLevelError(RuntimeError):
 @dataclass(frozen=True)
 class OuterLyapunov:
     """Outer Lyapunov candidate W(t, z) with gradient split into the state
-    part and the time slot, plus optional comparison-function metadata."""
+    part and the time slot, plus optional comparison-function metadata.
 
-    value: Callable[[float, Array], float]
-    gradient: Callable[[float, Array], tuple[Array, float]]
-    class_lower: Optional[Callable[[float], float]] = None
-    class_upper: Optional[Callable[[float], float]] = None
+    For states z of shape (..., d), ``value`` returns W of shape (...) and
+    ``gradient`` the pair (dW/dz of shape (..., d), dW/dt broadcastable to
+    (...)); the class bounds map norms of shape (...) to (...)."""
+
+    value: Callable[[float, Array], Array]
+    gradient: Callable[[float, Array], tuple[Array, Array]]
+    class_lower: Optional[Callable[[Array], Array]] = None
+    class_upper: Optional[Callable[[Array], Array]] = None
 
 
-def wdot(w: OuterLyapunov, field: TimeVaryingField, t: float, z) -> float:
-    """Derivative of W along the field: dW/dt + dW/dz . f(t, z)."""
+def wdot(w: OuterLyapunov, field: TimeVaryingField, t: float, z) -> Array:
+    """Derivative of W along the field, dW/dt + dW/dz . f(t, z), at states of
+    shape (..., d), as (...)."""
     z = np.asarray(z, dtype=float)
     grad_z, grad_t = w.gradient(t, z)
-    return float(grad_t + np.asarray(grad_z) @ field.rhs(t, z))
+    return grad_t + rowdot(grad_z, field.rhs(t, z))
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,6 @@ class InvariantSetEstimate:
     shell_width: float
     grid_density: int
     shell_samples: int
-    box: Array
 
 
 def find_invariant_level(
@@ -71,11 +75,11 @@ def find_invariant_level(
         raise ValueError("level range must satisfy 0 < lo < hi")
     box = np.atleast_2d(np.asarray(box, dtype=float))
     pts = box_grid(box, grid_density)
-    w_vals = np.array([w.value(t, p) for p in pts])
+    w_vals = w.value(t, pts)
     norms = np.linalg.norm(pts, axis=1)
     if w.class_lower is not None and w.class_upper is not None:
-        lo_ok = all(w.class_lower(n) <= v + 1e-12 for n, v in zip(norms, w_vals))
-        hi_ok = all(v <= w.class_upper(n) + 1e-12 for n, v in zip(norms, w_vals))
+        lo_ok = np.all(w.class_lower(norms) <= w_vals + 1e-12)
+        hi_ok = np.all(w_vals <= w.class_upper(norms) + 1e-12)
         if not (lo_ok and hi_ok):
             raise ValueError("class bounds violated on the sampling grid")
     cell = float(np.linalg.norm((box[:, 1] - box[:, 0]) / (grid_density - 1))) / 2.0
@@ -86,8 +90,7 @@ def find_invariant_level(
         n_shell = int(np.count_nonzero(shell))
         if n_shell == 0:
             continue
-        margins = np.array([wdot(w, field, t, p) for p in pts[shell]])
-        margin = float(np.max(margins))
+        margin = float(np.max(wdot(w, field, t, pts[shell])))
         if margin < 0.0:
             inside = w_vals <= level
             radius = float(np.max(norms[inside])) + cell if np.any(inside) else cell
@@ -98,7 +101,6 @@ def find_invariant_level(
                 shell_width=shell_width,
                 grid_density=grid_density,
                 shell_samples=n_shell,
-                box=box,
             )
     raise NoInvariantLevelError(
         f"no level in [{lo}, {hi}] has a dissipating shell at this resolution"
@@ -123,11 +125,11 @@ def fhn_outer_lyapunov(params: FhnParams) -> OuterLyapunov:
     """W(x, y) = (x^2 + eps y^2) / 2 for the coupled model."""
     eps = params.epsilon
 
-    def value(t: float, z: Array) -> float:
-        return 0.5 * (z[0] * z[0] + eps * z[1] * z[1])
+    def value(t: float, z: Array) -> Array:
+        return 0.5 * (z[..., 0] * z[..., 0] + eps * z[..., 1] * z[..., 1])
 
     def gradient(t: float, z: Array) -> tuple[Array, float]:
-        return np.array([z[0], eps * z[1]]), 0.0
+        return np.stack([z[..., 0], eps * z[..., 1]], axis=-1), 0.0
 
     return OuterLyapunov(
         value=value,

@@ -21,20 +21,30 @@ Component = tuple[Term, ...]
 
 @dataclass(frozen=True)
 class PolynomialMap:
-    """R^in_dim -> R^out_dim map whose components are polynomial term lists."""
+    """R^in_dim -> R^out_dim map whose components are polynomial term lists.
+
+    All terms share one exponent matrix ``exponents``, a row per term, and the
+    matrix ``coefficients`` sums the term monomials into the output components."""
 
     in_dim: int
     components: tuple[Component, ...]
 
     def __post_init__(self):
-        for comp in self.components:
-            for coef, exps in comp:
-                if len(exps) != self.in_dim:
-                    raise ValueError(
-                        f"term {coef} has {len(exps)} exponents, expected {self.in_dim}"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError("exponents must be nonnegative integers")
+        terms = [(i, coef, exps) for i, comp in enumerate(self.components)
+                 for coef, exps in comp]
+        for _, coef, exps in terms:
+            if len(exps) != self.in_dim:
+                raise ValueError(
+                    f"term {coef} has {len(exps)} exponents, expected {self.in_dim}"
+                )
+            if any(e < 0 for e in exps):
+                raise ValueError("exponents must be nonnegative integers")
+        coefficients = np.zeros((self.out_dim, len(terms)))
+        for k, (i, coef, _) in enumerate(terms):
+            coefficients[i, k] = coef
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "exponents", np.array(
+            [exps for *_, exps in terms], dtype=int).reshape(len(terms), self.in_dim))
 
     @property
     def out_dim(self) -> int:
@@ -43,31 +53,17 @@ class PolynomialMap:
     def __call__(self, x: Array) -> Array:
         """The map at points x of shape (..., in_dim), as (..., out_dim)."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.out_dim,))
-        for i, comp in enumerate(self.components):
-            for coef, exps in comp:
-                term = coef
-                for j, e in enumerate(exps):
-                    if e:
-                        term = term * x[..., j] ** e
-                out[..., i] += term
-        return out
+        monomials = np.prod(x[..., None, :] ** self.exponents, axis=-1)
+        return monomials @ self.coefficients.T
 
     def jacobian(self, x: Array) -> Array:
+        """The Jacobian at points x of shape (..., in_dim), as (..., out_dim, in_dim)."""
         x = np.asarray(x, dtype=float)
-        jac = np.zeros((self.out_dim, self.in_dim))
-        for i, comp in enumerate(self.components):
-            for coef, exps in comp:
-                for j, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    term = coef * e
-                    for k, (xv, ek) in enumerate(zip(x, exps)):
-                        p = ek - 1 if k == j else ek
-                        if p:
-                            term *= xv**p
-                    jac[i, j] += term
-        return jac
+        # d/dx_j of x^e is e_j x^(e - e_j); row j of ``lowered`` holds e - e_j
+        # (clipped at 0 where e_j = 0 and the factor e_j vanishes anyway)
+        lowered = np.maximum(self.exponents - np.eye(self.in_dim, dtype=int)[:, None, :], 0)
+        monomials = np.prod(x[..., None, None, :] ** lowered, axis=-1)
+        return self.coefficients @ np.swapaxes(self.exponents.T * monomials, -1, -2)
 
 
 def parse_polynomial_component(text: str, in_dim: int) -> Component:

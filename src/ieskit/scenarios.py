@@ -25,6 +25,7 @@ from ieskit.dynsys import (
     distance_series,
     integrate,
     linear_field,
+    rowdot,
 )
 from ieskit.estimator import (
     EnvelopeConfig,
@@ -138,7 +139,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "estimate": {
         "pairs": Key(_integer, 20, _POSITIVE),
         "box": Key(_matrix),  # default [-3, 3] on every axis
-        "transient_skip": Key(_number, 0.2),
+        "transient_skip": Key(_number, 0.2, (lambda v: 0 <= v < 1, "must lie in [0, 1)")),
     },
     # an absent key takes a default derived from [params] in run_certify
     "certify": {
@@ -473,7 +474,7 @@ def run_invariant_set(scenario: Scenario):
         w = fhn_outer_lyapunov(scenario.params["fhn"])
     else:
         w = OuterLyapunov(
-            value=lambda t, z: 0.5 * float(z @ z),
+            value=lambda t, z: 0.5 * rowdot(z, z),
             gradient=lambda t, z: (np.asarray(z, dtype=float), 0.0),
             class_lower=lambda s: 0.5 * s * s,
             class_upper=lambda s: 0.5 * s * s,

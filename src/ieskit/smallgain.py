@@ -109,26 +109,22 @@ def extract_constants(
 
     cell = 2.0 * radius / (grid_density - 1)
 
-    def grid_max(fn: Callable[[Array], float], pts: Array, label: str) -> float:
-        best = -math.inf
-        best_p = pts[0]
-        for p in pts:
-            v = float(fn(p))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value of {label} at {p}")
-            if v > best:
-                best = v
-                best_p = p
-        return refine_max(fn, np.asarray(best_p, dtype=float), cell)
+    def grid_max(fn: Callable[[Array], Array], pts: Array, label: str) -> float:
+        vals = fn(pts)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise ValueError(f"non-finite value of {label} at {pts[np.argmax(bad)]}")
+        # argmax takes the first of equal maxima, as a scan with a strict > would
+        return refine_max(fn, pts[np.argmax(vals)], cell)
 
-    a1 = grid_max(lambda y: np.linalg.norm(ic.g1.value(y)), ys, "g1")
-    a2 = grid_max(lambda x: np.linalg.norm(ic.g2.value(x)), xs, "g2")
-    b1 = grid_max(lambda y: np.linalg.norm(np.atleast_2d(ic.g1.jacobian(y)), 2), ys, "Dg1")
-    b2 = grid_max(lambda x: np.linalg.norm(np.atleast_2d(ic.g2.jacobian(x)), 2), xs, "Dg2")
-    eta1 = grid_max(lambda x: abs(bounds1.gamma(x)), xs, "gamma1")
-    eta2 = grid_max(lambda y: abs(bounds2.gamma(y)), ys, "gamma2")
-    theta1 = grid_max(lambda x: abs(bounds1.zeta(x)), xs, "zeta1")
-    theta2 = grid_max(lambda y: abs(bounds2.zeta(y)), ys, "zeta2")
+    a1 = grid_max(lambda y: np.linalg.norm(ic.g1.value(y), axis=-1), ys, "g1")
+    a2 = grid_max(lambda x: np.linalg.norm(ic.g2.value(x), axis=-1), xs, "g2")
+    b1 = grid_max(lambda y: np.linalg.norm(ic.g1.jacobian(y), 2, (-2, -1)), ys, "Dg1")
+    b2 = grid_max(lambda x: np.linalg.norm(ic.g2.jacobian(x), 2, (-2, -1)), xs, "Dg2")
+    eta1 = grid_max(lambda x: np.abs(bounds1.gamma(x)), xs, "gamma1")
+    eta2 = grid_max(lambda y: np.abs(bounds2.gamma(y)), ys, "gamma2")
+    theta1 = grid_max(lambda x: np.abs(bounds1.zeta(x)), xs, "zeta1")
+    theta2 = grid_max(lambda y: np.abs(bounds2.zeta(y)), ys, "zeta2")
 
     return SupConstants(
         radius=radius,

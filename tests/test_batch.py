@@ -1,6 +1,10 @@
-"""The batched state contract: fields take states of shape (..., d), and one
-solver loop integrates a batch (N, d) with the same results row by row as
-one state at a time."""
+"""The batched state contract: every callable takes points of shape (..., d);
+one solver loop integrates a batch (N, d) with the same results row by row as
+one state at a time, and each sampled check evaluates its callables once on
+the whole sample set with the report a row-by-row loop gives."""
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -12,18 +16,41 @@ from ieskit.dynsys import (
     IntegratorConfig,
     TimeVaryingField,
     assemble,
+    fd_jacobian,
     integrate,
     linear_coupling,
     linear_field,
 )
 from ieskit.estimator import CONTRACTING, ensemble_ies
-from ieskit.fhn import fhn_field, figure_params
+from ieskit.fhn import (
+    FhnParams,
+    assumption2_bounds,
+    build_fc,
+    fc_candidate,
+    fhn_field,
+    figure_params,
+    x_subsystem,
+    y_subsystem,
+)
+from ieskit.finsler import (
+    AssumptionTwoBounds,
+    DisplacementSamples,
+    check_decay,
+    check_sandwich,
+    compose,
+    generic_candidate,
+    quadratic_candidate,
+    verify_assumption2,
+)
+from ieskit.invariance import OuterLyapunov, fhn_outer_lyapunov, find_invariant_level
 from ieskit.polynomials import PolynomialMap, polynomial_field
+from ieskit.sampling import ball_grid
+from ieskit.smallgain import extract_constants
 
 # dz/dt = z^3 - z: rows starting inside (-1, 1) contract to 0, rows outside
 # blow up in finite time
 CUBIC = TimeVaryingField(1, lambda t, z: z**3 - z,
-                         lambda t, z: np.array([[3.0 * z[0] ** 2 - 1.0]]))
+                         lambda t, z: (3.0 * z**2 - 1.0)[..., None])
 
 # bound on |batched - per point| relative to the sum of absolute terms: the
 # batched matrix products and integer powers round differently from the
@@ -86,6 +113,15 @@ def polynomial_maps(draw):
     return PolynomialMap(in_dim=d, components=components)
 
 
+def magnitudes(pmap):
+    """The map with every coefficient replaced by its absolute value: at |z|
+    it gives the sum of absolute terms of pmap and of its Jacobian."""
+    return PolynomialMap(
+        in_dim=pmap.in_dim,
+        components=tuple(tuple((abs(c), e) for c, e in comp) for comp in pmap.components),
+    )
+
+
 @given(pmap=polynomial_maps(), n=st.integers(min_value=1, max_value=8),
        seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=25, deadline=None)
@@ -93,11 +129,7 @@ def test_polynomial_rhs_batch_matches_points(pmap, n, seed):
     z = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, pmap.in_dim))
     field = polynomial_field(pmap.components)
     single = np.array([field.rhs(0.0, v) for v in z])
-    magnitudes = PolynomialMap(
-        in_dim=pmap.in_dim,
-        components=tuple(tuple((abs(c), e) for c, e in comp) for comp in pmap.components),
-    )
-    scale = magnitudes(np.abs(z))
+    scale = magnitudes(pmap)(np.abs(z))
     assert np.all(np.abs(field.rhs(0.0, z) - single) <= REL_BOUND * scale)
 
 
@@ -150,3 +182,431 @@ def test_batch_of_wrong_shape_rejected(shape):
     field = assemble(fhn_field(figure_params(1)))
     with pytest.raises(ValueError, match="shape"):
         integrate(field, 0.0, np.ones(shape), IntegratorConfig(max_time=1.0, step=0.01))
+
+
+# -- Jacobians ----------------------------------------------------------------
+
+
+def assert_jacobian_rows(jac, z, scale=None):
+    """jac(z) for the batch z is (N, d, d) and row k is jac(z[k]): bitwise,
+    or within REL_BOUND of ``scale`` (the Jacobian's sum of absolute terms)."""
+    batch = jac(z)
+    assert batch.shape == (len(z), z.shape[1], z.shape[1])
+    for k in range(len(z)):
+        single = jac(z[k])
+        assert single.shape == batch.shape[1:]
+        if scale is None:
+            assert np.array_equal(batch[k], single)
+        else:
+            assert np.all(np.abs(batch[k] - single) <= REL_BOUND * scale[k])
+
+
+@given(figure=st.sampled_from([1, 2, 3]), n=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=15, deadline=None)
+def test_fhn_and_fd_jacobian_rows_are_bitwise(figure, n, seed):
+    field = assemble(fhn_field(figure_params(figure)))
+    z = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, 2))
+    assert_jacobian_rows(lambda v: field.jacobian(0.0, v), z)
+    fd = fd_jacobian(field.rhs, 2)
+    assert_jacobian_rows(lambda v: fd(0.0, v), z)
+
+
+@given(d=st.integers(min_value=1, max_value=4), n=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=15, deadline=None)
+def test_linear_jacobian_rows(d, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    z = rng.uniform(-3.0, 3.0, (n, d))
+    field = linear_field(a)
+    assert_jacobian_rows(lambda v: field.jacobian(0.0, v), z)
+    assert np.array_equal(field.jacobian(0.0, z[0]), a)
+
+
+@given(pmap=polynomial_maps(), n=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=25, deadline=None)
+def test_polynomial_jacobian_rows(pmap, n, seed):
+    z = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, pmap.in_dim))
+    field = polynomial_field(pmap.components)
+    scale = magnitudes(pmap).jacobian(np.abs(z))
+    assert_jacobian_rows(lambda v: field.jacobian(0.0, v), z, scale)
+
+
+@given(pmap=polynomial_maps(), n=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=25, deadline=None)
+def test_polynomial_map_matches_its_term_list(pmap, n, seed):
+    # the exponent matrix sums the terms in another order than a loop over
+    # the term list: c x^e for the value, c e_j x^(e - e_j) for column j
+    z = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, pmap.in_dim))
+    value, jac = pmap(z), pmap.jacobian(z)
+    value_scale = magnitudes(pmap)(np.abs(z))
+    jac_scale = magnitudes(pmap).jacobian(np.abs(z))
+    for k in range(n):
+        want = np.zeros(pmap.out_dim)
+        want_jac = np.zeros((pmap.out_dim, pmap.in_dim))
+        for i, comp in enumerate(pmap.components):
+            for coef, exps in comp:
+                want[i] += coef * np.prod(z[k] ** np.array(exps))
+                for j, e in enumerate(exps):
+                    if e:
+                        lowered = np.array(exps) - np.eye(pmap.in_dim, dtype=int)[j]
+                        want_jac[i, j] += coef * e * np.prod(z[k] ** lowered)
+        assert np.all(np.abs(value[k] - want) <= REL_BOUND * value_scale[k])
+        assert np.all(np.abs(jac[k] - want_jac) <= REL_BOUND * jac_scale[k])
+
+
+# -- oracles: the sampled checks as loops over rows, one call per row ----------
+
+
+def oracle_decay(candidate, field, alpha, samples, tol, comparator):
+    """Per-sample violations and the first worst one, the first non-finite
+    one counting as the worst."""
+    viol = []
+    for t, z, dz in zip(samples.ts, samples.zs, samples.dzs):
+        v = candidate.value(z, dz)
+        vd = (candidate.grad_state(z, dz) @ field.rhs(t, z)
+              + candidate.grad_disp(z, dz) @ (field.jacobian(t, z) @ dz))
+        compared = v if comparator == "candidate" else dz @ dz
+        viol.append(vd + alpha * compared - tol * (1.0 + abs(v)))
+    worst, worst_i = -math.inf, 0
+    for i, violation in enumerate(viol):
+        if not math.isfinite(violation):
+            worst, worst_i = violation, i
+            break
+        if violation > worst:
+            worst, worst_i = violation, i
+    return np.array(viol, dtype=float), float(worst), worst_i
+
+
+def first_min(values):
+    best, best_i = math.inf, 0
+    for i, v in enumerate(values):
+        if v < best:
+            best, best_i = v, i
+    return best_i
+
+
+def oracle_sandwich(candidate, samples):
+    lower, upper = [], []
+    for z, dz in zip(samples.zs, samples.dzs):
+        q = dz @ dz
+        v = candidate.value(z, dz)
+        lower.append(v - candidate.c_lower * q)
+        upper.append(candidate.c_upper * q - v)
+    return np.array(lower, dtype=float), np.array(upper, dtype=float)
+
+
+def oracle_assumption2(candidate, bounds, samples):
+    state_m, disp_m = [], []
+    for z, dz in zip(samples.zs, samples.dzs):
+        q = dz @ dz
+        state_m.append(bounds.gamma(z) * q - np.linalg.norm(candidate.grad_state(z, dz)))
+        disp_m.append(bounds.zeta(z) * np.sqrt(q) - np.linalg.norm(candidate.grad_disp(z, dz)))
+    return np.array(state_m, dtype=float), np.array(disp_m, dtype=float)
+
+
+def oracle_extract_constants(ic, bounds1, bounds2, radius, grid_density, safety=1.05):
+    """Grid scan with a strict > and the greedy pattern search from its argmax."""
+    xs = ball_grid(radius, ic.n, grid_density)
+    ys = ball_grid(radius, ic.m, grid_density)
+    cell = 2.0 * radius / (grid_density - 1)
+
+    def refine_max(fn, x, s):
+        best = float(fn(x))
+        for _ in range(60):
+            improved = False
+            for i in range(len(x)):
+                for delta in (s, -s):
+                    cand = x.copy()
+                    cand[i] += delta
+                    nrm = np.linalg.norm(cand)
+                    if nrm > radius:
+                        cand *= radius / nrm
+                    v = float(fn(cand))
+                    if v > best:
+                        best, x, improved = v, cand, True
+            if not improved:
+                s *= 0.5
+                if s < 1e-12 * (1.0 + radius):
+                    break
+        return best
+
+    def grid_max(fn, pts):
+        best, best_p = -math.inf, pts[0]
+        for p in pts:
+            v = float(fn(p))
+            if v > best:
+                best, best_p = v, p
+        return refine_max(fn, best_p.copy(), cell) * safety
+
+    return dict(
+        a1=grid_max(lambda y: np.linalg.norm(ic.g1.value(y)), ys),
+        a2=grid_max(lambda x: np.linalg.norm(ic.g2.value(x)), xs),
+        b1=grid_max(lambda y: np.linalg.norm(ic.g1.jacobian(y), 2), ys),
+        b2=grid_max(lambda x: np.linalg.norm(ic.g2.jacobian(x), 2), xs),
+        eta1=grid_max(lambda x: abs(bounds1.gamma(x)), xs),
+        eta2=grid_max(lambda y: abs(bounds2.gamma(y)), ys),
+        theta1=grid_max(lambda x: abs(bounds1.zeta(x)), xs),
+        theta2=grid_max(lambda y: abs(bounds2.zeta(y)), ys),
+    )
+
+
+def oracle_invariant_level(w, field, level_range, box, n_levels, grid_density,
+                           shell_width=0.05):
+    """(level, radius, margin, shell_samples) of the first dissipating shell."""
+    axes = [np.linspace(lo, hi, grid_density) for lo, hi in box]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    w_vals = np.array([w.value(0.0, p) for p in pts])
+    norms = np.linalg.norm(pts, axis=1)
+    cell = float(np.linalg.norm((box[:, 1] - box[:, 0]) / (grid_density - 1))) / 2.0
+    for level in np.linspace(*level_range, n_levels):
+        shell = (w_vals >= level) & (w_vals <= level * (1.0 + shell_width))
+        if not shell.any():
+            continue
+        margins = []
+        for p in pts[shell]:
+            grad_z, grad_t = w.gradient(0.0, p)
+            margins.append(grad_t + grad_z @ field.rhs(0.0, p))
+        margin = float(np.max(margins))
+        if margin < 0.0:
+            inside = w_vals <= level
+            radius = float(np.max(norms[inside])) + cell if inside.any() else cell
+            return float(level), radius, margin, int(np.count_nonzero(shell))
+    return None
+
+
+# -- the FitzHugh-Nagumo certify path: batched reports bitwise equal the loops --
+
+
+@functools.lru_cache(maxsize=None)
+def fhn_table(case):
+    params = (figure_params(case) if case in (1, 2, 3)
+              else FhnParams(b=1.0, rho1=1.0, rho2=1.0, epsilon=0.9, r=2.1))
+    return build_fc(params)
+
+
+def assert_decay_equals_oracle(candidate, field, alpha, samples, tol, comparator):
+    report = check_decay(candidate, field, alpha, samples, tol=tol, comparator=comparator)
+    _, worst, worst_i = oracle_decay(candidate, field, alpha, samples, tol, comparator)
+    assert report.worst_index == worst_i
+    assert report.worst == worst or (math.isnan(report.worst) and math.isnan(worst))
+    assert report.passed == (worst <= 0.0 and math.isfinite(worst))
+
+
+@given(case=st.sampled_from([1, 2, 3, 4]),
+       gains=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       radius=st.floats(0.5, 12.0),
+       n_states=st.integers(min_value=1, max_value=40),
+       n_dirs=st.integers(min_value=1, max_value=8),
+       alpha=st.floats(0.01, 2.0),
+       tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+@settings(max_examples=30, deadline=None)
+def test_fhn_checks_are_bitwise_the_row_loops(case, gains, radius, n_states, n_dirs,
+                                               alpha, tol):
+    table = fhn_table(case)
+    v1, v2 = fc_candidate(table)
+    b1, b2 = assumption2_bounds(table)
+    ic = fhn_field(table.params).with_gains(*gains)
+    composed, field = compose(v1, v2), assemble(ic)
+    samples = DisplacementSamples.product_ball(radius, 2, n_states, n_dirs)
+    if len(samples) == 0:
+        return
+    for comparator in ("candidate", "squared_norm"):
+        assert_decay_equals_oracle(composed, field, alpha, samples, tol, comparator)
+    for cand, block, block_samples in (
+            (v1, x_subsystem(table.params), DisplacementSamples.product_ball(
+                radius, 1, n_states, n_dirs)),
+            (v2, y_subsystem(table.params), DisplacementSamples.product_ball(
+                radius, 1, n_states, n_dirs))):
+        assert_decay_equals_oracle(cand, block, alpha, block_samples, tol, "squared_norm")
+        lower, upper = oracle_sandwich(cand, block_samples)
+        report = check_sandwich(cand, block_samples, tol=tol)
+        assert (report.worst_lower_index, report.worst_upper_index) == (
+            first_min(lower), first_min(upper))
+        assert report.lower_margin == lower.min() and report.upper_margin == upper.min()
+    for cand, bounds in ((v1, b1), (v2, b2)):
+        block_samples = DisplacementSamples.product_ball(radius, 1, n_states, n_dirs)
+        state_m, disp_m = oracle_assumption2(cand, bounds, block_samples)
+        report = verify_assumption2(cand, bounds, block_samples, tol=tol)
+        assert (report.worst_state_index, report.worst_disp_index) == (
+            first_min(state_m), first_min(disp_m))
+        assert report.state_margin == state_m.min() and report.disp_margin == disp_m.min()
+
+
+@given(case=st.sampled_from([1, 2, 3, 4]),
+       gains=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       radius=st.floats(0.5, 12.0),
+       density=st.integers(min_value=3, max_value=41))
+@settings(max_examples=10, deadline=None)
+def test_fhn_constants_and_invariant_level_are_bitwise_the_loops(case, gains, radius,
+                                                                 density):
+    table = fhn_table(case)
+    b1, b2 = assumption2_bounds(table)
+    ic = fhn_field(table.params).with_gains(*gains)
+    got = extract_constants(ic, b1, b2, radius, grid_density=density)
+    want = oracle_extract_constants(ic, b1, b2, radius, density)
+    assert {k: getattr(got, k) for k in want} == want
+
+    p = table.params
+    at_gains = FhnParams(b=p.b, rho1=gains[0], rho2=gains[1], epsilon=p.epsilon,
+                         r=p.r, alpha=p.alpha)
+    w, field = fhn_outer_lyapunov(at_gains), assemble(fhn_field(at_gains))
+    box = np.array([[-8.0, 8.0]] * 2)
+    want = oracle_invariant_level(w, field, (1.0, 40.0), box, 40, density)
+    try:
+        est = find_invariant_level(w, field, (1.0, 40.0), box, n_levels=40,
+                                   grid_density=density)
+    except RuntimeError:
+        assert want is None
+    else:
+        assert (est.level, est.radius, est.margin, est.shell_samples) == want
+
+
+# -- generic, quadratic, linear and polynomial: within REL_BOUND of the terms --
+
+
+def state_metric(z):
+    """M(z) = diag(1 + z_i^2 / 10), with dM_ii/dz_i = z_i / 5."""
+    d = np.shape(z)[-1]
+    return (1.0 + 0.1 * z * z)[..., None] * np.eye(d)
+
+
+def state_metric_grad(z):
+    d = np.shape(z)[-1]
+    eye = np.eye(d)
+    return (0.2 * z)[..., None, None] * eye[:, :, None] * eye[:, None, :]
+
+
+def candidates(d):
+    """Quadratic candidates with an analytic and a finite-difference metric
+    gradient, and a generic candidate from the same value."""
+    def value(z, dz):
+        return np.sum((1.0 + 0.1 * z * z) * dz * dz, axis=-1)
+
+    return (quadratic_candidate(d, state_metric, 1.0, 10.0, metric_grad=state_metric_grad),
+            quadratic_candidate(d, state_metric, 1.0, 10.0),
+            generic_candidate(d, value, 1.0, 10.0))
+
+
+@st.composite
+def fields_with_magnitudes(draw):
+    """A linear or polynomial field, with maps z -> sum of absolute terms of
+    f(z) and of J(z)."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=3))
+        a = np.random.default_rng(seed).normal(size=(d, d))
+        return linear_field(a), (lambda z: np.abs(z) @ np.abs(a).T,
+                                 lambda z: np.broadcast_to(np.abs(a), z.shape + (d,)))
+    pmap = draw(polynomial_maps())
+    mag = magnitudes(pmap)
+    return polynomial_field(pmap.components), (lambda z: mag(np.abs(z)),
+                                               lambda z: mag.jacobian(np.abs(z)))
+
+
+def rows_abs_dot(a, b):
+    return np.sum(np.abs(a) * np.abs(b), axis=-1)
+
+
+@given(field_mag=fields_with_magnitudes(),
+       n_states=st.integers(min_value=1, max_value=24),
+       n_dirs=st.integers(min_value=1, max_value=6),
+       alpha=st.floats(0.01, 2.0))
+@settings(max_examples=30, deadline=None)
+def test_candidate_checks_match_the_row_loops(field_mag, n_states, n_dirs, alpha):
+    field, (f_mag, j_mag) = field_mag
+    d = field.dim
+    samples = DisplacementSamples.product_box([[-2.0, 2.0]] * d, n_states, n_dirs)
+    zs, dzs = samples.zs, samples.dzs
+    for cand in candidates(d):
+        gs = np.array([cand.grad_state(z, dz) for z, dz in zip(zs, dzs)])
+        gd = np.array([cand.grad_disp(z, dz) for z, dz in zip(zs, dzs)])
+        v = np.array([cand.value(z, dz) for z, dz in zip(zs, dzs)])
+        for comparator in ("candidate", "squared_norm"):
+            report = check_decay(cand, field, alpha, samples, comparator=comparator)
+            viol, worst, _ = oracle_decay(cand, field, alpha, samples, 1e-9, comparator)
+            compared = v if comparator == "candidate" else np.sum(dzs * dzs, axis=-1)
+            scale = (rows_abs_dot(gs, f_mag(zs))
+                     + rows_abs_dot(gd, np.einsum("nij,nj->ni", j_mag(zs), np.abs(dzs)))
+                     + alpha * np.abs(compared) + 1e-9 * (1.0 + np.abs(v)))
+            k = report.worst_index
+            assert abs(report.worst - viol[k]) <= REL_BOUND * scale[k]
+            assert viol[k] >= worst - REL_BOUND * (scale[k] + scale[np.argmax(viol)])
+
+        lower, upper = oracle_sandwich(cand, samples)
+        report = check_sandwich(cand, samples)
+        q = np.sum(dzs * dzs, axis=-1)
+        scale = np.abs(v) + 10.0 * q
+        for margin, index, oracle in ((report.lower_margin, report.worst_lower_index, lower),
+                                      (report.upper_margin, report.worst_upper_index, upper)):
+            assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
+            assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
+
+        bounds = AssumptionTwoBounds(gamma=lambda z: 0.2 * np.max(np.abs(z), axis=-1),
+                                     zeta=lambda z: 2.0 + 0.2 * np.sum(z * z, axis=-1))
+        state_m, disp_m = oracle_assumption2(cand, bounds, samples)
+        report = verify_assumption2(cand, bounds, samples)
+        scales = (0.4 * q + np.abs(gs).sum(-1), (2.0 + 0.8 * d) * np.sqrt(q) + np.abs(gd).sum(-1))
+        for margin, index, oracle, scale in (
+                (report.state_margin, report.worst_state_index, state_m, scales[0]),
+                (report.disp_margin, report.worst_disp_index, disp_m, scales[1])):
+            assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
+            assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
+
+
+@given(field_mag=fields_with_magnitudes(), density=st.integers(min_value=3, max_value=21))
+@settings(max_examples=20, deadline=None)
+def test_invariant_level_matches_the_row_loop(field_mag, density):
+    field, (f_mag, _) = field_mag
+    d = field.dim
+    w = OuterLyapunov(value=lambda t, z: 0.5 * np.sum(z * z, axis=-1),
+                      gradient=lambda t, z: (np.asarray(z, dtype=float), 0.0),
+                      class_lower=lambda s: 0.5 * s * s, class_upper=lambda s: 0.5 * s * s)
+    box = np.array([[-2.0, 2.0]] * d)
+    want = oracle_invariant_level(w, field, (0.1, 2.0), box, 12, density)
+    try:
+        est = find_invariant_level(w, field, (0.1, 2.0), box, n_levels=12,
+                                   grid_density=density)
+    except RuntimeError:
+        assert want is None
+        return
+    assert want is not None
+    # the accepted level is the oracle's, unless a shell margin this close to
+    # zero rounded to the other sign
+    pts = np.stack([m.ravel() for m in np.meshgrid(
+        *[np.linspace(-2.0, 2.0, density)] * d, indexing="ij")], axis=1)
+    scale = float(np.max(rows_abs_dot(pts, f_mag(pts))))
+    if (est.level, est.shell_samples) != (want[0], want[3]):
+        assert min(abs(est.margin), abs(want[2])) <= REL_BOUND * scale
+        return
+    assert est.radius == want[1]
+    assert abs(est.margin - want[2]) <= REL_BOUND * scale
+
+
+def test_zero_displacement_anywhere_in_the_batch_raises():
+    cand = candidates(2)[0]
+    dzs = np.ones((5, 2))
+    dzs[3] = 0.0
+    samples = DisplacementSamples.from_points(np.zeros((5, 2)), dzs)
+    with pytest.raises(ValueError, match="nonzero displacement"):
+        check_sandwich(cand, samples)
+
+
+def test_grid_maximum_ties_start_the_search_at_the_first_point():
+    # on the grid -2, -1, 0, 1, 2 gamma ties at -1 and 1 (value 1); only the
+    # right peak rises off the grid (to 2 at x = 1.25), and the pattern search
+    # from the first of the tied points stays on the left peak
+    def gamma(x):
+        x = x[..., 0]
+        return np.maximum(np.maximum(1.0 - (x + 1.0) ** 2, 2.0 - 16.0 * (x - 1.25) ** 2), 0.0)
+
+    ic = fhn_field(figure_params(2)).with_gains(0.5, 0.5)
+    ones = lambda z: np.ones(np.shape(z)[:-1])  # noqa: E731
+    bounds = AssumptionTwoBounds(gamma=gamma, zeta=ones)
+    got = extract_constants(ic, bounds, bounds, 2.0, grid_density=5)
+    assert got.eta1 == 1.0 * 1.05
+    want = oracle_extract_constants(ic, bounds, bounds, 2.0, 5)
+    assert {k: getattr(got, k) for k in want} == want

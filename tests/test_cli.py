@@ -438,6 +438,8 @@ BAD_VALUES = {
                       "action = certify\ntolerance = nan", "tolerance"),
     "polynomial_term": ("simulate", POLYNOMIAL_SIMULATE, "f1_0 = -1 1", "f1_0 = -1 x",
                         "f1_0"),
+    "transient_skip_out_of_range": ("estimate", LINEAR_ESTIMATE, "pairs = 2",
+                                    "pairs = 2\ntransient_skip = 1.5", "transient_skip"),
 }
 
 

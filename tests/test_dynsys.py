@@ -16,6 +16,7 @@ from ieskit.dynsys import (
     flow_difference,
     integrate,
     integrate_with_displacement,
+    linear_coupling,
     linear_field,
 )
 from ieskit.fhn import fhn_field, figure_params
@@ -47,29 +48,32 @@ def cubic_two_block():
     """Random-looking fixed cubic polynomial blocks, n = 2, m = 3."""
 
     def f1(t, x):
-        return np.array([x[0] - 0.3 * x[1] ** 3, -x[1] + 0.2 * x[0] ** 2 * x[1]])
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([x0 - 0.3 * x1**3, -x1 + 0.2 * x0**2 * x1], axis=-1)
 
     def f2(t, y):
-        return np.array(
+        y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+        return np.stack(
             [
-                -y[0] + 0.1 * y[1] * y[2],
-                0.4 * y[0] ** 3 - y[1],
-                -y[2] + 0.25 * y[0] * y[1],
-            ]
+                -y0 + 0.1 * y1 * y2,
+                0.4 * y0**3 - y1,
+                -y2 + 0.25 * y0 * y1,
+            ],
+            axis=-1,
         )
 
     def g1(y):
-        return np.array([y[0] * y[1], y[2] ** 3 - y[0]])
+        return np.stack([y[..., 0] * y[..., 1], y[..., 2] ** 3 - y[..., 0]], axis=-1)
 
     def g2(x):
-        return np.array([x[0] ** 2, x[1], x[0] - x[1] ** 3])
+        return np.stack([x[..., 0] ** 2, x[..., 1], x[..., 0] - x[..., 1] ** 3], axis=-1)
 
     field1 = TimeVaryingField(2, f1, fd_jacobian(f1, 2))
     field2 = TimeVaryingField(3, f2, fd_jacobian(f2, 3))
-    c1 = CouplingMap(3, 2, g1, lambda y: central_difference_jacobian(
-        lambda t, v: g1(v), 0.0, y, 1e-6))
-    c2 = CouplingMap(2, 3, g2, lambda x: central_difference_jacobian(
-        lambda t, v: g2(v), 0.0, x, 1e-6))
+    dg1 = fd_jacobian(lambda t, v: g1(v), 3)
+    dg2 = fd_jacobian(lambda t, v: g2(v), 2)
+    c1 = CouplingMap(3, 2, g1, lambda y: dg1(0.0, y))
+    c2 = CouplingMap(2, 3, g2, lambda x: dg2(0.0, x))
     return Interconnection(field1, field2, c1, c2, rho1=0.7, rho2=1.3)
 
 
@@ -109,10 +113,10 @@ class TestAssemble:
 
     def test_dimension_mismatch_names_block(self):
         ic = cubic_two_block()
-        bad_g1 = CouplingMap(2, 2, lambda y: y, lambda y: np.eye(2))
+        bad_g1 = CouplingMap(2, 2, lambda y: y, linear_coupling(np.eye(2)).jacobian)
         with pytest.raises(DimensionMismatchError, match="g1"):
             assemble(Interconnection(ic.f1, ic.f2, bad_g1, ic.g2, 1.0, 1.0))
-        bad_g2 = CouplingMap(2, 2, lambda x: x, lambda x: np.eye(2))
+        bad_g2 = CouplingMap(2, 2, lambda x: x, linear_coupling(np.eye(2)).jacobian)
         with pytest.raises(DimensionMismatchError, match="g2"):
             assemble(Interconnection(ic.f1, ic.f2, ic.g1, bad_g2, 1.0, 1.0))
 
@@ -124,8 +128,8 @@ class TestIntegrate:
         assert abs(tr.states[-1, 0] - np.exp(-1.0)) < 1e-8 * np.exp(-1.0)
 
     def test_zero_field_constant(self):
-        field = TimeVaryingField(2, lambda t, z: np.zeros(2),
-                                 lambda t, z: np.zeros((2, 2)))
+        field = TimeVaryingField(2, lambda t, z: np.zeros(np.shape(z)),
+                                 lambda t, z: np.zeros(np.shape(z) + (2,)))
         z0 = np.array([1.5, -2.5])
         tr = integrate(field, 0.0, z0, IntegratorConfig(max_time=3.0, step=0.1))
         assert np.all(tr.states == z0)
@@ -140,7 +144,7 @@ class TestIntegrate:
         assert 14.0 <= errs[0] / errs[1] <= 18.0
 
     def test_blowup_flagged_with_partial_trajectory(self):
-        field = TimeVaryingField(1, lambda t, z: z**3, lambda t, z: 3 * z**2)
+        field = TimeVaryingField(1, lambda t, z: z**3, lambda t, z: 3 * z[..., None] ** 2)
         tr = integrate(field, 0.0, [3.0], IntegratorConfig(max_time=10.0, step=0.01))
         assert tr.blew_up
         assert tr.t_end < 10.0

@@ -148,7 +148,7 @@ class TestEnsemble:
     def test_blowup_marks_aggregate_inconclusive(self):
         from ieskit.dynsys import TimeVaryingField
 
-        field = TimeVaryingField(1, lambda t, z: z**3, lambda t, z: 3 * z**2)
+        field = TimeVaryingField(1, lambda t, z: z**3, lambda t, z: 3 * z[..., None] ** 2)
         pairs = [(np.array([3.0]), np.array([3.5]))]
         report = ensemble_ies(field, pairs, 5.0,
                               IntegratorConfig(max_time=5.0, step=0.01))

@@ -28,13 +28,19 @@ from ieskit.fhn import (
 from ieskit.sampling import halton_sphere
 
 
+def constant(value):
+    """The map z -> value at every point of a batch z of shape (..., d)."""
+    value = np.asarray(value, dtype=float)
+    return lambda z: np.broadcast_to(value, np.shape(z)[:-1] + value.shape)
+
+
 def half_norm_candidate(dim):
     return quadratic_candidate(
         dim,
-        metric=lambda z: 0.5 * np.eye(dim),
+        metric=constant(0.5 * np.eye(dim)),
         c_lower=0.5,
         c_upper=0.5,
-        metric_grad=lambda z: np.zeros((dim, dim, dim)),
+        metric_grad=constant(np.zeros((dim, dim, dim))),
     )
 
 
@@ -74,7 +80,7 @@ class TestVdot:
 
 class TestSandwich:
     def test_plain_quadratic_passes(self):
-        cand = quadratic_candidate(2, lambda z: 2.0 * np.eye(2), 1.0, 3.0)
+        cand = quadratic_candidate(2, constant(2.0 * np.eye(2)), 1.0, 3.0)
         report = check_sandwich(cand, samples_on_box(2, 1.0))
         assert report.passed
         assert report.lower_margin > 0
@@ -89,7 +95,7 @@ class TestSandwich:
         assert report.passed
 
     def test_deliberate_violation_fails(self):
-        cand = quadratic_candidate(2, lambda z: np.eye(2), 2.0, 3.0)
+        cand = quadratic_candidate(2, constant(np.eye(2)), 2.0, 3.0)
         report = check_sandwich(cand, samples_on_box(2, 1.0))
         assert not report.passed
         assert report.lower_margin < 0
@@ -156,7 +162,7 @@ class TestDecay:
 class TestAssumptionTwo:
     def test_half_norm_bounds(self):
         cand = half_norm_candidate(2)
-        bounds = AssumptionTwoBounds(gamma=lambda z: 0.0, zeta=lambda z: 1.0)
+        bounds = AssumptionTwoBounds(gamma=constant(0.0), zeta=constant(1.0))
         report = verify_assumption2(cand, bounds, samples_on_box(2, 2.0))
         assert report.passed
 
@@ -180,7 +186,7 @@ class TestAssumptionTwo:
 
     def test_undersized_zeta_fails(self):
         cand = half_norm_candidate(2)
-        bounds = AssumptionTwoBounds(gamma=lambda z: 0.0, zeta=lambda z: 0.25)
+        bounds = AssumptionTwoBounds(gamma=constant(0.0), zeta=constant(0.25))
         report = verify_assumption2(cand, bounds, samples_on_box(2, 2.0))
         assert not report.passed
         assert report.disp_margin < 0
@@ -246,24 +252,34 @@ def test_composition_preserves_sandwich(x, y, dx, dy, default_table):
 
 def test_quadratic_vdot_matches_generic():
     def metric(z):
-        return np.array([[1.0 + 0.5 * np.sin(z[0]) ** 2, 0.1 * z[1]],
-                         [0.1 * z[1], 2.0 + z[1] ** 2]])
+        x, y = z[..., 0], z[..., 1]
+        m = np.empty(np.shape(z)[:-1] + (2, 2))
+        m[..., 0, 0] = 1.0 + 0.5 * np.sin(x) ** 2
+        m[..., 0, 1] = m[..., 1, 0] = 0.1 * y
+        m[..., 1, 1] = 2.0 + y**2
+        return m
 
     def metric_grad(z):
-        dm = np.zeros((2, 2, 2))
-        dm[0, 0, 0] = np.sin(z[0]) * np.cos(z[0])
-        dm[1, 0, 1] = 0.1
-        dm[1, 1, 0] = 0.1
-        dm[1, 1, 1] = 2.0 * z[1]
+        # [..., i, j, k] = dM_ij / dz_k
+        x, y = z[..., 0], z[..., 1]
+        dm = np.zeros(np.shape(z)[:-1] + (2, 2, 2))
+        dm[..., 0, 0, 0] = np.sin(x) * np.cos(x)
+        dm[..., 0, 1, 1] = 0.1
+        dm[..., 1, 0, 1] = 0.1
+        dm[..., 1, 1, 1] = 2.0 * y
         return dm
 
     cand = quadratic_candidate(2, metric, 0.5, 10.0, metric_grad=metric_grad)
 
     def rhs(t, z):
-        return np.array([-z[0] + 0.3 * z[1] ** 2, -2.0 * z[1] + 0.1 * z[0]])
+        x, y = z[..., 0], z[..., 1]
+        return np.stack([-x + 0.3 * y**2, -2.0 * y + 0.1 * x], axis=-1)
 
     def jac(t, z):
-        return np.array([[-1.0, 0.6 * z[1]], [0.1, -2.0]])
+        j = np.empty(np.shape(z) + (2,))
+        j[..., 0, 0], j[..., 0, 1] = -1.0, 0.6 * z[..., 1]
+        j[..., 1, 0], j[..., 1, 1] = 0.1, -2.0
+        return j
 
     field = TimeVaryingField(2, rhs, jac)
     rng = np.random.default_rng(3)
@@ -277,7 +293,7 @@ def test_quadratic_vdot_matches_generic():
 
 def test_generic_candidate_gradients_match_finite_differences():
     cand = generic_candidate(
-        2, lambda z, dz: float((1 + z[0] ** 2) * (dz @ dz)), 1.0, 10.0
+        2, lambda z, dz: (1 + z[..., 0] ** 2) * np.sum(dz * dz, axis=-1), 1.0, 10.0
     )
     z, dz = np.array([0.7, -0.2]), np.array([0.4, 1.1])
     gs = cand.grad_state(z, dz)

@@ -18,7 +18,7 @@ from ieskit.invariance import (
 
 def half_norm_lyapunov(dim=2):
     return OuterLyapunov(
-        value=lambda t, z: 0.5 * float(z @ z),
+        value=lambda t, z: 0.5 * np.sum(z * z, axis=-1),
         gradient=lambda t, z: (np.asarray(z, dtype=float), 0.0),
         class_lower=lambda s: 0.5 * s * s,
         class_upper=lambda s: 0.5 * s * s,
@@ -45,11 +45,11 @@ class TestWdot:
 
     def test_zero_field_leaves_time_slot(self):
         w = OuterLyapunov(
-            value=lambda t, z: t + 0.5 * float(z @ z),
+            value=lambda t, z: t + 0.5 * np.sum(z * z, axis=-1),
             gradient=lambda t, z: (np.asarray(z, dtype=float), 1.0),
         )
-        field = TimeVaryingField(2, lambda t, z: np.zeros(2),
-                                 lambda t, z: np.zeros((2, 2)))
+        field = TimeVaryingField(2, lambda t, z: np.zeros(np.shape(z)),
+                                 lambda t, z: np.zeros(np.shape(z) + (2,)))
         assert wdot(w, field, 0.0, np.array([3.0, 4.0])) == 1.0
 
 

@@ -28,7 +28,14 @@ from ieskit.smallgain import (
     parse_certificate_record,
 )
 
-ZERO_BOUNDS = AssumptionTwoBounds(gamma=lambda z: 0.0, zeta=lambda z: 1.0)
+ZERO_BOUNDS = AssumptionTwoBounds(gamma=lambda z: np.zeros(np.shape(z)[:-1]),
+                                  zeta=lambda z: np.ones(np.shape(z)[:-1]))
+
+
+def half_norm_candidate():
+    return quadratic_candidate(
+        1, lambda z: np.full(np.shape(z) + (1,), 0.5), 0.5, 0.5,
+        metric_grad=lambda z: np.zeros(np.shape(z) + (1, 1)))
 
 
 def scalar_linear_interconnection(rho1=0.0, rho2=0.0):
@@ -92,7 +99,7 @@ class TestExtractConstants:
                 return 1.0 / y
 
         g1 = CouplingMap(1, 1, reciprocal,
-                         lambda y: np.array([[-1.0 / y[0] ** 2]]))
+                         lambda y: -reciprocal(y)[..., None] ** 2)
         g2 = linear_coupling([[1.0]])
         ic = Interconnection(f1, f2, g1, g2, 1.0, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
@@ -169,8 +176,7 @@ def test_budget_satisfies_proof_inequalities(vals, alpha1, alpha2):
 class TestCertify:
     def test_decoupled_certificate(self):
         ic = scalar_linear_interconnection()
-        half = quadratic_candidate(1, lambda z: 0.5 * np.eye(1), 0.5, 0.5,
-                                   metric_grad=lambda z: np.zeros((1, 1, 1)))
+        half = half_norm_candidate()
         cert = certify(
             ic, half, half, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
             alpha1=1.0, alpha2=1.0, alpha=0.9, requested_gains=(0.0, 0.0),
@@ -204,8 +210,7 @@ class TestCertify:
     def test_component_check_failure_refused(self):
         # claiming a decay rate above the true one must be caught
         ic = scalar_linear_interconnection()
-        half = quadratic_candidate(1, lambda z: 0.5 * np.eye(1), 0.5, 0.5,
-                                   metric_grad=lambda z: np.zeros((1, 1, 1)))
+        half = half_norm_candidate()
         with pytest.raises(CertificationError, match="component"):
             certify(ic, half, half, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
                     alpha1=1.5, alpha2=1.0, alpha=0.9)
