@@ -125,17 +125,20 @@ def linear_coupling(matrix: Array) -> CouplingMap:
 
 @dataclass(frozen=True)
 class Interconnection:
-    """Two-block coupled system (f1(t,x) + rho1 g1(y), f2(t,y) + rho2 g2(x))."""
+    """Two-block coupled system (f1(t,x) + rho1 g1(y), f2(t,y) + rho2 g2(x)).
+
+    A gain is one number, or an (N, 1) column of one gain per state row for
+    a field that takes batches of exactly N rows."""
 
     f1: TimeVaryingField
     f2: TimeVaryingField
     g1: CouplingMap
     g2: CouplingMap
-    rho1: float
-    rho2: float
+    rho1: Union[float, Array]
+    rho2: Union[float, Array]
 
     def __post_init__(self):
-        if self.rho1 < 0 or self.rho2 < 0:
+        if np.any(self.rho1 < 0) or np.any(self.rho2 < 0):
             raise ValueError("coupling gains must be nonnegative")
 
     @property
@@ -148,6 +151,19 @@ class Interconnection:
 
     def with_gains(self, rho1: float, rho2: float) -> "Interconnection":
         return Interconnection(self.f1, self.f2, self.g1, self.g2, rho1, rho2)
+
+
+def _gain_block(rho, g: CouplingMap):
+    """v -> rho * g.jacobian(v), the (..., out, in) coupling block of the
+    assembled Jacobian, or None when every gain is zero.  A row whose gain
+    in a column is zero gets +0.0, as the uncoupled block does."""
+    rho = np.expand_dims(rho, -1)  # a gain column (N, 1) as (N, 1, 1)
+    nonzero = rho != 0.0
+    if not nonzero.any():
+        return None
+    if nonzero.all():
+        return lambda v: rho * g.jacobian(v)
+    return lambda v: np.where(nonzero, rho * g.jacobian(v), 0.0)
 
 
 def assemble(ic: Interconnection) -> TimeVaryingField:
@@ -165,6 +181,7 @@ def assemble(ic: Interconnection) -> TimeVaryingField:
         )
     rho1, rho2 = ic.rho1, ic.rho2
     f1, f2, g1, g2 = ic.f1, ic.f2, ic.g1, ic.g2
+    block1, block2 = _gain_block(rho1, g1), _gain_block(rho2, g2)
 
     def rhs(t: float, z: Array) -> Array:
         x, y = z[..., :n], z[..., n:]
@@ -178,10 +195,10 @@ def assemble(ic: Interconnection) -> TimeVaryingField:
         jac = np.zeros(z.shape + (n + m,))
         jac[..., :n, :n] = f1.jacobian(t, x)
         jac[..., n:, n:] = f2.jacobian(t, y)
-        if rho1 != 0.0:
-            jac[..., :n, n:] = rho1 * g1.jacobian(y)
-        if rho2 != 0.0:
-            jac[..., n:, :n] = rho2 * g2.jacobian(x)
+        if block1 is not None:
+            jac[..., :n, n:] = block1(y)
+        if block2 is not None:
+            jac[..., n:, :n] = block2(x)
         return jac
 
     return TimeVaryingField(dim=n + m, rhs=rhs, jacobian=jacobian)
@@ -300,7 +317,9 @@ def _bad_rows(a: Array) -> Optional[Array]:
 def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
     """Fixed-step RK4 of the batch z0 (N, d).  A row stops at its first
     non-finite state or derivative, keeping the samples before it; the other
-    rows go on."""
+    rows go on.  A stopped row is still stepped, on whatever values it holds,
+    so that a field with per-row parameters always gets the whole batch; its
+    samples from its end on are set to NaN once the loop is done."""
     n_steps = max(2, math.ceil(horizon / step - 1e-12))
     h = horizon / n_steps
     times = t0 + h * np.arange(n_steps + 1)
@@ -309,50 +328,49 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
     derivs = np.empty_like(states)
     ends = np.full(len(z0), n_steps + 1)
     blew = np.zeros(len(z0), dtype=bool)
-    live = np.arange(len(z0))
-    rows = slice(None)  # the live rows: all of them until one stops
+    live = len(z0)  # rows still going
 
-    def stop(bad: Array, end: int) -> None:
-        nonlocal live, rows
-        gone = live[bad]
+    def stop(bad: Array, end: int) -> Array:
+        """Stop the rows of ``bad`` still going at sample ``end``; returns them."""
+        nonlocal live
+        gone = bad & ~blew
         ends[gone] = end
         blew[gone] = True
-        states[end:, gone] = np.nan
-        derivs[end:, gone] = np.nan
-        live = rows = live[~bad]
+        live -= int(np.count_nonzero(gone))
+        return gone
 
     states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         derivs[0] = rhs(t0, z0)
         bad = _bad_rows(derivs[0])
         if bad is not None:
-            derivs[0, bad] = 0.0
-            stop(bad, 1)
+            derivs[0, stop(bad, 1)] = 0.0
         for i in range(n_steps):
-            if not live.size:
+            if not live:
                 break
-            t, y, k1 = times[i], states[i, rows], derivs[i, rows]
+            t, y, k1 = times[i], states[i], derivs[i]
             k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
             k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
             k4 = rhs(t + h, y + h * k3)
             y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[i + 1] = y_next
             bad = _bad_rows(y_next)
             if bad is not None:
                 stop(bad, i + 1)
-                if not live.size:
+                if not live:
                     break
-                y_next = y_next[~bad]
-            states[i + 1, rows] = y_next
             d_next = rhs(times[i + 1], y_next)
+            derivs[i + 1] = d_next
             bad = _bad_rows(d_next)
             if bad is not None:
-                d_next[bad] = 0.0
-                derivs[i + 1, rows] = d_next
-                stop(bad, i + 2)
-            else:
-                derivs[i + 1, rows] = d_next
+                derivs[i + 1, stop(bad, i + 2)] = 0.0
     last = ends.max()
-    return times[:last], states[:last], derivs[:last], ends, blew
+    states, derivs = states[:last], derivs[:last]
+    if blew.any():
+        after = np.arange(last)[:, None] >= ends  # (T, N): from each row's end on
+        states[after] = np.nan
+        derivs[after] = np.nan
+    return times[:last], states, derivs, ends, blew
 
 
 # Dormand-Prince 5(4) tableau

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_differences
-from ieskit.io_utils import atomic_write_text, fnum
+from ieskit.io_utils import atomic_write_text, csv_rows, fnum
 
 Array = np.ndarray
 
@@ -249,8 +249,8 @@ def write_distance_csv(path, results: Sequence[PairResult]) -> None:
     """CSV with columns (pair_id, t, distance)."""
     lines = ["pair_id,t,distance"]
     for r in results:
-        for t, d in zip(r.series.times, r.series.values):
-            lines.append(f"{r.pair_id},{fnum(t)},{fnum(d)}")
+        lines += csv_rows(np.column_stack([r.series.times, r.series.values]),
+                          prefix=f"{r.pair_id},")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -13,7 +14,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
 from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
-from ieskit.io_utils import atomic_write_text, fnum
+from ieskit.io_utils import atomic_write_text, csv_rows
 
 Array = np.ndarray
 
@@ -89,9 +90,23 @@ def figure_params(figure: int) -> FhnParams:
     raise ValueError(f"unknown figure {figure}")
 
 
-def x_subsystem(params: FhnParams) -> TimeVaryingField:
+# one parameter set, or one set per state row
+ParamSets = Union[FhnParams, Sequence[FhnParams]]
+
+
+def _per_row(params: ParamSets, value):
+    """``value(p)`` of one parameter set ``p``, or the values of a sequence
+    of sets, one per state row, as an (N, 1) column."""
+    if isinstance(params, FhnParams):
+        return value(params)
+    if not len(params):
+        raise ValueError("need at least one parameter set")
+    return np.array([[value(p)] for p in params])
+
+
+def x_subsystem(params: ParamSets) -> TimeVaryingField:
     """Isolated excitable block dx/dt = x - x^3/3 + c."""
-    c = params.c
+    c = _per_row(params, lambda p: p.c)
 
     def rhs(t: float, x: Array) -> Array:
         return x - x**3 / 3.0 + c
@@ -102,26 +117,35 @@ def x_subsystem(params: FhnParams) -> TimeVaryingField:
     return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac)
 
 
-def y_subsystem(params: FhnParams) -> TimeVaryingField:
+def y_subsystem(params: ParamSets) -> TimeVaryingField:
     """Isolated recovery block dy/dt = -(b/eps) y."""
-    rate = params.b / params.epsilon
+    rate = _per_row(params, lambda p: p.b / p.epsilon)
+    jac_entry = np.expand_dims(-rate, -1)
 
     def rhs(t: float, y: Array) -> Array:
         return -rate * y
 
     def jac(t: float, y: Array) -> Array:
-        return np.full(y.shape + (1,), -rate)
+        return np.full(y.shape + (1,), jac_entry)
 
     return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac)
 
 
-def fhn_field(params: FhnParams) -> Interconnection:
+def fhn_field(params: ParamSets) -> Interconnection:
     """The coupled model as a two-block interconnection.
+
+    ``params`` is one FhnParams, or a sequence of them, one per state row:
+    the blocks and gains then hold each parameter as an (N, 1) column, and
+    the field takes batches of exactly those N rows.  Either way, each row's
+    derivative and Jacobian are bitwise those of its own set's field.
+    Fixed-step RK4 steps every row of the batch, also after some rows stop;
+    the adaptive solver drops stopped rows, which such a field then refuses.
 
     The 1/eps division of the recovery equation is folded into the y-block and
     its coupling, so the assembled field matches the model equations exactly.
     """
-    eps = params.epsilon
+    eps = _per_row(params, lambda p: p.epsilon)
+    inv_eps = np.expand_dims(1.0 / eps, -1)
     g1 = CouplingMap(
         in_dim=1,
         out_dim=1,
@@ -132,15 +156,15 @@ def fhn_field(params: FhnParams) -> Interconnection:
         in_dim=1,
         out_dim=1,
         value=lambda x: x / eps,
-        jacobian=lambda x: np.full(x.shape + (1,), 1.0 / eps),
+        jacobian=lambda x: np.full(x.shape + (1,), inv_eps),
     )
     return Interconnection(
         f1=x_subsystem(params),
         f2=y_subsystem(params),
         g1=g1,
         g2=g2,
-        rho1=params.rho1,
-        rho2=params.rho2,
+        rho1=_per_row(params, lambda p: p.rho1),
+        rho2=_per_row(params, lambda p: p.rho2),
     )
 
 
@@ -406,7 +430,5 @@ def write_fc_csv(table: FcTable, path) -> None:
         f"quadrature_error={table.quadrature_error!r}",
         "x,f_c,f_c_prime",
     ]
-    vals, ders = table.fc_pair(table.grid)
-    for x, v, d in zip(table.grid, vals, ders):
-        lines.append(f"{fnum(x)},{fnum(v)},{fnum(d)}")
+    lines += csv_rows(np.column_stack([table.grid, *table.fc_pair(table.grid)]))
     atomic_write_text(path, "\n".join(lines) + "\n")

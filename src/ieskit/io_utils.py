@@ -6,10 +6,21 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 
 def fnum(value) -> str:
     """Full-precision decimal form of a scalar that round-trips exactly."""
     return repr(float(value))
+
+
+def csv_rows(table, prefix: str = "") -> list[str]:
+    """CSV lines of the rows of a 2-D array, each starting with ``prefix``:
+    every cell in the form ``fnum`` gives it, the repr of a Python float.
+    The cells are formatted a column at a time, which costs less per cell
+    than a join per row when rows are short."""
+    columns = [map(repr, column) for column in np.asarray(table, dtype=float).T.tolist()]
+    return [prefix + ",".join(cells) for cells in zip(*columns)]
 
 
 def atomic_write_text(path, text: str) -> Path:

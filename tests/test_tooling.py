@@ -1,8 +1,10 @@
-"""Smoke test of the benchmark's tracer against the current ieskit: the
-tracer patches public functions and a few methods by name, so a renamed or
-moved one would break every traced benchmark run."""
+"""Smoke tests of the benchmark tooling: the tracer against the current
+ieskit (it patches public functions and a few methods by name, so a renamed
+or moved one would break every traced benchmark run), and the script that
+folds result files into a BENCH_<pr>.json record."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from ieskit import cli, finsler
@@ -53,3 +55,52 @@ def test_tracer_records_a_certify_run(tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["fhn.fc_calls"] == tracer.counts["fc_calls"]
     assert metrics["finsler.us_per_decay_sample"] > 0
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_run(directory, workload, seed, trace, metrics, attempted=3, failed=0):
+    """A result file shaped like the ones perfbench/run.py writes."""
+    directory.mkdir(exist_ok=True)
+    detail = {
+        "args": {"workload": workload, "seed": seed, "seconds": 12.0, "trace": trace},
+        "machine": {"python": "3.x"},
+        "rounds": [],
+        "result": {"correct": True, "attempted": attempted, "failed": failed,
+                   "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}},
+    }
+    (directory / f"{workload}-seed{seed}-trace{trace}-{100 + seed}.json").write_text(
+        json.dumps(detail))
+
+
+def test_bench_record_folds_before_and_after_runs(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for seed, (old, new) in enumerate([(3.0, 1.5), (2.0, 1.0), (4.0, 5.0), (1.0, 0.5)], 1):
+        write_run(before, "figures", seed, 0, {"round_s": (old, "s"), "peak_rss_mb": (100.0, "MB")})
+        write_run(after, "figures", seed, 0, {"round_s": (new, "s"), "peak_rss_mb": (100.0, "MB")},
+                  failed=1)
+    write_run(before, "figures", 1, 1, {"dynsys.rhs_calls": (120003.0, "count")})
+    write_run(after, "figures", 1, 1, {"dynsys.rhs_calls": (40001.0, "count")})
+    (after / "figures-seed1-trace1-101-spans.npz").write_bytes(b"")  # not a result file
+    out = tmp_path / "BENCH_0.json"
+    assert load_bench_record().main(["--pr", "0", "--before", str(before),
+                                     "--after", str(after), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["pr"] == 0 and rec["seconds"] == 12.0
+    fig = rec["workloads"]["figures"]
+    round_s = fig["end_to_end"]["round_s"]
+    assert round_s["unit"] == "s" and round_s["better"] == "lower"
+    assert round_s["before"] == {"n": 4, "median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert round_s["after"] == {"n": 4, "median": 1.25, "q1": 0.875, "q3": 2.375}
+    assert (round_s["pairs"], round_s["after_better"]) == (4, 3)
+    assert fig["end_to_end"]["peak_rss_mb"]["after_better"] == 0
+    assert fig["operations"] == {"before": {"runs": 4, "attempted": 12, "failed": 0},
+                                 "after": {"runs": 4, "attempted": 12, "failed": 4}}
+    assert fig["layers"] == {"dynsys.rhs_calls": {"unit": "count", "before": 120003.0,
+                                                  "after": 40001.0}}
