@@ -116,11 +116,9 @@ def main(argv=None) -> int:
                     help="runs directory of the parent commit")
     ap.add_argument("--after", type=Path, required=True,
                     help="runs directory of the change")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output file (default BENCH_<pr>.json at the repository root)")
     args = ap.parse_args(argv)
     rec = record(args.pr, load_runs(args.before), load_runs(args.after))
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
     print(out)
     return 0

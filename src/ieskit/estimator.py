@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_differences
-from ieskit.io_utils import atomic_write_text, csv_rows, fnum
+from ieskit.io_utils import _csv_rows, atomic_write_text, fnum
 
 Array = np.ndarray
 
@@ -249,7 +249,7 @@ def write_distance_csv(path, results: Sequence[PairResult]) -> None:
     """CSV with columns (pair_id, t, distance)."""
     lines = ["pair_id,t,distance"]
     for r in results:
-        lines += csv_rows(np.column_stack([r.series.times, r.series.values]),
+        lines += _csv_rows(np.column_stack([r.series.times, r.series.values]),
                           prefix=f"{r.pair_id},")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

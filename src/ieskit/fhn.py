@@ -14,7 +14,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
 from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
-from ieskit.io_utils import atomic_write_text, csv_rows
+from ieskit.io_utils import _csv_rows, atomic_write_text
 
 Array = np.ndarray
 
@@ -104,6 +104,35 @@ def _per_row(params: ParamSets, value):
     return np.array([[value(p)] for p in params])
 
 
+def _fixed_batch(block: TimeVaryingField, column) -> TimeVaryingField:
+    """``block`` itself for one parameter set.  For an (N, 1) column of
+    per-row values, the block refusing any states but a batch of exactly N
+    rows: fewer rows fail to broadcast against the column, and a single
+    point would broadcast to the whole column without notice."""
+    if np.ndim(column) == 0:
+        return block
+    shape = (len(column), block.dim)
+    block_rhs, block_jacobian = block.rhs, block.jacobian
+
+    def refuse(z: Array) -> ValueError:
+        return ValueError(
+            f"a field of {shape[0]} FHN parameter sets takes batches of exactly "
+            f"{shape[0]} rows, got states of shape {z.shape}; adaptive_embedded "
+            "drops the rows that stop, fixed_rk4 keeps the batch whole")
+
+    def rhs(t: float, z: Array) -> Array:
+        if z.shape != shape:
+            raise refuse(z)
+        return block_rhs(t, z)
+
+    def jacobian(t: float, z: Array) -> Array:
+        if z.shape != shape:
+            raise refuse(z)
+        return block_jacobian(t, z)
+
+    return TimeVaryingField(dim=block.dim, rhs=rhs, jacobian=jacobian)
+
+
 def x_subsystem(params: ParamSets) -> TimeVaryingField:
     """Isolated excitable block dx/dt = x - x^3/3 + c."""
     c = _per_row(params, lambda p: p.c)
@@ -114,7 +143,7 @@ def x_subsystem(params: ParamSets) -> TimeVaryingField:
     def jac(t: float, x: Array) -> Array:
         return (1.0 - x * x)[..., None]
 
-    return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac)
+    return _fixed_batch(TimeVaryingField(dim=1, rhs=rhs, jacobian=jac), c)
 
 
 def y_subsystem(params: ParamSets) -> TimeVaryingField:
@@ -128,7 +157,7 @@ def y_subsystem(params: ParamSets) -> TimeVaryingField:
     def jac(t: float, y: Array) -> Array:
         return np.full(y.shape + (1,), jac_entry)
 
-    return TimeVaryingField(dim=1, rhs=rhs, jacobian=jac)
+    return _fixed_batch(TimeVaryingField(dim=1, rhs=rhs, jacobian=jac), rate)
 
 
 def fhn_field(params: ParamSets) -> Interconnection:
@@ -136,10 +165,11 @@ def fhn_field(params: ParamSets) -> Interconnection:
 
     ``params`` is one FhnParams, or a sequence of them, one per state row:
     the blocks and gains then hold each parameter as an (N, 1) column, and
-    the field takes batches of exactly those N rows.  Either way, each row's
-    derivative and Jacobian are bitwise those of its own set's field.
-    Fixed-step RK4 steps every row of the batch, also after some rows stop;
-    the adaptive solver drops stopped rows, which such a field then refuses.
+    the blocks raise ValueError on states that are not a batch of exactly
+    those N rows.  Either way, each row's derivative and Jacobian are bitwise
+    those of its own set's field.  Fixed-step RK4 steps every row of the
+    batch, also after some rows stop; the adaptive solver drops stopped rows,
+    so it can integrate such a field only until the first row stops.
 
     The 1/eps division of the recovery equation is folded into the y-block and
     its coupling, so the assembled field matches the model equations exactly.
@@ -430,5 +460,5 @@ def write_fc_csv(table: FcTable, path) -> None:
         f"quadrature_error={table.quadrature_error!r}",
         "x,f_c,f_c_prime",
     ]
-    lines += csv_rows(np.column_stack([table.grid, *table.fc_pair(table.grid)]))
+    lines += _csv_rows(np.column_stack([table.grid, *table.fc_pair(table.grid)]))
     atomic_write_text(path, "\n".join(lines) + "\n")

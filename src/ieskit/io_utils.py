@@ -14,7 +14,7 @@ def fnum(value) -> str:
     return repr(float(value))
 
 
-def csv_rows(table, prefix: str = "") -> list[str]:
+def _csv_rows(table, prefix: str = "") -> list[str]:
     """CSV lines of the rows of a 2-D array, each starting with ``prefix``:
     every cell in the form ``fnum`` gives it, the repr of a Python float.
     The cells are formatted a column at a time, which costs less per cell

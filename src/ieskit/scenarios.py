@@ -49,7 +49,7 @@ from ieskit.invariance import (
     find_invariant_level,
     write_invariant_report,
 )
-from ieskit.io_utils import atomic_write_text, csv_rows
+from ieskit.io_utils import _csv_rows, atomic_write_text
 from ieskit.polynomials import parse_polynomial_component, polynomial_coupling, polynomial_field
 from ieskit.smallgain import certify
 
@@ -399,7 +399,7 @@ def run_simulate(scenario: Scenario) -> list[Path]:
     written = []
     for i in range(len(scenario.initial_conditions)):
         lines = [_csv_header(scenario, extra=f"ic={i}"), f"t,{cols}"]
-        lines += csv_rows(np.column_stack([tr.times, tr.states[:, i]]))
+        lines += _csv_rows(np.column_stack([tr.times, tr.states[:, i]]))
         out = scenario.output_path / f"trajectory_{i:02d}.csv"
         atomic_write_text(out, "\n".join(lines) + "\n")
         written.append(out)
@@ -437,7 +437,7 @@ def run_figures(
             f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}"
         )
         lines = [header, "t,x1,y1,x2,y2,distance"]
-        lines += csv_rows(np.column_stack([tr.times, tr.states[:, i], tr.states[:, j], dist]))
+        lines += _csv_rows(np.column_stack([tr.times, tr.states[:, i], tr.states[:, j], dist]))
         out = out_dir / f"figure{fig}.csv"
         atomic_write_text(out, "\n".join(lines) + "\n")
         written.append(out)

@@ -177,6 +177,32 @@ class TestBlowUpIsolation:
         assert mixed.results[0].series.times[-1] == 5.0
 
 
+# polynomial and linear fields sum their terms in matrix products, which may
+# round differently at another batch width (one row takes a matrix-vector
+# product); fixed-step RK4 steps a stopped row on, so the rows still going
+# keep their width and do not move when another row blows up
+POLY_2D = polynomial_field((((0.5, (3, 0)), (-1.0, (0, 1)), (0.3, (1, 1))),
+                            ((1.0, (1, 0)), (-1.0, (0, 1)), (0.2, (2, 0)))))
+GROWING_3D = linear_field(np.random.default_rng(1).normal(size=(3, 3)) + 3.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+@pytest.mark.parametrize("field, far, horizon", [
+    (POLY_2D, np.array([3.5, 0.0]), 4.0),  # finite-time blow-up
+    (GROWING_3D, np.array([1e305, -1e305, 1e305]), 6.0),  # overflow
+])
+def test_rk4_rows_going_on_ignore_a_row_that_stops(field, far, horizon, n):
+    cfg = IntegratorConfig(max_time=horizon, step=0.01)
+    calm = np.random.default_rng(n).uniform(-0.5, 0.5, (n, field.dim))
+    mixed = calm.copy()
+    mixed[0] = far
+    with_stop, without = integrate(field, 0.0, mixed, cfg), integrate(field, 0.0, calm, cfg)
+    assert with_stop.blew_up.tolist() == [True] + [False] * (n - 1)
+    assert not without.blew_up.any()
+    assert with_stop.states[:, 1:].tobytes() == without.states[:, 1:].tobytes()
+    assert with_stop.derivatives[:, 1:].tobytes() == without.derivatives[:, 1:].tobytes()
+
+
 @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 1), (3,), (0, 2)])
 def test_batch_of_wrong_shape_rejected(shape):
     field = assemble(fhn_field(figure_params(1)))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ieskit.cli import EXIT_BLOWUP, main
-from ieskit.dynsys import IntegratorConfig, assemble, integrate
+from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig, assemble, integrate
 from ieskit.fhn import FhnParams, fhn_field, figure_params
 
 
@@ -105,6 +105,26 @@ def test_a_column_with_one_negative_gain_is_refused(sets, row, bad):
 def test_no_parameter_sets_refused():
     with pytest.raises(ValueError, match="at least one"):
         fhn_field([])
+
+
+PRESETS = [figure_params(fig) for fig in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2), (4, 2), (1, 3, 2)])
+def test_states_not_one_row_per_set_refused(shape):
+    field = assemble(fhn_field(PRESETS))
+    for fn in (field.rhs, field.jacobian):
+        with pytest.raises(ValueError, match="batches of exactly 3 rows"):
+            fn(0.0, np.ones(shape))
+
+
+def test_adaptive_solve_refuses_to_drop_a_stopped_row():
+    # Dormand-Prince drops the row that overflows, and the field says why
+    # it cannot go on with the two rows left
+    config = IntegratorConfig(max_time=1.0, method=ADAPTIVE_EMBEDDED)
+    with pytest.raises(ValueError, match="adaptive_embedded drops the rows that stop"):
+        integrate(assemble(fhn_field(PRESETS)), 0.0, [[1e200, 0.0], [2.0, 0.0], [-2.0, 1.0]],
+                  config)
 
 
 def test_figures_blowup_exits_with_blowup_code(tmp_path):

@@ -88,10 +88,8 @@ def test_bench_record_folds_before_and_after_runs(tmp_path):
     write_run(before, "figures", 1, 1, {"dynsys.rhs_calls": (120003.0, "count")})
     write_run(after, "figures", 1, 1, {"dynsys.rhs_calls": (40001.0, "count")})
     (after / "figures-seed1-trace1-101-spans.npz").write_bytes(b"")  # not a result file
-    out = tmp_path / "BENCH_0.json"
-    assert load_bench_record().main(["--pr", "0", "--before", str(before),
-                                     "--after", str(after), "--out", str(out)]) == 0
-    rec = json.loads(out.read_text())
+    bench_record = load_bench_record()
+    rec = bench_record.record(0, bench_record.load_runs(before), bench_record.load_runs(after))
     assert rec["pr"] == 0 and rec["seconds"] == 12.0
     fig = rec["workloads"]["figures"]
     round_s = fig["end_to_end"]["round_s"]
