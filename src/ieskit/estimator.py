@@ -119,8 +119,18 @@ def fit_envelope(
 
 def sample_pairs_box(bounds, n_pairs: int, seed: int, min_separation: float = 1e-6):
     """n seeded random initial-condition pairs inside a box, separated by at
-    least ``min_separation``."""
+    least ``min_separation``.  A box whose diagonal does not exceed
+    ``min_separation`` holds no such pair and is refused with ``ValueError``."""
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or not bounds.size:
+        raise ValueError(f"box bounds must have shape (d, 2) with d >= 1, "
+                         f"got {bounds.shape}")
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError("box bounds must be finite")
+    diagonal = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
+    if not diagonal > min_separation:
+        raise ValueError(f"box diagonal {diagonal:g} must exceed the pair "
+                         f"separation {min_separation:g}")
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < n_pairs:
@@ -133,7 +143,17 @@ def sample_pairs_box(bounds, n_pairs: int, seed: int, min_separation: float = 1e
 
 def sample_pairs_ball(radius: float, dim: int, n_pairs: int, seed: int,
                       min_separation: float = 1e-6):
-    """n seeded random pairs with both endpoints inside the ball |z| <= radius."""
+    """n seeded random pairs with both endpoints inside the ball |z| <= radius,
+    separated by at least ``min_separation``.  A radius that is not positive
+    and finite, or a ball whose diameter does not exceed ``min_separation``,
+    is refused with ``ValueError``."""
+    if dim < 1:
+        raise ValueError(f"ball dimension must be positive, got {dim}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
+    if not 2.0 * radius > min_separation:
+        raise ValueError(f"ball diameter {2.0 * radius:g} must exceed the pair "
+                         f"separation {min_separation:g}")
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < n_pairs:
@@ -173,17 +193,22 @@ class EnsembleReport:
         return [r.fit.verdict if r.fit is not None else INCONCLUSIVE
                 for r in self.results]
 
+    @property
+    def blown_up(self) -> tuple[int, ...]:
+        """The ``pair_id`` of every pair that blew up."""
+        return tuple(r.pair_id for r in self.results if r.blew_up)
 
-def ensemble_ies(
+
+def _pair_results(
     field: TimeVaryingField,
     pairs: Iterable[tuple[Array, Array]],
     horizon: float,
     config: IntegratorConfig,
-    envelope: EnvelopeConfig = EnvelopeConfig(),
-    t0: float = 0.0,
-) -> EnsembleReport:
-    """Fit the envelope of every pair's distance series; the 2N flows are
-    integrated as one batch, and a pair that blew up gets no fit."""
+    envelope: EnvelopeConfig,
+    t0: float,
+) -> list[PairResult]:
+    """Every pair's distance series and envelope fit, numbered from 0: the 2N
+    flows are integrated as one batch, and a pair that blew up gets no fit."""
     if abs(config.max_time - horizon) > 1e-12:
         config = dataclasses.replace(config, max_time=horizon)
     pairs = [(np.asarray(z1), np.asarray(z2)) for z1, z2 in pairs]
@@ -193,6 +218,10 @@ def ensemble_ies(
         fit = None if series.blew_up else fit_envelope(series.times, series.values,
                                                        config=envelope)
         results.append(PairResult(i, z1, z2, series, fit, series.blew_up))
+    return results
+
+
+def _aggregate(results: Sequence[PairResult]) -> EnsembleReport:
     fits = [r.fit for r in results if r.fit is not None]
     any_blowup = any(r.blew_up for r in results)
     min_lambda = min((f.lam for f in fits), default=math.nan)
@@ -205,6 +234,19 @@ def ensemble_ies(
         passed=all_contracting and not any_blowup,
         inconclusive=any_blowup,
     )
+
+
+def ensemble_ies(
+    field: TimeVaryingField,
+    pairs: Iterable[tuple[Array, Array]],
+    horizon: float,
+    config: IntegratorConfig,
+    envelope: EnvelopeConfig = EnvelopeConfig(),
+    t0: float = 0.0,
+) -> EnsembleReport:
+    """Fit the envelope of every pair's distance series; the 2N flows are
+    integrated as one batch, and a pair that blew up gets no fit."""
+    return _aggregate(_pair_results(field, pairs, horizon, config, envelope, t0))
 
 
 @dataclass(frozen=True)
@@ -228,14 +270,30 @@ def wies_scan(
     seed: int = 0,
     envelope: EnvelopeConfig = EnvelopeConfig(),
 ) -> WiesEnsembleReport:
-    """Fit envelopes for pair ensembles sampled at increasing initial radii."""
+    """Fit envelopes for pair ensembles sampled at increasing initial radii.
+
+    Radius k gets ``sample_pairs_ball(radius, field.dim, pairs_per_radius,
+    seed + k)``; the flows of all radii are integrated as one batch, and each
+    radius's report is that of ``ensemble_ies`` on its own pairs, numbered
+    from 0.  Under fixed-step RK4 the numbers are bitwise those of one
+    ``ensemble_ies`` call per radius whenever a row's derivative does not
+    depend on the other rows of the batch, as for the FHN, linear and
+    polynomial fields.  Under the adaptive method all rows share one step
+    size, set by the worst row of all radii, so the numbers differ from the
+    per-radius calls within the solver tolerance.
+    """
     radii = [float(r) for r in radii]
+    if not all(math.isfinite(r) and r > 0.0 for r in radii):
+        raise ValueError(f"radii must be positive and finite, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    reports = []
-    for k, radius in enumerate(radii):
-        pairs = sample_pairs_ball(radius, field.dim, pairs_per_radius, seed + k)
-        reports.append(ensemble_ies(field, pairs, horizon, config, envelope))
+    pairs = [pair for k, radius in enumerate(radii)
+             for pair in sample_pairs_ball(radius, field.dim, pairs_per_radius, seed + k)]
+    results = _pair_results(field, pairs, horizon, config, envelope, 0.0)
+    n = pairs_per_radius
+    reports = [_aggregate([dataclasses.replace(r, pair_id=i)
+                           for i, r in enumerate(results[k * n:(k + 1) * n])])
+               for k in range(len(radii))]
     lambdas = [r.min_lambda for r in reports if not math.isnan(r.min_lambda)]
     return WiesEnsembleReport(
         radii=tuple(radii),

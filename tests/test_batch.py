@@ -5,6 +5,7 @@ the whole sample set with the report a row-by-row loop gives."""
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ieskit.dynsys import (
     linear_coupling,
     linear_field,
 )
-from ieskit.estimator import CONTRACTING, ensemble_ies
+from ieskit.estimator import CONTRACTING, ensemble_ies, sample_pairs_ball, wies_scan
 from ieskit.fhn import (
     FhnParams,
     assumption2_bounds,
@@ -45,6 +46,7 @@ from ieskit.finsler import (
 from ieskit.invariance import OuterLyapunov, fhn_outer_lyapunov, find_invariant_level
 from ieskit.polynomials import PolynomialMap, polynomial_field
 from ieskit.sampling import ball_grid
+from ieskit.scenarios import build_field, parse_config
 from ieskit.smallgain import extract_constants
 
 # dz/dt = z^3 - z: rows starting inside (-1, 1) contract to 0, rows outside
@@ -208,6 +210,84 @@ def test_batch_of_wrong_shape_rejected(shape):
     field = assemble(fhn_field(figure_params(1)))
     with pytest.raises(ValueError, match="shape"):
         integrate(field, 0.0, np.ones(shape), IntegratorConfig(max_time=1.0, step=0.01))
+
+
+# -- radius scans ---------------------------------------------------------------
+
+SCAN_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+SCAN_FIELDS = {
+    "linear": linear_field(np.random.default_rng(2).normal(size=(3, 3)) - 2.0 * np.eye(3)),
+    "fhn": assemble(fhn_field(figure_params(3))),
+    "polynomial": build_field(parse_config(SCAN_CONFIGS / "scan_polynomial.cfg")),
+}
+
+
+def radius_loop(field, radii, n_pairs, horizon, cfg, seed):
+    """One ensemble_ies call per radius on the pairs wies_scan draws there."""
+    return [ensemble_ies(field, sample_pairs_ball(r, field.dim, n_pairs, seed + k),
+                         horizon, cfg)
+            for k, r in enumerate(radii)]
+
+
+def aggregates(report):
+    return repr((report.min_lambda, report.max_gain, report.passed, report.inconclusive,
+                 report.blown_up))
+
+
+@given(name=st.sampled_from(sorted(SCAN_FIELDS)),
+       radii=st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=1, max_size=4,
+                      unique=True).map(sorted),
+       n_pairs=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=30, deadline=None)
+def test_rk4_scan_is_bitwise_a_loop_of_ensembles(name, radii, n_pairs, seed):
+    field = SCAN_FIELDS[name]
+    cfg = IntegratorConfig(max_time=3.0, step=0.02)
+    scan = wies_scan(field, radii, n_pairs, 3.0, cfg, seed=seed)
+    loop = radius_loop(field, radii, n_pairs, 3.0, cfg, seed)
+    assert len(scan.per_radius) == len(loop)
+    for merged, alone in zip(scan.per_radius, loop):
+        assert [r.pair_id for r in merged.results] == list(range(n_pairs))
+        for a, b in zip(merged.results, alone.results, strict=True):
+            assert a.pair_id == b.pair_id
+            assert a.series.times.tobytes() == b.series.times.tobytes()
+            assert a.series.values.tobytes() == b.series.values.tobytes()
+            assert repr(a.fit) == repr(b.fit)
+        assert aggregates(merged) == aggregates(alone)
+    assert repr(scan.gain_profile) == repr(tuple(r.max_gain for r in loop))
+
+
+@pytest.mark.parametrize("cfg_name, radii, horizon", [
+    ("scan_polynomial.cfg", (0.5, 1.0, 2.0, 4.0, 8.0), 20.0),
+    ("scan_fhn.cfg", (0.5, 1.0, 2.0, 4.0), 40.0),
+])
+def test_dopri_scan_verdicts_are_the_per_radius_ones(cfg_name, radii, horizon):
+    # the shared step moves the numbers within the solver tolerance, not the verdicts
+    field = build_field(parse_config(SCAN_CONFIGS / cfg_name))
+    cfg = IntegratorConfig(max_time=horizon, method=ADAPTIVE_EMBEDDED, atol=1e-9, rtol=1e-6)
+    scan = wies_scan(field, radii, 8, horizon, cfg, seed=0)
+    loop = radius_loop(field, radii, 8, horizon, cfg, 0)
+    for merged, alone in zip(scan.per_radius, loop, strict=True):
+        assert merged.verdicts == alone.verdicts
+        assert (merged.passed, merged.inconclusive) == (alone.passed, alone.inconclusive)
+
+
+@pytest.mark.parametrize("cfg", [
+    IntegratorConfig(max_time=5.0, step=0.01),
+    IntegratorConfig(max_time=5.0, method=ADAPTIVE_EMBEDDED, atol=1e-9, rtol=1e-6),
+])
+def test_scan_blow_up_marks_only_its_radius(cfg):
+    # CUBIC blows up from |z| > 1 only: every pair of radius 0.5 contracts
+    scan = wies_scan(CUBIC, [0.5, 2.0], 4, 5.0, cfg, seed=0)
+    inner, outer = scan.per_radius
+    assert inner.passed and not inner.inconclusive and inner.blown_up == ()
+    outside = tuple(r.pair_id for r in outer.results
+                    if max(abs(r.z1[0]), abs(r.z2[0])) > 1.0)
+    assert 0 < len(outside) < 4
+    assert outer.inconclusive and not outer.passed
+    assert outer.blown_up == outside
+    assert all(outer.results[i].fit is None for i in outside)
+    assert scan.gain_profile[0] == inner.max_gain
 
 
 # -- Jacobians ----------------------------------------------------------------

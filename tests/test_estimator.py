@@ -116,6 +116,35 @@ class TestSamplers:
             assert np.linalg.norm(z1) <= 2.5
             assert np.linalg.norm(z2) <= 2.5
 
+    # each of these used to loop forever: no pair can meet the separation
+    @pytest.mark.parametrize("radius, dim, match", [
+        (0.0, 2, "positive and finite"),
+        (-1.0, 2, "positive and finite"),
+        (np.nan, 2, "positive and finite"),
+        (np.inf, 2, "positive and finite"),
+        (4e-7, 2, "diameter"),
+        (5e-7, 3, "diameter"),
+        (1.0, 0, "dimension"),
+    ])
+    def test_ball_without_separated_pairs_refused(self, radius, dim, match):
+        with pytest.raises(ValueError, match=match):
+            sample_pairs_ball(radius, dim, 2, seed=0)
+
+    @pytest.mark.parametrize("bounds, match", [
+        ([[0.0, 0.0], [1.0, 1.0]], "diagonal"),
+        ([[0.0, 3e-7], [0.0, 3e-7]], "diagonal"),
+        ([[0.0, np.nan]], "finite"),
+        ([[-np.inf, 1.0]], "finite"),
+        ([[0.0, 1.0, 2.0]], "shape"),
+    ])
+    def test_box_without_separated_pairs_refused(self, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            sample_pairs_box(bounds, 2, seed=0)
+
+    def test_box_with_room_for_one_flat_axis_still_samples(self):
+        pairs = sample_pairs_box([[0.0, 0.0], [-1.0, 1.0]], 3, seed=0)
+        assert len(pairs) == 3 and all(z1[0] == z2[0] == 0.0 for z1, z2 in pairs)
+
 
 class TestEnsemble:
     def test_linear_contraction_rates(self):
@@ -195,6 +224,17 @@ class TestWiesScan:
                            IntegratorConfig(max_time=10.0, step=0.02), seed=0)
         for radius_report in report.per_radius:
             assert all(v != CONTRACTING for v in radius_report.verdicts)
+
+    @pytest.mark.parametrize("radii", [[0.0, 1.0], [-1.0, 1.0], [1.0, np.inf],
+                                       [np.nan, 1.0], [1.0, np.nan]])
+    def test_radii_must_be_positive_and_finite(self, radii, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the radii")
+
+        monkeypatch.setattr("ieskit.estimator.sample_pairs_ball", no_sampling)
+        with pytest.raises(ValueError, match="radii must be positive and finite"):
+            wies_scan(linear_field(-np.eye(2)), radii, 2, 5.0,
+                      IntegratorConfig(max_time=5.0, step=0.05), seed=0)
 
     def test_radii_must_increase(self):
         field = linear_field(-np.eye(1))
