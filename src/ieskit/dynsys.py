@@ -243,8 +243,9 @@ class Trajectory:
 
     A batch integrated from states of shape (N, d) has states and
     derivatives of shape (T, N, d) on the shared ``times``; ``blew_up`` and
-    ``ends`` are then per row.  Row k holds samples up to ``ends[k]`` and NaN
-    after it; ``row(k)`` cuts it out as a trajectory of its own.
+    ``ends`` are then per row.  Both solvers keep the batch whole after a row
+    stops, but row k keeps only its samples before ``ends[k]`` and holds NaN
+    from there on; ``row(k)`` cuts it out as a trajectory of its own.
     """
 
     t0: float
@@ -308,18 +309,27 @@ def _hermite_eval(times: Array, values: Array, derivs: Array, t) -> Array:
     return out
 
 
-def _bad_rows(a: Array) -> Optional[Array]:
-    """Mask of the rows of ``a`` holding a non-finite value, None if none do."""
+def _bad_rows(a: Array, stopped: Array) -> Optional[Array]:
+    """Mask of the rows of ``a`` not yet ``stopped`` that hold a non-finite
+    value, None if there are none."""
     finite = np.isfinite(a)
-    return None if finite.all() else ~finite.all(axis=1)
+    if finite.all():
+        return None
+    bad = ~finite.all(axis=1) & ~stopped
+    return bad if bad.any() else None
+
+
+def _stop(bad: Array, end: int, ends: Array, blew: Array) -> bool:
+    """Stop the rows of ``bad``, all still going, at sample ``end``: they keep
+    the samples before it.  Returns whether every row has now stopped."""
+    ends[bad] = end
+    blew[bad] = True
+    return bool(blew.all())
 
 
 def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
     """Fixed-step RK4 of the batch z0 (N, d).  A row stops at its first
-    non-finite state or derivative, keeping the samples before it; the other
-    rows go on.  A stopped row is still stepped, on whatever values it holds,
-    so that a field with per-row parameters always gets the whole batch; its
-    samples from its end on are set to NaN once the loop is done."""
+    non-finite state or derivative; the other rows go on."""
     n_steps = max(2, math.ceil(horizon / step - 1e-12))
     h = horizon / n_steps
     times = t0 + h * np.arange(n_steps + 1)
@@ -328,49 +338,32 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
     derivs = np.empty_like(states)
     ends = np.full(len(z0), n_steps + 1)
     blew = np.zeros(len(z0), dtype=bool)
-    live = len(z0)  # rows still going
-
-    def stop(bad: Array, end: int) -> Array:
-        """Stop the rows of ``bad`` still going at sample ``end``; returns them."""
-        nonlocal live
-        gone = bad & ~blew
-        ends[gone] = end
-        blew[gone] = True
-        live -= int(np.count_nonzero(gone))
-        return gone
-
     states[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         derivs[0] = rhs(t0, z0)
-        bad = _bad_rows(derivs[0])
+        bad = _bad_rows(derivs[0], blew)
         if bad is not None:
-            derivs[0, stop(bad, 1)] = 0.0
-        for i in range(n_steps):
-            if not live:
-                break
+            derivs[0, bad] = 0.0
+            _stop(bad, 1, ends, blew)
+        for i in range(0 if blew.all() else n_steps):
             t, y, k1 = times[i], states[i], derivs[i]
             k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
             k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
             k4 = rhs(t + h, y + h * k3)
             y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[i + 1] = y_next
-            bad = _bad_rows(y_next)
-            if bad is not None:
-                stop(bad, i + 1)
-                if not live:
-                    break
+            bad = _bad_rows(y_next, blew)
+            if bad is not None and _stop(bad, i + 1, ends, blew):
+                break
             d_next = rhs(times[i + 1], y_next)
             derivs[i + 1] = d_next
-            bad = _bad_rows(d_next)
+            bad = _bad_rows(d_next, blew)
             if bad is not None:
-                derivs[i + 1, stop(bad, i + 2)] = 0.0
+                derivs[i + 1, bad] = 0.0
+                if _stop(bad, i + 2, ends, blew):
+                    break
     last = ends.max()
-    states, derivs = states[:last], derivs[:last]
-    if blew.any():
-        after = np.arange(last)[:, None] >= ends  # (T, N): from each row's end on
-        states[after] = np.nan
-        derivs[after] = np.nan
-    return times[:last], states, derivs, ends, blew
+    return times[:last], states[:last], derivs[:last], ends, blew
 
 
 # Dormand-Prince 5(4) tableau
@@ -405,54 +398,41 @@ def _dopri_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, atol: float, r
     min_step = 1e-14 * horizon
     ends = np.zeros(len(z0), dtype=int)
     blew = np.zeros(len(z0), dtype=bool)
-    live = np.arange(len(z0))
-
-    def full(a: Array) -> Array:
-        """``a`` on the live rows as a full batch, NaN on the stopped ones."""
-        if live.size == len(z0):
-            return a
-        out = np.full(z0.shape, np.nan)
-        out[live] = a
-        return out
-
-    ts = [t0]
-    ys = [z0]
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = rhs(t0, z0)
-        bad = _bad_rows(f0)
+        f_cur = rhs(t0, z0)
+        bad = _bad_rows(f_cur, blew)
         if bad is not None:
-            f0 = np.where(bad[:, None], 0.0, f0)
-            ends[bad] = 1
-            blew[bad] = True
-            live = live[~bad]
-        fs = [f0]
-        t, y, f_cur = t0, z0[live], f0[live]
+            f_cur = np.where(bad[:, None], 0.0, f_cur)
+            _stop(bad, 1, ends, blew)
+        ts, ys, fs = [t0], [z0], [f_cur]
+        t, y = t0, z0
         h = h_accepted = min(max_step, horizon / 100.0)
-        while live.size and t < t_end - 1e-12 * horizon:
+        while not blew.all() and t < t_end - 1e-12 * horizon:
             h = min(h, t_end - t)
             k = np.empty((7,) + y.shape)
             k[0] = f_cur
             for i in range(1, 7):
                 yi = y + h * _combine(_DP_A[i], k[:i])
                 k[i] = rhs(t + _DP_C[i] * h, yi)
-                bad = _bad_rows(k[i])
+                bad = _bad_rows(k[i], blew)
                 if bad is not None:
                     break
             else:
                 y5 = y + h * _combine(_DP_B5, k)
                 y4 = y + h * _combine(_DP_B4, k)
-                bad = _bad_rows(y5)
+                bad = _bad_rows(y5, blew)
             if bad is None:
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
                 row_err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2, axis=1))
+                row_err[blew] = 0.0  # stopped rows do not set the step
                 err = float(row_err.max())
                 if err <= 1.0:
                     t = t + h
                     y = y5
                     f_cur = k[6].copy()  # FSAL; the copy lets k go
                     ts.append(t)
-                    ys.append(full(y))
-                    fs.append(full(f_cur))
+                    ys.append(y)
+                    fs.append(f_cur)
                     factor = 0.9 * (err + 1e-16) ** -0.2
                     h = h_accepted = min(max_step, h * min(5.0, max(0.2, factor)))
                     continue
@@ -461,18 +441,28 @@ def _dopri_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, atol: float, r
             else:
                 h *= 0.5
             if h < min_step:
-                ends[live[bad]] = len(ts)
-                blew[live[bad]] = True
-                live, y, f_cur = live[~bad], y[~bad], f_cur[~bad]
+                _stop(bad, len(ts), ends, blew)
                 h = h_accepted
-    ends[live] = len(ts)
+    ends[~blew] = len(ts)
     return np.array(ts), np.array(ys), np.array(fs), ends, blew
 
 
 def _solve(rhs: RhsFn, t0: float, z0: Array, config: IntegratorConfig):
+    """Integrate the batch z0 (N, d) as one whole batch: a row that stops is
+    still stepped, on whatever values it holds, so that a field with per-row
+    parameters always gets all N rows.  Row k keeps its samples before
+    ``ends[k]`` and holds NaN from there on."""
     if config.method == FIXED_RK4:
-        return _rk4_path(rhs, t0, z0, config.max_time, config.step)
-    return _dopri_path(rhs, t0, z0, config.max_time, config.atol, config.rtol)
+        times, states, derivs, ends, blew = _rk4_path(rhs, t0, z0, config.max_time,
+                                                      config.step)
+    else:
+        times, states, derivs, ends, blew = _dopri_path(rhs, t0, z0, config.max_time,
+                                                        config.atol, config.rtol)
+    if blew.any():
+        after = np.arange(len(times))[:, None] >= ends  # (T, N): from each row's end on
+        states[after] = np.nan
+        derivs[after] = np.nan
+    return times, states, derivs, ends, blew
 
 
 def integrate(
@@ -552,7 +542,8 @@ def distance_series(traj: Trajectory, i: int, j: int,
     t_end = min(tr1.t_end, tr2.t_end)
     n = max(2, math.ceil((t_end - t0) / config.step))
     times = np.linspace(t0, t_end, n + 1)
-    dist = np.linalg.norm(tr1.state_at(times) - tr2.state_at(times), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up pair nears overflow
+        dist = np.linalg.norm(tr1.state_at(times) - tr2.state_at(times), axis=1)
     return DistanceSeries(times=times, values=dist, blew_up=blew)
 
 

@@ -1,6 +1,6 @@
 """FitzHugh-Nagumo case study: model blocks, the constructive contraction
-weight f_c with its derivative, the constants mu and eta, the component
-Finsler candidates, and the composite decay-coefficient bound."""
+weight f_c with its derivative, the constants mu and eta, and the component
+Finsler candidates."""
 
 from __future__ import annotations
 
@@ -117,8 +117,7 @@ def _fixed_batch(block: TimeVaryingField, column) -> TimeVaryingField:
     def refuse(z: Array) -> ValueError:
         return ValueError(
             f"a field of {shape[0]} FHN parameter sets takes batches of exactly "
-            f"{shape[0]} rows, got states of shape {z.shape}; adaptive_embedded "
-            "drops the rows that stop, fixed_rk4 keeps the batch whole")
+            f"{shape[0]} rows, got states of shape {z.shape}")
 
     def rhs(t: float, z: Array) -> Array:
         if z.shape != shape:
@@ -167,9 +166,8 @@ def fhn_field(params: ParamSets) -> Interconnection:
     the blocks and gains then hold each parameter as an (N, 1) column, and
     the blocks raise ValueError on states that are not a batch of exactly
     those N rows.  Either way, each row's derivative and Jacobian are bitwise
-    those of its own set's field.  Fixed-step RK4 steps every row of the
-    batch, also after some rows stop; the adaptive solver drops stopped rows,
-    so it can integrate such a field only until the first row stops.
+    those of its own set's field.  ``integrate`` keeps every batch whole,
+    also after some rows stop, so such a field integrates to the end.
 
     The 1/eps division of the recovery equation is folded into the y-block and
     its coupling, so the assembled field matches the model equations exactly.
@@ -413,44 +411,6 @@ def assumption2_bounds(table: FcTable) -> tuple[AssumptionTwoBounds, AssumptionT
     b2 = AssumptionTwoBounds(gamma=lambda z: np.zeros(np.shape(z)[:-1]),
                              zeta=lambda z: np.ones(np.shape(z)[:-1]))
     return b1, b2
-
-
-@dataclass(frozen=True)
-class CompositeBound:
-    """Coefficients of the composite decay bound after the recovery state has
-    entered its ultimate bound; contraction is concluded only when both are
-    negative (the bound is one-sided, so positive signs decide nothing)."""
-
-    coef_dx: float
-    coef_dy: float
-
-    @property
-    def concluded(self) -> bool:
-        return self.coef_dx < 0.0 and self.coef_dy < 0.0
-
-
-def composite_vdot_bound(params: FhnParams, table: FcTable, m_slack: float) -> CompositeBound:
-    """Composite decay coefficients at unit gains for b > eps:
-
-        coef_dx = -alpha + eta*sqrt((1/b)(1 + c^2/4) + M/eps) + e^mu/eps + 1/2
-        coef_dy = -b/eps + eps*e^mu + 1/2
-    """
-    if params.rho1 != 1.0 or params.rho2 != 1.0:
-        raise ValueError("the composite bound is derived for rho1 = rho2 = 1")
-    if params.b <= params.epsilon:
-        raise ValueError("the composite bound requires b > epsilon")
-    if m_slack <= 0:
-        raise ValueError("M must be positive")
-    b, eps, c = params.b, params.epsilon, params.c
-    emu = table.left_plateau
-    coef_dx = (
-        -params.alpha
-        + table.eta * math.sqrt((1.0 / b) * (1.0 + c * c / 4.0) + m_slack / eps)
-        + emu / eps
-        + 0.5
-    )
-    coef_dy = -b / eps + eps * emu + 0.5
-    return CompositeBound(coef_dx=coef_dx, coef_dy=coef_dy)
 
 
 def write_fc_csv(table: FcTable, path) -> None:

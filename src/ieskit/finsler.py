@@ -138,46 +138,23 @@ def vdot(
     return rowdot(candidate.grad_state(z, dz), f) + rowdot(candidate.grad_disp(z, dz), jdz)
 
 
-def vdot_quadratic(
-    metric: Callable[[Array], Array],
-    metric_grad: Callable[[Array], Array],
-    field: TimeVaryingField,
-    t: float,
-    z: Array,
-    dz: Array,
-) -> Array:
-    """V-dot of a quadratic form via dz^T (Mdot + M J + J^T M) dz, with the
-    layouts of ``quadratic_candidate``."""
-    z = np.asarray(z, dtype=float)
-    dz = np.asarray(dz, dtype=float)
-    m = np.asarray(metric(z), dtype=float)
-    dm = np.asarray(metric_grad(z), dtype=float)
-    f = field.rhs(t, z)
-    j = field.jacobian(t, z)
-    mdot = matvec(dm, f[..., None, :])
-    return _quadform(mdot + m @ j + np.swapaxes(j, -1, -2) @ m, dz)
-
-
 @dataclass(frozen=True)
 class DisplacementSamples:
-    """Sample set of (t, z, dz) triples used by the inequality checks."""
+    """Sample set of (z, dz) pairs used by the inequality checks."""
 
     zs: Array
     dzs: Array
-    ts: Array
 
     def __len__(self) -> int:
         return len(self.zs)
 
     @classmethod
-    def from_points(cls, zs, dzs, ts=None) -> "DisplacementSamples":
+    def from_points(cls, zs, dzs) -> "DisplacementSamples":
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         dzs = np.atleast_2d(np.asarray(dzs, dtype=float))
         if zs.shape != dzs.shape:
             raise ValueError("state and displacement samples must align")
-        if ts is None:
-            ts = np.zeros(len(zs))
-        return cls(zs=zs, dzs=dzs, ts=np.asarray(ts, dtype=float))
+        return cls(zs=zs, dzs=dzs)
 
     @classmethod
     def product_box(
@@ -194,7 +171,7 @@ class DisplacementSamples:
         dirs = halton_sphere(dim, n_directions)
         zz = np.repeat(zs, n_directions, axis=0)
         dd = np.tile(dirs, (n_states, 1))
-        return cls(zs=zz, dzs=dd, ts=np.zeros(len(zz)))
+        return cls(zs=zz, dzs=dd)
 
     @classmethod
     def product_ball(
@@ -203,7 +180,7 @@ class DisplacementSamples:
         bounds = np.array([[-radius, radius]] * dim)
         samples = cls.product_box(bounds, int(np.ceil(n_states * 1.6)), n_directions)
         keep = np.linalg.norm(samples.zs, axis=1) <= radius
-        return cls(zs=samples.zs[keep], dzs=samples.dzs[keep], ts=samples.ts[keep])
+        return cls(zs=samples.zs[keep], dzs=samples.dzs[keep])
 
 
 @dataclass(frozen=True)
@@ -251,7 +228,6 @@ class DecayReport:
     passed: bool
     worst: float
     worst_index: int
-    worst_t: float
     worst_z: Array
     worst_dz: Array
     n_samples: int
@@ -269,7 +245,7 @@ def check_decay(
     comparator: str = "candidate",
 ) -> DecayReport:
     """Check Vdot <= -alpha * V ("candidate") or Vdot <= -alpha |dz|^2
-    ("squared_norm") over the sample set.
+    ("squared_norm") over the sample set, at t = 0.
 
     The worst violation is Vdot plus the compared quantity; a negative worst
     value means every sampled point has margin.  The first non-finite
@@ -281,11 +257,7 @@ def check_decay(
         raise ValueError(f"unknown comparator {comparator!r}")
     zs, dzs = samples.zs, samples.dzs
     v = candidate.value(zs, dzs)
-    vd = np.empty(len(samples))
-    times, at_time = np.unique(samples.ts, return_inverse=True)
-    for k, t in enumerate(times):  # one batch per distinct sample time
-        rows = at_time == k
-        vd[rows] = vdot(candidate, field, t, zs[rows], dzs[rows])
+    vd = vdot(candidate, field, 0.0, zs, dzs)
     compared = v if comparator == "candidate" else rowdot(dzs, dzs)
     violation = vd + alpha * compared - tol * (1.0 + np.abs(v))
     bad = ~np.isfinite(violation)
@@ -297,7 +269,6 @@ def check_decay(
         passed=passed,
         worst=float(worst),
         worst_index=worst_i,
-        worst_t=float(samples.ts[worst_i]),
         worst_z=samples.zs[worst_i].copy(),
         worst_dz=samples.dzs[worst_i].copy(),
         n_samples=len(samples),

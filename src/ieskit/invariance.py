@@ -194,16 +194,6 @@ def check_dissipation_chain_fhn(
     )
 
 
-def comparison_envelope(params: FhnParams, w0: float, ts) -> Array:
-    """Integrated form of Wdot <= -2 kappa W + C:
-    W(t) <= W_inf + (W(0) - W_inf) exp(-2 kappa t)."""
-    kappa = min(0.125, params.b / params.epsilon)
-    c_off = 2.0 + params.c**2 / 2.0
-    w_inf = c_off / (2.0 * kappa)
-    ts = np.asarray(ts, dtype=float)
-    return w_inf + (w0 - w_inf) * np.exp(-2.0 * kappa * ts)
-
-
 @dataclass(frozen=True)
 class UltimateBound:
     """Bound on eps * y^2 after the transient, and (when a trajectory was

@@ -1,7 +1,7 @@
 """FHN parameters as per-row columns: a field built from one parameter set per
 state row gives, row by row, bitwise the derivatives, Jacobians and RK4
-solves of each set's own field, and a column holding one invalid value is
-refused."""
+solves of each set's own field, both solvers take such a field to the end
+after a row stops, and a column holding one invalid value is refused."""
 
 import dataclasses
 
@@ -118,13 +118,44 @@ def test_states_not_one_row_per_set_refused(shape):
             fn(0.0, np.ones(shape))
 
 
-def test_adaptive_solve_refuses_to_drop_a_stopped_row():
-    # Dormand-Prince drops the row that overflows, and the field says why
-    # it cannot go on with the two rows left
-    config = IntegratorConfig(max_time=1.0, method=ADAPTIVE_EMBEDDED)
-    with pytest.raises(ValueError, match="adaptive_embedded drops the rows that stop"):
-        integrate(assemble(fhn_field(PRESETS)), 0.0, [[1e200, 0.0], [2.0, 0.0], [-2.0, 1.0]],
-                  config)
+METHODS = [IntegratorConfig(max_time=1.0, step=0.05),
+           IntegratorConfig(max_time=1.0, method=ADAPTIVE_EMBEDDED)]
+
+
+@given(p=fhn_params(), row=st.integers(min_value=0, max_value=2),
+       far=st.sampled_from([1e200, -1e200, 1e100, 1e10]),
+       seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("config", METHODS, ids=["rk4", "dopri"])
+def test_column_batch_with_a_stopped_row_is_the_plain_batch(config, p, row, far, seed):
+    # both solvers keep the batch whole after a row overflows, so a field of
+    # three equal parameter sets gives bitwise the batch of the plain field
+    z = np.random.default_rng(seed).uniform(-3.0, 3.0, (3, 2))
+    z[row, 0] = far
+    columns = integrate(assemble(fhn_field([p, p, p])), 0.0, z, config)
+    plain = integrate(assemble(fhn_field(p)), 0.0, z, config)
+    assert columns.blew_up[row]
+    for name in ("times", "states", "derivatives", "ends", "blew_up"):
+        assert_bitwise(getattr(columns, name), getattr(plain, name))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=10, deadline=None)
+def test_adaptive_presets_go_on_after_a_row_stops(seed):
+    # row 0 overflows at once; the two other presets reach the horizon and
+    # agree with a fine fixed-step solve of their own field
+    z = np.random.default_rng(seed).uniform(-3.0, 3.0, (3, 2))
+    z[0] = [1e200, 0.0]
+    config = IntegratorConfig(max_time=5.0, method=ADAPTIVE_EMBEDDED)
+    batch = integrate(assemble(fhn_field(PRESETS)), 0.0, z, config)
+    assert batch.blew_up.tolist() == [True, False, False]
+    assert batch.t_end == 5.0
+    fine = IntegratorConfig(max_time=5.0, step=1e-3)
+    for k in (1, 2):
+        tr = batch.row(k)
+        assert tr.t_end == 5.0 and np.all(np.isfinite(tr.states))
+        ref = integrate(assemble(fhn_field(PRESETS[k])), 0.0, z[k], fine)
+        assert np.all(np.abs(tr.states - ref.state_at(tr.times)) <= 1e-4)
 
 
 def test_figures_blowup_exits_with_blowup_code(tmp_path):

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ieskit.dynsys import IntegratorConfig, assemble
+from ieskit.dynsys import assemble
 from ieskit.fhn import (
-    CompositeBound,
     FhnParams,
     QuadratureConfig,
     build_fc,
-    composite_vdot_bound,
     fc_candidate,
     fhn_field,
     figure_params,
@@ -230,71 +228,6 @@ class TestCandidates:
         dy = np.array([2.0])
         got = vdot(v2, field, 0.0, np.array([1.0]), dy)
         assert got == pytest.approx(-(p.b / p.epsilon) * dy[0] ** 2, rel=1e-14)
-
-
-class TestCompositeBound:
-    def test_printed_formula_values(self):
-        p = FhnParams.from_c(c=1.0, b=1.0, rho1=1.0, rho2=1.0, epsilon=0.9)
-        table = build_fc(p)
-        bound = composite_vdot_bound(p, table, m_slack=0.1)
-        expected_dx = (
-            -p.alpha
-            + table.eta * np.sqrt((1 / p.b) * (1 + p.c**2 / 4) + 0.1 / p.epsilon)
-            + table.left_plateau / p.epsilon
-            + 0.5
-        )
-        expected_dy = -p.b / p.epsilon + p.epsilon * table.left_plateau + 0.5
-        assert bound.coef_dx == pytest.approx(expected_dx, rel=1e-12)
-        assert bound.coef_dy == pytest.approx(expected_dy, rel=1e-12)
-        # at the benchmark parameters the one-sided bound does not conclude;
-        # contraction there is established by simulation instead
-        assert not bound.concluded
-
-    def test_constant_weight_limit(self):
-        # when the weight degenerates to 1 (eta = 0, mu = 0) the coefficients
-        # reduce to (-alpha + 1/eps + 1/2, -b/eps + eps + 1/2)
-        p = FhnParams(b=4.0, rho1=1.0, rho2=1.0, epsilon=2.0, r=2.1, alpha=3.0)
-        table = build_fc(p)
-        fake = CompositeBound(
-            coef_dx=-p.alpha + 0.0 + 1.0 / p.epsilon + 0.5,
-            coef_dy=-p.b / p.epsilon + p.epsilon * 1.0 + 0.5,
-        )
-        assert fake.coef_dx == pytest.approx(-3 + 0.5 + 0.5)
-        assert fake.coef_dy == pytest.approx(-2 + 2 + 0.5)
-        real = composite_vdot_bound(p, table, m_slack=0.1)
-        assert real.coef_dx >= fake.coef_dx  # eta, mu >= 0 only add
-        assert real.coef_dy >= fake.coef_dy
-
-    def test_monotone_in_b(self):
-        coefs = []
-        for b in (10.0, 20.0, 40.0):
-            p = FhnParams(b=b, rho1=1.0, rho2=1.0, epsilon=2.0, r=2.1, alpha=3.0)
-            table = build_fc(p)
-            coefs.append(composite_vdot_bound(p, table, m_slack=0.1).coef_dy)
-        assert coefs[0] > coefs[1] > coefs[2]
-
-    def test_concluding_parameters_contract_in_simulation(self):
-        p = FhnParams(b=100.0, rho1=1.0, rho2=1.0, epsilon=4.0, r=2.1, alpha=3.0)
-        table = build_fc(p)
-        bound = composite_vdot_bound(p, table, m_slack=0.1)
-        assert bound.concluded
-        field = assemble(fhn_field(p))
-        from ieskit.dynsys import flow_difference
-
-        series = flow_difference(
-            field, 0.0, [2.0, 0.0], [-2.0, 1.0],
-            IntegratorConfig(max_time=20.0, step=0.002),
-        )
-        assert series.values[-1] < 1e-6 * series.values[0]
-
-    def test_preconditions(self):
-        p = FhnParams(b=0.5, rho1=1.0, rho2=1.0, epsilon=1.0, r=2.1)
-        table = build_fc(p)
-        with pytest.raises(ValueError, match="b > epsilon"):
-            composite_vdot_bound(p, table, m_slack=0.1)
-        p2 = FhnParams(b=2.0, rho1=0.5, rho2=0.5, epsilon=1.0, r=2.1)
-        with pytest.raises(ValueError, match="rho1 = rho2 = 1"):
-            composite_vdot_bound(p2, build_fc(p2), m_slack=0.1)
 
 
 @given(alpha=st.floats(0.2, 6.0), r=st.floats(2.05, 3.0))

@@ -7,7 +7,6 @@ from ieskit.invariance import (
     NoInvariantLevelError,
     OuterLyapunov,
     check_dissipation_chain_fhn,
-    comparison_envelope,
     fhn_outer_lyapunov,
     find_invariant_level,
     ultimate_bound_fhn,
@@ -169,14 +168,18 @@ class TestInvariantLevel:
 class TestComparisonEnvelope:
     @pytest.mark.parametrize("figure", [1, 3])
     def test_energy_dominated_along_trajectories(self, figure):
+        # the last link of the dissipation chain, Wdot <= -2 kappa W + C,
+        # integrated: W(t) <= W_inf + (W(0) - W_inf) exp(-2 kappa t)
         p = figure_params(figure)
+        kappa = min(0.125, p.b / p.epsilon)
+        w_inf = (2.0 + p.c**2 / 2.0) / (2.0 * kappa)
         field = assemble(fhn_field(p))
         w = fhn_outer_lyapunov(p)
         cfg = IntegratorConfig(max_time=40.0, step=0.01)
         for z0 in (np.array([4.0, -4.0]), np.array([0.5, 0.5])):
             tr = integrate(field, 0.0, z0, cfg)
             values = np.array([w.value(0.0, z) for z in tr.states])
-            env = comparison_envelope(p, values[0], tr.times)
+            env = w_inf + (values[0] - w_inf) * np.exp(-2.0 * kappa * tr.times)
             assert np.all(values <= env * (1 + 1e-8) + 1e-9)
 
 
