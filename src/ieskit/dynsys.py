@@ -265,6 +265,11 @@ class Trajectory:
         return float(self.times[-1])
 
     def row(self, k: int) -> "Trajectory":
+        """Row k of a batch; a trajectory from one state (d,) is its own row 0."""
+        if self.ends is None:
+            if k != 0:
+                raise IndexError(f"a single-state trajectory has only row 0, not {k}")
+            return self
         end = int(self.ends[k])
         return Trajectory(
             t0=self.t0, times=self.times[:end], states=self.states[:end, k],

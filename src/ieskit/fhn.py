@@ -6,15 +6,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
 
 from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
 from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
 from ieskit.io_utils import _csv_rows, atomic_write_text
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicHermiteSpline
 
 Array = np.ndarray
 
@@ -283,6 +284,10 @@ def build_fc(params: FhnParams, config: QuadratureConfig = QuadratureConfig()) -
     Gauss-Legendre quadrature from s* leftward on a Chebyshev-spaced grid and
     is anchored so that the left plateau value is exp(mu) exactly.
     """
+    # scipy is imported where it is called: importing ieskit needs numpy only
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicHermiteSpline
+
     s = params.s_star
     ratio = _weight_ratio(params)
     # the weight is defined only where the cubic term stays positive

@@ -3,6 +3,7 @@ Lyapunov function, plus the dissipation chain of the FitzHugh-Nagumo model."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,7 +18,17 @@ Array = np.ndarray
 
 
 class NoInvariantLevelError(RuntimeError):
-    """No sublevel set in the searched range had a strictly dissipating shell."""
+    """No sublevel set in the searched range had a strictly dissipating shell.
+
+    ``best_level`` is the searched level whose shell came closest, and
+    ``best_margin`` its worst sampled Wdot (a NaN margin counts as the
+    worst); both are None when no shell had samples."""
+
+    def __init__(self, message: str, best_level: Optional[float] = None,
+                 best_margin: Optional[float] = None):
+        super().__init__(message)
+        self.best_level = best_level
+        self.best_margin = best_margin
 
 
 @dataclass(frozen=True)
@@ -85,6 +96,7 @@ def find_invariant_level(
     cell = float(np.linalg.norm((box[:, 1] - box[:, 0]) / (grid_density - 1))) / 2.0
 
     levels = np.linspace(lo, hi, n_levels)
+    best_level = best_margin = None
     for level in levels:
         shell = (w_vals >= level) & (w_vals <= level * (1.0 + shell_width))
         n_shell = int(np.count_nonzero(shell))
@@ -102,8 +114,13 @@ def find_invariant_level(
                 grid_density=grid_density,
                 shell_samples=n_shell,
             )
+        if best_margin is None or margin < best_margin or math.isnan(best_margin):
+            best_level, best_margin = float(level), margin
+    best = ("no shell had samples" if best_level is None else
+            f"best shell at level {best_level!r} has worst Wdot {best_margin!r}")
     raise NoInvariantLevelError(
-        f"no level in [{lo}, {hi}] has a dissipating shell at this resolution"
+        f"no level in [{lo}, {hi}] has a dissipating shell at this resolution; {best}",
+        best_level, best_margin,
     )
 
 

@@ -3,10 +3,43 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 Array = np.ndarray
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, from a sieve doubled until it holds them."""
+    limit = 16
+    while True:
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, int(limit ** 0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = False
+        primes = np.flatnonzero(sieve)
+        if len(primes) >= count:
+            return [int(p) for p in primes[:count]]
+        limit *= 2
+
+
+def _halton(d: int, n: int) -> Array:
+    """Points 1..n of the unscrambled Halton sequence in [0, 1)^d, shape (n, d).
+
+    Each coordinate is the radical inverse of the point's index in the k-th
+    prime base, summed one digit at a time in the order scipy's
+    ``qmc.Halton(d, scramble=False)`` sums them, so the values are bitwise
+    those of that sampler after ``fast_forward(1)``; like its output, the
+    array is column-major.
+    """
+    out = np.zeros((d, n))
+    for k, base in enumerate(_primes(d)):
+        q = np.arange(1, n + 1)
+        scale = 1.0 / base
+        while q.any():
+            out[k] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out.T
 
 
 def halton_box(bounds, n: int) -> Array:
@@ -16,10 +49,7 @@ def halton_box(bounds, n: int) -> Array:
     point of the raw sequence is skipped.
     """
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    d = bounds.shape[0]
-    sampler = qmc.Halton(d=d, scramble=False)
-    sampler.fast_forward(1)
-    u = sampler.random(n)
+    u = _halton(bounds.shape[0], n)
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 
@@ -29,9 +59,10 @@ def halton_sphere(dim: int, n: int) -> Array:
         signs = np.ones((n, 1))
         signs[1::2, 0] = -1.0
         return signs
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(1)
-    u = sampler.random(n)
+    # scipy is imported where it is called: importing ieskit needs numpy only
+    from scipy.special import ndtri
+
+    u = _halton(dim, n)
     g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0

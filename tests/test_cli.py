@@ -314,6 +314,15 @@ density = 81
         text = (out / "invariant_set.txt").read_text()
         assert "level = " in text and "radius = " in text
 
+    def test_invariant_set_not_found_names_the_best_shell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FHN_INVARIANT.replace(
+            "density = 41", "density = 41\nlevel_min = 0.5\nlevel_max = 1\nlevels = 5"))
+        rc = main(["invariant-set", "--config", str(cfg), "--out", str(tmp_path / "inv")])
+        assert rc == EXIT_REFUSED
+        err = capsys.readouterr().err
+        assert err.startswith("invariant set not found: ")
+        assert "best shell at level 0.875 has worst Wdot 2.02" in err
+
     def test_estimate_writes_csvs(self, tmp_path):
         cfg = write_config(tmp_path, """
 [scenario]

@@ -182,6 +182,22 @@ class TestIntegrate:
         ts = np.linspace(0.0, 4.0, 101)
         np.testing.assert_allclose(tr.state_at(ts)[:, 0], np.exp(-0.5 * ts), atol=1e-7)
 
+    def test_single_state_row_zero_is_the_trajectory(self):
+        field = assemble(fhn_field(figure_params(2)))
+        tr = integrate(field, 0.0, [2.0, 0.0], IntegratorConfig(max_time=2.0, step=0.1))
+        row = tr.row(0)
+        assert np.array_equal(row.times, tr.times)
+        assert np.array_equal(row.states, tr.states)
+        assert np.array_equal(row.derivatives, tr.derivatives)
+        assert row.blew_up is False
+
+    @pytest.mark.parametrize("k", [1, -1, 5])
+    def test_single_state_has_no_other_row(self, k):
+        field = linear_field([[-1.0]])
+        tr = integrate(field, 0.0, [1.0], IntegratorConfig(max_time=1.0, step=0.1))
+        with pytest.raises(IndexError, match="row 0"):
+            tr.row(k)
+
     def test_wrong_dimension_rejected(self):
         field = linear_field([[-1.0]])
         with pytest.raises(ValueError, match="shape"):

@@ -108,6 +108,38 @@ class TestInvariantLevel:
             find_invariant_level(w, field, (0.5, 5.0), [[-4, 4]] * 2,
                                  n_levels=10, grid_density=41)
 
+    def test_failure_carries_the_best_shell(self):
+        # z' = z (s - 2)^2 with s = |z|^2: Wdot = s (s - 2)^2 >= 0, least near W = 1
+        field = TimeVaryingField(
+            2, lambda t, z: z * (np.sum(z * z, axis=-1, keepdims=True) - 2.0) ** 2,
+            lambda t, z: np.zeros(np.shape(z) + (2,)))
+        w = half_norm_lyapunov()
+        levels = np.linspace(0.25, 4.0, 16)
+        with pytest.raises(NoInvariantLevelError) as info:
+            find_invariant_level(w, field, (0.25, 4.0), [[-3, 3]] * 2,
+                                 n_levels=16, grid_density=61)
+        axis = np.linspace(-3.0, 3.0, 61)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        s = np.sum(pts * pts, axis=1)
+        margins = {}
+        for level in levels:
+            shell = (0.5 * s >= level) & (0.5 * s <= level * 1.05)
+            if shell.any():
+                margins[float(level)] = float(np.max(s[shell] * (s[shell] - 2.0) ** 2))
+        best = min(margins, key=margins.get)
+        exc = info.value
+        assert best == 1.0
+        assert exc.best_level == best
+        assert exc.best_margin == pytest.approx(margins[best], rel=1e-12)
+        assert exc.best_margin > 0.0
+        assert repr(exc.best_level) in str(exc) and repr(exc.best_margin) in str(exc)
+
+    def test_failure_without_shell_samples_carries_none(self):
+        with pytest.raises(NoInvariantLevelError, match="no shell had samples") as info:
+            find_invariant_level(half_norm_lyapunov(), linear_field(np.eye(2)),
+                                 (10.0, 20.0), [[-1, 1]] * 2, n_levels=5, grid_density=21)
+        assert info.value.best_level is None and info.value.best_margin is None
+
     def test_trajectories_from_nearby_states_stay_inside(self):
         p = figure_params(2)
         field = assemble(fhn_field(p))
