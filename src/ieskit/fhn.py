@@ -105,6 +105,12 @@ def _per_row(params: ParamSets, value):
     return np.array([[value(p)] for p in params])
 
 
+def _refuse(shape: tuple, z: Array) -> ValueError:
+    return ValueError(
+        f"a field of {shape[0]} FHN parameter sets takes batches of exactly "
+        f"{shape[0]} rows, got states of shape {z.shape}")
+
+
 def _fixed_batch(block: TimeVaryingField, column) -> TimeVaryingField:
     """``block`` itself for one parameter set.  For an (N, 1) column of
     per-row values, the block refusing any states but a batch of exactly N
@@ -115,19 +121,14 @@ def _fixed_batch(block: TimeVaryingField, column) -> TimeVaryingField:
     shape = (len(column), block.dim)
     block_rhs, block_jacobian = block.rhs, block.jacobian
 
-    def refuse(z: Array) -> ValueError:
-        return ValueError(
-            f"a field of {shape[0]} FHN parameter sets takes batches of exactly "
-            f"{shape[0]} rows, got states of shape {z.shape}")
-
     def rhs(t: float, z: Array) -> Array:
         if z.shape != shape:
-            raise refuse(z)
+            raise _refuse(shape, z)
         return block_rhs(t, z)
 
     def jacobian(t: float, z: Array) -> Array:
         if z.shape != shape:
-            raise refuse(z)
+            raise _refuse(shape, z)
         return block_jacobian(t, z)
 
     return TimeVaryingField(dim=block.dim, rhs=rhs, jacobian=jacobian)
@@ -160,6 +161,40 @@ def y_subsystem(params: ParamSets) -> TimeVaryingField:
     return _fixed_batch(TimeVaryingField(dim=1, rhs=rhs, jacobian=jac), rate)
 
 
+def _pair(a, b) -> Array:
+    """The values a and b side by side on a last axis of length 2: shape
+    (2,) for two numbers, (N, 2) when either is an (N, 1) column."""
+    return np.concatenate(np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b)),
+                          axis=-1)
+
+
+def _joint_rhs(params: ParamSets):
+    """rho1, rho2 -> the model's rhs on whole states (..., 2), in eight
+    array operations.  Row by row it makes the block form's IEEE operations
+    in the block form's order: x * 1 = x and y / 1 = y, y + -0.0 = y,
+    -rho1 * y is rho1 * -y, and x**3.0 runs the same power loop as x**3."""
+    lin = _pair(1.0, -_per_row(params, lambda p: p.b / p.epsilon))
+    const = _pair(_per_row(params, lambda p: p.c), -0.0)
+    div = _pair(1.0, _per_row(params, lambda p: p.epsilon))
+
+    def joint(rho1, rho2):
+        gain = _pair(-np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
+        shape = np.broadcast_shapes(lin.shape, gain.shape)
+
+        def rhs(t: float, z: Array) -> Array:
+            if len(shape) == 2 and z.shape != shape:
+                raise _refuse(shape, z)
+            x = z[..., :1]
+            out = z * lin
+            out[..., :1] -= x**3.0 / 3.0
+            out += const
+            return out + gain * (z[..., ::-1] / div)
+
+        return rhs
+
+    return joint
+
+
 def fhn_field(params: ParamSets) -> Interconnection:
     """The coupled model as a two-block interconnection.
 
@@ -172,6 +207,9 @@ def fhn_field(params: ParamSets) -> Interconnection:
 
     The 1/eps division of the recovery equation is folded into the y-block and
     its coupling, so the assembled field matches the model equations exactly.
+    The interconnection carries a whole-state rhs (``joint_rhs``), which
+    ``assemble`` uses: it gives bitwise the block form's derivatives in
+    fewer array operations.
     """
     eps = _per_row(params, lambda p: p.epsilon)
     inv_eps = np.expand_dims(1.0 / eps, -1)
@@ -194,6 +232,7 @@ def fhn_field(params: ParamSets) -> Interconnection:
         g2=g2,
         rho1=_per_row(params, lambda p: p.rho1),
         rho2=_per_row(params, lambda p: p.rho2),
+        joint_rhs=_joint_rhs(params),
     )
 
 

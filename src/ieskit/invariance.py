@@ -215,10 +215,14 @@ def check_dissipation_chain_fhn(
 class UltimateBound:
     """Bound on eps * y^2 after the transient, and (when a trajectory was
     supplied) the first sampled time after which the bound holds for the
-    remainder of the horizon."""
+    remainder of the horizon, the value eps * y^2 at the last sample
+    (``settled``), and whether the trajectory ends above the bound, which
+    refutes it (``refuted``)."""
 
     bound: float
     entry_time: Optional[float] = None
+    settled: Optional[float] = None
+    refuted: bool = False
 
 
 def ultimate_bound_fhn(
@@ -231,13 +235,15 @@ def ultimate_bound_fhn(
         raise ValueError("M must be positive")
     eps, b, c = params.epsilon, params.b, params.c
     bound = (eps / b) * (1.0 + c * c / 4.0) + m_slack
+    if trajectory is None:
+        return UltimateBound(bound=bound)
+    y2 = eps * trajectory.states[:, 1] ** 2
+    below = y2 <= bound
     entry = None
-    if trajectory is not None:
-        y2 = eps * trajectory.states[:, 1] ** 2
-        below = y2 <= bound
-        if below[-1]:
-            # last index after which the condition holds through the horizon
-            above = np.nonzero(~below)[0]
-            first = 0 if len(above) == 0 else above[-1] + 1
-            entry = float(trajectory.times[first])
-    return UltimateBound(bound=bound, entry_time=entry)
+    if below[-1]:
+        # last index after which the condition holds through the horizon
+        above = np.nonzero(~below)[0]
+        first = 0 if len(above) == 0 else above[-1] + 1
+        entry = float(trajectory.times[first])
+    return UltimateBound(bound=bound, entry_time=entry, settled=float(y2[-1]),
+                         refuted=entry is None)

@@ -1,7 +1,8 @@
 """FHN parameters as per-row columns: a field built from one parameter set per
 state row gives, row by row, bitwise the derivatives, Jacobians and RK4
 solves of each set's own field, both solvers take such a field to the end
-after a row stops, and a column holding one invalid value is refused."""
+after a row stops, and a column holding one invalid value is refused.  The
+whole-state rhs of an FHN field gives the derivatives of its block form."""
 
 import dataclasses
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ieskit.cli import EXIT_BLOWUP, main
 from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig, assemble, integrate
@@ -110,12 +112,13 @@ def test_no_parameter_sets_refused():
 PRESETS = [figure_params(fig) for fig in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("shape", [(2,), (2, 2), (4, 2), (1, 3, 2)])
+@pytest.mark.parametrize("shape", [(2,), (2, 2), (4, 2), (1, 3, 2), (300, 2)])
 def test_states_not_one_row_per_set_refused(shape):
-    field = assemble(fhn_field(PRESETS))
-    for fn in (field.rhs, field.jacobian):
-        with pytest.raises(ValueError, match="batches of exactly 3 rows"):
-            fn(0.0, np.ones(shape))
+    for ic in (fhn_field(PRESETS), fhn_field(PRESETS).with_gains(0.0, 0.0)):
+        field = assemble(ic)
+        for fn in (field.rhs, field.jacobian):
+            with pytest.raises(ValueError, match="batches of exactly 3 rows"):
+                fn(0.0, np.ones(shape))
 
 
 METHODS = [IntegratorConfig(max_time=1.0, step=0.05),
@@ -165,3 +168,58 @@ def test_figures_blowup_exits_with_blowup_code(tmp_path):
                    "initial = 1e10 0; -2 1\n")
     assert main(["figures", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
     assert not (tmp_path / "o").exists()
+
+
+# any double, with the edge values of the rhs drawn often: signed zeros,
+# cubes that overflow (|x| > 6e102), infinities and NaN
+STATE_VALUES = st.sampled_from([0.0, -0.0, 7e102, -7e102, 1e300, np.inf, -np.inf, np.nan]) | \
+    st.floats(min_value=-5.0, max_value=5.0) | st.floats()
+
+
+def assert_same_values(a, b):
+    """Bitwise equal, except that a NaN matches any NaN: negating a NaN
+    flips its sign bit where a product keeps it, so rho1 * -y and
+    -rho1 * y differ only there, and the sign of a NaN is no value."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all()
+    assert np.where(nan, np.nan, a).tobytes() == np.where(nan, np.nan, b).tobytes()
+
+
+@st.composite
+def fhn_interconnections(draw):
+    """An FHN interconnection of one parameter set or of one set per row, as
+    built, or with zero gains, or with gain columns that hold zeros; and the
+    batch shape its rhs takes."""
+    if draw(st.booleans()):
+        params = draw(fhn_params())
+        rows = draw(st.sampled_from([1, 2, 4, 70]))
+        shape = draw(st.sampled_from([(2,), (rows, 2), (3, rows, 2)]))
+    else:
+        params = per_row(draw(SETS))
+        rows = len(params)
+        shape = (rows, 2)
+    ic = fhn_field(params)
+    gains = draw(st.sampled_from(["own", "zero", "columns"]))
+    if gains == "zero":
+        ic = ic.with_gains(0.0, 0.0)
+    elif gains == "columns":
+        column = arrays(np.float64, (rows, 1),
+                        elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0))
+        ic = ic.with_gains(draw(column), draw(column))
+        shape = (rows, 2)
+    return ic, shape
+
+
+@given(values=arrays(np.float64, (8, 2), elements=STATE_VALUES),
+       built=fhn_interconnections())
+@settings(max_examples=150, deadline=None)
+def test_joint_rhs_is_the_block_form(values, built):
+    ic, shape = built
+    z = np.resize(values, shape)
+    field = assemble(ic)
+    block = assemble(dataclasses.replace(ic, joint_rhs=None))
+    with np.errstate(all="ignore"):
+        assert_same_values(field.rhs(0.5, z), block.rhs(0.5, z))
+        assert_bitwise(field.jacobian(0.5, z), block.jacobian(0.5, z))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from ieskit.dynsys import (
     linear_coupling,
     linear_field,
 )
+from ieskit.dynsys import _SCAN_BLOCK
 from ieskit.fhn import fhn_field, figure_params
 
 
@@ -315,3 +318,115 @@ def test_fixed_step_count_bounded():
     with pytest.raises(ValueError, match="at most"):
         IntegratorConfig(max_time=1.0, step=0.5 / MAX_STEPS)
     assert IntegratorConfig(max_time=1.0, step=1.0 / MAX_STEPS).step == 1.0 / MAX_STEPS
+
+
+def per_step_rk4(rhs, t0, z0, horizon, step):
+    """Fixed-step RK4 that tests for non-finite values after every state and
+    every derivative: the reference for the solver's scan per block of
+    steps.  Returns times, states, derivatives, ends and blew-up flags, with
+    each row's samples from its end on set to NaN, as ``integrate`` does."""
+    n_steps = max(2, math.ceil(horizon / step - 1e-12))
+    h = horizon / n_steps
+    times = t0 + h * np.arange(n_steps + 1)
+    times[-1] = t0 + horizon
+    states = np.empty((n_steps + 1,) + z0.shape)
+    derivs = np.empty_like(states)
+    ends = np.full(len(z0), n_steps + 1)
+    blew = np.zeros(len(z0), dtype=bool)
+
+    def stop(a, end):
+        bad = ~np.isfinite(a).all(axis=1) & ~blew
+        ends[bad] = end
+        blew[bad] = True
+        return bad
+
+    states[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivs[0] = rhs(t0, z0)
+        derivs[0, stop(derivs[0], 1)] = 0.0
+        for i in range(0 if blew.all() else n_steps):
+            t, y, k1 = times[i], states[i], derivs[i]
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            states[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            stop(states[i + 1], i + 1)
+            if blew.all():
+                break
+            derivs[i + 1] = rhs(times[i + 1], states[i + 1])
+            derivs[i + 1, stop(derivs[i + 1], i + 2)] = 0.0
+            if blew.all():
+                break
+    last = ends.max()
+    after = np.arange(last)[:, None] >= ends
+    states, derivs = states[:last], derivs[:last]
+    states[after] = np.nan
+    derivs[after] = np.nan
+    return times[:last], states, derivs, ends, blew
+
+
+def exp_rhs(t, z):
+    """dx/dt = e^x, which blows up at t = e^-x(0), beside a calm dy/dt = -y."""
+    return np.stack([np.exp(z[..., 0]), -z[..., 1]], axis=-1)
+
+
+EXP_FIELD = TimeVaryingField(dim=2, rhs=exp_rhs, jacobian=fd_jacobian(exp_rhs, 2))
+STEP = 2.0**-6  # exact, so that horizon k * STEP gives exactly k steps
+SPECIAL = [
+    [710.0, 1.0],     # derivative non-finite at sample 0
+    [-np.inf, 1.0],   # z0 holds inf, its derivative is finite
+    [0.0, np.inf],    # z0 holds inf, and so does its derivative
+    [-50.0, 1.0],     # never stops
+]
+
+
+def stop_kinds(oracle):
+    """Per row: stopped at a non-finite derivative whose state was finite,
+    and stopped at a non-finite state."""
+    _, states, derivs, ends, blew = oracle
+    at = ends - 1, np.arange(len(ends))
+    at_derivative = blew & (derivs[at] == 0.0).all(axis=1) & np.isfinite(states[at]).all(axis=1)
+    return at_derivative, blew & ~at_derivative
+
+
+def assert_same_as_per_step(z0, horizon):
+    oracle = per_step_rk4(exp_rhs, 0.0, z0, horizon, STEP)
+    tr = integrate(EXP_FIELD, 0.0, z0, IntegratorConfig(max_time=horizon, step=STEP))
+    got = tr.times, tr.states, tr.derivatives, tr.ends, tr.blew_up
+    for a, b in zip(got, oracle):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return oracle
+
+
+def test_block_scan_rows_stop_in_different_blocks():
+    # blow-up times 0.2-12 put the stops in the first three blocks of 256
+    x0 = -np.log(np.linspace(0.2, 12.0, 200))
+    z0 = np.vstack([np.column_stack([x0, np.ones_like(x0)]), SPECIAL])
+    oracle = assert_same_as_per_step(z0, 16.0)
+    at_derivative, at_state = stop_kinds(oracle)
+    ends, blew = oracle[3], oracle[4]
+    assert ends[-4:].tolist() == [1, 1, 1, len(oracle[0])]
+    assert blew[-4:].tolist() == [True, True, True, False]
+    for kind in (at_derivative, at_state):
+        assert len(set((ends[kind] - 1) // _SCAN_BLOCK)) >= 3
+
+
+def test_block_scan_every_row_stops_in_first_block():
+    x0 = -np.log([0.3, 1.0, 2.5])
+    z0 = np.vstack([np.column_stack([x0, np.ones(3)]), SPECIAL[:3]])
+    ends = assert_same_as_per_step(z0, 16.0)[3]
+    assert ends.max() < _SCAN_BLOCK
+
+
+def test_block_scan_derivative_non_finite_only_at_last_sample():
+    x0 = -np.log(np.linspace(0.2, 3.0, 40))
+    z0 = np.column_stack([x0, np.ones_like(x0)])
+    oracle = per_step_rk4(exp_rhs, 0.0, z0, 4.0, STEP)
+    at_derivative, _ = stop_kinds(oracle)
+    assert at_derivative.any()
+    # the first such row, up to the sample of its non-finite derivative
+    k = int(oracle[3][at_derivative][0]) - 1
+    _, states, derivs, ends, blew = assert_same_as_per_step(z0[at_derivative][:1], k * STEP)
+    assert ends.tolist() == [k + 1] and blew.tolist() == [True]
+    assert np.isfinite(states).all() and derivs[-1, 0].tolist() == [0.0, 0.0]

@@ -262,3 +262,25 @@ class TestUltimateBound:
         equilibrium_level = p.epsilon * tr.states[-1, 1] ** 2
         assert equilibrium_level > ub.bound
         assert ub.entry_time is None
+
+    def test_settled_value_and_refutation_are_reported(self):
+        # at the third benchmark set the trajectory from (3, 3) settles at the
+        # equilibrium x = y = 3^(1/3), so eps * y^2 = 0.9 * 3^(2/3) = 1.8721
+        # lies above the printed bound 1.225: the result says so itself
+        p = figure_params(3)
+        tr = integrate(assemble(fhn_field(p)), 0.0, np.array([3.0, 3.0]),
+                       IntegratorConfig(max_time=120.0, step=0.01))
+        ub = ultimate_bound_fhn(p, 0.1, tr)
+        assert ub.settled == pytest.approx(1.8721, abs=1e-4)
+        assert ub.settled == pytest.approx(0.9 * 3.0 ** (2.0 / 3.0), rel=1e-6)
+        assert ub.refuted and ub.entry_time is None
+        without = ultimate_bound_fhn(p, 0.1)
+        assert without.settled is None and not without.refuted
+
+    def test_entered_bound_is_not_refuted(self):
+        p = FhnParams.from_c(c=1.0, b=5.0, rho1=1.0, rho2=1.0, epsilon=0.9)
+        tr = integrate(assemble(fhn_field(p)), 0.0, np.array([3.0, 3.0]),
+                       IntegratorConfig(max_time=40.0, step=0.01))
+        ub = ultimate_bound_fhn(p, 0.1, tr)
+        assert not ub.refuted and ub.entry_time is not None
+        assert ub.settled == p.epsilon * tr.states[-1, 1] ** 2 <= ub.bound

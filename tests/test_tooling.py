@@ -7,7 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
-from ieskit import cli, finsler
+from ieskit import cli, estimator, finsler, scenarios
+from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig
 from ieskit.fhn import FcTable
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +56,60 @@ def test_tracer_records_a_certify_run(tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["fhn.fc_calls"] == tracer.counts["fc_calls"]
     assert metrics["finsler.us_per_decay_sample"] > 0
+
+
+FIGURES = """
+[scenario]
+system = fhn
+action = figures
+horizon = 1
+step = 0.01
+"""
+
+SCAN = """
+[scenario]
+system = fhn
+action = estimate
+horizon = 5
+
+[params]
+c = 1
+b = 1
+epsilon = 0.9
+rho1 = 1
+rho2 = 1
+"""
+
+
+def traced(run):
+    """The tracer's counts over ``run()``, with the tracer installed."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return tracer.counts
+
+
+def test_tracer_counts_fhn_rhs_calls(tmp_path):
+    # the tracer counts rhs calls only on fields that dynsys.assemble (or
+    # linear_field) returns, and derives Dormand-Prince rejected steps from
+    # that count: an FHN rhs built anywhere else reads no calls at all
+    cfg = tmp_path / "figures.cfg"
+    cfg.write_text(FIGURES)
+    counts = traced(lambda: cli.main(["figures", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")]))
+    assert counts["rhs_calls"] == 1 + 4 * 100
+    assert counts["rk4_steps"] == 100
+
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SCAN)
+    config = IntegratorConfig(max_time=5.0, method=ADAPTIVE_EMBEDDED)
+    counts = traced(lambda: estimator.wies_scan(
+        scenarios.build_field(scenarios.parse_config(cfg)), (0.5, 2.0), 2, 5.0, config))
+    assert counts["dp_accepted"] > 0 and counts["dp_rejected"] >= 0
+    assert counts["rhs_calls"] == 1 + 6 * (counts["dp_accepted"] + counts["dp_rejected"])
 
 
 def load_bench_record():
