@@ -290,41 +290,58 @@ class Trajectory:
         )
 
     def state_at(self, t) -> Array:
-        return _hermite_eval(self.times, self.states, self.derivatives, t)
+        """Hermite interpolant at t; exact at the sample nodes."""
+        basis = _HermiteBasis(self.times, t, (1,) * (self.states.ndim - 1))
+        return basis.apply(self.states, self.derivatives)
 
 
-def _hermite_eval(times: Array, values: Array, derivs: Array, t) -> Array:
-    """Piecewise-cubic Hermite interpolation; exact at the sample nodes."""
-    tq = np.atleast_1d(np.asarray(t, dtype=float))
-    if len(times) == 1:
-        out = np.repeat(values[:1], len(tq), axis=0)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
-    idx = np.searchsorted(times, tq, side="right") - 1
-    idx = np.clip(idx, 0, len(times) - 2)
-    t0 = times[idx]
-    h = (times[idx + 1] - t0).reshape((-1,) + (1,) * (values.ndim - 1))
-    s = (tq - t0).reshape(h.shape) / h
-    y0, y1 = values[idx], values[idx + 1]
-    d0, d1 = derivs[idx] * h, derivs[idx + 1] * h
-    s2, s3 = s * s, s * s * s
-    out = (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * d0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * d1
-    )
-    # exact reproduction of stored samples at the nodes
-    exact = s.ravel() == 0.0
-    if np.any(exact):
-        out[exact] = y0[exact]
-    right = tq == times[idx + 1]
-    if np.any(right):
-        out[right] = y1[right]
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
-    return out
+class _HermiteBasis:
+    """Piecewise-cubic Hermite interpolation at fixed query times ``t`` on
+    the sample grid ``times``, built once and applied to any samples on that
+    grid: per query its interval, the interval width and the four cubic
+    weights, and the queries on a left or a right node, where the stored
+    sample is returned exactly.  The weights are spread over ``shape``,
+    which must broadcast to the shape of one sample: a whole sample shape
+    makes every product elementwise, which is fastest on small samples,
+    and ones keep the weights at one number per query."""
+
+    def __init__(self, times: Array, t, shape: tuple[int, ...]):
+        tq = np.atleast_1d(np.asarray(t, dtype=float))
+        self.scalar = np.ndim(t) == 0
+        if len(times) == 1:
+            self.lo = np.zeros(len(tq), dtype=int)
+            self.h = None
+            return
+        lo = np.clip(np.searchsorted(times, tq, side="right") - 1, 0, len(times) - 2)
+        t0 = times[lo]
+        self.lo, self.hi = lo, lo + 1
+        h = times[self.hi] - t0
+        s = (tq - t0) / h
+        s2, s3 = s * s, s * s * s
+
+        def spread(w: Array) -> Array:  # (Q,) -> (Q,) + shape
+            return np.broadcast_to(w.reshape((-1,) + (1,) * len(shape)),
+                                   (len(tq),) + shape).copy()
+
+        self.h = spread(h)
+        self.weights = [spread(w) for w in (2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s,
+                                            -2 * s3 + 3 * s2, s3 - s2)]
+        self.exact = np.flatnonzero(s == 0.0)
+        self.right = np.flatnonzero(tq == times[self.hi])
+
+    def apply(self, values: Array, derivs: Array) -> Array:
+        """The interpolant of samples ``values`` with derivatives ``derivs``
+        at the query times, as (Q,) + shape, or shape for a scalar t."""
+        y0 = values.take(self.lo, axis=0)
+        if self.h is not None:
+            w0, w1, w2, w3 = self.weights
+            y1 = values.take(self.hi, axis=0)
+            out = (w0 * y0 + w1 * (derivs.take(self.lo, axis=0) * self.h)
+                   + w2 * y1 + w3 * (derivs.take(self.hi, axis=0) * self.h))
+            out[self.exact] = y0[self.exact]
+            out[self.right] = y1[self.right]
+            y0 = out
+        return y0[0] if self.scalar else y0
 
 
 def _bad_rows(a: Array, stopped: Array) -> Optional[Array]:
@@ -577,18 +594,36 @@ def distance_series(traj: Trajectory, i: int, j: int,
     """t -> |z_i(t) - z_j(t)| between rows i and j of a batched trajectory:
     on the solver grid for fixed-step RK4, else Hermite-resampled at spacing
     ``config.step`` up to the earlier end of the two rows."""
-    tr1, tr2 = traj.row(i), traj.row(j)
-    blew = tr1.blew_up or tr2.blew_up
-    if config.method == FIXED_RK4 and not blew:
-        dist = np.linalg.norm(tr1.states - tr2.states, axis=1)
-        return DistanceSeries(times=tr1.times, values=dist, blew_up=False)
+    return _pair_distances(traj, [(i, j)], config)[0]
+
+
+def _pair_distances(traj: Trajectory, pairs, config: IntegratorConfig) -> list[DistanceSeries]:
+    """``distance_series`` of every pair (i, j) of rows.  The pairs that are
+    resampled share one Hermite basis per resampling end."""
+    rows = {k: traj.row(k) for pair in pairs for k in pair}
+    series: list[Optional[DistanceSeries]] = [None] * len(pairs)
+    resampled: dict[int, list[int]] = {}  # resampling end -> its pairs
+    for p, (i, j) in enumerate(pairs):
+        tr1, tr2 = rows[i], rows[j]
+        if config.method == FIXED_RK4 and not (tr1.blew_up or tr2.blew_up):
+            dist = np.linalg.norm(tr1.states - tr2.states, axis=1)
+            series[p] = DistanceSeries(times=tr1.times, values=dist, blew_up=False)
+        else:
+            resampled.setdefault(min(len(tr1.times), len(tr2.times)), []).append(p)
     t0 = traj.t0
-    t_end = min(tr1.t_end, tr2.t_end)
-    n = max(2, math.ceil((t_end - t0) / config.step))
-    times = np.linspace(t0, t_end, n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up pair nears overflow
-        dist = np.linalg.norm(tr1.state_at(times) - tr2.state_at(times), axis=1)
-    return DistanceSeries(times=times, values=dist, blew_up=blew)
+    for end, members in resampled.items():
+        t_end = float(traj.times[end - 1])
+        n = max(2, math.ceil((t_end - t0) / config.step))
+        times = np.linspace(t0, t_end, n + 1)
+        basis = _HermiteBasis(traj.times[:end], times, traj.states.shape[2:])
+        for p in members:
+            tr1, tr2 = (rows[k] for k in pairs[p])
+            with np.errstate(over="ignore", invalid="ignore"):  # a blown-up pair nears overflow
+                dist = np.linalg.norm(basis.apply(tr1.states, tr1.derivatives)
+                                      - basis.apply(tr2.states, tr2.derivatives), axis=1)
+            series[p] = DistanceSeries(times=times, values=dist,
+                                       blew_up=tr1.blew_up or tr2.blew_up)
+    return series
 
 
 def flow_differences(
@@ -602,7 +637,7 @@ def flow_differences(
         raise ValueError("z1 and z2 must have the same dimension")
     n = len(z1s)
     traj = integrate(field, t0, np.concatenate([z1s, z2s]), config)
-    return [distance_series(traj, k, n + k, config) for k in range(n)]
+    return _pair_distances(traj, [(k, n + k) for k in range(n)], config)
 
 
 def flow_difference(

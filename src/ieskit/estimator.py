@@ -180,7 +180,9 @@ class PairResult:
 @dataclass(frozen=True)
 class EnsembleReport:
     """Per-pair fits plus the aggregate: pass iff every verdict is
-    contracting; any blown-up pair makes the aggregate inconclusive."""
+    contracting.  The aggregate is inconclusive when a pair blew up, or when
+    no fit says non_contracting and at least one says inconclusive; a
+    non_contracting fit with no blow-up refutes."""
 
     results: tuple[PairResult, ...]
     min_lambda: float
@@ -226,13 +228,15 @@ def _aggregate(results: Sequence[PairResult]) -> EnsembleReport:
     any_blowup = any(r.blew_up for r in results)
     min_lambda = min((f.lam for f in fits), default=math.nan)
     max_gain = max((f.K for f in fits), default=math.nan)
-    all_contracting = bool(fits) and all(f.verdict == CONTRACTING for f in fits)
+    verdicts = {f.verdict for f in fits}
+    all_contracting = verdicts == {CONTRACTING}
     return EnsembleReport(
         results=tuple(results),
         min_lambda=min_lambda,
         max_gain=max_gain,
         passed=all_contracting and not any_blowup,
-        inconclusive=any_blowup,
+        inconclusive=any_blowup or (INCONCLUSIVE in verdicts
+                                    and NON_CONTRACTING not in verdicts),
     )
 
 

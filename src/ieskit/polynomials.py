@@ -2,7 +2,8 @@
 
 This is the desk-scale system format of the command line: each output
 component is a list of terms ``(coefficient, exponents)``, and Jacobians are
-formed analytically by exponent bookkeeping.
+formed analytically by exponent bookkeeping.  A polynomial interconnection
+evaluates the monomials of all four blocks from one table on the whole state.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ieskit.dynsys import CouplingMap, TimeVaryingField
+from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
 
 Array = np.ndarray
 
@@ -88,7 +89,10 @@ def parse_polynomial_component(text: str, in_dim: int) -> Component:
 
 def polynomial_field(components: tuple[Component, ...]) -> TimeVaryingField:
     """Autonomous polynomial field; the number of components fixes the dimension."""
-    pmap = PolynomialMap(in_dim=len(components), components=components)
+    return _field(PolynomialMap(in_dim=len(components), components=components))
+
+
+def _field(pmap: PolynomialMap) -> TimeVaryingField:
     return TimeVaryingField(
         dim=pmap.out_dim,
         rhs=lambda t, z: pmap(z),
@@ -96,11 +100,80 @@ def polynomial_field(components: tuple[Component, ...]) -> TimeVaryingField:
     )
 
 
-def polynomial_coupling(in_dim: int, components: tuple[Component, ...]) -> CouplingMap:
-    pmap = PolynomialMap(in_dim=in_dim, components=components)
+def _coupling(pmap: PolynomialMap) -> CouplingMap:
     return CouplingMap(
-        in_dim=in_dim,
+        in_dim=pmap.in_dim,
         out_dim=pmap.out_dim,
         value=pmap.__call__,
         jacobian=pmap.jacobian,
     )
+
+
+def polynomial_interconnection(
+    f1: tuple[Component, ...],
+    f2: tuple[Component, ...],
+    g1: tuple[Component, ...],
+    g2: tuple[Component, ...],
+    rho1: float = 0.0,
+    rho2: float = 0.0,
+) -> Interconnection:
+    """The interconnection of polynomial blocks: f1 with n components in x,
+    f2 with m components in y, the coupling g1 in y and g2 in x.
+
+    It carries a whole-state rhs (``joint_rhs``), which ``assemble`` uses.
+    The four blocks' exponent rows, lifted into the whole state (x, y), are
+    kept once each in one monomial table, so a call makes one power and one
+    product over the table; each block then sums its own columns as the
+    block form does.  The derivatives are bitwise the block form's: a lifted
+    row only adds factors v**0 = 1, also for v NaN or inf.  A block of one
+    term in one variable keeps its own power, because numpy raises to a
+    lone exponent through a scalar fast path (v**2 is v*v) that can round
+    otherwise than its general power loop."""
+    n, m = len(f1), len(f2)
+    maps = (PolynomialMap(n, f1), PolynomialMap(m, g1),
+            PolynomialMap(m, f2), PolynomialMap(n, g2))
+    return Interconnection(
+        f1=_field(maps[0]), f2=_field(maps[2]),
+        g1=_coupling(maps[1]), g2=_coupling(maps[3]),
+        rho1=rho1, rho2=rho2, joint_rhs=_joint_rhs(n, m, maps),
+    )
+
+
+def _joint_rhs(n: int, m: int, maps: tuple[PolynomialMap, ...]):
+    """rho1, rho2 -> the rhs on whole states (..., n + m) of the blocks
+    ``maps`` = (f1, g1, f2, g2)."""
+    inputs = (slice(0, n), slice(n, n + m), slice(n, n + m), slice(0, n))
+    tabled = [k for k, pmap in enumerate(maps) if pmap.exponents.size != 1]
+    lifted = []
+    for k in tabled:
+        rows = np.zeros((len(maps[k].exponents), n + m), dtype=int)
+        rows[:, inputs[k]] = maps[k].exponents
+        lifted.append(rows)
+    table, inverse = np.unique(np.concatenate(lifted or [np.zeros((0, n + m), int)]),
+                               axis=0, return_inverse=True)
+    columns = dict(zip(tabled, np.split(inverse.ravel(),
+                                        np.cumsum([len(r) for r in lifted])[:-1])))
+
+    def block(k: int):
+        """(monomial table values, z) -> the value of block k."""
+        pmap = maps[k]
+        if k not in columns:
+            return lambda mono, z: pmap(z[..., inputs[k]])
+        cols, coeffs = columns[k], pmap.coefficients.T
+        # take, unlike mono[..., cols], gives the block's monomials in C
+        # order, the layout whose matmul sums as the block form's does
+        return lambda mono, z: mono.take(cols, -1) @ coeffs
+
+    f1, g1, f2, g2 = (block(k) for k in range(4))
+
+    def joint(rho1, rho2):
+        def rhs(t: float, z: Array) -> Array:
+            mono = np.prod(z[..., None, :] ** table, axis=-1)
+            out = np.empty(z.shape)
+            out[..., :n] = f1(mono, z) + rho1 * g1(mono, z)
+            out[..., n:] = f2(mono, z) + rho2 * g2(mono, z)
+            return out
+
+        return rhs
+
+    return joint

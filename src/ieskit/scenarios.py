@@ -19,7 +19,6 @@ from ieskit import __version__
 from ieskit.dynsys import (
     MAX_STEPS,
     IntegratorConfig,
-    Interconnection,
     TimeVaryingField,
     assemble,
     distance_series,
@@ -50,7 +49,7 @@ from ieskit.invariance import (
     write_invariant_report,
 )
 from ieskit.io_utils import _csv_rows, atomic_write_text
-from ieskit.polynomials import parse_polynomial_component, polynomial_coupling, polynomial_field
+from ieskit.polynomials import parse_polynomial_component, polynomial_interconnection
 from ieskit.smallgain import certify
 
 Array = np.ndarray
@@ -359,13 +358,9 @@ def _read_params(path: Path, system: str, entries) -> tuple[dict, int]:
             echo[key] = text
         return tuple(components)
 
-    ic = Interconnection(
-        f1=polynomial_field(block("f1", n, n)),
-        f2=polynomial_field(block("f2", m, m)),
-        g1=polynomial_coupling(m, block("g1", n, m)),
-        g2=polynomial_coupling(n, block("g2", m, n)),
-        rho1=p["rho1"], rho2=p["rho2"],
-    )
+    ic = polynomial_interconnection(block("f1", n, n), block("f2", m, m),
+                                    block("g1", n, m), block("g2", m, n),
+                                    rho1=p["rho1"], rho2=p["rho2"])
     return {"interconnection": ic, "n": str(n), "m": str(m),
             "rho1": f"{p['rho1']:g}", "rho2": f"{p['rho2']:g}", **echo}, n + m
 

@@ -355,53 +355,3 @@ def certify(
         decay_report=report,
     )
 
-
-@dataclass(frozen=True)
-class IspsGainPair:
-    """Monotone gain functions of the two subsystems and the radius window on
-    which the loop-gain condition is checked."""
-
-    chi_x: Callable[[float], float]
-    chi_y: Callable[[float], float]
-    r0: float
-    r_max: float
-
-    def __post_init__(self):
-        if not (0 < self.r0 < self.r_max):
-            raise ValueError("need 0 < r0 < r_max")
-
-
-@dataclass(frozen=True)
-class SmallGainReport:
-    passed: bool
-    worst_ratio: float
-    worst_r: float
-    n_samples: int
-
-
-def isps_smallgain_check(pair: IspsGainPair, grid_density: int = 256) -> SmallGainReport:
-    """Check chi_x(chi_y(r)) <= r on a grid over (r0, r_max]; the worst ratio
-    max chi_x(chi_y(r)) / r is reported."""
-    for chi, name in ((pair.chi_x, "chi_x"), (pair.chi_y, "chi_y")):
-        if abs(chi(0.0)) > 1e-12:
-            raise ValueError(f"{name}(0) must be 0")
-    rs = np.linspace(pair.r0, pair.r_max, grid_density + 1)[1:]
-    prev_x = prev_y = -math.inf
-    worst_ratio = -math.inf
-    worst_r = rs[0]
-    for r in rs:
-        y = pair.chi_y(float(r))
-        x = pair.chi_x(y)
-        if y < prev_y - 1e-12 or pair.chi_x(float(r)) < prev_x - 1e-12:
-            raise ValueError("gain functions must be nondecreasing")
-        prev_y, prev_x = y, pair.chi_x(float(r))
-        ratio = x / r
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_r = float(r)
-    return SmallGainReport(
-        passed=worst_ratio <= 1.0,
-        worst_ratio=float(worst_ratio),
-        worst_r=worst_r,
-        n_samples=len(rs),
-    )

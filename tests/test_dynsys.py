@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ieskit.dynsys import (
     ADAPTIVE_EMBEDDED,
+    FIXED_RK4,
     MAX_STEPS,
     CouplingMap,
     DimensionMismatchError,
@@ -16,6 +17,7 @@ from ieskit.dynsys import (
     assemble,
     fd_jacobian,
     flow_difference,
+    flow_differences,
     integrate,
     integrate_with_displacement,
     linear_coupling,
@@ -430,3 +432,68 @@ def test_block_scan_derivative_non_finite_only_at_last_sample():
     _, states, derivs, ends, blew = assert_same_as_per_step(z0[at_derivative][:1], k * STEP)
     assert ends.tolist() == [k + 1] and blew.tolist() == [True]
     assert np.isfinite(states).all() and derivs[-1, 0].tolist() == [0.0, 0.0]
+
+
+def hermite_oracle(times, values, derivs, t):
+    """Piecewise-cubic Hermite interpolation of one row, written out per
+    call: the interval of each query, its cubic weights, and the stored
+    sample at a query on a node."""
+    tq = np.atleast_1d(np.asarray(t, dtype=float))
+    if len(times) == 1:
+        out = np.repeat(values[:1], len(tq), axis=0)
+    else:
+        idx = np.clip(np.searchsorted(times, tq, side="right") - 1, 0, len(times) - 2)
+        t0 = times[idx]
+        h = (times[idx + 1] - t0)[:, None]
+        s = (tq - t0)[:, None] / h
+        y0, y1 = values[idx], values[idx + 1]
+        s2, s3 = s * s, s * s * s
+        out = ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * (derivs[idx] * h)
+               + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * (derivs[idx + 1] * h))
+        exact = s[:, 0] == 0.0
+        out[exact] = y0[exact]
+        right = tq == times[idx + 1]
+        out[right] = y1[right]
+    return out[0] if np.ndim(t) == 0 else out
+
+
+def cubic_x_rhs(t, z):
+    """x' = x^3 blows up from |x| > 1, each row at its own time; y' = -y."""
+    out = np.empty(z.shape)
+    out[..., 0] = z[..., 0] ** 3
+    out[..., 1] = -z[..., 1]
+    return out
+
+
+CUBIC_X = TimeVaryingField(2, cubic_x_rhs, fd_jacobian(cubic_x_rhs, 2))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       n_pairs=st.integers(min_value=1, max_value=6),
+       scale=st.sampled_from([0.9, 2.0, 4.0]),
+       method=st.sampled_from([FIXED_RK4, ADAPTIVE_EMBEDDED]))
+@settings(max_examples=30, deadline=None)
+def test_shared_basis_resampling_is_each_rows_own(seed, n_pairs, scale, method):
+    # from scale 2 on, rows with |x| > 1 blow up at different times, so the
+    # pairs end at different samples and group under different bases
+    cfg = IntegratorConfig(max_time=1.0, method=method, step=0.01, atol=1e-9, rtol=1e-6)
+    z = np.random.default_rng(seed).uniform(-scale, scale, (2 * n_pairs, 2))
+    traj = integrate(CUBIC_X, 0.0, z, cfg)
+    series = flow_differences(CUBIC_X, 0.0, z[:n_pairs], z[n_pairs:], cfg)
+    for k, s in enumerate(series):
+        r1, r2 = traj.row(k), traj.row(n_pairs + k)
+        assert s.blew_up == (r1.blew_up or r2.blew_up)
+        if method == FIXED_RK4 and not s.blew_up:
+            assert s.times.tobytes() == traj.times.tobytes()
+            continue
+        t_end = min(r1.t_end, r2.t_end)
+        grid = np.linspace(0.0, t_end, max(2, math.ceil(t_end / cfg.step)) + 1)
+        assert s.times.tobytes() == grid.tobytes()
+        with np.errstate(all="ignore"):
+            at = [hermite_oracle(r.times, r.states, r.derivatives, grid) for r in (r1, r2)]
+            assert s.values.tobytes() == np.linalg.norm(at[0] - at[1], axis=1).tobytes()
+            for r, expected in zip((r1, r2), at):
+                assert r.state_at(grid).tobytes() == expected.tobytes()
+                t = float(grid[len(grid) // 3])
+                assert r.state_at(t).tobytes() == hermite_oracle(
+                    r.times, r.states, r.derivatives, t).tobytes()

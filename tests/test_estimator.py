@@ -185,6 +185,25 @@ class TestEnsemble:
         assert not report.passed
         assert report.results[0].blew_up
 
+    def test_inconclusive_fits_without_a_refutation_make_the_aggregate_inconclusive(self):
+        # dz/dt = diag(-1, 0) z: a pair apart in x decays at rate 1, which a
+        # rate floor of 2 reads inconclusive; a pair apart in y keeps its
+        # distance and reads non_contracting
+        field = linear_field(np.diag([-1.0, 0.0]))
+        cfg = IntegratorConfig(max_time=10.0, step=0.01)
+        envelope = EnvelopeConfig(lambda_min=2.0)
+        in_x = (np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        in_y = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
+        only_x = ensemble_ies(field, [in_x, in_x], 10.0, cfg, envelope=envelope)
+        assert only_x.verdicts == [INCONCLUSIVE, INCONCLUSIVE]
+        assert only_x.inconclusive and not only_x.passed
+        both = ensemble_ies(field, [in_x, in_y], 10.0, cfg, envelope=envelope)
+        assert both.verdicts == [INCONCLUSIVE, NON_CONTRACTING]
+        assert not both.inconclusive and not both.passed
+        contracting = ensemble_ies(field, [in_x], 10.0, cfg)
+        assert contracting.verdicts == [CONTRACTING]
+        assert contracting.passed and not contracting.inconclusive
+
     def test_csv_exports(self, tmp_path):
         field = linear_field(-np.eye(2))
         pairs = sample_pairs_box([[-1, 1]] * 2, 3, seed=0)

@@ -1,12 +1,16 @@
-"""Golden outputs: the figure CSV rows and one FHN certificate record, pinned
-byte for byte, so a change that moves a printed digit fails here."""
+"""Golden outputs: the figure CSV rows, one FHN certificate record and the
+adaptive radius scans, pinned byte for byte, so a change that moves a printed
+digit or a resampled distance fails here."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from ieskit.cli import EXIT_OK, main
-from ieskit.scenarios import run_figures
+from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig
+from ieskit.estimator import wies_scan
+from ieskit.scenarios import build_field, parse_config, run_figures
 
 # SHA-256 of every line after the '# ieskit ...' header of figure<k>.csv at
 # the defaults of run_figures: the column line and the 10 001 data rows.
@@ -103,3 +107,39 @@ def test_certificate_record_is_pinned(tmp_path, radius):
     kept = [line for line in lines
             if line.split(" = ")[0] not in ("tool_version", "provenance")]
     assert "".join(kept) == GOLDEN_RECORDS[radius]
+
+
+SCAN_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+# (config, radii, horizon) of the two adaptive radius scans, 8 pairs per radius
+SCANS = {
+    "polynomial": ("scan_polynomial.cfg", (0.5, 1.0, 2.0, 4.0, 8.0), 20.0),
+    "fhn": ("scan_fhn.cfg", (0.5, 1.0, 2.0, 4.0), 40.0),
+}
+# SHA-256 over every pair of the scan, radius by radius: the bytes of the
+# series times and values, then repr(fit), under Dormand-Prince at atol 1e-9
+# and rtol 1e-6
+SCAN_SHA256 = {
+    ("polynomial", 0): "f9d6f6e4731ed73013532df4681e4af7fc71aba2b55f6f3ef9d4c301b27c3446",
+    ("polynomial", 1016164991): "bdd5dd8a811467fe9c66f4a6d0f1e16396f17662c43548b08f67c0ba0ca6428b",
+    ("polynomial", 1798679648): "f446609dc9195a4432acaea20ac83d970cb0b5ab56d473e94bddf961be8c72da",
+    ("polynomial", 1742692732): "17949358eedb65d69a3c98ebd43fab520595a036230d3ed91436a10d73eccbf0",
+    ("fhn", 0): "76efbbc6ec630eb42839e5848685b521ddf5a59b58e279d1e3fa3bdb7a48ba6c",
+    ("fhn", 1016164991): "20ecc67aa2b363104fcdb9a94e880405e778999d69f68556beacbf0ab1fd00df",
+    ("fhn", 1798679648): "6835c15e662a402922c14da940e594e38ba6e111b1f5f1e654cb02b755711404",
+    ("fhn", 1742692732): "e7f74d18c6dc8ab3e488d9382cc712979c538de44019ff6fa7cd52eee6c1833c",
+}
+
+
+@pytest.mark.parametrize("system, seed", sorted(SCAN_SHA256))
+def test_adaptive_scan_is_pinned(system, seed):
+    cfg, radii, horizon = SCANS[system]
+    field = build_field(parse_config(SCAN_CONFIGS / cfg))
+    config = IntegratorConfig(max_time=horizon, method=ADAPTIVE_EMBEDDED, atol=1e-9, rtol=1e-6)
+    report = wies_scan(field, radii, 8, horizon, config, seed=seed)
+    digest = hashlib.sha256()
+    for per_radius in report.per_radius:
+        for res in per_radius.results:
+            digest.update(res.series.times.tobytes())
+            digest.update(res.series.values.tobytes())
+            digest.update(repr(res.fit).encode())
+    assert digest.hexdigest() == SCAN_SHA256[system, seed]

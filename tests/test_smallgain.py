@@ -18,13 +18,11 @@ from ieskit.smallgain import (
     CertificationError,
     GainCertificate,
     InfeasibleBudgetError,
-    IspsGainPair,
     SupConstants,
     certify,
     default_epsilons,
     extract_constants,
     gain_budget,
-    isps_smallgain_check,
     parse_certificate_record,
 )
 
@@ -233,44 +231,6 @@ class TestCertify:
         assert float(parsed["a1"]) == cert.constants.a1
         assert parsed["decay_check"] == "pass"
         assert "sampled" in txt_path.read_text()
-
-
-class TestIspsSmallGain:
-    def test_halving_gains_pass(self):
-        pair = IspsGainPair(chi_x=lambda r: r / 2, chi_y=lambda r: r / 2,
-                            r0=0.1, r_max=10.0)
-        report = isps_smallgain_check(pair)
-        assert report.passed
-        assert report.worst_ratio == pytest.approx(0.25)
-
-    def test_expanding_gain_fails_everywhere(self):
-        pair = IspsGainPair(chi_x=lambda r: 2 * r, chi_y=lambda r: r,
-                            r0=0.1, r_max=10.0)
-        report = isps_smallgain_check(pair)
-        assert not report.passed
-        assert report.worst_ratio == pytest.approx(2.0)
-
-    def test_square_root_gains_pass_beyond_unit_radius(self):
-        pair = IspsGainPair(chi_x=math.sqrt, chi_y=math.sqrt, r0=1.0, r_max=50.0)
-        report = isps_smallgain_check(pair)
-        assert report.passed
-        assert report.worst_ratio <= 1.0
-
-    def test_nonmonotone_gain_rejected(self):
-        pair = IspsGainPair(chi_x=lambda r: r * (2.0 - r), chi_y=lambda r: r,
-                            r0=0.5, r_max=5.0)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            isps_smallgain_check(pair)
-
-    def test_nonzero_at_origin_rejected(self):
-        pair = IspsGainPair(chi_x=lambda r: r + 1.0, chi_y=lambda r: r,
-                            r0=0.5, r_max=5.0)
-        with pytest.raises(ValueError, match="chi_x"):
-            isps_smallgain_check(pair)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            IspsGainPair(chi_x=lambda r: r, chi_y=lambda r: r, r0=2.0, r_max=1.0)
 
 
 def test_sup_constants_validate():

@@ -112,6 +112,31 @@ def test_tracer_counts_fhn_rhs_calls(tmp_path):
     assert counts["rhs_calls"] == 1 + 6 * (counts["dp_accepted"] + counts["dp_rejected"])
 
 
+# the adaptive-scan workload's scans: (config, radii, horizon), 8 pairs each
+ADAPTIVE_SCANS = (("scan_polynomial.cfg", (0.5, 1.0, 2.0, 4.0, 8.0), 20.0),
+                  ("scan_fhn.cfg", (0.5, 1.0, 2.0, 4.0), 40.0))
+
+
+def test_tracer_counts_an_adaptive_scan_round():
+    # the solver work of one adaptive-scan round: two Dormand-Prince solves
+    # of 1 + 6 rhs calls per attempted step
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for cfg, radii, horizon in ADAPTIVE_SCANS:
+            field = scenarios.build_field(
+                scenarios.parse_config(ROOT / "perfbench" / "configs" / cfg))
+            config = IntegratorConfig(max_time=horizon, method=ADAPTIVE_EMBEDDED,
+                                      atol=1e-9, rtol=1e-6)
+            estimator.wies_scan(field, radii, 8, horizon, config, seed=0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["dynsys.rhs_calls"] == 1178
+    assert metrics["dynsys.steps_accepted"] == 184
+    assert metrics["dynsys.steps_rejected"] == 12
+
+
 def load_bench_record():
     spec = importlib.util.spec_from_file_location(
         "bench_record", ROOT / "scripts" / "bench_record.py")
