@@ -13,6 +13,7 @@ from pathlib import Path
 from ieskit import __version__
 from ieskit.invariance import NoInvariantLevelError
 from ieskit.scenarios import (
+    ACTIONS,
     SCHEMA,
     BlowUpError,
     ConfigError,
@@ -28,15 +29,6 @@ EXIT_BLOWUP = 3
 EXIT_REFUSED = 4
 EXIT_INTERNAL = 5
 
-_SUBCOMMANDS = {
-    "simulate": "simulate",
-    "certify": "certify",
-    "estimate": "estimate",
-    "invariant-set": "invariant_set",
-    "fc-table": "fc_table",
-    "figures": "figures",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ieskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for action in ACTIONS:
+        name = action.replace("_", "-")
         p = sub.add_parser(name, help=f"run the {name} action")
         p.add_argument("--config", type=Path, default=None,
                        help="scenario config file (key = value sections)")
@@ -60,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args) -> Scenario:
-    action = _SUBCOMMANDS[args.command]
+    action = args.command.replace("-", "_")
     if args.config is not None:
         scenario = parse_config(args.config)
         if scenario.action != action:
@@ -69,7 +62,7 @@ def _scenario_from_args(args) -> Scenario:
                 f"{args.command} subcommand was invoked"
             )
     else:
-        if action not in ("figures",):
+        if action != "figures":
             raise ConfigError(f"{args.command} requires --config")
         scenario = Scenario(system="fhn", action=action, name=action)
     if args.out is not None:

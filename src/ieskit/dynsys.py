@@ -589,17 +589,11 @@ class DistanceSeries:
     blew_up: bool = False
 
 
-def distance_series(traj: Trajectory, i: int, j: int,
-                    config: IntegratorConfig) -> DistanceSeries:
-    """t -> |z_i(t) - z_j(t)| between rows i and j of a batched trajectory:
-    on the solver grid for fixed-step RK4, else Hermite-resampled at spacing
-    ``config.step`` up to the earlier end of the two rows."""
-    return _pair_distances(traj, [(i, j)], config)[0]
-
-
-def _pair_distances(traj: Trajectory, pairs, config: IntegratorConfig) -> list[DistanceSeries]:
-    """``distance_series`` of every pair (i, j) of rows.  The pairs that are
-    resampled share one Hermite basis per resampling end."""
+def pair_distances(traj: Trajectory, pairs, config: IntegratorConfig) -> list[DistanceSeries]:
+    """t -> |z_i(t) - z_j(t)| for every pair (i, j) of rows of a batched
+    trajectory: on the solver grid for fixed-step RK4, else Hermite-resampled
+    at spacing ``config.step`` up to the earlier end of the two rows.  The
+    pairs that are resampled share one Hermite basis per resampling end."""
     rows = {k: traj.row(k) for pair in pairs for k in pair}
     series: list[Optional[DistanceSeries]] = [None] * len(pairs)
     resampled: dict[int, list[int]] = {}  # resampling end -> its pairs
@@ -637,7 +631,7 @@ def flow_differences(
         raise ValueError("z1 and z2 must have the same dimension")
     n = len(z1s)
     traj = integrate(field, t0, np.concatenate([z1s, z2s]), config)
-    return _pair_distances(traj, [(k, n + k) for k in range(n)], config)
+    return pair_distances(traj, [(k, n + k) for k in range(n)], config)
 
 
 def flow_difference(

@@ -60,7 +60,6 @@ class EnvelopeFit:
 def fit_envelope(
     times,
     distances,
-    transient_skip: Optional[float] = None,
     config: EnvelopeConfig = EnvelopeConfig(),
 ) -> EnvelopeFit:
     """Fit the exponential envelope of a distance series.
@@ -78,9 +77,8 @@ def fit_envelope(
     d0 = float(d[0])
     if d0 <= 0.0:
         raise ValueError("initial distance must be positive")
-    skip = config.transient_skip if transient_skip is None else transient_skip
     t0, t_end = float(times[0]), float(times[-1])
-    t_lo = t0 + skip * (t_end - t0)
+    t_lo = t0 + config.transient_skip * (t_end - t0)
 
     floor = config.floor_ratio * d0
     window_mask = (times >= t_lo) & (d > floor)
@@ -207,14 +205,13 @@ def _pair_results(
     horizon: float,
     config: IntegratorConfig,
     envelope: EnvelopeConfig,
-    t0: float,
 ) -> list[PairResult]:
     """Every pair's distance series and envelope fit, numbered from 0: the 2N
     flows are integrated as one batch, and a pair that blew up gets no fit."""
     if abs(config.max_time - horizon) > 1e-12:
         config = dataclasses.replace(config, max_time=horizon)
     pairs = [(np.asarray(z1), np.asarray(z2)) for z1, z2 in pairs]
-    all_series = flow_differences(field, t0, *zip(*pairs), config) if pairs else []
+    all_series = flow_differences(field, 0.0, *zip(*pairs), config) if pairs else []
     results = []
     for i, ((z1, z2), series) in enumerate(zip(pairs, all_series)):
         fit = None if series.blew_up else fit_envelope(series.times, series.values,
@@ -246,11 +243,10 @@ def ensemble_ies(
     horizon: float,
     config: IntegratorConfig,
     envelope: EnvelopeConfig = EnvelopeConfig(),
-    t0: float = 0.0,
 ) -> EnsembleReport:
     """Fit the envelope of every pair's distance series; the 2N flows are
-    integrated as one batch, and a pair that blew up gets no fit."""
-    return _aggregate(_pair_results(field, pairs, horizon, config, envelope, t0))
+    integrated as one batch from t = 0, and a pair that blew up gets no fit."""
+    return _aggregate(_pair_results(field, pairs, horizon, config, envelope))
 
 
 @dataclass(frozen=True)
@@ -293,7 +289,7 @@ def wies_scan(
         raise ValueError("radii must be strictly increasing")
     pairs = [pair for k, radius in enumerate(radii)
              for pair in sample_pairs_ball(radius, field.dim, pairs_per_radius, seed + k)]
-    results = _pair_results(field, pairs, horizon, config, envelope, 0.0)
+    results = _pair_results(field, pairs, horizon, config, envelope)
     n = pairs_per_radius
     reports = [_aggregate([dataclasses.replace(r, pair_id=i)
                            for i, r in enumerate(results[k * n:(k + 1) * n])])

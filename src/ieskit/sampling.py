@@ -77,11 +77,8 @@ def ball_grid(radius: float, dim: int, density: int) -> Array:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    axes = [np.linspace(-radius, radius, density)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)
-    return pts[keep]
+    pts = box_grid([[-radius, radius]] * dim, density)
+    return pts[np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)]
 
 
 def box_grid(bounds, density: int) -> Array:

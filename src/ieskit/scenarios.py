@@ -21,9 +21,9 @@ from ieskit.dynsys import (
     IntegratorConfig,
     TimeVaryingField,
     assemble,
-    distance_series,
     integrate,
     linear_field,
+    pair_distances,
     rowdot,
 )
 from ieskit.estimator import (
@@ -53,9 +53,6 @@ from ieskit.polynomials import parse_polynomial_component, polynomial_interconne
 from ieskit.smallgain import certify
 
 Array = np.ndarray
-
-SYSTEMS = ("fhn", "builtin_linear", "user_polynomial")
-ACTIONS = ("simulate", "certify", "estimate", "invariant_set", "fc_table", "figures")
 
 
 class ConfigError(ValueError):
@@ -189,12 +186,17 @@ _DEFAULTS = SCHEMA["scenario"]
 
 @dataclass
 class Scenario:
-    """A validated run request: which system, which action, and how."""
+    """A validated run request: which system, which action, and how.
+
+    ``model`` is the system's built model (``FhnParams`` for fhn, the matrix
+    for builtin_linear, the ``Interconnection`` for user_polynomial), and
+    ``params`` the text of its [params] as ``echo`` prints it."""
 
     system: str
     action: str
     name: str = _DEFAULTS["name"].default
-    params: dict = dc_field(default_factory=dict)
+    model: Any = None
+    params: dict[str, str] = dc_field(default_factory=dict)
     horizon: float = _DEFAULTS["horizon"].default
     step: float = _DEFAULTS["step"].default
     seed: int = _DEFAULTS["seed"].default
@@ -208,11 +210,7 @@ class Scenario:
                  f"action={self.action}", f"horizon={self.horizon:g}",
                  f"step={self.step:g}", f"seed={self.seed}",
                  f"tolerance={self.tolerance:g}"]
-        for k in sorted(self.params):
-            # the polynomial model's repr holds function addresses; its
-            # f1_i/f2_i/g1_i/g2_i block texts are echoed instead
-            if k != "interconnection":
-                parts.append(f"{k}={self.params[k]}")
+        parts += [f"{k}={self.params[k]}" for k in sorted(self.params)]
         return " ".join(parts)
 
 
@@ -283,7 +281,10 @@ def parse_config(path) -> Scenario:
             raise ConfigError(
                 f"{_at(path, raw, key)}: unknown {key} {sc[key]!r}; expected one of {choices}"
             )
-    params, dim = _read_params(path, sc["system"], sections.get("params", {}))
+    if sc["action"] in ("certify", "fc_table") and sc["system"] != "fhn":
+        raise ConfigError(f"{_at(path, raw, 'system')}: {sc['action']} requires "
+                          f"system = fhn, got {sc['system']!r}")
+    model, params, dim = _READERS[sc["system"]](path, sections.get("params", {}))
     options = {section: _read(path, section, sections.get(section, {}), SCHEMA[section])
                for section in ("estimate", "certify", "invariant")}
 
@@ -300,6 +301,11 @@ def parse_config(path) -> Scenario:
                               f"dimension {len(z0)}, field needs {field_dim}")
     if sc["action"] == "simulate" and not sc["initial"]:
         raise ConfigError(f"{path}: simulate requires at least one initial condition")
+    given, n_pairs = len(sc["initial"]), options["estimate"]["pairs"]
+    if sc["action"] == "estimate" and (given % 2 or given > 2 * n_pairs):
+        raise ConfigError(f"{_at(path, raw, 'initial')}: estimate takes initial states "
+                          f"two by two as pairs, at most pairs = {n_pairs} of them; got "
+                          f"{given} states")
     box = options["estimate"]["box"]
     if box is None:
         options["estimate"]["box"] = np.array([[-3.0, 3.0]] * dim)
@@ -311,32 +317,35 @@ def parse_config(path) -> Scenario:
         where = _at(path, sections.get("invariant", {}), "level_max", "level_min")
         raise ConfigError(f"{where}: level_min must be below level_max")
     return Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
-                    params=params, options=options, **sc)
+                    model=model, params=params, options=options, **sc)
 
 
-def _read_params(path: Path, system: str, entries) -> tuple[dict, int]:
-    """The [params] section as the system's model plus its echo strings, and
-    the dimension of the assembled field."""
-    if system == "fhn":
-        p = _read(path, "params", entries, PARAMS["fhn"])
-        if "c" in entries and "r" in entries:
-            raise ConfigError(f"{path}:{entries['c'][1]}: give either c or r, not both")
-        shared = dict(b=p["b"], rho1=p["rho1"], rho2=p["rho2"], epsilon=p["epsilon"],
-                      alpha=p["alpha"])
-        try:
-            if p["r"] is not None:
-                fp = FhnParams(r=p["r"], **shared)
-            else:
-                fp = FhnParams.from_c(c=p["c"], **shared)
-        except ValueError as exc:
-            raise ConfigError(f"{_at(path, entries, 'alpha', 'r', 'c')}: {exc}") from None
-        echo = {k: f"{p[k]:g}" for k in ("b", "epsilon", "rho1", "rho2", "alpha")}
-        return {"fhn": fp, "c": f"{fp.c:g}", **echo}, 2
-    if system == "builtin_linear":
-        p = _read(path, "params", entries, PARAMS["builtin_linear"])
-        a = p["matrix"] if p["matrix"] is not None else -np.eye(p["dim"])
-        return {"matrix": a, "dim": str(a.shape[0])}, a.shape[0]
+def _read_fhn(path: Path, entries):
+    p = _read(path, "params", entries, PARAMS["fhn"])
+    if "c" in entries and "r" in entries:
+        raise ConfigError(f"{path}:{entries['c'][1]}: give either c or r, not both")
+    shared = dict(b=p["b"], rho1=p["rho1"], rho2=p["rho2"], epsilon=p["epsilon"],
+                  alpha=p["alpha"])
+    try:
+        if p["r"] is not None:
+            fp = FhnParams(r=p["r"], **shared)
+        else:
+            fp = FhnParams.from_c(c=p["c"], **shared)
+    except ValueError as exc:
+        raise ConfigError(f"{_at(path, entries, 'alpha', 'r', 'c')}: {exc}") from None
+    echo = {k: f"{p[k]:g}" for k in ("b", "epsilon", "rho1", "rho2", "alpha")}
+    return fp, {"c": f"{fp.c:g}", "r": f"{fp.r:g}", **echo}, 2
 
+
+def _read_linear(path: Path, entries):
+    p = _read(path, "params", entries, PARAMS["builtin_linear"])
+    a = p["matrix"] if p["matrix"] is not None else -np.eye(p["dim"])
+    # "+ 0.0" echoes the -0 entries of minus identity as 0
+    text = "; ".join(" ".join(f"{v + 0.0:g}" for v in row) for row in a)
+    return a, {"matrix": text, "dim": str(len(a))}, len(a)
+
+
+def _read_polynomial(path: Path, entries):
     blocks = {k: v for k, v in entries.items() if _POLY_BLOCK_RE.match(k)}
     p = _read(path, "params", {k: v for k, v in entries.items() if k not in blocks},
               PARAMS["user_polynomial"])
@@ -361,16 +370,23 @@ def _read_params(path: Path, system: str, entries) -> tuple[dict, int]:
     ic = polynomial_interconnection(block("f1", n, n), block("f2", m, m),
                                     block("g1", n, m), block("g2", m, n),
                                     rho1=p["rho1"], rho2=p["rho2"])
-    return {"interconnection": ic, "n": str(n), "m": str(m),
-            "rho1": f"{p['rho1']:g}", "rho2": f"{p['rho2']:g}", **echo}, n + m
+    return ic, {"n": str(n), "m": str(m), "rho1": f"{p['rho1']:g}",
+                "rho2": f"{p['rho2']:g}", **echo}, n + m
+
+
+# Each system's [params] reader: (path, entries) -> (model, echo texts by key,
+# dimension of the assembled field).
+_READERS = {"fhn": _read_fhn, "builtin_linear": _read_linear,
+            "user_polynomial": _read_polynomial}
+SYSTEMS = tuple(_READERS)
 
 
 def build_field(scenario: Scenario) -> TimeVaryingField:
     if scenario.system == "fhn":
-        return assemble(fhn_field(scenario.params["fhn"]))
+        return assemble(fhn_field(scenario.model))
     if scenario.system == "builtin_linear":
-        return linear_field(scenario.params["matrix"])
-    return assemble(scenario.params["interconnection"])
+        return linear_field(scenario.model)
+    return assemble(scenario.model)
 
 
 def _csv_header(scenario: Scenario, extra: str = "") -> str:
@@ -420,10 +436,10 @@ def run_figures(
     presets = [figure_params(fig) for fig in (1, 2, 3)]
     field = assemble(fhn_field([p for p in presets for _ in range(2)]))
     tr = _integrate_all(field, (z1, z2) * len(presets), config)
+    pairs = [(2 * k, 2 * k + 1) for k in range(len(presets))]
+    series = pair_distances(tr, pairs, config)
     written = []
-    for fig, p in enumerate(presets, start=1):
-        i, j = 2 * fig - 2, 2 * fig - 1
-        dist = distance_series(tr, i, j, config).values
+    for fig, (p, (i, j), dist) in enumerate(zip(presets, pairs, series), start=1):
         header = (
             f"# ieskit {__version__} figure={fig} c={p.c:g} b={p.b:g} "
             f"epsilon={p.epsilon:g} rho1={p.rho1:g} rho2={p.rho2:g} "
@@ -432,7 +448,8 @@ def run_figures(
             f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}"
         )
         lines = [header, "t,x1,y1,x2,y2,distance"]
-        lines += _csv_rows(np.column_stack([tr.times, tr.states[:, i], tr.states[:, j], dist]))
+        lines += _csv_rows(np.column_stack([tr.times, tr.states[:, i], tr.states[:, j],
+                                            dist.values]))
         out = out_dir / f"figure{fig}.csv"
         atomic_write_text(out, "\n".join(lines) + "\n")
         written.append(out)
@@ -442,18 +459,16 @@ def run_figures(
 def run_estimate(scenario: Scenario) -> list[Path]:
     field = build_field(scenario)
     opts = scenario.options["estimate"]
-    n_pairs = opts["pairs"]
     envelope = EnvelopeConfig(transient_skip=opts["transient_skip"])
-    pairs = []
+    # the given states pair up two by two; seeded pairs make up the rest
     ics = scenario.initial_conditions
-    for k in range(0, len(ics) - 1, 2):
-        pairs.append((ics[k], ics[k + 1]))
-    if len(pairs) < n_pairs:
-        pairs += sample_pairs_box(opts["box"], n_pairs - len(pairs), scenario.seed)
+    pairs = list(zip(ics[0::2], ics[1::2]))
+    pairs += sample_pairs_box(opts["box"], opts["pairs"] - len(pairs), scenario.seed)
     config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
     report = ensemble_ies(field, pairs, scenario.horizon, config, envelope)
-    if report.inconclusive and any(r.blew_up for r in report.results):
-        raise BlowUpError("a trajectory pair blew up during estimation")
+    if report.blown_up:
+        raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up during "
+                          f"estimation")
     out_d = scenario.output_path / "distances.csv"
     out_s = scenario.output_path / "summary.csv"
     write_distance_csv(out_d, report.results)
@@ -461,11 +476,11 @@ def run_estimate(scenario: Scenario) -> list[Path]:
     return [out_d, out_s]
 
 
-def run_invariant_set(scenario: Scenario):
+def run_invariant_set(scenario: Scenario) -> list[Path]:
     field = build_field(scenario)
     opts = scenario.options["invariant"]
-    if scenario.system == "fhn":
-        w = fhn_outer_lyapunov(scenario.params["fhn"])
+    if isinstance(scenario.model, FhnParams):
+        w = fhn_outer_lyapunov(scenario.model)
     else:
         w = OuterLyapunov(
             value=lambda t, z: 0.5 * rowdot(z, z),
@@ -482,13 +497,11 @@ def run_invariant_set(scenario: Scenario):
     )
     out = scenario.output_path / "invariant_set.txt"
     write_invariant_report(est, out)
-    return est, [out]
+    return [out]
 
 
 def run_fc_table(scenario: Scenario) -> list[Path]:
-    if scenario.system != "fhn":
-        raise ConfigError("fc_table requires system = fhn")
-    table = build_fc(scenario.params["fhn"])
+    table = build_fc(scenario.model)
     out = scenario.output_path / "fc_table.csv"
     write_fc_csv(table, out)
     return [out]
@@ -499,9 +512,7 @@ def _given(value, default):
 
 
 def run_certify(scenario: Scenario) -> list[Path]:
-    if scenario.system != "fhn":
-        raise ConfigError("certify requires system = fhn")
-    params: FhnParams = scenario.params["fhn"]
+    params: FhnParams = scenario.model
     opts = scenario.options["certify"]
     table = build_fc(params)
     cand1, cand2 = fc_candidate(table)
@@ -532,24 +543,22 @@ def run_certify(scenario: Scenario) -> list[Path]:
     return [out_rec, out_txt]
 
 
+def _run_figures(scenario: Scenario) -> list[Path]:
+    ics = scenario.initial_conditions
+    pair = (ics[0], ics[1]) if len(ics) >= 2 else DEFAULT_FIGURE_PAIR
+    return run_figures(scenario.output_path, scenario.horizon, scenario.step, pair,
+                       scenario.seed)
+
+
+# Each action's runner: scenario -> the paths it wrote.
+_RUNNERS = {"simulate": run_simulate, "certify": run_certify, "estimate": run_estimate,
+            "invariant_set": run_invariant_set, "fc_table": run_fc_table,
+            "figures": _run_figures}
+ACTIONS = tuple(_RUNNERS)
+
+
 def run_scenario(scenario: Scenario) -> list[Path]:
-    """Dispatch a scenario to its action runner and return the written files."""
-    action = scenario.action
-    if action == "simulate":
-        return run_simulate(scenario)
-    if action == "figures":
-        pair = DEFAULT_FIGURE_PAIR
-        if len(scenario.initial_conditions) >= 2:
-            pair = (scenario.initial_conditions[0], scenario.initial_conditions[1])
-        return run_figures(scenario.output_path, scenario.horizon, scenario.step,
-                           pair, scenario.seed)
-    if action == "estimate":
-        return run_estimate(scenario)
-    if action == "invariant_set":
-        _, written = run_invariant_set(scenario)
-        return written
-    if action == "fc_table":
-        return run_fc_table(scenario)
-    if action == "certify":
-        return run_certify(scenario)
-    raise ConfigError(f"unknown action {action!r}")
+    """Run the scenario's action and return the written files."""
+    if scenario.action not in _RUNNERS:
+        raise ConfigError(f"unknown action {scenario.action!r}; expected one of {ACTIONS}")
+    return _RUNNERS[scenario.action](scenario)

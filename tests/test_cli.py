@@ -19,6 +19,7 @@ from ieskit.scenarios import (
     Scenario,
     parse_config,
 )
+from ieskit.fhn import FhnParams
 from ieskit.smallgain import parse_certificate_record
 
 
@@ -150,7 +151,7 @@ g1_0 = 1 1
 g2_0 = 1 1
 """)
         sc = parse_config(cfg)
-        ic = sc.params["interconnection"]
+        ic = sc.model
         assert ic.n == 1 and ic.m == 1
         np.testing.assert_allclose(ic.f1.rhs(0.0, np.array([2.0])), [-2.0])
 
@@ -449,6 +450,15 @@ BAD_VALUES = {
                         "f1_0"),
     "transient_skip_out_of_range": ("estimate", LINEAR_ESTIMATE, "pairs = 2",
                                     "pairs = 2\ntransient_skip = 1.5", "transient_skip"),
+    "initial_odd_for_estimate": ("estimate", LINEAR_ESTIMATE, "step = 0.1",
+                                 "step = 0.1\ninitial = 1 0; 0 1; 1 1", "initial"),
+    "initial_over_pairs": ("estimate", LINEAR_ESTIMATE, "step = 0.1",
+                           "step = 0.1\ninitial = 1 0; 0 1; 1 1; 0 0; 2 2; 1 -1",
+                           "initial"),
+    "certify_on_linear": ("certify", LINEAR_ESTIMATE, "action = estimate",
+                          "action = certify", "system"),
+    "fc_table_on_linear": ("fc-table", LINEAR_ESTIMATE, "action = estimate",
+                           "action = fc_table", "system"),
 }
 
 
@@ -548,3 +558,45 @@ def test_polynomial_echo_is_deterministic(tmp_path):
     assert first.echo() == second.echo()
     assert "0x" not in first.echo()
     assert "f1_0=-1 1 f2_0=-1 1 g1_0=1 1 g2_0=1 1" in first.echo()
+
+
+@pytest.mark.parametrize("matrix", ["-1 0; 0 -2", "-1 0.5 0; 0 -2 0; 0.25 0 -3"])
+def test_linear_simulate_header_is_one_comment_line(matrix, tmp_path):
+    dim = matrix.count(";") + 1
+    cfg = write_config(tmp_path, f"""
+[scenario]
+system = builtin_linear
+action = simulate
+horizon = 1
+initial = {" ".join(["1"] * dim)}
+
+[params]
+matrix = {matrix}
+""")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    path = out / "trajectory_00.csv"
+    lines = path.read_text().splitlines()
+    assert [i for i, line in enumerate(lines) if line.startswith("#")] == [0]
+    assert f" matrix={matrix} " in lines[0]
+    assert lines[1] == "t," + ",".join(f"z{k + 1}" for k in range(dim))
+    # skiprows counts the '#' line too: 2 skips it and the column names
+    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
+    assert data.shape == (len(lines) - 2, dim + 1)
+
+
+def test_fhn_echo_holds_text_and_the_model_holds_the_parameters(tmp_path):
+    sc = parse_config(write_config(tmp_path, FHN_CERTIFY))
+    assert isinstance(sc.model, FhnParams) and sc.model.r == 2.1
+    assert all(isinstance(v, str) for v in sc.params.values())
+    assert " r=2.1 " in sc.echo() and "FhnParams" not in sc.echo()
+
+
+@pytest.mark.parametrize("initial, pairs", [("1 0; 0 1", 3), ("1 0; 0 1; 2 2; 1 -1", 2)])
+def test_estimate_writes_the_requested_pair_count(initial, pairs, tmp_path):
+    cfg = write_config(tmp_path, LINEAR_ESTIMATE.replace(
+        "pairs = 2", f"pairs = {pairs}").replace("step = 0.1", f"step = 0.1\ninitial = {initial}"))
+    out = tmp_path / "est"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == [str(k) for k in range(pairs)]

@@ -5,7 +5,10 @@ folds result files into a BENCH_<pr>.json record."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from ieskit import cli, estimator, finsler, scenarios
 from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig
@@ -182,3 +185,43 @@ def test_bench_record_folds_before_and_after_runs(tmp_path):
                                  "after": {"runs": 4, "attempted": 12, "failed": 4}}
     assert fig["layers"] == {"dynsys.rhs_calls": {"unit": "count", "before": 120003.0,
                                                   "after": 40001.0}}
+
+
+def readme_config_tables() -> dict[str, set[str]]:
+    """Keys of each table of the README's config reference, by its title
+    line (for example "`[params]` for `system = fhn`")."""
+    text = (ROOT / "README.md").read_text()
+    reference = text.split("### Config reference", 1)[1].split("\n## ", 1)[0]
+    tables, title = {}, None
+    for line in reference.splitlines():
+        if line.startswith("`["):
+            title = line
+            tables[title] = set()
+        elif title and line.startswith("| `"):
+            tables[title] |= set(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return tables
+
+
+def test_readme_config_reference_lists_every_key():
+    blocks = {"f1_i", "f2_i", "g1_i", "g2_i"}
+    seen = set()
+    for title, keys in readme_config_tables().items():
+        section = re.match(r"`\[(\w+)\]`", title).group(1)
+        if section == "params":
+            system = re.search(r"system = (\w+)", title).group(1)
+            expected = set(scenarios.PARAMS[system])
+            expected |= blocks if system == "user_polynomial" else set()
+            seen.add(system)
+        else:
+            expected = set(scenarios.SCHEMA[section])
+            seen.add(section)
+        assert keys == expected, title
+    assert seen == set(scenarios.SCHEMA) | set(scenarios.SYSTEMS)
+
+
+def test_help_lists_one_subcommand_per_action(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    usage = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+    assert usage.split(",") == [a.replace("_", "-") for a in scenarios.ACTIONS]
