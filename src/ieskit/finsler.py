@@ -206,21 +206,21 @@ def check_sandwich(
     v = candidate.value(samples.zs, samples.dzs)
     lower = v - candidate.c_lower * q
     upper = candidate.c_upper * q - v
-    i_lo = int(np.argmin(lower))
-    i_up = int(np.argmin(upper))
-    passed = lower[i_lo] >= -tol and upper[i_up] >= -tol
+    return _margin_report(SandwichReport, "sandwich", lower, upper, len(samples), tol)
+
+
+def _margin_report(report_cls, what: str, first: Array, second: Array, n_samples: int,
+                   tol: float):
+    """Report of two margin arrays that must both stay >= -tol: each one's
+    smallest value and its first index, in the field order that
+    ``SandwichReport`` and ``GradientBoundReport`` share."""
+    i = int(np.argmin(first))
+    j = int(np.argmin(second))
+    passed = bool(first[i] >= -tol and second[j] >= -tol)
     note = NO_VIOLATION_NOTE if passed else (
-        f"sandwich violated at sample {i_lo if lower[i_lo] < upper[i_up] else i_up}"
+        f"{what} violated at sample {i if first[i] < second[j] else j}"
     )
-    return SandwichReport(
-        passed=passed,
-        lower_margin=float(lower[i_lo]),
-        upper_margin=float(upper[i_up]),
-        worst_lower_index=i_lo,
-        worst_upper_index=i_up,
-        n_samples=len(samples),
-        note=note,
-    )
+    return report_cls(passed, float(first[i]), float(second[j]), i, j, n_samples, note)
 
 
 @dataclass(frozen=True)
@@ -313,18 +313,5 @@ def verify_assumption2(
     gd = candidate.grad_disp(zs, dzs)
     state_m = bounds.gamma(zs) * q - np.sqrt(rowdot(gs, gs))
     disp_m = bounds.zeta(zs) * np.sqrt(q) - np.sqrt(rowdot(gd, gd))
-    i_s = int(np.argmin(state_m))
-    i_d = int(np.argmin(disp_m))
-    passed = state_m[i_s] >= -tol and disp_m[i_d] >= -tol
-    note = NO_VIOLATION_NOTE if passed else (
-        f"gradient bound violated at sample {i_s if state_m[i_s] < disp_m[i_d] else i_d}"
-    )
-    return GradientBoundReport(
-        passed=passed,
-        state_margin=float(state_m[i_s]),
-        disp_margin=float(disp_m[i_d]),
-        worst_state_index=i_s,
-        worst_disp_index=i_d,
-        n_samples=len(samples),
-        note=note,
-    )
+    return _margin_report(GradientBoundReport, "gradient bound", state_m, disp_m,
+                          len(samples), tol)

@@ -50,7 +50,7 @@ from ieskit.invariance import (
 )
 from ieskit.io_utils import _csv_rows, atomic_write_text
 from ieskit.polynomials import parse_polynomial_component, polynomial_interconnection
-from ieskit.smallgain import certify
+from ieskit.smallgain import SAFETY, certify
 
 Array = np.ndarray
 
@@ -526,10 +526,11 @@ def run_certify(scenario: Scenario) -> list[Path]:
     if opts["radius"] is not None:
         radius = opts["radius"]
     else:
-        # closed-form enclosure from the dissipation chain at equal gains
+        # closed-form enclosure from the dissipation chain at equal gains,
+        # level and radius each widened by the safety factor
         kappa = min(0.125, params.b / params.epsilon)
-        level = (2.0 + params.c**2 / 2.0) / (2.0 * kappa) * 1.05
-        radius = math.sqrt(2.0 * level * max(1.0, 1.0 / params.epsilon)) * 1.05
+        level = (2.0 + params.c**2 / 2.0) / (2.0 * kappa) * SAFETY
+        radius = math.sqrt(2.0 * level * max(1.0, 1.0 / params.epsilon)) * SAFETY
     ic = fhn_field(params)
     cert = certify(
         ic, cand1, cand2, bounds1, bounds2, radius,

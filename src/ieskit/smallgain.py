@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ieskit import __version__
-from ieskit.dynsys import Interconnection, assemble
+from ieskit.dynsys import Interconnection, TimeVaryingField, assemble
 from ieskit.finsler import (
     AssumptionTwoBounds,
     DecayReport,
@@ -30,6 +30,17 @@ from ieskit.sampling import ball_grid
 Array = np.ndarray
 
 
+# The eight sup-constants, in record order.
+CONSTANTS = ("a1", "a2", "b1", "b2", "eta1", "eta2", "theta1", "theta2")
+# Sampled maxima are inflated by this factor (true suprema are unattainable
+# numerically).
+SAFETY = 1.05
+# Points per axis of the ball grid the constants are searched on.
+GRID_DENSITY = 101
+# Halton states and unit displacement directions per decay-check sample set.
+N_STATES, N_DIRECTIONS = 64, 16
+
+
 class InfeasibleBudgetError(ValueError):
     """No admissible gain budget exists for the requested rates."""
 
@@ -41,7 +52,7 @@ class CertificationError(RuntimeError):
 @dataclass(frozen=True)
 class SupConstants:
     """Sampled suprema over the ball of the given radius, inflated by the
-    safety factor (true suprema are unattainable numerically)."""
+    safety factor."""
 
     radius: float
     a1: float
@@ -52,11 +63,11 @@ class SupConstants:
     eta2: float
     theta1: float
     theta2: float
-    safety: float = 1.05
+    safety: float = SAFETY
     provenance: str = "sampled, inflated"
 
     def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2", "eta1", "eta2", "theta1", "theta2"):
+        for name in CONSTANTS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.radius <= 0:
@@ -70,8 +81,7 @@ def extract_constants(
     bounds1: AssumptionTwoBounds,
     bounds2: AssumptionTwoBounds,
     radius: float,
-    grid_density: int = 101,
-    safety: float = 1.05,
+    grid_density: int = GRID_DENSITY,
 ) -> SupConstants:
     """Sampled sup-constants over the balls |x| <= R and |y| <= R.
 
@@ -79,8 +89,8 @@ def extract_constants(
     and theta_i the gradient-bound suprema of the two candidates.  Each value
     is the grid maximum times the safety factor.
     """
-    xs = ball_grid(radius, ic.n, grid_density)
-    ys = ball_grid(radius, ic.m, grid_density)
+    grids = {dim: ball_grid(radius, dim, grid_density) for dim in {ic.n, ic.m}}
+    xs, ys = grids[ic.n], grids[ic.m]
 
     def refine_max(fn: Callable[[Array], float], start: Array, step: float) -> float:
         # deterministic pattern search inside the ball around the grid argmax,
@@ -117,27 +127,18 @@ def extract_constants(
         # argmax takes the first of equal maxima, as a scan with a strict > would
         return refine_max(fn, pts[np.argmax(vals)], cell)
 
-    a1 = grid_max(lambda y: np.linalg.norm(ic.g1.value(y), axis=-1), ys, "g1")
-    a2 = grid_max(lambda x: np.linalg.norm(ic.g2.value(x), axis=-1), xs, "g2")
-    b1 = grid_max(lambda y: np.linalg.norm(ic.g1.jacobian(y), 2, (-2, -1)), ys, "Dg1")
-    b2 = grid_max(lambda x: np.linalg.norm(ic.g2.jacobian(x), 2, (-2, -1)), xs, "Dg2")
-    eta1 = grid_max(lambda x: np.abs(bounds1.gamma(x)), xs, "gamma1")
-    eta2 = grid_max(lambda y: np.abs(bounds2.gamma(y)), ys, "gamma2")
-    theta1 = grid_max(lambda x: np.abs(bounds1.zeta(x)), xs, "zeta1")
-    theta2 = grid_max(lambda y: np.abs(bounds2.zeta(y)), ys, "zeta2")
-
+    searches = {
+        "a1": (lambda y: np.linalg.norm(ic.g1.value(y), axis=-1), ys, "g1"),
+        "a2": (lambda x: np.linalg.norm(ic.g2.value(x), axis=-1), xs, "g2"),
+        "b1": (lambda y: np.linalg.norm(ic.g1.jacobian(y), 2, (-2, -1)), ys, "Dg1"),
+        "b2": (lambda x: np.linalg.norm(ic.g2.jacobian(x), 2, (-2, -1)), xs, "Dg2"),
+        "eta1": (lambda x: np.abs(bounds1.gamma(x)), xs, "gamma1"),
+        "eta2": (lambda y: np.abs(bounds2.gamma(y)), ys, "gamma2"),
+        "theta1": (lambda x: np.abs(bounds1.zeta(x)), xs, "zeta1"),
+        "theta2": (lambda y: np.abs(bounds2.zeta(y)), ys, "zeta2"),
+    }
     return SupConstants(
-        radius=radius,
-        a1=a1 * safety,
-        a2=a2 * safety,
-        b1=b1 * safety,
-        b2=b2 * safety,
-        eta1=eta1 * safety,
-        eta2=eta2 * safety,
-        theta1=theta1 * safety,
-        theta2=theta2 * safety,
-        safety=safety,
-    )
+        radius=radius, **{name: grid_max(*searches[name]) * SAFETY for name in CONSTANTS})
 
 
 def default_epsilons(alpha1: float, alpha2: float, alpha: float) -> tuple[float, float, float, float]:
@@ -210,24 +211,11 @@ class GainCertificate:
             "radius": repr(c.radius),
             "safety": repr(c.safety),
             "provenance": c.provenance,
-            "a1": repr(c.a1),
-            "a2": repr(c.a2),
-            "b1": repr(c.b1),
-            "b2": repr(c.b2),
-            "eta1": repr(c.eta1),
-            "eta2": repr(c.eta2),
-            "theta1": repr(c.theta1),
-            "theta2": repr(c.theta2),
-            "alpha1": repr(self.alpha1),
-            "alpha2": repr(self.alpha2),
-            "alpha": repr(self.alpha),
-            "epsilon1": repr(self.epsilons[0]),
-            "epsilon2": repr(self.epsilons[1]),
-            "epsilon3": repr(self.epsilons[2]),
-            "epsilon4": repr(self.epsilons[3]),
-            "rho1_max": repr(self.rho1_max),
-            "rho2_max": repr(self.rho2_max),
         }
+        rec.update((name, repr(getattr(c, name))) for name in CONSTANTS)
+        rec.update(alpha1=repr(self.alpha1), alpha2=repr(self.alpha2), alpha=repr(self.alpha))
+        rec.update((f"epsilon{i}", repr(e)) for i, e in enumerate(self.epsilons, 1))
+        rec.update(rho1_max=repr(self.rho1_max), rho2_max=repr(self.rho2_max))
         if self.decay_report is not None:
             rec["decay_check"] = "pass" if self.decay_report.passed else "fail"
             rec["decay_worst"] = repr(self.decay_report.worst)
@@ -274,11 +262,7 @@ def certify(
     alpha1: float,
     alpha2: float,
     alpha: float,
-    epsilons: Optional[tuple[float, float, float, float]] = None,
     requested_gains: Optional[tuple[float, float]] = None,
-    grid_density: int = 101,
-    n_states: int = 64,
-    n_directions: int = 16,
     tol: float = 1e-9,
 ) -> GainCertificate:
     """Full certification pipeline over the ball of the given radius.
@@ -287,38 +271,34 @@ def certify(
     squared-displacement form; the budget is then computed from the sampled
     constants, and the composed candidate is re-checked on the assembled field
     at the budget gains.  Any failing check refuses certification.  When
-    ``requested_gains`` is given it must not exceed the budget.
+    ``requested_gains`` is given it must be finite, nonnegative and within
+    the budget.
     """
-    comp1 = check_decay(
-        candidate1,
-        ic.f1,
-        alpha1,
-        DisplacementSamples.product_ball(radius, ic.n, n_states, n_directions),
-        tol=tol,
-        comparator="squared_norm",
-    )
-    if not comp1.passed:
+    if requested_gains is not None and not all(
+            math.isfinite(g) and g >= 0.0 for g in requested_gains):
         raise CertificationError(
-            f"first component decay check failed at z={comp1.worst_z}, "
-            f"dz={comp1.worst_dz} (violation {comp1.worst:.3e})"
-        )
-    comp2 = check_decay(
-        candidate2,
-        ic.f2,
-        alpha2,
-        DisplacementSamples.product_ball(radius, ic.m, n_states, n_directions),
-        tol=tol,
-        comparator="squared_norm",
-    )
-    if not comp2.passed:
-        raise CertificationError(
-            f"second component decay check failed at z={comp2.worst_z}, "
-            f"dz={comp2.worst_dz} (violation {comp2.worst:.3e})"
-        )
+            f"requested gains {tuple(requested_gains)} must be finite and nonnegative")
+    samples: dict[int, DisplacementSamples] = {}  # one sample set per dimension
 
-    constants = extract_constants(ic, bounds1, bounds2, radius, grid_density)
-    if epsilons is None:
-        epsilons = default_epsilons(alpha1, alpha2, alpha)
+    def checked(label: str, candidate: FinslerCandidate, field: TimeVaryingField,
+                rate: float) -> DecayReport:
+        if field.dim not in samples:
+            samples[field.dim] = DisplacementSamples.product_ball(
+                radius, field.dim, N_STATES, N_DIRECTIONS)
+        report = check_decay(candidate, field, rate, samples[field.dim], tol=tol,
+                             comparator="squared_norm")
+        if not report.passed:
+            raise CertificationError(
+                f"{label} decay check failed at z={report.worst_z}, "
+                f"dz={report.worst_dz} (violation {report.worst:.3e})"
+            )
+        return report
+
+    checked("first component", candidate1, ic.f1, alpha1)
+    checked("second component", candidate2, ic.f2, alpha2)
+
+    constants = extract_constants(ic, bounds1, bounds2, radius)
+    epsilons = default_epsilons(alpha1, alpha2, alpha)
     rho1_max, rho2_max = gain_budget(constants, alpha1, alpha2, alpha, epsilons)
 
     if requested_gains is not None:
@@ -331,19 +311,8 @@ def certify(
 
     # an infinite budget (degenerate coupling) is exercised at a large finite gain
     gains = (min(rho1_max, 1e6), min(rho2_max, 1e6))
-    assembled = assemble(ic.with_gains(*gains))
-    composed = compose(candidate1, candidate2)
-    samples = DisplacementSamples.product_ball(
-        radius, ic.n + ic.m, n_states, n_directions
-    )
-    report = check_decay(
-        composed, assembled, alpha, samples, tol=tol, comparator="squared_norm"
-    )
-    if not report.passed:
-        raise CertificationError(
-            f"composite decay check failed at the budget gains: worst "
-            f"{report.worst:.3e} at z={report.worst_z}, dz={report.worst_dz}"
-        )
+    report = checked("composite (budget gains)", compose(candidate1, candidate2),
+                     assemble(ic.with_gains(*gains)), alpha)
     return GainCertificate(
         constants=constants,
         alpha1=alpha1,
@@ -354,4 +323,3 @@ def certify(
         rho2_max=rho2_max,
         decay_report=report,
     )
-

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,33 @@ class TestCertify:
         with pytest.raises(CertificationError, match="component"):
             certify(ic, half, half, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
                     alpha1=1.5, alpha2=1.0, alpha=0.9)
+
+    @pytest.mark.parametrize("gains", [(math.nan, 0.0), (-1.0, 0.0), (0.0, math.inf),
+                                       (0.0, -0.5)])
+    def test_bad_requested_gains_refused(self, gains):
+        params = figure_params(3)
+        table = build_fc(params)
+        ic = fhn_field(params)
+        c1, c2 = fc_candidate(table)
+        b1, b2 = assumption2_bounds(table)
+        with pytest.raises(CertificationError,
+                           match=re.escape(f"requested gains {gains}") + ".*finite"):
+            certify(ic, c1, c2, b1, b2, radius=8.0,
+                    alpha1=params.alpha, alpha2=params.b / params.epsilon,
+                    alpha=0.5, requested_gains=gains)
+
+    def test_composite_check_failure_refused(self):
+        # both blocks decay at rate 2, but the declared zeta = 1 understates
+        # the true |dV/d(dz)| / |dz| = 2, so the budget gains are too large
+        # for the composite to keep rate 1
+        unit = quadratic_candidate(
+            1, lambda z: np.ones(np.shape(z) + (1,)), 1.0, 1.0,
+            metric_grad=lambda z: np.zeros(np.shape(z) + (1, 1)))
+        ic = Interconnection(linear_field([[-1.0]]), linear_field([[-1.0]]),
+                             linear_coupling([[1.0]]), linear_coupling([[1.0]]), 0.0, 0.0)
+        with pytest.raises(CertificationError, match="composite.*budget gains"):
+            certify(ic, unit, unit, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
+                    alpha1=2.0, alpha2=2.0, alpha=1.0)
 
     def test_certificate_roundtrip(self, tmp_path, default_table):
         params = default_table.params
