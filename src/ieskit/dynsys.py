@@ -30,6 +30,7 @@ ADAPTIVE_EMBEDDED = "adaptive_embedded"
 # Largest number of fixed steps one integration may take: every step stores a
 # state and a derivative per row, so the horizon/step ratio bounds the memory.
 MAX_STEPS = 10**7
+FD_REL_STEP = 1e-6  # relative step h / (1 + |x_i|) of every central difference
 
 
 class DimensionMismatchError(ValueError):
@@ -65,14 +66,14 @@ def matvec(m: Array, v: Array) -> Array:
     return (m @ np.asarray(v)[..., None])[..., 0]
 
 
-def central_difference(f: Callable[[Array], Array], x, rel_step: float = 1e-6) -> Array:
+def central_difference(f: Callable[[Array], Array], x) -> Array:
     """Central differences of ``f`` at points x of shape (..., d), one per
     coordinate, stacked on a new last axis: entry [..., i] is
-    (f(x + h e_i) - f(x - h e_i)) / (2 h) with h = rel_step * (1 + |x_i|)."""
+    (f(x + h e_i) - f(x - h e_i)) / (2 h) with h = FD_REL_STEP * (1 + |x_i|)."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.shape[-1]):
-        h = rel_step * (1.0 + np.abs(x[..., i]))
+        h = FD_REL_STEP * (1.0 + np.abs(x[..., i]))
         xp, xm = x.copy(), x.copy()
         xp[..., i] += h
         xm[..., i] -= h
@@ -81,11 +82,11 @@ def central_difference(f: Callable[[Array], Array], x, rel_step: float = 1e-6) -
     return np.stack(cols, axis=-1)
 
 
-def fd_jacobian(rhs: RhsFn, dim: int, rel_step: float = 1e-6) -> JacFn:
-    """Central-difference Jacobian of ``rhs`` with step rel_step*(1+|z_i|)."""
+def fd_jacobian(rhs: RhsFn, dim: int) -> JacFn:
+    """Central-difference Jacobian of ``rhs`` (see ``central_difference``)."""
 
     def jac(t: float, z: Array) -> Array:
-        return central_difference(lambda w: rhs(t, w), z, rel_step)
+        return central_difference(lambda w: rhs(t, w), z)
 
     return jac
 
@@ -147,7 +148,7 @@ class Interconnection:
     joint_rhs: Optional[Callable[[Union[float, Array], Union[float, Array]], RhsFn]] = None
 
     def __post_init__(self):
-        if np.any(self.rho1 < 0) or np.any(self.rho2 < 0):
+        if not (np.all(self.rho1 >= 0) and np.all(self.rho2 >= 0)):
             raise ValueError("coupling gains must be nonnegative")
 
     @property
@@ -228,12 +229,12 @@ class IntegratorConfig:
     rtol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_time <= 0:
-            raise ValueError("max_time must be positive")
+        if not 0 < self.max_time < math.inf:
+            raise ValueError(f"max_time must be positive and finite, got {self.max_time}")
         if self.method not in (FIXED_RK4, ADAPTIVE_EMBEDDED):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == FIXED_RK4:
-            if self.step <= 0:
+            if not self.step > 0:
                 raise ValueError("fixed step must be positive")
             if self.step > self.max_time / 2:
                 raise ValueError("fixed step must divide the horizon into >= 2 steps")
@@ -242,7 +243,7 @@ class IntegratorConfig:
                                  f"{MAX_STEPS} steps, got max_time/step = "
                                  f"{self.max_time / self.step:g}")
         else:
-            if self.atol <= 0 or self.rtol <= 0:
+            if not (self.atol > 0 and self.rtol > 0):
                 raise ValueError("adaptive tolerances must be strictly positive")
 
 

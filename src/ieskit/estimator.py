@@ -8,6 +8,7 @@ a strongly contracting run is not misread as flat noise.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -23,23 +24,24 @@ CONTRACTING = "contracting"
 NON_CONTRACTING = "non_contracting"
 INCONCLUSIVE = "inconclusive"
 
+RESIDUAL_MAX = 0.5  # largest log-residual of a contracting fit
+LATE_FRACTION = 0.2  # the late window's share of the samples
+FLOOR_RATIO = 1e-10  # samples below FLOOR_RATIO * d(t0) leave the fit window
+MIN_POINTS = 8  # a shorter post-transient window falls back to the whole series
+MIN_SEPARATION = 1e-6  # least distance between the two points of a sampled pair
+
 
 @dataclass(frozen=True)
 class EnvelopeConfig:
-    """Fit and verdict thresholds.
+    """Fit and verdict thresholds that callers may set.
 
     ``late_floor`` separates the non-contracting regime (late-window mean of
-    d above late_floor * d(t0)); ``floor_ratio`` drops samples below
-    floor_ratio * d(t0) from the fit window.
+    d above late_floor * d(t0)).
     """
 
     transient_skip: float = 0.2
     lambda_min: float = 1e-3
-    residual_max: float = 0.5
     late_floor: float = 0.05
-    late_fraction: float = 0.2
-    floor_ratio: float = 1e-10
-    min_points: int = 8
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,9 @@ def fit_envelope(
     t0, t_end = float(times[0]), float(times[-1])
     t_lo = t0 + config.transient_skip * (t_end - t0)
 
-    floor = config.floor_ratio * d0
+    floor = FLOOR_RATIO * d0
     window_mask = (times >= t_lo) & (d > floor)
-    if np.count_nonzero(window_mask) < config.min_points:
+    if np.count_nonzero(window_mask) < MIN_POINTS:
         window_mask = d > floor
     if np.count_nonzero(window_mask) < 2:
         return EnvelopeFit(K=1.0, lam=0.0, window=(t0, t0), residual=math.inf,
@@ -97,10 +99,10 @@ def fit_envelope(
     k = float(np.exp(np.max(logd + lam * (tw - t0) - math.log(d0))))
     k = max(k, 1.0)
 
-    n_late = max(1, int(math.ceil(config.late_fraction * len(times))))
+    n_late = max(1, int(math.ceil(LATE_FRACTION * len(times))))
     late_mean = float(np.mean(d[-n_late:]))
 
-    if lam > config.lambda_min and residual < config.residual_max:
+    if lam > config.lambda_min and residual < RESIDUAL_MAX:
         verdict = CONTRACTING
     elif late_mean > config.late_floor * d0:
         verdict = NON_CONTRACTING
@@ -115,10 +117,25 @@ def fit_envelope(
     )
 
 
-def sample_pairs_box(bounds, n_pairs: int, seed: int, min_separation: float = 1e-6):
+def _sample_pairs(low, high, dim: int, n_pairs: int, seed: int, inside=lambda z: True):
+    """n seeded pairs of points drawn uniformly from the box [low, high] in
+    R^dim and redrawn until ``inside(z)`` holds; a pair is kept when its two
+    points are at least MIN_SEPARATION apart.  Scalar bounds draw about three
+    times faster than (dim,) arrays of them, with the same bits."""
+    rng = np.random.default_rng(seed)
+    points = filter(inside, (rng.uniform(low, high, size=dim) for _ in itertools.count()))
+    pairs = []
+    while len(pairs) < n_pairs:
+        z1, z2 = next(points), next(points)
+        if np.linalg.norm(z1 - z2) >= MIN_SEPARATION:
+            pairs.append((z1, z2))
+    return pairs
+
+
+def sample_pairs_box(bounds, n_pairs: int, seed: int):
     """n seeded random initial-condition pairs inside a box, separated by at
-    least ``min_separation``.  A box whose diagonal does not exceed
-    ``min_separation`` holds no such pair and is refused with ``ValueError``."""
+    least MIN_SEPARATION.  A box whose diagonal does not exceed
+    MIN_SEPARATION holds no such pair and is refused with ``ValueError``."""
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     if bounds.ndim != 2 or bounds.shape[1] != 2 or not bounds.size:
         raise ValueError(f"box bounds must have shape (d, 2) with d >= 1, "
@@ -126,43 +143,26 @@ def sample_pairs_box(bounds, n_pairs: int, seed: int, min_separation: float = 1e
     if not np.all(np.isfinite(bounds)):
         raise ValueError("box bounds must be finite")
     diagonal = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
-    if not diagonal > min_separation:
+    if not diagonal > MIN_SEPARATION:
         raise ValueError(f"box diagonal {diagonal:g} must exceed the pair "
-                         f"separation {min_separation:g}")
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < n_pairs:
-        z1 = rng.uniform(bounds[:, 0], bounds[:, 1])
-        z2 = rng.uniform(bounds[:, 0], bounds[:, 1])
-        if np.linalg.norm(z1 - z2) >= min_separation:
-            pairs.append((z1, z2))
-    return pairs
+                         f"separation {MIN_SEPARATION:g}")
+    return _sample_pairs(bounds[:, 0], bounds[:, 1], len(bounds), n_pairs, seed)
 
 
-def sample_pairs_ball(radius: float, dim: int, n_pairs: int, seed: int,
-                      min_separation: float = 1e-6):
+def sample_pairs_ball(radius: float, dim: int, n_pairs: int, seed: int):
     """n seeded random pairs with both endpoints inside the ball |z| <= radius,
-    separated by at least ``min_separation``.  A radius that is not positive
-    and finite, or a ball whose diameter does not exceed ``min_separation``,
-    is refused with ``ValueError``."""
+    separated by at least MIN_SEPARATION.  A radius that is not positive and
+    finite, or a ball whose diameter does not exceed MIN_SEPARATION, is
+    refused with ``ValueError``."""
     if dim < 1:
         raise ValueError(f"ball dimension must be positive, got {dim}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"ball radius must be positive and finite, got {radius}")
-    if not 2.0 * radius > min_separation:
+    if not 2.0 * radius > MIN_SEPARATION:
         raise ValueError(f"ball diameter {2.0 * radius:g} must exceed the pair "
-                         f"separation {min_separation:g}")
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < n_pairs:
-        pts = []
-        while len(pts) < 2:
-            cand = rng.uniform(-radius, radius, size=dim)
-            if np.linalg.norm(cand) <= radius:
-                pts.append(cand)
-        if np.linalg.norm(pts[0] - pts[1]) >= min_separation:
-            pairs.append((pts[0], pts[1]))
-    return pairs
+                         f"separation {MIN_SEPARATION:g}")
+    return _sample_pairs(-radius, radius, dim, n_pairs, seed,
+                         inside=lambda z: np.linalg.norm(z) <= radius)
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,9 @@ def _pair_results(
     if abs(config.max_time - horizon) > 1e-12:
         config = dataclasses.replace(config, max_time=horizon)
     pairs = [(np.asarray(z1), np.asarray(z2)) for z1, z2 in pairs]
-    all_series = flow_differences(field, 0.0, *zip(*pairs), config) if pairs else []
+    if not pairs:
+        raise ValueError("an ensemble needs at least one pair")
+    all_series = flow_differences(field, 0.0, *zip(*pairs), config)
     results = []
     for i, ((z1, z2), series) in enumerate(zip(pairs, all_series)):
         fit = None if series.blew_up else fit_envelope(series.times, series.values,
@@ -245,7 +247,8 @@ def ensemble_ies(
     envelope: EnvelopeConfig = EnvelopeConfig(),
 ) -> EnsembleReport:
     """Fit the envelope of every pair's distance series; the 2N flows are
-    integrated as one batch from t = 0, and a pair that blew up gets no fit."""
+    integrated as one batch from t = 0, and a pair that blew up gets no fit.
+    An empty ``pairs`` is refused with ``ValueError``."""
     return _aggregate(_pair_results(field, pairs, horizon, config, envelope))
 
 
@@ -268,7 +271,6 @@ def wies_scan(
     horizon: float,
     config: IntegratorConfig,
     seed: int = 0,
-    envelope: EnvelopeConfig = EnvelopeConfig(),
 ) -> WiesEnsembleReport:
     """Fit envelopes for pair ensembles sampled at increasing initial radii.
 
@@ -280,8 +282,10 @@ def wies_scan(
     depend on the other rows of the batch, as for the FHN, linear and
     polynomial fields.  Under the adaptive method all rows share one step
     size, set by the worst row of all radii, so the numbers differ from the
-    per-radius calls within the solver tolerance.
+    per-radius calls within the solver tolerance.  Fits use ``EnvelopeConfig()``.
     """
+    if not pairs_per_radius >= 1:
+        raise ValueError(f"pairs_per_radius must be at least 1, got {pairs_per_radius}")
     radii = [float(r) for r in radii]
     if not all(math.isfinite(r) and r > 0.0 for r in radii):
         raise ValueError(f"radii must be positive and finite, got {radii}")
@@ -289,7 +293,7 @@ def wies_scan(
         raise ValueError("radii must be strictly increasing")
     pairs = [pair for k, radius in enumerate(radii)
              for pair in sample_pairs_ball(radius, field.dim, pairs_per_radius, seed + k)]
-    results = _pair_results(field, pairs, horizon, config, envelope)
+    results = _pair_results(field, pairs, horizon, config, EnvelopeConfig())
     n = pairs_per_radius
     reports = [_aggregate([dataclasses.replace(r, pair_id=i)
                            for i, r in enumerate(results[k * n:(k + 1) * n])])

@@ -5,8 +5,8 @@ Finsler candidates."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
@@ -37,12 +37,14 @@ class FhnParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.b <= 0:
+        if not self.b > 0:
             raise ValueError("b must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.rho1 < 0 or self.rho2 < 0:
+        if not (self.rho1 >= 0 and self.rho2 >= 0):
             raise ValueError("coupling gains must be nonnegative")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
         hi = 2.0 * self.r * self.r - 2.0
         if not (0.0 < self.alpha < hi):
             raise ValueError(
@@ -236,11 +238,8 @@ def fhn_field(params: ParamSets) -> Interconnection:
     )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    mu_tol: float = 1e-10
-    table_size: int = 2048
-    panel_order: int = 15
+# Gauss-Legendre nodes per panel of the f_c table's cumulative quadrature
+PANEL_ORDER = 15
 
 
 def _weight_ratio(params: FhnParams):
@@ -274,7 +273,7 @@ class FcTable:
     values: Array
     quadrature_error: float
     _spline: CubicHermiteSpline = field(repr=False)
-    _ratio: object = field(repr=False, default=None)
+    _ratio: Callable = field(repr=False)
 
     @property
     def s_star(self) -> float:
@@ -315,8 +314,8 @@ def _gauss_legendre_panels(fn, edges: Array, order: int) -> Array:
     return half * (vals @ weights)
 
 
-def build_fc(params: FhnParams, config: QuadratureConfig = QuadratureConfig()) -> FcTable:
-    """Construct the contraction-weight table.
+def build_fc(params: FhnParams, table_size: int = 2048) -> FcTable:
+    """Construct the contraction-weight table on ``table_size`` nodes.
 
     mu is computed by adaptive Gauss-Kronrod quadrature of the logarithmic
     slope over [-s*, s*]; the table itself comes from cumulative per-panel
@@ -338,23 +337,20 @@ def build_fc(params: FhnParams, config: QuadratureConfig = QuadratureConfig()) -
             f"minimum {np.min(den):.3e} at x = {probe[np.argmin(den)]:.4f}"
         )
 
-    mu_quad, mu_err = quad(
-        lambda x: ratio(x), -s, s,
-        epsabs=min(config.mu_tol * 1e-2, 1e-12), epsrel=1e-13, limit=500,
-    )
+    mu_quad, mu_err = quad(lambda x: ratio(x), -s, s, epsabs=1e-12, epsrel=1e-13,
+                           limit=500)
     mu = -mu_quad
 
-    n = config.table_size
-    j = np.arange(n)
-    grid = -s * np.cos(np.pi * j / (n - 1))
+    j = np.arange(table_size)
+    grid = -s * np.cos(np.pi * j / (table_size - 1))
     grid[0], grid[-1] = -s, s
-    panel = _gauss_legendre_panels(ratio, grid, config.panel_order)
+    panel = _gauss_legendre_panels(ratio, grid, PANEL_ORDER)
     # F(x) = integral from s* down to x of the slope; cumulative from the right
-    f_log = np.zeros(n)
+    f_log = np.zeros(table_size)
     f_log[:-1] = -(np.cumsum(panel[::-1])[::-1])
     mu_panels = f_log[0]
     quadrature_error = abs(mu - mu_panels) + abs(mu_err)
-    if quadrature_error > max(config.mu_tol, 1e-9):
+    if quadrature_error > 1e-9:
         raise ArithmeticError(
             f"quadrature routes disagree: {quadrature_error:.3e} on mu"
         )
@@ -378,9 +374,7 @@ def build_fc(params: FhnParams, config: QuadratureConfig = QuadratureConfig()) -
         _spline=spline,
         _ratio=ratio,
     )
-    eta = _refine_eta(table, derivs)
-    object.__setattr__(table, "eta", eta)
-    return table
+    return replace(table, eta=_refine_eta(table, derivs))
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -76,17 +76,16 @@ def find_invariant_level(
     n_levels: int = 40,
     grid_density: int = 81,
     shell_width: float = 0.05,
-    t: float = 0.0,
 ) -> InvariantSetEstimate:
     """Smallest grid level whose sampled shell {L <= W <= L (1 + delta)} has
-    strictly negative Wdot; the enclosing radius comes from the sampled
-    sublevel set, inflated by half a grid-cell diagonal."""
+    strictly negative Wdot at t = 0; the enclosing radius comes from the
+    sampled sublevel set, inflated by half a grid-cell diagonal."""
     lo, hi = level_range
     if not (0 < lo < hi):
         raise ValueError("level range must satisfy 0 < lo < hi")
     box = np.atleast_2d(np.asarray(box, dtype=float))
     pts = box_grid(box, grid_density)
-    w_vals = w.value(t, pts)
+    w_vals = w.value(0.0, pts)
     norms = np.linalg.norm(pts, axis=1)
     if w.class_lower is not None and w.class_upper is not None:
         lo_ok = np.all(w.class_lower(norms) <= w_vals + 1e-12)
@@ -102,7 +101,7 @@ def find_invariant_level(
         n_shell = int(np.count_nonzero(shell))
         if n_shell == 0:
             continue
-        margin = float(np.max(wdot(w, field, t, pts[shell])))
+        margin = float(np.max(wdot(w, field, 0.0, pts[shell])))
         if margin < 0.0:
             inside = w_vals <= level
             radius = float(np.max(norms[inside])) + cell if np.any(inside) else cell

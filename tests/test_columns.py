@@ -91,7 +91,7 @@ def test_rk4_rows_are_each_sets_own_solve(sets, seed, scale):
 
 
 @given(sets=SETS, row=st.integers(min_value=0, max_value=11),
-       bad=st.sampled_from([-1.0, -1e-300]))
+       bad=st.sampled_from([-1.0, -1e-300, np.nan]))
 @settings(max_examples=25, deadline=None)
 def test_a_column_with_one_negative_gain_is_refused(sets, row, bad):
     rows = per_row(sets)

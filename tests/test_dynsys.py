@@ -314,6 +314,25 @@ def test_config_validation():
         IntegratorConfig(max_time=1.0, method="rk9000")
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(max_time=np.nan), "max_time must be positive"),
+    (dict(max_time=np.nan, method=ADAPTIVE_EMBEDDED), "max_time must be positive"),
+    (dict(max_time=np.inf, method=ADAPTIVE_EMBEDDED), "max_time must be positive and finite"),
+    (dict(max_time=1.0, step=np.nan), "fixed step must be positive"),
+    (dict(max_time=1.0, method=ADAPTIVE_EMBEDDED, atol=np.nan), "tolerances"),
+    (dict(max_time=1.0, method=ADAPTIVE_EMBEDDED, rtol=np.nan), "tolerances"),
+])
+def test_non_finite_settings_refused(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        IntegratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("gains", [(np.nan, 0.0), (0.0, np.nan)])
+def test_nan_gains_refused(gains):
+    with pytest.raises(ValueError, match="coupling gains must be nonnegative"):
+        cubic_two_block().with_gains(*gains)
+
+
 def test_fixed_step_count_bounded():
     with pytest.raises(ValueError, match="at most"):
         IntegratorConfig(max_time=1e12)

@@ -204,6 +204,12 @@ class TestEnsemble:
         assert contracting.verdicts == [CONTRACTING]
         assert contracting.passed and not contracting.inconclusive
 
+    def test_empty_ensemble_refused(self):
+        # no pair is no evidence: it must not read as a refutation
+        with pytest.raises(ValueError, match="at least one pair"):
+            ensemble_ies(linear_field(-np.eye(2)), [], 5.0,
+                         IntegratorConfig(max_time=5.0, step=0.05))
+
     def test_csv_exports(self, tmp_path):
         field = linear_field(-np.eye(2))
         pairs = sample_pairs_box([[-1, 1]] * 2, 3, seed=0)
@@ -253,6 +259,12 @@ class TestWiesScan:
         monkeypatch.setattr("ieskit.estimator.sample_pairs_ball", no_sampling)
         with pytest.raises(ValueError, match="radii must be positive and finite"):
             wies_scan(linear_field(-np.eye(2)), radii, 2, 5.0,
+                      IntegratorConfig(max_time=5.0, step=0.05), seed=0)
+
+    @pytest.mark.parametrize("pairs_per_radius", [0, -3])
+    def test_radius_without_pairs_refused(self, pairs_per_radius):
+        with pytest.raises(ValueError, match="pairs_per_radius must be at least 1"):
+            wies_scan(linear_field(-np.eye(2)), [1.0, 2.0], pairs_per_radius, 5.0,
                       IntegratorConfig(max_time=5.0, step=0.05), seed=0)
 
     def test_radii_must_increase(self):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ieskit.dynsys import assemble
 from ieskit.fhn import (
     FhnParams,
-    QuadratureConfig,
     build_fc,
     fc_candidate,
     fhn_field,
@@ -66,6 +65,19 @@ class TestParams:
             FhnParams(b=1.0, rho1=1.0, rho2=1.0, epsilon=0.0, r=2.1)
         with pytest.raises(ValueError):
             FhnParams(b=1.0, rho1=-0.5, rho2=1.0, epsilon=1.0, r=2.1)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("b", np.nan, "b must be positive"),
+        ("epsilon", np.nan, "epsilon must be positive"),
+        ("rho1", np.nan, "coupling gains"),
+        ("rho2", np.nan, "coupling gains"),
+        ("r", np.inf, "r must be finite"),
+    ])
+    def test_nan_and_infinite_scalars_rejected(self, name, value, match):
+        kwargs = dict(b=1.0, rho1=1.0, rho2=1.0, epsilon=1.0, r=2.1)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=match):
+            FhnParams(**kwargs)
 
 
 class TestField:
@@ -161,8 +173,8 @@ class TestWeightTable:
 
     def test_c1_matching_at_band_edges(self, default_params):
         # the tabulated weight approaches zero slope at the edges as the grid refines
-        fine = build_fc(default_params, QuadratureConfig(table_size=2048))
-        coarse = build_fc(default_params, QuadratureConfig(table_size=512))
+        fine = build_fc(default_params, table_size=2048)
+        coarse = build_fc(default_params, table_size=512)
         s = default_params.s_star
 
         def edge_fd_slope(table, h):
@@ -236,7 +248,7 @@ def test_weight_bounds_property(alpha, r):
     if alpha >= 2 * r * r - 2:
         return
     p = FhnParams(b=1.0, rho1=1.0, rho2=1.0, epsilon=0.9, r=r, alpha=alpha)
-    table = build_fc(p, QuadratureConfig(table_size=512))
+    table = build_fc(p, table_size=512)
     xs = np.linspace(-p.s_star, p.s_star, 301)
     vals = table.fc(xs)
     assert np.all(vals >= 1.0 - 1e-12)

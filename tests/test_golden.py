@@ -1,6 +1,7 @@
-"""Golden outputs: the figure CSV rows, one FHN certificate record and the
-adaptive radius scans, pinned byte for byte, so a change that moves a printed
-digit or a resampled distance fails here."""
+"""Golden outputs: the figure CSV rows, one FHN certificate record, the f_c
+table, a seeded FHN estimate, the sampled pairs and the adaptive radius
+scans, pinned byte for byte, so a change that moves a printed digit, a
+sampled point or a resampled distance fails here."""
 
 import hashlib
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from ieskit.cli import EXIT_OK, main
 from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig
-from ieskit.estimator import wies_scan
+from ieskit.estimator import sample_pairs_ball, sample_pairs_box, wies_scan
 from ieskit.scenarios import build_field, parse_config, run_figures
 
 # SHA-256 of every line after the '# ieskit ...' header of figure<k>.csv at
@@ -143,3 +144,93 @@ def test_adaptive_scan_is_pinned(system, seed):
             digest.update(res.series.values.tobytes())
             digest.update(repr(res.fit).encode())
     assert digest.hexdigest() == SCAN_SHA256[system, seed]
+
+
+FC_TABLE = """
+[scenario]
+system = fhn
+action = fc_table
+
+[params]
+r = 2.1
+b = 1
+epsilon = 0.9
+"""
+FC_TABLE_SHA256 = "48db5431a36236f3d39c7a02929e636e21a1848a229d56b71b2b107ce148d1c8"
+
+
+def test_fc_table_is_pinned(tmp_path):
+    cfg = tmp_path / "fc.cfg"
+    cfg.write_text(FC_TABLE)
+    assert main(["fc-table", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    table = (tmp_path / "out" / "fc_table.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == FC_TABLE_SHA256
+
+
+ESTIMATE = """
+[scenario]
+system = fhn
+action = estimate
+horizon = 10
+step = 0.02
+seed = 7
+
+[params]
+c = 1
+b = 1
+epsilon = 0.9
+rho1 = 1
+rho2 = 1
+
+[estimate]
+pairs = 6
+"""
+ESTIMATE_SHA256 = {
+    "summary.csv": "862d529580eff3f7c5b3ed9d29ec88a44b623b36c8f8fa178537e6ba0c0c945d",
+    "distances.csv": "e4aa6b2681dd0f53ef31608575cba00d3af43974ac9f068c98af74b389c61813",
+}
+
+
+def test_estimate_csvs_are_pinned(tmp_path):
+    cfg = tmp_path / "estimate.cfg"
+    cfg.write_text(ESTIMATE)
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    for name, digest in ESTIMATE_SHA256.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 over the bytes of z1 then z2 of each of 5 pairs: (box, ball) per
+# (dimension, seed), in the box [-3, 2] x [-1.5, 4]^(d-1) and the ball of radius 2.5
+PAIRS_SHA256 = {
+    (1, 0): ("89c6d2c4cf802a3922dcbfd70f55ae6966810077f4b6efd1fad36621f4571cb1",
+             "b75690e6aa509ebb7c12be280a5b84de465647fe8a26c440f5acd7851415588d"),
+    (1, 5): ("ab5ac1420decf96d906b43757669a328d698ac926c0f79572c66f67d4d72d1d7",
+             "71d3067ca473ed5857850ed9a69e5dee85dd168275b14b446eb1dcc13e953549"),
+    (2, 0): ("c57adc0b233a306be77e53239117dab9397deeec0c6925dcf147c46c21392a34",
+             "798b2763cdb3a85762dc5499a3a1954bec309f5334e2fd7015789da3f1c7b534"),
+    (2, 5): ("00ace0be33dd708db6861b5b946f53ed29ad6b30b33f62ca0e14e86ba11ee4de",
+             "939335c46c22a7ba2b7b794764ac1640e634ef608208b0ead5940de926d48ee8"),
+    (3, 0): ("661136ee6145f1b3c2818f4b53574aebb23556c6108485296b049681da4c7a96",
+             "9bcd7d239cb8b60510109fb7ff7ac4255b46b9f243986576e8190360a15c852e"),
+    (3, 5): ("6a115c97641f36ece9150b124bac28fb2b0a97ef0c3366e0e6bc90cadc269688",
+             "9f2e25ae270e4fa5e01b9f1d118f4b474e87b9648a2870764aec793d5b1eb150"),
+    (4, 0): ("cf42db83b02cb6c020d21fb9b69e2b43eb26a3caedb2328b681866bad7eb4184",
+             "432969ba781b0846b821730fa69871f175fce28233b8aba13ae8d521436a935c"),
+    (4, 5): ("eaa0a3ab34fb7451e20e551a59d27a453e46e9efb31ee0682bb8809b4d0336db",
+             "b176061bc4f679e32d674305c9f6ef83eabe3dffc61f60ab1ed0316039640f20"),
+}
+
+
+def _pairs_digest(pairs) -> str:
+    digest = hashlib.sha256()
+    for z1, z2 in pairs:
+        digest.update(z1.tobytes())
+        digest.update(z2.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("dim, seed", sorted(PAIRS_SHA256))
+def test_sampled_pairs_are_pinned(dim, seed):
+    box = [[-3.0, 2.0]] + [[-1.5, 4.0]] * (dim - 1)
+    assert (_pairs_digest(sample_pairs_box(box, 5, seed)),
+            _pairs_digest(sample_pairs_ball(2.5, dim, 5, seed))) == PAIRS_SHA256[dim, seed]
