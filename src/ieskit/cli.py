@@ -7,6 +7,7 @@ refused, 5 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ EXIT_REFUSED = 4
 EXIT_INTERNAL = 5
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ieskit",

@@ -150,6 +150,8 @@ class Interconnection:
     def __post_init__(self):
         if not (np.all(self.rho1 >= 0) and np.all(self.rho2 >= 0)):
             raise ValueError("coupling gains must be nonnegative")
+        if not (np.all(np.isfinite(self.rho1)) and np.all(np.isfinite(self.rho2))):
+            raise ValueError("coupling gains must be finite")
 
     @property
     def n(self) -> int:

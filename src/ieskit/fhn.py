@@ -6,16 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
 from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
 from ieskit.io_utils import _csv_rows, atomic_write_text
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicHermiteSpline
 
 Array = np.ndarray
 
@@ -43,6 +40,8 @@ class FhnParams:
             raise ValueError("epsilon must be positive")
         if not (self.rho1 >= 0 and self.rho2 >= 0):
             raise ValueError("coupling gains must be nonnegative")
+        if not (math.isfinite(self.rho1) and math.isfinite(self.rho2)):
+            raise ValueError(f"coupling gains must be finite, got {self.rho1}, {self.rho2}")
         if not math.isfinite(self.r):
             raise ValueError(f"r must be finite, got {self.r}")
         hi = 2.0 * self.r * self.r - 2.0
@@ -272,7 +271,7 @@ class FcTable:
     grid: Array
     values: Array
     quadrature_error: float
-    _spline: CubicHermiteSpline = field(repr=False)
+    _spline: Callable = field(repr=False)
     _ratio: Callable = field(repr=False)
 
     @property
@@ -314,6 +313,29 @@ def _gauss_legendre_panels(fn, edges: Array, order: int) -> Array:
     return half * (vals @ weights)
 
 
+def _cubic_hermite(x: Array, y: Array, dydx: Array) -> Callable:
+    """The piecewise cubic Hermite interpolant of values y and slopes dydx
+    at ascending knots x, extended by its end cubics.  It makes the
+    floating-point operations of scipy's CubicHermiteSpline in their order,
+    so its values are bitwise that spline's, NaN included."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]
+    last = len(x) - 2
+
+    def spline(p):
+        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, last)
+        z = p - x[i]
+        res = 0.0 + c3[i]
+        res += c2[i] * z
+        res += c1[i] * (z * z)
+        res += c0[i] * ((z * z) * z)
+        return res
+
+    return spline
+
+
 def build_fc(params: FhnParams, table_size: int = 2048) -> FcTable:
     """Construct the contraction-weight table on ``table_size`` nodes.
 
@@ -322,9 +344,10 @@ def build_fc(params: FhnParams, table_size: int = 2048) -> FcTable:
     Gauss-Legendre quadrature from s* leftward on a Chebyshev-spaced grid and
     is anchored so that the left plateau value is exp(mu) exactly.
     """
+    if table_size < 2:
+        raise ValueError(f"table_size must be at least 2, got {table_size}")
     # scipy is imported where it is called: importing ieskit needs numpy only
     from scipy.integrate import quad
-    from scipy.interpolate import CubicHermiteSpline
 
     s = params.s_star
     ratio = _weight_ratio(params)
@@ -362,8 +385,6 @@ def build_fc(params: FhnParams, table_size: int = 2048) -> FcTable:
     derivs = ratio(grid) * values
     derivs[0] = 0.0
     derivs[-1] = 0.0
-    spline = CubicHermiteSpline(grid, values, derivs)
-
     table = FcTable(
         params=params,
         mu=mu,
@@ -371,7 +392,7 @@ def build_fc(params: FhnParams, table_size: int = 2048) -> FcTable:
         grid=grid,
         values=values,
         quadrature_error=quadrature_error,
-        _spline=spline,
+        _spline=_cubic_hermite(grid, values, derivs),
         _ratio=ratio,
     )
     return replace(table, eta=_refine_eta(table, derivs))

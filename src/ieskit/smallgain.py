@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ieskit import __version__
-from ieskit.dynsys import Interconnection, TimeVaryingField, assemble
+from ieskit.dynsys import Interconnection, TimeVaryingField, assemble, rowdot
 from ieskit.finsler import (
     AssumptionTwoBounds,
     DecayReport,
@@ -87,35 +87,53 @@ def extract_constants(
 
     a_i are coupling magnitudes, b_i coupling-Jacobian spectral norms, eta_i
     and theta_i the gradient-bound suprema of the two candidates.  Each value
-    is the grid maximum times the safety factor.
+    is the maximum that a pattern search from the grid maximum finds, times
+    the safety factor.
     """
     grids = {dim: ball_grid(radius, dim, grid_density) for dim in {ic.n, ic.m}}
     xs, ys = grids[ic.n], grids[ic.m]
 
-    def refine_max(fn: Callable[[Array], float], start: Array, step: float) -> float:
+    floor = 1e-12 * (1.0 + radius)
+
+    def norm(v: Array) -> Array:  # rounds as the 1-D np.linalg.norm of each row
+        return np.sqrt(rowdot(v, v))
+
+    def refine_max(fn: Callable[[Array], Array], x: Array, best: float, s: float) -> float:
         # deterministic pattern search inside the ball around the grid argmax,
         # so the reported constant tracks the true supremum rather than the
-        # grid alignment (which would break monotonicity in the radius)
-        x = start.copy()
-        best = float(fn(x))
-        s = step
-        for _ in range(60):
-            improved = False
-            for i in range(len(x)):
-                for delta in (s, -s):
-                    cand = x.copy()
-                    cand[i] += delta
-                    nrm = np.linalg.norm(cand)
-                    if nrm > radius:
-                        cand *= radius / nrm
-                    v = float(fn(cand))
-                    if v > best:
-                        best, x, improved = v, cand, True
-            if not improved:
-                s *= 0.5
-                if s < 1e-12 * (1.0 + radius):
-                    break
-        return best
+        # grid alignment (which would break monotonicity in the radius).
+        # Sweep k tries x +- s e_i in turn, i = 0..d-1, and moves to the first
+        # try above best; a sweep that moves nowhere halves s, down to the
+        # floor, for at most 60 sweeps.  Until a try improves, the tries to
+        # come are fixed, so they are evaluated in one call, and the search
+        # goes on after the first one above best.
+        d = len(x)
+        sweep, first, improved = 0, 0, False
+        while True:
+            tries = []  # (sweep, scale, try index) up to the end of the search
+            k, scale, j, moved = sweep, s, first, improved
+            while k < 60:
+                tries += [(k, scale, t) for t in range(j, 2 * d)]
+                if not moved:
+                    scale *= 0.5
+                    if scale < floor:
+                        break
+                k, j, moved = k + 1, 0, False
+            if not tries:
+                return best
+            cands = np.repeat(x[None], len(tries), axis=0)
+            for row, (_, scale, t) in enumerate(tries):
+                cands[row, t // 2] += scale if t % 2 == 0 else -scale
+            nrm = norm(cands)
+            out = nrm > radius
+            cands[out] *= (radius / nrm[out])[:, None]
+            vals = fn(cands)
+            up = np.flatnonzero(vals > best)
+            if not len(up):
+                return best
+            row = up[0]
+            sweep, s, t = tries[row]
+            x, best, first, improved = cands[row], float(vals[row]), t + 1, True
 
     cell = 2.0 * radius / (grid_density - 1)
 
@@ -125,11 +143,12 @@ def extract_constants(
         if bad.any():
             raise ValueError(f"non-finite value of {label} at {pts[np.argmax(bad)]}")
         # argmax takes the first of equal maxima, as a scan with a strict > would
-        return refine_max(fn, pts[np.argmax(vals)], cell)
+        top = np.argmax(vals)
+        return refine_max(fn, pts[top], float(vals[top]), cell)
 
     searches = {
-        "a1": (lambda y: np.linalg.norm(ic.g1.value(y), axis=-1), ys, "g1"),
-        "a2": (lambda x: np.linalg.norm(ic.g2.value(x), axis=-1), xs, "g2"),
+        "a1": (lambda y: norm(ic.g1.value(y)), ys, "g1"),
+        "a2": (lambda x: norm(ic.g2.value(x)), xs, "g2"),
         "b1": (lambda y: np.linalg.norm(ic.g1.jacobian(y), 2, (-2, -1)), ys, "Dg1"),
         "b2": (lambda x: np.linalg.norm(ic.g2.jacobian(x), 2, (-2, -1)), xs, "Dg2"),
         "eta1": (lambda x: np.abs(bounds1.gamma(x)), xs, "gamma1"),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -600,3 +605,44 @@ def test_estimate_writes_the_requested_pair_count(initial, pairs, tmp_path):
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     summary = (out / "summary.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in summary[1:]] == [str(k) for k in range(pairs)]
+
+
+def test_one_parser_serves_calls_without_leaking_overrides(tmp_path, capsys):
+    # the parser is built once per process; the overrides of one call must
+    # not reach the next
+    cfg = write_config(tmp_path, """
+[scenario]
+system = builtin_linear
+action = simulate
+horizon = 1
+step = 0.05
+initial = 1 0
+
+[params]
+dim = 2
+""")
+    runs = {name: tmp_path / name for name in ("overridden", "second", "fresh")}
+    assert main(["simulate", "--config", str(cfg), "--out", str(runs["overridden"]),
+                 "--seed", "7", "--tolerance", "1e-3"]) == EXIT_OK
+    assert main(["simulate", "--config", str(cfg), "--out", str(runs["second"])]) == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ieskit.cli", "simulate", "--config",
+                           str(cfg), "--out", str(runs["fresh"])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    names = sorted(p.name for p in runs["fresh"].iterdir())
+    assert names == sorted(p.name for p in runs["second"].iterdir())
+    for name in names:
+        assert (runs["second"] / name).read_bytes() == (runs["fresh"] / name).read_bytes()
+    # the config echo in the CSV header shows the overrides and the defaults
+    overridden = (runs["overridden"] / names[0]).read_text()
+    assert "seed=7 tolerance=0.001" in overridden
+    assert "seed=0 tolerance=1e-09" in (runs["second"] / names[0]).read_text()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("ieskit ")
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == EXIT_CONFIG

@@ -333,6 +333,18 @@ def test_nan_gains_refused(gains):
         cubic_two_block().with_gains(*gains)
 
 
+@pytest.mark.parametrize("gains", [
+    (np.inf, 0.0), (0.0, np.inf), (np.array([[1.0], [np.inf]]), 0.0),
+    (0.0, np.array([[np.inf], [1.0]])),
+])
+def test_infinite_gains_refused(gains):
+    with pytest.raises(ValueError, match="coupling gains must be finite"):
+        cubic_two_block().with_gains(*gains)
+    ic = cubic_two_block()
+    with pytest.raises(ValueError, match="coupling gains must be finite"):
+        Interconnection(ic.f1, ic.f2, ic.g1, ic.g2, *gains)
+
+
 def test_fixed_step_count_bounded():
     with pytest.raises(ValueError, match="at most"):
         IntegratorConfig(max_time=1e12)

@@ -72,6 +72,8 @@ class TestParams:
         ("rho1", np.nan, "coupling gains"),
         ("rho2", np.nan, "coupling gains"),
         ("r", np.inf, "r must be finite"),
+        ("rho1", np.inf, "coupling gains must be finite"),
+        ("rho2", np.inf, "coupling gains must be finite"),
     ])
     def test_nan_and_infinite_scalars_rejected(self, name, value, match):
         kwargs = dict(b=1.0, rho1=1.0, rho2=1.0, epsilon=1.0, r=2.1)
@@ -192,6 +194,29 @@ class TestWeightTable:
                              alpha=0.5)
         with pytest.raises(ValueError, match="positive"):
             build_fc(p)
+
+    @pytest.mark.parametrize("size", [0, 1, -3])
+    def test_table_size_below_two_refused(self, default_params, size):
+        with pytest.raises(ValueError, match=f"table_size must be at least 2, got {size}"):
+            build_fc(default_params, table_size=size)
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_spline_is_bitwise_scipys(self, case):
+        from scipy.interpolate import CubicHermiteSpline
+
+        params = (figure_params(case) if case < 4
+                  else FhnParams(b=1.0, rho1=1.0, rho2=1.0, epsilon=0.9, r=2.1))
+        table = build_fc(params, table_size=257)
+        grid, values, s = table.grid, table.values, table.s_star
+        derivs = table.fc_pair(grid)[1]
+        derivs[0] = derivs[-1] = 0.0
+        scipy_spline = CubicHermiteSpline(grid, values, derivs)
+        points = np.concatenate([
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+            np.random.default_rng(case).uniform(-s, s, 20_000), [-s, s, np.nan]])
+        assert table._spline(points).tobytes() == scipy_spline(points).tobytes()
+        for x in (grid[7], -s, s, np.nan):
+            assert np.float64(table._spline(x)).tobytes() == scipy_spline(x).tobytes()
 
     def test_csv_export_roundtrip(self, default_table, tmp_path):
         out = tmp_path / "table.csv"

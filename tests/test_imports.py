@@ -38,6 +38,11 @@ horizon = 1
 system = fhn
 action = invariant_set
 """,
+    "fc-table": """
+[scenario]
+system = fhn
+action = fc_table
+""",
     "certify": """
 [scenario]
 system = fhn
@@ -90,3 +95,10 @@ def test_certify_loads_no_scipy_stats(tmp_path):
     modules = loaded_modules(tmp_path, ["certify"])
     assert "scipy.integrate" in modules
     assert "scipy.stats" not in modules
+
+
+def test_weight_table_actions_load_no_scipy_interpolate(tmp_path):
+    # the f_c spline is evaluated by numpy; scipy.integrate stays for mu
+    modules = loaded_modules(tmp_path, ["certify", "fc-table"])
+    assert "scipy.integrate" in modules
+    assert "scipy.interpolate" not in modules

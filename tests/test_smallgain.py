@@ -241,6 +241,18 @@ class TestCertify:
             certify(ic, unit, unit, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
                     alpha1=2.0, alpha2=2.0, alpha=1.0)
 
+    def test_infinite_budget_is_checked_at_a_finite_gain(self):
+        # zero couplings make both budgets infinite; an interconnection takes
+        # only finite gains, so the composite check runs at the clamped gain
+        zero = linear_coupling([[0.0]])
+        ic = Interconnection(linear_field([[-1.0]]), linear_field([[-1.0]]), zero, zero,
+                             0.0, 0.0)
+        half = half_norm_candidate()
+        cert = certify(ic, half, half, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
+                       alpha1=1.0, alpha2=1.0, alpha=0.5)
+        assert math.isinf(cert.rho1_max) and math.isinf(cert.rho2_max)
+        assert cert.decay_report.passed
+
     def test_certificate_roundtrip(self, tmp_path, default_table):
         params = default_table.params
         ic = fhn_field(params)
