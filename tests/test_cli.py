@@ -453,6 +453,8 @@ BAD_VALUES = {
                       "action = certify\ntolerance = nan", "tolerance"),
     "polynomial_term": ("simulate", POLYNOMIAL_SIMULATE, "f1_0 = -1 1", "f1_0 = -1 x",
                         "f1_0"),
+    "polynomial_exponent_fraction": ("simulate", POLYNOMIAL_SIMULATE, "f1_0 = -1 1",
+                                     "f1_0 = -1 3.5", "f1_0"),
     "transient_skip_out_of_range": ("estimate", LINEAR_ESTIMATE, "pairs = 2",
                                     "pairs = 2\ntransient_skip = 1.5", "transient_skip"),
     "initial_odd_for_estimate": ("estimate", LINEAR_ESTIMATE, "step = 0.1",

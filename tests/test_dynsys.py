@@ -23,7 +23,7 @@ from ieskit.dynsys import (
     linear_coupling,
     linear_field,
 )
-from ieskit.dynsys import _SCAN_BLOCK
+from ieskit.dynsys import _SCAN_BLOCK, _row_norms
 from ieskit.fhn import fhn_field, figure_params
 
 
@@ -528,3 +528,17 @@ def test_shared_basis_resampling_is_each_rows_own(seed, n_pairs, scale, method):
                 t = float(grid[len(grid) // 3])
                 assert r.state_at(t).tobytes() == hermite_oracle(
                     r.times, r.states, r.derivatives, t).tobytes()
+
+
+@given(rows=st.integers(1, 500), d=st.integers(1, 9),
+       special=st.sampled_from([0.0, 0.02, 0.3]), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_row_norms_are_numpys_bitwise(rows, d, special, seed):
+    # scales of 1e+-150 make squares overflow and underflow; d >= 8 is the
+    # pairwise sum that the column sum would not give
+    rng = np.random.default_rng(seed)
+    diff = rng.standard_normal((rows, d)) * 10.0 ** rng.choice([-150, -3, 0, 3, 150], (rows, d))
+    hit = rng.random(diff.shape) < special
+    diff[hit] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], np.count_nonzero(hit))
+    with np.errstate(all="ignore"):
+        assert _row_norms(diff).tobytes() == np.linalg.norm(diff, axis=1).tobytes()
