@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} action")
         p.add_argument("--config", type=Path, default=None,
                        help="scenario config file (key = value sections)")
-        p.add_argument("--out", type=Path, default=None,
+        p.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
         p.add_argument("--seed", default=None,
                        help="sampler seed (overrides the config)")
@@ -67,9 +67,9 @@ def _scenario_from_args(args) -> Scenario:
         if action != "figures":
             raise ConfigError(f"{args.command} requires --config")
         scenario = Scenario(system="fhn", action=action, name=action)
-    if args.out is not None:
-        scenario.output_path = args.out
     # the overrides are read and checked like the config keys they replace
+    if args.out is not None:
+        scenario.output_path = SCHEMA["scenario"]["out"].read("out", args.out, "--out")
     if args.seed is not None:
         scenario.seed = SCHEMA["scenario"]["seed"].read("seed", args.seed, "--seed")
     if args.tolerance is not None:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_differences
-from ieskit.io_utils import _csv_rows, atomic_write_text, fnum
+from ieskit.io_utils import _cells, _csv_rows, atomic_write_text, fnum
 
 Array = np.ndarray
 
@@ -308,12 +308,18 @@ def wies_scan(
 
 
 def write_distance_csv(path, results: Sequence[PairResult]) -> None:
-    """CSV with columns (pair_id, t, distance)."""
-    lines = ["pair_id,t,distance"]
+    """CSV with columns (pair_id, t, distance).  Each distinct times array is
+    formatted once, keyed by its bytes: under a fixed step every pair shares
+    one grid, while a row that stopped early or an adaptive grid has its own."""
+    times: dict[bytes, list[str]] = {}
+    blocks = ["pair_id,t,distance\n"]
     for r in results:
-        lines += _csv_rows(np.column_stack([r.series.times, r.series.values]),
-                          prefix=f"{r.pair_id},")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        key = r.series.times.tobytes()
+        if key not in times:
+            times[key] = list(_cells(r.series.times))
+        blocks.append(_csv_rows([times[key], _cells(r.series.values)],
+                                prefix=f"{r.pair_id},"))
+    atomic_write_text(path, "".join(blocks))
 
 
 def write_summary_csv(path, results: Sequence[PairResult]) -> None:

@@ -4,6 +4,7 @@ Finsler candidates."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
@@ -12,7 +13,7 @@ import numpy as np
 
 from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
 from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
-from ieskit.io_utils import _csv_rows, atomic_write_text
+from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
 
 Array = np.ndarray
 
@@ -302,9 +303,18 @@ class FcTable:
         return v, self._ratio(x) * v
 
 
+@functools.cache
+def _gauss_legendre_rule(order: int) -> tuple[Array, Array]:
+    """Nodes and weights of the order-point rule, built once per process on
+    first use and shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_legendre_panels(fn, edges: Array, order: int) -> Array:
     """Per-panel Gauss-Legendre integrals of fn over consecutive edge pairs."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre_rule(order)
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -474,10 +484,7 @@ def assumption2_bounds(table: FcTable) -> tuple[AssumptionTwoBounds, AssumptionT
 
 def write_fc_csv(table: FcTable, path) -> None:
     """Export (x, f_c, f_c_prime) rows with a mu/eta/s*/error header comment."""
-    lines = [
-        f"# mu={table.mu!r} eta={table.eta!r} s_star={table.s_star!r} "
-        f"quadrature_error={table.quadrature_error!r}",
-        "x,f_c,f_c_prime",
-    ]
-    lines += _csv_rows(np.column_stack([table.grid, *table.fc_pair(table.grid)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = (f"# mu={table.mu!r} eta={table.eta!r} s_star={table.s_star!r} "
+              f"quadrature_error={table.quadrature_error!r}\nx,f_c,f_c_prime\n")
+    columns = [table.grid, *table.fc_pair(table.grid)]
+    atomic_write_text(path, header + _csv_rows(map(_cells, columns)))

@@ -14,23 +14,45 @@ def fnum(value) -> str:
     return repr(float(value))
 
 
-def _csv_rows(table, prefix: str = "") -> list[str]:
-    """CSV lines of the rows of a 2-D array, each starting with ``prefix``:
-    every cell in the form ``fnum`` gives it, the repr of a Python float.
-    The cells are formatted a column at a time, which costs less per cell
-    than a join per row when rows are short."""
-    columns = [map(repr, column) for column in np.asarray(table, dtype=float).T.tolist()]
-    return [prefix + ",".join(cells) for cells in zip(*columns)]
+def _cells(values):
+    """The CSV cells of a 1-D array, one at a time: each value in the form
+    ``fnum`` gives it, the repr of a Python float.  A column that several
+    blocks share is made a list once and passed to each; the others stay
+    lazy, so a block's cells are never all held at once."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _csv_rows(columns, prefix: str = "") -> str:
+    """CSV text of the rows that ``columns``, equal-length iterables of
+    formatted cells (``_cells``), make side by side: each row starts with
+    ``prefix`` and ends with a newline, and no rows give ''.  The rows are
+    joined in C, one call per block, with no Python-level step per row, and
+    the text is built once, not copied to add its first prefix and last
+    newline."""
+    rows = list(map(",".join, zip(*columns, strict=True)))
+    if not rows:
+        return ""
+    rows[0] = prefix + rows[0]
+    rows[-1] += "\n"
+    return f"\n{prefix}".join(rows)
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def atomic_write_text(path, text: str) -> Path:
     """Write text to ``path`` atomically (temp file in the same directory,
-    then rename), so partially written outputs are never observed."""
+    then rename), so partially written outputs are never observed.  The file
+    gets the mode a plain ``open`` would create, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

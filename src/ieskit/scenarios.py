@@ -48,7 +48,7 @@ from ieskit.invariance import (
     find_invariant_level,
     write_invariant_report,
 )
-from ieskit.io_utils import _csv_rows, atomic_write_text
+from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
 from ieskit.polynomials import parse_polynomial_component, polynomial_interconnection
 from ieskit.smallgain import SAFETY, certify
 
@@ -78,6 +78,19 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _directory(text: str) -> Path:
+    """An output directory: it, or else its nearest existing ancestor, must
+    be a directory, so a path that runs into a file is refused before any
+    computation rather than when the first output is written."""
+    path = Path(text)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ValueError(f"must be a directory, but {str(part)!r} is a file")
+            break
+    return path
 
 
 def _vectors(text: str) -> list[Array]:
@@ -130,7 +143,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "seed": Key(_integer, 0, _NONNEGATIVE),
         "tolerance": Key(_number, 1e-9, _NONNEGATIVE),
         "initial": Key(_vectors, ()),
-        "out": Key(Path, Path("out")),
+        "out": Key(_directory, Path("out")),
     },
     "estimate": {
         "pairs": Key(_integer, 20, _POSITIVE),
@@ -407,12 +420,12 @@ def run_simulate(scenario: Scenario) -> list[Path]:
     config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
     tr = _integrate_all(field, scenario.initial_conditions, config)
     cols = ",".join(f"z{k+1}" for k in range(field.dim))
+    times = list(_cells(tr.times))
     written = []
     for i in range(len(scenario.initial_conditions)):
-        lines = [_csv_header(scenario, extra=f"ic={i}"), f"t,{cols}"]
-        lines += _csv_rows(np.column_stack([tr.times, tr.states[:, i]]))
         out = scenario.output_path / f"trajectory_{i:02d}.csv"
-        atomic_write_text(out, "\n".join(lines) + "\n")
+        atomic_write_text(out, f"{_csv_header(scenario, extra=f'ic={i}')}\nt,{cols}\n"
+                          + _csv_rows([times, *map(_cells, tr.states[:, i].T)]))
         written.append(out)
     return written
 
@@ -438,6 +451,7 @@ def run_figures(
     tr = _integrate_all(field, (z1, z2) * len(presets), config)
     pairs = [(2 * k, 2 * k + 1) for k in range(len(presets))]
     series = pair_distances(tr, pairs, config)
+    times = list(_cells(tr.times))
     written = []
     for fig, (p, (i, j), dist) in enumerate(zip(presets, pairs, series), start=1):
         header = (
@@ -447,11 +461,10 @@ def run_figures(
             f"z1={' '.join(f'{v:g}' for v in z1)} "
             f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}"
         )
-        lines = [header, "t,x1,y1,x2,y2,distance"]
-        lines += _csv_rows(np.column_stack([tr.times, tr.states[:, i], tr.states[:, j],
-                                            dist.values]))
+        columns = [*tr.states[:, i].T, *tr.states[:, j].T, dist.values]
         out = out_dir / f"figure{fig}.csv"
-        atomic_write_text(out, "\n".join(lines) + "\n")
+        atomic_write_text(out, f"{header}\nt,x1,y1,x2,y2,distance\n"
+                          + _csv_rows([times, *map(_cells, columns)]))
         written.append(out)
     return written
 

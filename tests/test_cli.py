@@ -490,6 +490,35 @@ def test_bad_override_exits_2(flag, value, tmp_path, capsys):
     assert f"{flag}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_at_a_file_exits_2_before_any_output(below, tmp_path, capsys):
+    """An ``out`` that is, or lies under, an existing file is refused at its
+    config line or at ``--out``; the file stays as it was and nothing else
+    is written."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    cfg = write_config(tmp_path, f"[scenario]\nsystem = fhn\naction = figures\n"
+                                 f"horizon = 1\nout = {out}\n")
+    assert main(["figures", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{cfg}:5: out must be a directory, but '{blocker}' is a file" in (
+        capsys.readouterr().err)
+    assert main(["figures", "--out", str(out), "--seed", "1"]) == EXIT_CONFIG
+    assert f"--out: out must be a directory, but '{blocker}' is a file" in (
+        capsys.readouterr().err)
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg", "taken"]
+
+
+def test_out_may_be_a_new_or_an_existing_directory(tmp_path):
+    made = tmp_path / "made"
+    made.mkdir()
+    for out in (made, tmp_path / "new" / "deeper"):
+        cfg = write_config(tmp_path, f"[scenario]\nsystem = fhn\naction = figures\n"
+                                     f"out = {out}\n")
+        assert parse_config(cfg).output_path == out
+
+
 def test_overrides_reach_the_scenario(tmp_path):
     cfg = write_config(tmp_path, FHN_CERTIFY)
     out = tmp_path / "cert"

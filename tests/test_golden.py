@@ -1,6 +1,6 @@
 """Golden outputs: the figure CSV rows, one FHN certificate record, the f_c
-table, a seeded FHN estimate, the sampled pairs and the adaptive radius
-scans, pinned byte for byte, so a change that moves a printed digit, a
+table, a seeded FHN estimate, the rows of an FHN simulate, the sampled pairs
+and the adaptive radius scans, pinned byte for byte, so a change that moves a printed digit, a
 sampled point or a resampled distance fails here."""
 
 import hashlib
@@ -197,6 +197,42 @@ def test_estimate_csvs_are_pinned(tmp_path):
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
     for name, digest in ESTIMATE_SHA256.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+
+SIMULATE = """
+[scenario]
+system = fhn
+action = simulate
+horizon = 20
+step = 0.01
+initial = 2 0; -2 1; 0.5 -3
+
+[params]
+c = 1
+b = 1
+epsilon = 0.9
+rho1 = 1
+rho2 = 1
+"""
+# SHA-256 of every line after the '# ieskit ...' header of trajectory_<i>.csv
+# of SIMULATE: the column line and the 2 001 data rows.
+SIMULATE_ROWS_SHA256 = {
+    0: "5b37e6e650366408cdacdeff79d54703e158f4dcf0f3eab4bd9c3adb297ff7a7",
+    1: "7e039e23e9a3bfeba27db15fcfae0db9a6c02375e5a8295418a8b0afec266c3a",
+    2: "7c5d74d2ff9afda43fa8869d3698b6cbbcee7330a3689da39ea2bfd90833b611",
+}
+
+
+def test_simulate_rows_are_pinned(tmp_path):
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_text(SIMULATE)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    for i, digest in SIMULATE_ROWS_SHA256.items():
+        csv = tmp_path / "out" / f"trajectory_{i:02d}.csv"
+        header, sep, rows = csv.read_bytes().partition(b"\n")
+        assert header.startswith(b"# ieskit ") and sep
+        assert rows.count(b"\n") == 2002
+        assert hashlib.sha256(rows).hexdigest() == digest, f"trajectory {i}"
 
 
 # SHA-256 over the bytes of z1 then z2 of each of 5 pairs: (box, ball) per
