@@ -68,8 +68,11 @@ def _scenario_from_args(args) -> Scenario:
             raise ConfigError(f"{args.command} requires --config")
         scenario = Scenario(system="fhn", action=action, name=action)
     # the overrides are read and checked like the config keys they replace
+    out = SCHEMA["scenario"]["out"]
     if args.out is not None:
-        scenario.output_path = SCHEMA["scenario"]["out"].read("out", args.out, "--out")
+        scenario.output_path = out.read("out", args.out, "--out")
+    else:  # checked here too, so the default out is refused before any work
+        out.read("out", str(scenario.output_path), "output directory")
     if args.seed is not None:
         scenario.seed = SCHEMA["scenario"]["seed"].read("seed", args.seed, "--seed")
     if args.tolerance is not None:

@@ -4,7 +4,6 @@ Finsler candidates."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
@@ -303,18 +302,9 @@ class FcTable:
         return v, self._ratio(x) * v
 
 
-@functools.cache
-def _gauss_legendre_rule(order: int) -> tuple[Array, Array]:
-    """Nodes and weights of the order-point rule, built once per process on
-    first use and shared read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _gauss_legendre_panels(fn, edges: Array, order: int) -> Array:
     """Per-panel Gauss-Legendre integrals of fn over consecutive edge pairs."""
-    nodes, weights = _gauss_legendre_rule(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -487,4 +477,4 @@ def write_fc_csv(table: FcTable, path) -> None:
     header = (f"# mu={table.mu!r} eta={table.eta!r} s_star={table.s_star!r} "
               f"quadrature_error={table.quadrature_error!r}\nx,f_c,f_c_prime\n")
     columns = [table.grid, *table.fc_pair(table.grid)]
-    atomic_write_text(path, header + _csv_rows(map(_cells, columns)))
+    atomic_write_text(path, _csv_rows(map(_cells, columns), head=header))

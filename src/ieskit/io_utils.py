@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -22,37 +22,31 @@ def _cells(values):
     return map(repr, np.asarray(values, dtype=float).tolist())
 
 
-def _csv_rows(columns, prefix: str = "") -> str:
-    """CSV text of the rows that ``columns``, equal-length iterables of
-    formatted cells (``_cells``), make side by side: each row starts with
-    ``prefix`` and ends with a newline, and no rows give ''.  The rows are
-    joined in C, one call per block, with no Python-level step per row, and
-    the text is built once, not copied to add its first prefix and last
-    newline."""
+def _csv_rows(columns, prefix: str = "", head: str = "") -> str:
+    """``head`` followed by the CSV rows that ``columns``, equal-length
+    iterables of formatted cells (``_cells``), make side by side: each row
+    starts with ``prefix`` and ends with a newline.  The whole text is built
+    by one C-level join, with no Python-level step per row; no rows give
+    ``head`` alone."""
     rows = list(map(",".join, zip(*columns, strict=True)))
     if not rows:
-        return ""
-    rows[0] = prefix + rows[0]
+        return head
+    rows[0] = head + prefix + rows[0]
     rows[-1] += "\n"
     return f"\n{prefix}".join(rows)
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path, text: str) -> Path:
-    """Write text to ``path`` atomically (temp file in the same directory,
-    then rename), so partially written outputs are never observed.  The file
-    gets the mode a plain ``open`` would create, 0o666 less the umask."""
+    """Write text to ``path`` atomically (a new temp file in the same
+    directory, then rename), so partially written outputs are never observed.
+    The temp file is created with mode 0o666, so the kernel gives it the mode
+    a plain ``open`` would, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

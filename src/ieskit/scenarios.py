@@ -424,8 +424,9 @@ def run_simulate(scenario: Scenario) -> list[Path]:
     written = []
     for i in range(len(scenario.initial_conditions)):
         out = scenario.output_path / f"trajectory_{i:02d}.csv"
-        atomic_write_text(out, f"{_csv_header(scenario, extra=f'ic={i}')}\nt,{cols}\n"
-                          + _csv_rows([times, *map(_cells, tr.states[:, i].T)]))
+        head = f"{_csv_header(scenario, extra=f'ic={i}')}\nt,{cols}\n"
+        atomic_write_text(out, _csv_rows([times, *map(_cells, tr.states[:, i].T)],
+                                         head=head))
         written.append(out)
     return written
 
@@ -454,17 +455,17 @@ def run_figures(
     times = list(_cells(tr.times))
     written = []
     for fig, (p, (i, j), dist) in enumerate(zip(presets, pairs, series), start=1):
-        header = (
+        head = (
             f"# ieskit {__version__} figure={fig} c={p.c:g} b={p.b:g} "
             f"epsilon={p.epsilon:g} rho1={p.rho1:g} rho2={p.rho2:g} "
             f"horizon={horizon:g} step={step:g} "
             f"z1={' '.join(f'{v:g}' for v in z1)} "
-            f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}"
+            f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}\n"
+            "t,x1,y1,x2,y2,distance\n"
         )
         columns = [*tr.states[:, i].T, *tr.states[:, j].T, dist.values]
         out = out_dir / f"figure{fig}.csv"
-        atomic_write_text(out, f"{header}\nt,x1,y1,x2,y2,distance\n"
-                          + _csv_rows([times, *map(_cells, columns)]))
+        atomic_write_text(out, _csv_rows([times, *map(_cells, columns)], head=head))
         written.append(out)
     return written
 

@@ -510,6 +510,19 @@ def test_out_at_a_file_exits_2_before_any_output(below, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg", "taken"]
 
 
+def test_default_out_at_a_file_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
+    """The default ``out``, with no key and no ``--out``, is checked too."""
+    monkeypatch.chdir(tmp_path)
+    Path("out").write_text("kept\n")
+    cfg = write_config(tmp_path, "[scenario]\nsystem = fhn\naction = figures\nhorizon = 1\n")
+    for argv in (["figures"], ["figures", "--config", str(cfg)]):
+        assert main(argv) == EXIT_CONFIG
+        assert "output directory: out must be a directory, but 'out' is a file" in (
+            capsys.readouterr().err)
+    assert Path("out").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.cfg"]
+
+
 def test_out_may_be_a_new_or_an_existing_directory(tmp_path):
     made = tmp_path / "made"
     made.mkdir()

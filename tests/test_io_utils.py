@@ -67,7 +67,14 @@ def test_csv_rows_are_the_per_row_formatter(table, prefix):
 
 def test_no_rows_give_no_text():
     assert _csv_rows([[], []], "3,") == ""
+    assert _csv_rows([[], []], "3,", head="a,b\n") == "a,b\n"
     assert csv_rows(np.empty((0, 4))) == ""
+
+
+def test_head_comes_once_before_the_rows():
+    table = np.array([[0.5, -0.0], [1e300, np.nan]])
+    cells = [_cells(column) for column in table.T]
+    assert _csv_rows(cells, "7,", head="# h\nt,x\n") == "# h\nt,x\n" + oracle_rows(table, "7,")
 
 
 def test_columns_of_unequal_length_are_refused():
