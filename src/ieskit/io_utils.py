@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import secrets
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ def atomic_write_text(path, text: str) -> Path:
     a plain ``open`` would, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
