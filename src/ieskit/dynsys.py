@@ -239,10 +239,10 @@ class IntegratorConfig:
             if not self.step > 0:
                 raise ValueError("fixed step must be positive")
             if self.step > self.max_time / 2:
-                raise ValueError("fixed step must divide the horizon into >= 2 steps")
+                raise ValueError(f"step must be at most horizon/2, got step "
+                                 f"{self.step:g} and horizon {self.max_time:g}")
             if self.max_time / self.step > MAX_STEPS:
-                raise ValueError(f"fixed step must divide the horizon into at most "
-                                 f"{MAX_STEPS} steps, got max_time/step = "
+                raise ValueError(f"horizon/step must be at most {MAX_STEPS}, got "
                                  f"{self.max_time / self.step:g}")
         else:
             if not (self.atol > 0 and self.rtol > 0):
@@ -271,10 +271,6 @@ class Trajectory:
     displacements: Optional[Array] = None
     blew_up: Union[bool, Array] = False
     ends: Optional[Array] = None
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[-1]
 
     @property
     def t_end(self) -> float:
@@ -355,13 +351,6 @@ def _bad_rows(a: Array, stopped: Array) -> Optional[Array]:
         return None
     bad = ~finite.all(axis=1) & ~stopped
     return bad if bad.any() else None
-
-
-def _stop(bad: Array, end: int, ends: Array, blew: Array) -> None:
-    """Stop the rows of ``bad``, all still going, at sample ``end``: they keep
-    the samples before it."""
-    ends[bad] = end
-    blew[bad] = True
 
 
 def _first_bad(a: Array, start: int, first: Array) -> None:
@@ -467,7 +456,7 @@ def _dopri_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, atol: float, r
         bad = _bad_rows(f_cur, blew)
         if bad is not None:
             f_cur = np.where(bad[:, None], 0.0, f_cur)
-            _stop(bad, 1, ends, blew)
+            ends[bad], blew[bad] = 1, True
         ts, ys, fs = [t0], [z0], [f_cur]
         t, y = t0, z0
         h = h_accepted = min(max_step, horizon / 100.0)
@@ -504,8 +493,8 @@ def _dopri_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, atol: float, r
                 bad = ~(row_err <= 1.0)  # NaN errors count as too large
             else:
                 h *= 0.5
-            if h < min_step:
-                _stop(bad, len(ts), ends, blew)
+            if h < min_step:  # the rows of bad stop, keeping the samples so far
+                ends[bad], blew[bad] = len(ts), True
                 h = h_accepted
     ends[~blew] = len(ts)
     return np.array(ts), np.array(ys), np.array(fs), ends, blew

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_differences
-from ieskit.io_utils import _cells, _csv_rows, atomic_write_text, fnum
+from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
 
 Array = np.ndarray
 
@@ -24,24 +24,13 @@ CONTRACTING = "contracting"
 NON_CONTRACTING = "non_contracting"
 INCONCLUSIVE = "inconclusive"
 
+LAMBDA_MIN = 1e-3  # least fitted rate of a contracting fit
 RESIDUAL_MAX = 0.5  # largest log-residual of a contracting fit
+LATE_FLOOR = 0.05  # a late-window mean above LATE_FLOOR * d(t0) is non-contracting
 LATE_FRACTION = 0.2  # the late window's share of the samples
 FLOOR_RATIO = 1e-10  # samples below FLOOR_RATIO * d(t0) leave the fit window
 MIN_POINTS = 8  # a shorter post-transient window falls back to the whole series
 MIN_SEPARATION = 1e-6  # least distance between the two points of a sampled pair
-
-
-@dataclass(frozen=True)
-class EnvelopeConfig:
-    """Fit and verdict thresholds that callers may set.
-
-    ``late_floor`` separates the non-contracting regime (late-window mean of
-    d above late_floor * d(t0)).
-    """
-
-    transient_skip: float = 0.2
-    lambda_min: float = 1e-3
-    late_floor: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -59,15 +48,12 @@ class EnvelopeFit:
         return self.K * d0 * np.exp(-self.lam * (ts - t0))
 
 
-def fit_envelope(
-    times,
-    distances,
-    config: EnvelopeConfig = EnvelopeConfig(),
-) -> EnvelopeFit:
+def fit_envelope(times, distances, transient_skip: float = 0.2) -> EnvelopeFit:
     """Fit the exponential envelope of a distance series.
 
     lam is minus the least-squares slope of log d on the post-transient
-    window; K is the smallest prefactor making the envelope dominate every
+    window, which leaves out the first ``transient_skip`` share of the
+    horizon; K is the smallest prefactor making the envelope dominate every
     sample in that window, clamped to at least 1.
     """
     times = np.asarray(times, dtype=float)
@@ -80,7 +66,7 @@ def fit_envelope(
     if d0 <= 0.0:
         raise ValueError("initial distance must be positive")
     t0, t_end = float(times[0]), float(times[-1])
-    t_lo = t0 + config.transient_skip * (t_end - t0)
+    t_lo = t0 + transient_skip * (t_end - t0)
 
     floor = FLOOR_RATIO * d0
     window_mask = (times >= t_lo) & (d > floor)
@@ -102,9 +88,9 @@ def fit_envelope(
     n_late = max(1, int(math.ceil(LATE_FRACTION * len(times))))
     late_mean = float(np.mean(d[-n_late:]))
 
-    if lam > config.lambda_min and residual < RESIDUAL_MAX:
+    if lam > LAMBDA_MIN and residual < RESIDUAL_MAX:
         verdict = CONTRACTING
-    elif late_mean > config.late_floor * d0:
+    elif late_mean > LATE_FLOOR * d0:
         verdict = NON_CONTRACTING
     else:
         verdict = INCONCLUSIVE
@@ -204,7 +190,7 @@ def _pair_results(
     pairs: Iterable[tuple[Array, Array]],
     horizon: float,
     config: IntegratorConfig,
-    envelope: EnvelopeConfig,
+    transient_skip: float = 0.2,
 ) -> list[PairResult]:
     """Every pair's distance series and envelope fit, numbered from 0: the 2N
     flows are integrated as one batch, and a pair that blew up gets no fit."""
@@ -217,7 +203,7 @@ def _pair_results(
     results = []
     for i, ((z1, z2), series) in enumerate(zip(pairs, all_series)):
         fit = None if series.blew_up else fit_envelope(series.times, series.values,
-                                                       config=envelope)
+                                                       transient_skip)
         results.append(PairResult(i, z1, z2, series, fit, series.blew_up))
     return results
 
@@ -244,12 +230,12 @@ def ensemble_ies(
     pairs: Iterable[tuple[Array, Array]],
     horizon: float,
     config: IntegratorConfig,
-    envelope: EnvelopeConfig = EnvelopeConfig(),
+    transient_skip: float = 0.2,
 ) -> EnsembleReport:
     """Fit the envelope of every pair's distance series; the 2N flows are
     integrated as one batch from t = 0, and a pair that blew up gets no fit.
     An empty ``pairs`` is refused with ``ValueError``."""
-    return _aggregate(_pair_results(field, pairs, horizon, config, envelope))
+    return _aggregate(_pair_results(field, pairs, horizon, config, transient_skip))
 
 
 @dataclass(frozen=True)
@@ -282,7 +268,8 @@ def wies_scan(
     depend on the other rows of the batch, as for the FHN, linear and
     polynomial fields.  Under the adaptive method all rows share one step
     size, set by the worst row of all radii, so the numbers differ from the
-    per-radius calls within the solver tolerance.  Fits use ``EnvelopeConfig()``.
+    per-radius calls within the solver tolerance.  Fits skip the default
+    transient share.
     """
     if not pairs_per_radius >= 1:
         raise ValueError(f"pairs_per_radius must be at least 1, got {pairs_per_radius}")
@@ -293,7 +280,7 @@ def wies_scan(
         raise ValueError("radii must be strictly increasing")
     pairs = [pair for k, radius in enumerate(radii)
              for pair in sample_pairs_ball(radius, field.dim, pairs_per_radius, seed + k)]
-    results = _pair_results(field, pairs, horizon, config, EnvelopeConfig())
+    results = _pair_results(field, pairs, horizon, config)
     n = pairs_per_radius
     reports = [_aggregate([dataclasses.replace(r, pair_id=i)
                            for i, r in enumerate(results[k * n:(k + 1) * n])])
@@ -323,11 +310,11 @@ def write_distance_csv(path, results: Sequence[PairResult]) -> None:
 
 
 def write_summary_csv(path, results: Sequence[PairResult]) -> None:
-    """CSV with columns (pair_id, K, lambda, verdict)."""
-    lines = ["pair_id,K,lambda,verdict"]
-    for r in results:
-        if r.fit is None:
-            lines.append(f"{r.pair_id},nan,nan,{INCONCLUSIVE}")
-        else:
-            lines.append(f"{r.pair_id},{fnum(r.fit.K)},{fnum(r.fit.lam)},{r.fit.verdict}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV with columns (pair_id, K, lambda, verdict); a pair that blew up
+    has no fit and reads nan, nan, inconclusive."""
+    fits = [r.fit for r in results]
+    columns = [(str(r.pair_id) for r in results),
+               _cells([f.K if f else math.nan for f in fits]),
+               _cells([f.lam if f else math.nan for f in fits]),
+               (f.verdict if f else INCONCLUSIVE for f in fits)]
+    atomic_write_text(path, _csv_rows(columns, head="pair_id,K,lambda,verdict\n"))

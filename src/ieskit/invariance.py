@@ -16,6 +16,12 @@ from ieskit.sampling import box_grid
 
 Array = np.ndarray
 
+# Half-width and points per axis of the grid the FHN dissipation chain is
+# checked on, and the slack each sampled margin is allowed below zero.
+_CHAIN_GRID_RADIUS = 6.0
+_CHAIN_GRID_DENSITY = 201
+_CHAIN_TOL = 1e-9
+
 
 class NoInvariantLevelError(RuntimeError):
     """No sublevel set in the searched range had a strictly dissipating shell.
@@ -158,25 +164,17 @@ def fhn_outer_lyapunov(params: FhnParams) -> OuterLyapunov:
 @dataclass(frozen=True)
 class ChainReport:
     """Worst margins of the three printed dissipation inequalities on the grid
-    (each margin is the sampled minimum of rhs - lhs; all must be >= -tol)."""
+    (each margin is the sampled minimum of rhs - lhs; all must be >= -1e-9)."""
 
     passed: bool
     margin_young: float
     margin_quartic: float
     margin_comparison: float
-    grid_radius: float
-    grid_density: int
-    tol: float
 
 
-def check_dissipation_chain_fhn(
-    params: FhnParams,
-    grid_radius: float = 6.0,
-    grid_density: int = 201,
-    tol: float = 1e-9,
-) -> ChainReport:
-    """Grid check of the dissipation chain for W = (x^2 + eps y^2)/2 at equal
-    gains:
+def check_dissipation_chain_fhn(params: FhnParams) -> ChainReport:
+    """Check of the dissipation chain for W = (x^2 + eps y^2)/2 at equal gains
+    on the 201 x 201 grid of [-6, 6]^2:
 
         Wdot <= 3/2 x^2 - x^4/3 + c^2/2 - b y^2
              <= -x^2/8 - b y^2 + 2 + c^2/2
@@ -186,7 +184,7 @@ def check_dissipation_chain_fhn(
         raise ValueError("the chain is derived for rho1 = rho2")
     b, eps, c = params.b, params.epsilon, params.c
     rho = params.rho1
-    g = np.linspace(-grid_radius, grid_radius, grid_density)
+    g = np.linspace(-_CHAIN_GRID_RADIUS, _CHAIN_GRID_RADIUS, _CHAIN_GRID_DENSITY)
     x, y = np.meshgrid(g, g, indexing="ij")
 
     wd = x * (x - x**3 / 3.0 + c - rho * y) + y * (-b * y + rho * x)
@@ -200,13 +198,10 @@ def check_dissipation_chain_fhn(
     m2 = float(np.min(s2 - s1))
     m3 = float(np.min(s3 - s2))
     return ChainReport(
-        passed=(m1 >= -tol and m2 >= -tol and m3 >= -tol),
+        passed=(m1 >= -_CHAIN_TOL and m2 >= -_CHAIN_TOL and m3 >= -_CHAIN_TOL),
         margin_young=m1,
         margin_quartic=m2,
         margin_comparison=m3,
-        grid_radius=grid_radius,
-        grid_density=grid_density,
-        tol=tol,
     )
 
 

@@ -8,14 +8,9 @@ from pathlib import Path
 import numpy as np
 
 
-def fnum(value) -> str:
-    """Full-precision decimal form of a scalar that round-trips exactly."""
-    return repr(float(value))
-
-
 def _cells(values):
-    """The CSV cells of a 1-D array, one at a time: each value in the form
-    ``fnum`` gives it, the repr of a Python float.  A column that several
+    """The CSV cells of a 1-D array, one at a time: each value as the repr
+    of a Python float, which round-trips exactly.  A column that several
     blocks share is made a list once and passed to each; the others stay
     lazy, so a block's cells are never all held at once."""
     return map(repr, np.asarray(values, dtype=float).tolist())

@@ -17,7 +17,6 @@ import numpy as np
 
 from ieskit import __version__
 from ieskit.dynsys import (
-    MAX_STEPS,
     IntegratorConfig,
     TimeVaryingField,
     assemble,
@@ -27,7 +26,6 @@ from ieskit.dynsys import (
     rowdot,
 )
 from ieskit.estimator import (
-    EnvelopeConfig,
     ensemble_ies,
     sample_pairs_box,
     write_distance_csv,
@@ -294,27 +292,27 @@ def parse_config(path) -> Scenario:
             raise ConfigError(
                 f"{_at(path, raw, key)}: unknown {key} {sc[key]!r}; expected one of {choices}"
             )
-    if sc["action"] in ("certify", "fc_table") and sc["system"] != "fhn":
+    if sc["action"] in ("certify", "fc_table", "figures") and sc["system"] != "fhn":
         raise ConfigError(f"{_at(path, raw, 'system')}: {sc['action']} requires "
                           f"system = fhn, got {sc['system']!r}")
     model, params, dim = _READERS[sc["system"]](path, sections.get("params", {}))
     options = {section: _read(path, section, sections.get(section, {}), SCHEMA[section])
                for section in ("estimate", "certify", "invariant")}
 
-    if sc["step"] > sc["horizon"] / 2:
-        raise ConfigError(f"{_at(path, raw, 'step', 'horizon')}: step must be at most "
-                          f"horizon/2, got {sc['step']:g} and {sc['horizon']:g}")
-    if sc["horizon"] / sc["step"] > MAX_STEPS:
-        raise ConfigError(f"{_at(path, raw, 'step', 'horizon')}: horizon/step must be at "
-                          f"most {MAX_STEPS}, got {sc['horizon']:g} and {sc['step']:g}")
-    field_dim = 2 if sc["action"] == "figures" else dim  # figures runs the FHN model
+    try:
+        IntegratorConfig(max_time=sc["horizon"], step=sc["step"])
+    except ValueError as exc:
+        raise ConfigError(f"{_at(path, raw, 'step', 'horizon')}: {exc}") from None
     for i, z0 in enumerate(sc["initial"]):
-        if len(z0) != field_dim:
+        if len(z0) != dim:
             raise ConfigError(f"{_at(path, raw, 'initial')}: initial condition {i} has "
-                              f"dimension {len(z0)}, field needs {field_dim}")
+                              f"dimension {len(z0)}, field needs {dim}")
     if sc["action"] == "simulate" and not sc["initial"]:
         raise ConfigError(f"{path}: simulate requires at least one initial condition")
     given, n_pairs = len(sc["initial"]), options["estimate"]["pairs"]
+    if sc["action"] == "figures" and given not in (0, 2):
+        raise ConfigError(f"{_at(path, raw, 'initial')}: figures takes no initial states "
+                          f"or the two of one pair; got {given} states")
     if sc["action"] == "estimate" and (given % 2 or given > 2 * n_pairs):
         raise ConfigError(f"{_at(path, raw, 'initial')}: estimate takes initial states "
                           f"two by two as pairs, at most pairs = {n_pairs} of them; got "
@@ -402,11 +400,6 @@ def build_field(scenario: Scenario) -> TimeVaryingField:
     return assemble(scenario.model)
 
 
-def _csv_header(scenario: Scenario, extra: str = "") -> str:
-    tail = f" {extra}" if extra else ""
-    return f"# ieskit {__version__} {scenario.echo()}{tail}"
-
-
 def _integrate_all(field: TimeVaryingField, states, config: IntegratorConfig):
     """One batched integration of ``states``; any row blowing up is an error."""
     tr = integrate(field, 0.0, np.array(states), config)
@@ -424,7 +417,7 @@ def run_simulate(scenario: Scenario) -> list[Path]:
     written = []
     for i in range(len(scenario.initial_conditions)):
         out = scenario.output_path / f"trajectory_{i:02d}.csv"
-        head = f"{_csv_header(scenario, extra=f'ic={i}')}\nt,{cols}\n"
+        head = f"# ieskit {__version__} {scenario.echo()} ic={i}\nt,{cols}\n"
         atomic_write_text(out, _csv_rows([times, *map(_cells, tr.states[:, i].T)],
                                          head=head))
         written.append(out)
@@ -473,13 +466,12 @@ def run_figures(
 def run_estimate(scenario: Scenario) -> list[Path]:
     field = build_field(scenario)
     opts = scenario.options["estimate"]
-    envelope = EnvelopeConfig(transient_skip=opts["transient_skip"])
     # the given states pair up two by two; seeded pairs make up the rest
     ics = scenario.initial_conditions
     pairs = list(zip(ics[0::2], ics[1::2]))
     pairs += sample_pairs_box(opts["box"], opts["pairs"] - len(pairs), scenario.seed)
     config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
-    report = ensemble_ies(field, pairs, scenario.horizon, config, envelope)
+    report = ensemble_ies(field, pairs, scenario.horizon, config, opts["transient_skip"])
     if report.blown_up:
         raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up during "
                           f"estimation")
@@ -559,8 +551,7 @@ def run_certify(scenario: Scenario) -> list[Path]:
 
 
 def _run_figures(scenario: Scenario) -> list[Path]:
-    ics = scenario.initial_conditions
-    pair = (ics[0], ics[1]) if len(ics) >= 2 else DEFAULT_FIGURE_PAIR
+    pair = tuple(scenario.initial_conditions) or DEFAULT_FIGURE_PAIR
     return run_figures(scenario.output_path, scenario.horizon, scenario.step, pair,
                        scenario.seed)
 

@@ -221,7 +221,7 @@ class GainCertificate:
     epsilons: tuple[float, float, float, float]
     rho1_max: float
     rho2_max: float
-    decay_report: Optional[DecayReport] = None
+    decay_report: DecayReport
 
     def to_record(self) -> dict[str, str]:
         c = self.constants
@@ -235,18 +235,16 @@ class GainCertificate:
         rec.update(alpha1=repr(self.alpha1), alpha2=repr(self.alpha2), alpha=repr(self.alpha))
         rec.update((f"epsilon{i}", repr(e)) for i, e in enumerate(self.epsilons, 1))
         rec.update(rho1_max=repr(self.rho1_max), rho2_max=repr(self.rho2_max))
-        if self.decay_report is not None:
-            rec["decay_check"] = "pass" if self.decay_report.passed else "fail"
-            rec["decay_worst"] = repr(self.decay_report.worst)
-            rec["decay_samples"] = str(self.decay_report.n_samples)
+        rec["decay_check"] = "pass" if self.decay_report.passed else "fail"
+        rec["decay_worst"] = repr(self.decay_report.worst)
+        rec["decay_samples"] = str(self.decay_report.n_samples)
         return rec
 
     def to_text(self) -> str:
         rec = self.to_record()
         lines = ["gain certificate (constants are sampled maxima times a safety factor)"]
         lines += [f"  {k} = {v}" for k, v in rec.items()]
-        if self.decay_report is not None:
-            lines.append(f"  note: {self.decay_report.note}")
+        lines.append(f"  note: {self.decay_report.note}")
         return "\n".join(lines) + "\n"
 
     def write_record(self, path) -> None:

@@ -183,8 +183,7 @@ def test_criterion_6_dissipation_chain():
     start = time.perf_counter()
     margins = []
     for fig in (1, 2, 3):
-        report = check_dissipation_chain_fhn(
-            figure_params(fig), grid_radius=6.0, grid_density=201, tol=1e-9)
+        report = check_dissipation_chain_fhn(figure_params(fig))
         margins.append(min(report.margin_young, report.margin_quartic,
                            report.margin_comparison))
         assert report.passed, f"chain violated at figure {fig} parameters"

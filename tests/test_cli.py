@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -415,6 +416,13 @@ epsilon = 1
 box_halfwidth = 6.5
 density = 41
 """
+FHN_FIGURES = """
+[scenario]
+system = fhn
+action = figures
+horizon = 1
+initial = 2 0; -2 1
+"""
 POLYNOMIAL_SIMULATE = """
 [scenario]
 system = user_polynomial
@@ -466,6 +474,12 @@ BAD_VALUES = {
                           "action = certify", "system"),
     "fc_table_on_linear": ("fc-table", LINEAR_ESTIMATE, "action = estimate",
                            "action = fc_table", "system"),
+    "figures_on_linear": ("figures", LINEAR_ESTIMATE, "action = estimate",
+                          "action = figures", "system"),
+    "figures_one_initial": ("figures", FHN_FIGURES, "initial = 2 0; -2 1",
+                            "initial = 1 0", "initial"),
+    "figures_three_initial": ("figures", FHN_FIGURES, "initial = 2 0; -2 1",
+                              "initial = 2 0; -2 1; 1 1", "initial"),
 }
 
 
@@ -481,6 +495,78 @@ def test_bad_value_exits_2_with_line_anchor(case, tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert f"{cfg}:{line}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_figures_runs_the_given_pair(tmp_path):
+    out = tmp_path / "o"
+    assert main(["figures", "--config", str(write_config(tmp_path, FHN_FIGURES)),
+                 "--out", str(out)]) == EXIT_OK
+    lines = (out / "figure1.csv").read_text().splitlines()
+    assert " z1=2 0 z2=-2 1 " in lines[0]
+    assert lines[2] == "0.0,2.0,0.0,-2.0,1.0," + repr(math.hypot(4.0, 1.0))
+
+
+# (config text, line the error names or None for the file alone, message)
+STRUCTURE_ERRORS = {
+    "unknown_section": ("[scenario]\nsystem = fhn\naction = figures\n[plots]\n", 4,
+                        "unknown section [plots]"),
+    "duplicate_section": ("[scenario]\nsystem = fhn\n[scenario]\naction = figures\n", 3,
+                          "duplicate section [scenario]"),
+    "key_outside_section": ("system = fhn\n[scenario]\naction = figures\n", 1,
+                            "key outside any [section]"),
+    "duplicate_key": ("[scenario]\nsystem = fhn\naction = figures\nsystem = fhn\n", 4,
+                      "duplicate key 'system'"),
+    "missing_scenario": ("[params]\nb = 1\n", None, "missing mandatory section [scenario]"),
+    "c_and_r": ("[scenario]\nsystem = fhn\naction = figures\n[params]\nc = 1\nr = 2.1\n", 5,
+                "give either c or r, not both"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_ERRORS))
+def test_structural_error_exits_2_with_anchor(case, tmp_path, capsys):
+    text, line, message = STRUCTURE_ERRORS[case]
+    cfg = write_config(tmp_path, text)
+    assert main(["figures", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    anchor = f"{cfg}:{line}" if line else str(cfg)
+    assert f"config error: {anchor}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```ini\n")[1:]
+    assert blocks, "README.md has no ini example"
+    for k, block in enumerate(blocks):
+        cfg = write_config(tmp_path, block.split("```")[0], name=f"readme{k}.cfg")
+        scenario = parse_config(cfg)
+        assert main([scenario.action.replace("_", "-"), "--config", str(cfg),
+                     "--out", str(tmp_path / f"out{k}")]) == EXIT_OK
+
+
+def test_certify_without_radius_uses_the_closed_form_enclosure(tmp_path):
+    # radius = sqrt(2 L max(1, 1/eps)) * 1.05 with L = (2 + c^2/2) / (2 kappa) * 1.05
+    # and kappa = min(1/8, b/eps), here for r = 2.1, b = 1, eps = 0.9
+    cfg = write_config(tmp_path, FHN_CERTIFY.replace("radius = 6\n", ""))
+    out = tmp_path / "cert"
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert parse_certificate_record(out / "certificate.rec")["radius"] == "16.864613649443623"
+
+
+def test_invariant_set_of_a_linear_system_uses_the_half_norm(tmp_path):
+    cfg = write_config(tmp_path, "[scenario]\nsystem = builtin_linear\n"
+                                 "action = invariant_set\n[params]\ndim = 2\n")
+    out = tmp_path / "inv"
+    assert main(["invariant-set", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "level = 1.0\n" in (out / "invariant_set.txt").read_text()
+
+
+def test_estimate_of_a_pair_that_blows_up_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[scenario]\nsystem = fhn\naction = estimate\nhorizon = 2\n"
+                                 "step = 0.1\ninitial = 1e200 0; 2 0\n[estimate]\npairs = 2\n")
+    out = tmp_path / "est"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
+    assert "trajectory pairs [0] blew up" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--tolerance", "nan")])

@@ -8,7 +8,6 @@ from ieskit.estimator import (
     CONTRACTING,
     INCONCLUSIVE,
     NON_CONTRACTING,
-    EnvelopeConfig,
     ensemble_ies,
     fit_envelope,
     sample_pairs_ball,
@@ -82,11 +81,13 @@ class TestFitEnvelope:
         assert fit.window[1] < 50.0
         assert fit.lam == pytest.approx(1.12, abs=0.05)
 
-    def test_growing_series_without_late_crossing_is_inconclusive(self):
+    def test_flat_tail_below_the_late_floor_is_inconclusive(self):
+        # the window holds a flat 0.01: no rate, and a late mean of 0.01 d(0)
+        # below the late floor 0.05 d(0), so the fit neither accepts nor refutes
         ts = np.linspace(0.0, 10.0, 101)
-        d = 1e-3 * np.exp(0.01 * ts)
-        cfg = EnvelopeConfig(late_floor=1e6)
-        fit = fit_envelope(ts, d, config=cfg)
+        d = np.array([1.0] + [0.01] * 100)
+        fit = fit_envelope(ts, d)
+        assert abs(fit.lam) < 1e-12
         assert fit.verdict == INCONCLUSIVE
 
 
@@ -185,22 +186,35 @@ class TestEnsemble:
         assert not report.passed
         assert report.results[0].blew_up
 
+    def test_summary_of_a_pair_that_blew_up_reads_nan(self, tmp_path):
+        from ieskit.dynsys import TimeVaryingField
+
+        field = TimeVaryingField(1, lambda t, z: z**3, lambda t, z: 3 * z[..., None] ** 2)
+        pairs = [(np.array([3.0]), np.array([3.5])), (np.array([0.0]), np.array([0.1]))]
+        report = ensemble_ies(field, pairs, 5.0, IntegratorConfig(max_time=5.0, step=0.01))
+        write_summary_csv(tmp_path / "summary.csv", report.results)
+        fit = report.results[1].fit
+        assert (tmp_path / "summary.csv").read_text() == (
+            f"pair_id,K,lambda,verdict\n0,nan,nan,{INCONCLUSIVE}\n"
+            f"1,{fit.K!r},{fit.lam!r},{fit.verdict}\n")
+
     def test_inconclusive_fits_without_a_refutation_make_the_aggregate_inconclusive(self):
-        # dz/dt = diag(-1, 0) z: a pair apart in x decays at rate 1, which a
-        # rate floor of 2 reads inconclusive; a pair apart in y keeps its
-        # distance and reads non_contracting
+        # dz/dt = diag(-1, 0) z: a pair mostly apart in x decays at rate 1 down
+        # to its fixed y-gap of 0.01, about 0.005 of d(0), which neither fits a
+        # rate nor stays above the late floor, so it reads inconclusive; a pair
+        # apart in y keeps its distance and reads non_contracting
         field = linear_field(np.diag([-1.0, 0.0]))
-        cfg = IntegratorConfig(max_time=10.0, step=0.01)
-        envelope = EnvelopeConfig(lambda_min=2.0)
+        cfg = IntegratorConfig(max_time=40.0, step=0.01)
+        mostly_x = (np.array([1.0, 0.005]), np.array([-1.0, -0.005]))
         in_x = (np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         in_y = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
-        only_x = ensemble_ies(field, [in_x, in_x], 10.0, cfg, envelope=envelope)
+        only_x = ensemble_ies(field, [mostly_x, mostly_x], 40.0, cfg)
         assert only_x.verdicts == [INCONCLUSIVE, INCONCLUSIVE]
         assert only_x.inconclusive and not only_x.passed
-        both = ensemble_ies(field, [in_x, in_y], 10.0, cfg, envelope=envelope)
+        both = ensemble_ies(field, [mostly_x, in_y], 40.0, cfg)
         assert both.verdicts == [INCONCLUSIVE, NON_CONTRACTING]
         assert not both.inconclusive and not both.passed
-        contracting = ensemble_ies(field, [in_x], 10.0, cfg)
+        contracting = ensemble_ies(field, [in_x], 40.0, cfg)
         assert contracting.verdicts == [CONTRACTING]
         assert contracting.passed and not contracting.inconclusive
 

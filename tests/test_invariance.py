@@ -79,7 +79,7 @@ class TestDissipationChain:
             check_dissipation_chain_fhn(p)
 
     def test_fig3_parameters_pass(self):
-        report = check_dissipation_chain_fhn(figure_params(3), grid_radius=6.0)
+        report = check_dissipation_chain_fhn(figure_params(3))
         assert report.passed
 
 

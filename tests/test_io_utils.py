@@ -1,8 +1,9 @@
 """The CSV formatter against the per-row formatter it replaced, kept here as
 the oracle: every cell the repr of its float, every row prefixed, byte for
 byte, also when the pairs of a distance CSV have different time grids.  And
-the mode of the files the atomic writer leaves: the one a plain ``open``
-would give under the umask."""
+the files the atomic writer leaves: the mode a plain ``open`` would give
+under the umask, and after a failed write the target as it was and no temp
+file."""
 
 import os
 import stat
@@ -141,3 +142,17 @@ def test_written_files_get_the_umask_mode(umask, tmp_path, mask, mode):
     assert existing.read_text() == "b\n"
     assert stat.S_IMODE(existing.stat().st_mode) == mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_write_keeps_the_target_and_leaves_no_temp_file(tmp_path, existing):
+    # a lone surrogate cannot be encoded, so the write fails after the temp
+    # file is made
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_text("kept\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "a\udc80\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "kept\n"
