@@ -9,8 +9,10 @@ one ``BENCH_<pr>.json`` record.
 ``--after`` name two such directories.  For every workload and side, the
 record holds each end-to-end metric's median and quartiles over the untraced
 runs, the operations attempted and failed, and the median of each per-layer
-metric over the traced runs.  Where both sides have an untraced run at the
-same seed, it also counts the seeds at which the change is better.
+metric over the traced runs.  Every untraced run counts, also several at one
+seed.  Where both sides have untraced runs at the same seed, it also counts
+the seeds at which the change's median at that seed is better than the
+parent's.
 """
 
 from __future__ import annotations
@@ -53,10 +55,11 @@ def directions() -> dict[str, str]:
 
 
 def fold_side(runs: list[dict]) -> dict[str, dict]:
-    """Per workload: untraced metric values by seed, operation counts, and
-    traced layer values."""
+    """Per workload: the untraced metric values of every run, listed by
+    seed, operation counts, and traced layer values."""
     sides: dict[str, dict] = defaultdict(lambda: {
-        "metrics": defaultdict(dict), "units": {}, "attempted": 0, "failed": 0,
+        "metrics": defaultdict(lambda: defaultdict(list)), "units": {},
+        "attempted": 0, "failed": 0,
         "runs": 0, "layers": defaultdict(list)})
     for run in runs:
         args, result = run["args"], run["result"]
@@ -70,7 +73,7 @@ def fold_side(runs: list[dict]) -> dict[str, dict]:
         side["attempted"] += result["attempted"]
         side["failed"] += result["failed"]
         for name, m in result["metrics"].items():
-            side["metrics"][name][args["seed"]] = m["value"]
+            side["metrics"][name][args["seed"]].append(m["value"])
             side["units"][name] = m["unit"]
     return sides
 
@@ -92,7 +95,7 @@ def record(pr: int, before: list[dict], after: list[dict]) -> dict:
                 out = entry["end_to_end"].setdefault(
                     metric, {"unit": side["units"][metric],
                              "better": better.get(metric, "lower")})
-                out[label] = summary(list(by_seed.values()))
+                out[label] = summary([v for values in by_seed.values() for v in values])
             for metric, values in side["layers"].items():
                 out = entry["layers"].setdefault(metric, {"unit": side["units"][metric]})
                 out[label] = statistics.median(values)
@@ -103,7 +106,9 @@ def record(pr: int, before: list[dict], after: list[dict]) -> dict:
                 seeds = sorted(set(a) & set(b))
                 sign = -1.0 if out["better"] == "lower" else 1.0
                 out["pairs"] = len(seeds)
-                out["after_better"] = sum(sign * (a[s] - b[s]) > 0 for s in seeds)
+                out["after_better"] = sum(
+                    sign * (statistics.median(a[s]) - statistics.median(b[s])) > 0
+                    for s in seeds)
         workloads[name] = entry
     return {"pr": pr, "machine": after[0].get("machine", {}),
             "seconds": after[0]["args"].get("seconds"), "workloads": workloads}

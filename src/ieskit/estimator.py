@@ -48,14 +48,21 @@ class EnvelopeFit:
         return self.K * d0 * np.exp(-self.lam * (ts - t0))
 
 
+def _check_transient_skip(transient_skip: float) -> None:
+    if not 0.0 <= transient_skip < 1.0:
+        raise ValueError(f"transient_skip must lie in [0, 1), got {transient_skip}")
+
+
 def fit_envelope(times, distances, transient_skip: float = 0.2) -> EnvelopeFit:
     """Fit the exponential envelope of a distance series.
 
     lam is minus the least-squares slope of log d on the post-transient
     window, which leaves out the first ``transient_skip`` share of the
     horizon; K is the smallest prefactor making the envelope dominate every
-    sample in that window, clamped to at least 1.
+    sample in that window, clamped to at least 1.  A ``transient_skip``
+    outside [0, 1), NaN included, raises ValueError.
     """
+    _check_transient_skip(transient_skip)
     times = np.asarray(times, dtype=float)
     d = np.asarray(distances, dtype=float)
     if len(times) != len(d) or len(times) < 2:
@@ -193,7 +200,9 @@ def _pair_results(
     transient_skip: float = 0.2,
 ) -> list[PairResult]:
     """Every pair's distance series and envelope fit, numbered from 0: the 2N
-    flows are integrated as one batch, and a pair that blew up gets no fit."""
+    flows are integrated as one batch, and a pair that blew up gets no fit.
+    A ``transient_skip`` outside [0, 1) is refused before any integration."""
+    _check_transient_skip(transient_skip)
     if abs(config.max_time - horizon) > 1e-12:
         config = dataclasses.replace(config, max_time=horizon)
     pairs = [(np.asarray(z1), np.asarray(z2)) for z1, z2 in pairs]
@@ -234,7 +243,8 @@ def ensemble_ies(
 ) -> EnsembleReport:
     """Fit the envelope of every pair's distance series; the 2N flows are
     integrated as one batch from t = 0, and a pair that blew up gets no fit.
-    An empty ``pairs`` is refused with ``ValueError``."""
+    An empty ``pairs``, or a ``transient_skip`` outside [0, 1), is refused
+    with ``ValueError``."""
     return _aggregate(_pair_results(field, pairs, horizon, config, transient_skip))
 
 

@@ -170,26 +170,68 @@ def _pair(a, b) -> Array:
 
 
 def _joint_rhs(params: ParamSets):
-    """rho1, rho2 -> the model's rhs on whole states (..., 2), in eight
-    array operations.  Row by row it makes the block form's IEEE operations
-    in the block form's order: x * 1 = x and y / 1 = y, y + -0.0 = y,
-    -rho1 * y is rho1 * -y, and x**3.0 runs the same power loop as x**3."""
+    """rho1, rho2 -> the model's rhs on whole states (..., 2), in eight array
+    operations on whole (..., 2) operands, with one temporary besides the
+    result:
+
+        out = z * [1, -b/eps] - z ** [3, 0] / [3, inf] + [c, -0.0]
+        out += ((z / [eps, 1]) * [rho2, -rho1]) reversed on the last axis
+
+    Row by row it makes the block form's IEEE operations in the block form's
+    order: x * 1 = x and y / 1 = y, y + -0.0 = y, -rho1 * y is rho1 * -y,
+    and x**3.0 runs the same power loop as x**3.  The second column of the
+    cube term is y**0 / inf, which is +0.0 for every y, NaN and inf
+    included, and y*a - +0.0 is y*a bit for bit.
+
+    The six operand rows are stacked once.  Per-row sets make them (N, 2),
+    the only batch shape the rhs takes.  One parameter set makes them (2,):
+    the rhs tiles them to the batch's shape when it is called twice in a row
+    at that shape on a C-contiguous batch, as the solvers do on every step,
+    so that numpy runs each operation as one flat loop.  The tiled operands
+    take 96 bytes per batch row and are held until the next call at another
+    shape, or until the field is dropped.  A one-off call broadcasts the
+    rows instead, which costs no copy for a shape that does not come back.
+    So does a batch in another memory order: C-ordered operands would change
+    numpy's loop layout for it, and with the layout which of two NaNs a sum
+    returns."""
     lin = _pair(1.0, -_per_row(params, lambda p: p.b / p.epsilon))
+    cube_power, cube_div = np.array([3.0, 0.0]), np.array([3.0, math.inf])
     const = _pair(_per_row(params, lambda p: p.c), -0.0)
-    div = _pair(1.0, _per_row(params, lambda p: p.epsilon))
+    div = _pair(_per_row(params, lambda p: p.epsilon), 1.0)
 
     def joint(rho1, rho2):
-        gain = _pair(-np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
-        shape = np.broadcast_shapes(lin.shape, gain.shape)
+        gain = _pair(np.asarray(rho2, dtype=float), -np.asarray(rho1, dtype=float))
+        stacked = np.stack(np.broadcast_arrays(lin, cube_power, cube_div, const, div, gain))
+        rows, shape = tuple(stacked), stacked.shape[1:]
+        # (last batch shape, its operands), replaced whole, so that a call
+        # never pairs one call's shape with another's operands
+        memo = (None, rows)
 
         def rhs(t: float, z: Array) -> Array:
-            if len(shape) == 2 and z.shape != shape:
-                raise _refuse(shape, z)
-            x = z[..., :1]
+            nonlocal memo
+            if len(shape) == 2:
+                if z.shape != shape:
+                    raise _refuse(shape, z)
+                ops = rows
+            else:
+                last, ops = memo
+                if z.shape != last or not z.flags.c_contiguous:
+                    ops = rows
+                elif ops is rows:
+                    lead = z.shape[:-1]
+                    ops = tuple(np.tile(stacked.reshape((6,) + (1,) * len(lead) + (2,)),
+                                        (1,) + lead + (1,)))
+                memo = (z.shape, ops)
+            lin, cube_power, cube_div, const, div, gain = ops
             out = z * lin
-            out[..., :1] -= x**3.0 / 3.0
+            term = z**cube_power
+            term /= cube_div
+            out -= term
             out += const
-            return out + gain * (z[..., ::-1] / div)
+            np.divide(z, div, out=term)
+            term *= gain
+            out += term[..., ::-1]
+            return out
 
         return rhs
 
@@ -209,8 +251,11 @@ def fhn_field(params: ParamSets) -> Interconnection:
     The 1/eps division of the recovery equation is folded into the y-block and
     its coupling, so the assembled field matches the model equations exactly.
     The interconnection carries a whole-state rhs (``joint_rhs``), which
-    ``assemble`` uses: it gives bitwise the block form's derivatives in
-    fewer array operations.
+    ``assemble`` uses: it gives bitwise the block form's derivatives in eight
+    array operations, each on whole (..., 2) operands.  For one parameter set
+    it tiles its operands to the batch's shape once the solver calls it twice
+    in a row at that shape (96 bytes per row, held until the shape changes),
+    and broadcasts them on a one-off call.
     """
     eps = _per_row(params, lambda p: p.epsilon)
     inv_eps = np.expand_dims(1.0 / eps, -1)

@@ -2,7 +2,9 @@
 state row gives, row by row, bitwise the derivatives, Jacobians and RK4
 solves of each set's own field, both solvers take such a field to the end
 after a row stops, and a column holding one invalid value is refused.  The
-whole-state rhs of an FHN field gives the derivatives of its block form."""
+whole-state rhs of an FHN field gives the derivatives of its block form, and
+bit for bit those of the column-view expression under any sequence of batch
+shapes and memory layouts."""
 
 import dataclasses
 
@@ -190,16 +192,17 @@ def assert_same_values(a, b):
 @st.composite
 def fhn_interconnections(draw):
     """An FHN interconnection of one parameter set or of one set per row, as
-    built, or with zero gains, or with gain columns that hold zeros; and the
-    batch shape its rhs takes."""
+    built, or with zero gains, or with gain columns that hold zeros; its
+    parameters and rows; the batch shapes its rhs takes, followed (for a
+    field of N rows) by shapes it refuses; and how many it takes."""
     if draw(st.booleans()):
         params = draw(fhn_params())
-        rows = draw(st.sampled_from([1, 2, 4, 70]))
-        shape = draw(st.sampled_from([(2,), (rows, 2), (3, rows, 2)]))
+        rows = draw(st.sampled_from([1, 2, 5, 70]))
+        shapes, refused = [(2,), (1, 2), (rows, 2), (3, rows, 2)], []
     else:
         params = per_row(draw(SETS))
         rows = len(params)
-        shape = (rows, 2)
+        shapes, refused = [(rows, 2)], [(2,), (rows + 1, 2), (1, rows, 2)]
     ic = fhn_field(params)
     gains = draw(st.sampled_from(["own", "zero", "columns"]))
     if gains == "zero":
@@ -208,18 +211,108 @@ def fhn_interconnections(draw):
         column = arrays(np.float64, (rows, 1),
                         elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0))
         ic = ic.with_gains(draw(column), draw(column))
-        shape = (rows, 2)
-    return ic, shape
+        shapes, refused = [(rows, 2)], [(2,), (rows + 1, 2), (1, rows, 2)]
+    return params, ic, rows, shapes + refused, len(shapes)
 
 
 @given(values=arrays(np.float64, (8, 2), elements=STATE_VALUES),
-       built=fhn_interconnections())
+       built=fhn_interconnections(), pick=st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
-def test_joint_rhs_is_the_block_form(values, built):
-    ic, shape = built
-    z = np.resize(values, shape)
+def test_joint_rhs_is_the_block_form(values, built, pick):
+    _, ic, _, shapes, taken = built
+    z = np.resize(values, shapes[pick % taken])
     field = assemble(ic)
     block = assemble(dataclasses.replace(ic, joint_rhs=None))
     with np.errstate(all="ignore"):
         assert_same_values(field.rhs(0.5, z), block.rhs(0.5, z))
         assert_bitwise(field.jacobian(0.5, z), block.jacobian(0.5, z))
+
+
+def side_by_side(a, b):
+    return np.concatenate(np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b)), axis=-1)
+
+
+def column_view_rhs(params, rho1, rho2):
+    """The reference FHN rhs: the block form's operations on column views of
+    the state, each (2,) operand broadcast across rows, or (N, 2) for
+    per-row sets and gain columns.  The whole-batch rhs must give its bits,
+    NaN signs included."""
+    def value(fn):
+        return fn(params) if isinstance(params, FhnParams) else np.array([[fn(p)] for p in params])
+
+    lin = side_by_side(1.0, -value(lambda p: p.b / p.epsilon))
+    const = side_by_side(value(lambda p: p.c), -0.0)
+    div = side_by_side(1.0, value(lambda p: p.epsilon))
+    gain = side_by_side(-np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
+
+    def rhs(z):
+        out = z * lin
+        out[..., :1] -= z[..., :1]**3.0 / 3.0
+        out += const
+        return out + gain * (z[..., ::-1] / div)
+
+    return rhs
+
+
+def refusal(rows, shape):
+    return (f"a field of {rows} FHN parameter sets takes batches of exactly "
+            f"{rows} rows, got states of shape {shape}")
+
+
+def laid_out(values, shape, layout):
+    """``values`` resized to ``shape``, as a C-ordered, Fortran-ordered, or
+    strided array (columns three apart in a wider buffer)."""
+    z = np.resize(values, shape)
+    if layout == "F":
+        return np.asfortranarray(z)
+    if layout == "strided":
+        wide = np.full(shape[:-1] + (4,), 7.0)
+        wide[..., ::3] = z
+        return wide[..., ::3]
+    return z
+
+
+# calls to make in a row: (which shape, which memory layout, how many times)
+CALLS = st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["C", "F", "strided"]),
+                           st.integers(1, 3)), min_size=1, max_size=8)
+
+
+@given(values=arrays(np.float64, (8, 2), elements=STATE_VALUES),
+       case=fhn_interconnections(), calls=CALLS)
+@settings(max_examples=150, deadline=None)
+def test_joint_rhs_is_the_column_view_expression(values, case, calls):
+    # repeated shapes take the tiled operands, one-off and alternating ones
+    # the broadcast rows; both give the reference's bits
+    params, ic, rows, shapes, taken = case
+    rhs = assemble(ic).rhs
+    reference = column_view_rhs(params, ic.rho1, ic.rho2)
+    with np.errstate(all="ignore"):
+        for k, (pick, layout, repeats) in enumerate(calls):
+            shape = shapes[pick % len(shapes)]
+            for r in range(repeats):
+                z = laid_out(np.roll(values, k + r), shape, layout)
+                if pick % len(shapes) < taken:
+                    assert_bitwise(rhs(0.5, z), reference(z))
+                else:
+                    with pytest.raises(ValueError) as refused:
+                        rhs(0.5, z)
+                    assert str(refused.value) == refusal(rows, shape)
+
+
+def test_joint_rhs_alternating_and_repeated_shapes():
+    # the solvers' pattern (one shape many times) between one-off calls at
+    # other shapes and layouts, on the values where the cube overflows
+    p = figure_params(3)
+    rhs = assemble(fhn_field(p)).rhs
+    reference = column_view_rhs(p, p.rho1, p.rho2)
+    values = np.random.default_rng(0).uniform(-4.0, 4.0, (64, 2))
+    values[:8] = [[np.nan, -np.nan], [-np.nan, 1.0], [np.inf, -np.inf], [0.0, -0.0],
+                  [5e102, -5e102], [-7e102, np.nan], [1e300, 0.0], [-0.0, np.inf]]
+    sequence = [((64, 2), "C")] * 3 + [((2,), "C"), ((64, 2), "C"), ((64, 2), "F"),
+                                       ((64, 2), "strided"), ((64, 2), "C"), ((5, 3, 2), "C"),
+                                       ((5, 3, 2), "C"), ((5, 3, 2), "F"), ((1, 2), "C"),
+                                       ((1, 2), "C"), ((64, 2), "C")]
+    with np.errstate(all="ignore"):
+        for k, (shape, layout) in enumerate(sequence):
+            z = laid_out(np.roll(values, k), shape, layout)
+            assert_bitwise(rhs(0.5, z), reference(z))

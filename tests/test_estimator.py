@@ -45,6 +45,19 @@ class TestFitEnvelope:
         with pytest.raises(ValueError, match="non-finite"):
             fit_envelope(ts, d)
 
+    @pytest.mark.parametrize("skip", [np.nan, 1.0, 1.5, -3.0, -1e-300, np.inf])
+    def test_transient_skip_outside_unit_interval_refused(self, skip):
+        ts, d = synthetic_exponential()
+        with pytest.raises(ValueError, match=r"transient_skip must lie in \[0, 1\)"):
+            fit_envelope(ts, d, transient_skip=skip)
+
+    @pytest.mark.parametrize("skip", [0.0, 0.5, 0.8])
+    def test_transient_skip_inside_unit_interval_fits(self, skip):
+        ts, d = synthetic_exponential()
+        fit = fit_envelope(ts, d, transient_skip=skip)
+        assert fit.window[0] >= skip * ts[-1]
+        assert fit.lam == pytest.approx(2.0, rel=1e-9)
+
     def test_envelope_dominates_window_samples(self):
         # oscillating but decaying distance: the envelope with fitted K must
         # dominate every sample of the fitted window
@@ -223,6 +236,17 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="at least one pair"):
             ensemble_ies(linear_field(-np.eye(2)), [], 5.0,
                          IntegratorConfig(max_time=5.0, step=0.05))
+
+    @pytest.mark.parametrize("skip", [np.nan, 1.0, 1.5, -3.0])
+    def test_transient_skip_refused_before_integrating(self, skip, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking transient_skip")
+
+        monkeypatch.setattr("ieskit.estimator.flow_differences", no_integration)
+        pairs = sample_pairs_box([[-1, 1]] * 2, 2, seed=0)
+        with pytest.raises(ValueError, match="transient_skip"):
+            ensemble_ies(linear_field(-np.eye(2)), pairs, 5.0,
+                         IntegratorConfig(max_time=5.0, step=0.05), transient_skip=skip)
 
     def test_csv_exports(self, tmp_path):
         field = linear_field(-np.eye(2))

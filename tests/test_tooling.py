@@ -151,8 +151,9 @@ def load_bench_record():
     return module
 
 
-def write_run(directory, workload, seed, trace, metrics, attempted=3, failed=0):
-    """A result file shaped like the ones perfbench/run.py writes."""
+def write_run(directory, workload, seed, trace, metrics, attempted=3, failed=0, stamp=None):
+    """A result file shaped like the ones perfbench/run.py writes; ``stamp``
+    tells apart several runs at one seed."""
     directory.mkdir(exist_ok=True)
     detail = {
         "args": {"workload": workload, "seed": seed, "seconds": 12.0, "trace": trace},
@@ -161,7 +162,8 @@ def write_run(directory, workload, seed, trace, metrics, attempted=3, failed=0):
         "result": {"correct": True, "attempted": attempted, "failed": failed,
                    "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}},
     }
-    (directory / f"{workload}-seed{seed}-trace{trace}-{100 + seed}.json").write_text(
+    stamp = 100 + seed if stamp is None else stamp
+    (directory / f"{workload}-seed{seed}-trace{trace}-{stamp}.json").write_text(
         json.dumps(detail))
 
 
@@ -188,6 +190,22 @@ def test_bench_record_folds_before_and_after_runs(tmp_path):
                                  "after": {"runs": 4, "attempted": 12, "failed": 4}}
     assert fig["layers"] == {"dynsys.rhs_calls": {"unit": "count", "before": 120003.0,
                                                   "after": 40001.0}}
+
+
+def test_bench_record_keeps_every_run_of_a_seed(tmp_path):
+    # two parent runs at seed 1: both count, and the seed pairs by its median
+    before, after = tmp_path / "before", tmp_path / "after"
+    for stamp, (seed, value) in enumerate([(1, 1.0), (1, 3.0), (2, 2.0)]):
+        write_run(before, "ensemble", seed, 0, {"round_s": (value, "s")}, stamp=stamp)
+    for seed, value in [(1, 1.5), (2, 2.5)]:
+        write_run(after, "ensemble", seed, 0, {"round_s": (value, "s")})
+    bench_record = load_bench_record()
+    rec = bench_record.record(0, bench_record.load_runs(before), bench_record.load_runs(after))
+    ens = rec["workloads"]["ensemble"]
+    round_s = ens["end_to_end"]["round_s"]
+    assert ens["operations"]["before"]["runs"] == 3
+    assert round_s["before"] == {"n": 3, "median": 2.0, "q1": 1.5, "q3": 2.5}
+    assert (round_s["pairs"], round_s["after_better"]) == (2, 1)
 
 
 def readme_config_tables() -> dict[str, set[str]]:
