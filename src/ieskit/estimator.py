@@ -305,18 +305,22 @@ def wies_scan(
 
 
 def write_distance_csv(path, results: Sequence[PairResult]) -> None:
-    """CSV with columns (pair_id, t, distance).  Each distinct times array is
-    formatted once, keyed by its bytes: under a fixed step every pair shares
-    one grid, while a row that stopped early or an adaptive grid has its own."""
+    """CSV with columns (pair_id, t, distance), streamed pair by pair.  Each
+    distinct times array is formatted once, keyed by its bytes: under a fixed
+    step every pair shares one grid, while a row that stopped early or an
+    adaptive grid has its own."""
     times: dict[bytes, list[str]] = {}
-    blocks = ["pair_id,t,distance\n"]
-    for r in results:
-        key = r.series.times.tobytes()
-        if key not in times:
-            times[key] = list(_cells(r.series.times))
-        blocks.append(_csv_rows([times[key], _cells(r.series.values)],
-                                prefix=f"{r.pair_id},"))
-    atomic_write_text(path, "".join(blocks))
+
+    def blocks():
+        yield "pair_id,t,distance\n"
+        for r in results:
+            key = r.series.times.tobytes()
+            if key not in times:
+                times[key] = list(_cells(r.series.times))
+            yield from _csv_rows([times[key], _cells(r.series.values)],
+                                 prefix=f"{r.pair_id},")
+
+    atomic_write_text(path, blocks())
 
 
 def write_summary_csv(path, results: Sequence[PairResult]) -> None:

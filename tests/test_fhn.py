@@ -218,6 +218,26 @@ class TestWeightTable:
         for x in (grid[7], -s, s, np.nan):
             assert np.float64(table._spline(x)).tobytes() == scipy_spline(x).tobytes()
 
+    def test_scalar_weight_is_the_one_element_array_weight_bitwise(self, default_table):
+        """A scalar query takes the array path.  The cube in the log slope is
+        an array power, which on a SIMD build differs in the last bit from a
+        Python or numpy-scalar ``**`` for some positive bases, and takes a
+        scalar pow for negative ones: both signs are checked.  A scalar cube
+        would change about 5 in 1 000 positive points here."""
+        fc_prime, s = default_table.fc_prime, default_table.s_star
+        xs = np.random.default_rng(5).uniform(0.0, s, 2000)
+        for x in [*xs.tolist(), *(-xs).tolist(), 0.0, -0.0, s, -s, np.nan, 1e-300]:
+            assert np.float64(fc_prime(x)).tobytes() == fc_prime(np.array([x]))[0].tobytes(), x
+
+    def test_clamp_is_bitwise_np_clip(self, default_table):
+        s, table = default_table.s_star, default_table
+        xs = np.concatenate([np.random.default_rng(2).uniform(-2 * s, 2 * s, 2000),
+                             [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, s, -s,
+                              np.nextafter(s, 0), np.nextafter(-s, 0), 5e-324, -5e-324]])
+        clipped = np.where(xs >= s, 1.0, np.where(xs <= -s, table.left_plateau,
+                                                  table._spline(np.clip(xs, -s, s))))
+        assert table.fc(xs).tobytes() == clipped.tobytes()
+
     def test_csv_export_roundtrip(self, default_table, tmp_path):
         out = tmp_path / "table.csv"
         write_fc_csv(default_table, out)
