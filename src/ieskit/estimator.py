@@ -125,10 +125,11 @@ def _sample_pairs(low, high, dim: int, n_pairs: int, seed: int, inside=lambda z:
     return pairs
 
 
-def sample_pairs_box(bounds, n_pairs: int, seed: int):
-    """n seeded random initial-condition pairs inside a box, separated by at
-    least MIN_SEPARATION.  A box whose diagonal does not exceed
-    MIN_SEPARATION holds no such pair and is refused with ``ValueError``."""
+def box_bounds(bounds) -> Array:
+    """``bounds`` as the (d, 2) array of a box that can hold a pair of points
+    MIN_SEPARATION apart.  Bounds of another shape, non-finite bounds, and a
+    box whose diagonal does not exceed MIN_SEPARATION are refused with
+    ``ValueError``."""
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     if bounds.ndim != 2 or bounds.shape[1] != 2 or not bounds.size:
         raise ValueError(f"box bounds must have shape (d, 2) with d >= 1, "
@@ -139,6 +140,14 @@ def sample_pairs_box(bounds, n_pairs: int, seed: int):
     if not diagonal > MIN_SEPARATION:
         raise ValueError(f"box diagonal {diagonal:g} must exceed the pair "
                          f"separation {MIN_SEPARATION:g}")
+    return bounds
+
+
+def sample_pairs_box(bounds, n_pairs: int, seed: int):
+    """n seeded random initial-condition pairs inside a box, separated by at
+    least MIN_SEPARATION.  Bounds that ``box_bounds`` refuses are refused
+    with its ``ValueError``."""
+    bounds = box_bounds(bounds)
     return _sample_pairs(bounds[:, 0], bounds[:, 1], len(bounds), n_pairs, seed)
 
 

@@ -290,15 +290,23 @@ def _weight_ratio(params: FhnParams):
     """The logarithmic slope (2x^2 - 2 - alpha) / (x - x^3/3 + c), zero off
     the interior interval |x| < s*.
 
-    The cube must stay an array power, also for a scalar query (a 0-d
-    array): a Python or numpy-scalar ``**`` differs from it in the last bit
-    for some bases on a SIMD build (1 054 of 20 000 positive bases with numpy
-    2.4 on AVX-512), which would make a scalar f_c' differ from the batched
-    one.  On such a build a negative base takes a scalar pow, about 40 times
-    slower per element than a positive one."""
+    A Python-float or ``np.float64`` query is answered in float arithmetic,
+    with the array path's operations in its order, so its value is bitwise
+    that of the one-element array query.  The cube stays an array power
+    there too (of a 0-d array): a Python or numpy-scalar ``**`` differs from
+    it in the last bit for some bases on a SIMD build (1 054 of 20 000
+    positive bases with numpy 2.4 on AVX-512), which would make a scalar
+    f_c' differ from the batched one.  On such a build a negative base takes
+    a scalar pow, about 40 times slower per element than a positive one."""
     c, alpha, s_star = params.c, params.alpha, params.s_star
 
     def ratio(x):
+        if isinstance(x, float):
+            x = float(x)
+            if not abs(x) < s_star:
+                return 0.0
+            cube = float(np.asarray(x) ** 3)
+            return (2.0 * x * x - 2.0 - alpha) / (x - cube / 3.0 + c)
         x = np.asarray(x, dtype=float)
         num = 2.0 * x * x - 2.0 - alpha
         den = x - x**3 / 3.0 + c
@@ -306,6 +314,22 @@ def _weight_ratio(params: FhnParams):
         return out if out.ndim else float(out)
 
     return ratio
+
+
+def check_weight_domain(params: FhnParams) -> None:
+    """Refuse, with ValueError, parameters whose den(x) = x - x^3/3 + c is
+    not positive on [-s*, s*], where the weight's slope divides by it.  den
+    rises on [-1, 1] and falls outside, and s* = sqrt(1 + alpha/2) > 1, so
+    its minimum there is the smaller of den(-1) and den(s*)."""
+    c = params.c
+
+    def den(x: float) -> float:
+        return x - x**3 / 3.0 + c
+
+    x = min(-1.0, params.s_star, key=den)
+    if not den(x) > 0.0:
+        raise ValueError("x - x^3/3 + c must be positive on [-s*, s*]; "
+                         f"minimum {den(x):.3e} at x = {x:.4f}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,8 +359,16 @@ class FcTable:
         return math.exp(self.mu)
 
     def fc(self, x):
-        x = np.asarray(x, dtype=float)
+        """The weight at x.  A Python-float or ``np.float64`` query is
+        answered in float arithmetic, bitwise the one-element array query."""
         s = self.s_star
+        if isinstance(x, float):
+            if x >= s:
+                return 1.0
+            if x <= -s:
+                return self.left_plateau
+            return self._spline(x)  # the clamp leaves x, NaN included, as it is
+        x = np.asarray(x, dtype=float)
         inner = np.minimum(np.maximum(x, -s), s)
         out = np.where(
             x >= s, 1.0, np.where(x <= -s, self.left_plateau, self._spline(inner))
@@ -369,7 +401,10 @@ def _cubic_hermite(x: Array, y: Array, dydx: Array) -> Callable:
     """The piecewise cubic Hermite interpolant of values y and slopes dydx
     at ascending knots x, extended by its end cubics.  It makes the
     floating-point operations of scipy's CubicHermiteSpline in their order,
-    so its values are bitwise that spline's, NaN included."""
+    so its values are bitwise that spline's, NaN included.  A Python-float
+    or ``np.float64`` query makes the same operations in float arithmetic on
+    ``.item`` reads of one knot's coefficients, so it too is bitwise that
+    spline's."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
@@ -377,6 +412,14 @@ def _cubic_hermite(x: Array, y: Array, dydx: Array) -> Callable:
     last = len(x) - 2
 
     def spline(p):
+        if isinstance(p, float):
+            k = min(max(int(x.searchsorted(p, side="right")) - 1, 0), last)
+            z = float(p) - x.item(k)
+            res = 0.0 + c3.item(k)
+            res += c2.item(k) * z
+            res += c1.item(k) * (z * z)
+            res += c0.item(k) * ((z * z) * z)
+            return res
         i = np.minimum(np.maximum(np.searchsorted(x, p, side="right") - 1, 0), last)
         z = p - x[i]
         res = 0.0 + c3[i]
@@ -401,19 +444,10 @@ def build_fc(params: FhnParams, table_size: int = 2048) -> FcTable:
     # scipy is imported where it is called: importing ieskit needs numpy only
     from scipy.integrate import quad
 
+    check_weight_domain(params)
     s = params.s_star
     ratio = _weight_ratio(params)
-    # the weight is defined only where the cubic term stays positive
-    probe = np.linspace(-s, s, 4097)
-    den = probe - probe**3 / 3.0 + params.c
-    if np.min(den) <= 0.0:
-        raise ValueError(
-            "x - x^3/3 + c must be positive on [-s*, s*]; "
-            f"minimum {np.min(den):.3e} at x = {probe[np.argmin(den)]:.4f}"
-        )
-
-    mu_quad, mu_err = quad(lambda x: ratio(x), -s, s, epsabs=1e-12, epsrel=1e-13,
-                           limit=500)
+    mu_quad, mu_err = quad(ratio, -s, s, epsabs=1e-12, epsrel=1e-13, limit=500)
     mu = -mu_quad
 
     j = np.arange(table_size)
@@ -471,12 +505,14 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 def _refine_eta(table: FcTable, node_derivs: Array) -> float:
     """eta = -min f_c': grid scan over the table nodes, then golden-section
-    refinement around the coarse argmin."""
+    refinement around the coarse argmin.  The search runs on Python floats,
+    so each of its f_c' queries takes the float path, bitwise the array
+    path's value."""
     k = int(np.argmin(node_derivs))
-    lo = table.grid[max(k - 1, 0)]
-    hi = table.grid[min(k + 1, len(table.grid) - 1)]
-    x_min = _golden_min(lambda x: float(table.fc_prime(x)), lo, hi)
-    return -min(float(table.fc_prime(x_min)), float(node_derivs[k]))
+    lo = table.grid.item(max(k - 1, 0))
+    hi = table.grid.item(min(k + 1, len(table.grid) - 1))
+    x_min = _golden_min(table.fc_prime, lo, hi)
+    return -min(table.fc_prime(x_min), node_derivs.item(k))
 
 
 def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:

@@ -26,6 +26,7 @@ from ieskit.dynsys import (
     rowdot,
 )
 from ieskit.estimator import (
+    box_bounds,
     ensemble_ies,
     sample_pairs_box,
     write_distance_csv,
@@ -35,6 +36,7 @@ from ieskit.fhn import (
     FhnParams,
     assumption2_bounds,
     build_fc,
+    check_weight_domain,
     fc_candidate,
     fhn_field,
     figure_params,
@@ -296,6 +298,12 @@ def parse_config(path) -> Scenario:
         raise ConfigError(f"{_at(path, raw, 'system')}: {sc['action']} requires "
                           f"system = fhn, got {sc['system']!r}")
     model, params, dim = _READERS[sc["system"]](path, sections.get("params", {}))
+    if sc["action"] in ("certify", "fc_table"):
+        try:
+            check_weight_domain(model)
+        except ValueError as exc:
+            where = _at(path, sections.get("params", {}), "r", "c", "alpha")
+            raise ConfigError(f"{where}: {exc}") from None
     options = {section: _read(path, section, sections.get(section, {}), SCHEMA[section])
                for section in ("estimate", "certify", "invariant")}
 
@@ -320,9 +328,14 @@ def parse_config(path) -> Scenario:
     box = options["estimate"]["box"]
     if box is None:
         options["estimate"]["box"] = np.array([[-3.0, 3.0]] * dim)
-    elif box.shape != (dim, 2) or np.any(box[:, 0] >= box[:, 1]):
-        raise ConfigError(f"{_at(path, sections['estimate'], 'box')}: box needs {dim} "
-                          f"rows 'lo hi' with lo < hi")
+    else:
+        where = _at(path, sections["estimate"], "box")
+        if box.shape != (dim, 2) or np.any(box[:, 0] >= box[:, 1]):
+            raise ConfigError(f"{where}: box needs {dim} rows 'lo hi' with lo < hi")
+        try:
+            box_bounds(box)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     inv = options["invariant"]
     if inv["level_min"] >= inv["level_max"]:
         where = _at(path, sections.get("invariant", {}), "level_max", "level_min")

@@ -76,6 +76,60 @@ class SupConstants:
             raise ValueError("safety factor must be >= 1")
 
 
+def _row_norm(v: Array) -> Array:
+    """Euclidean norm of each row, rounded as the 1-D np.linalg.norm of it."""
+    return np.sqrt(rowdot(v, v))
+
+
+def _refine_max(fn: Callable[[Array], Array], x: Array, best: float, s: float,
+                radius: float) -> float:
+    """The largest value of ``fn`` a deterministic pattern search finds in
+    the ball of the given radius, from x where fn is ``best``, at scale s.
+
+    It tracks the true supremum rather than the grid alignment (which would
+    break monotonicity in the radius).  Sweep k tries x +- s e_i in turn,
+    i = 0..d-1, each projected onto the ball, and moves to the first try
+    above best; a sweep that moves nowhere halves s, down to a floor of
+    1e-12 (1 + radius), for at most 60 sweeps; s must be positive.  Until a
+    try improves, the tries to come are fixed, so they are built as one
+    array and evaluated in one call, and the search goes on after the first
+    one above best."""
+    floor = 1e-12 * (1.0 + radius)
+    d = len(x)
+    # try t of a sweep adds +-scale to coordinate t // 2 and -0.0 to the
+    # others: x + -0.0 is x for every x, -0.0 included, so each try is
+    # bitwise x with one coordinate moved
+    tries = np.arange(2 * d)
+    unit = np.full((2 * d, d), -0.0)
+    unit[tries, tries // 2] = [1.0, -1.0] * d
+    sweep, first, improved = 0, 0, False
+    while True:
+        scales = []  # the scale of each sweep up to the end of the search
+        scale, moved = s, improved
+        for _ in range(sweep, 60):
+            scales.append(scale)
+            if not moved:
+                scale *= 0.5
+                if scale < floor:
+                    break
+            moved = False
+        # the first sweep resumes after the try the search last moved to
+        cands = x + (np.array(scales)[:, None, None] * unit).reshape(-1, d)[first:]
+        if not len(cands):
+            return best
+        nrm = _row_norm(cands)
+        out = nrm > radius
+        cands[out] *= (radius / nrm[out])[:, None]
+        vals = fn(cands)
+        hit = vals > best
+        row = int(hit.argmax())
+        if not hit[row]:
+            return best
+        k, t = divmod(first + row, 2 * d)
+        sweep, s, first = sweep + k, scales[k], t + 1
+        x, best, improved = cands[row], float(vals[row]), True
+
+
 def extract_constants(
     ic: Interconnection,
     bounds1: AssumptionTwoBounds,
@@ -93,48 +147,6 @@ def extract_constants(
     grids = {dim: ball_grid(radius, dim, grid_density) for dim in {ic.n, ic.m}}
     xs, ys = grids[ic.n], grids[ic.m]
 
-    floor = 1e-12 * (1.0 + radius)
-
-    def norm(v: Array) -> Array:  # rounds as the 1-D np.linalg.norm of each row
-        return np.sqrt(rowdot(v, v))
-
-    def refine_max(fn: Callable[[Array], Array], x: Array, best: float, s: float) -> float:
-        # deterministic pattern search inside the ball around the grid argmax,
-        # so the reported constant tracks the true supremum rather than the
-        # grid alignment (which would break monotonicity in the radius).
-        # Sweep k tries x +- s e_i in turn, i = 0..d-1, and moves to the first
-        # try above best; a sweep that moves nowhere halves s, down to the
-        # floor, for at most 60 sweeps.  Until a try improves, the tries to
-        # come are fixed, so they are evaluated in one call, and the search
-        # goes on after the first one above best.
-        d = len(x)
-        sweep, first, improved = 0, 0, False
-        while True:
-            tries = []  # (sweep, scale, try index) up to the end of the search
-            k, scale, j, moved = sweep, s, first, improved
-            while k < 60:
-                tries += [(k, scale, t) for t in range(j, 2 * d)]
-                if not moved:
-                    scale *= 0.5
-                    if scale < floor:
-                        break
-                k, j, moved = k + 1, 0, False
-            if not tries:
-                return best
-            cands = np.repeat(x[None], len(tries), axis=0)
-            for row, (_, scale, t) in enumerate(tries):
-                cands[row, t // 2] += scale if t % 2 == 0 else -scale
-            nrm = norm(cands)
-            out = nrm > radius
-            cands[out] *= (radius / nrm[out])[:, None]
-            vals = fn(cands)
-            up = np.flatnonzero(vals > best)
-            if not len(up):
-                return best
-            row = up[0]
-            sweep, s, t = tries[row]
-            x, best, first, improved = cands[row], float(vals[row]), t + 1, True
-
     cell = 2.0 * radius / (grid_density - 1)
 
     def grid_max(fn: Callable[[Array], Array], pts: Array, label: str) -> float:
@@ -144,11 +156,11 @@ def extract_constants(
             raise ValueError(f"non-finite value of {label} at {pts[np.argmax(bad)]}")
         # argmax takes the first of equal maxima, as a scan with a strict > would
         top = np.argmax(vals)
-        return refine_max(fn, pts[top], float(vals[top]), cell)
+        return _refine_max(fn, pts[top], float(vals[top]), cell, radius)
 
     searches = {
-        "a1": (lambda y: norm(ic.g1.value(y)), ys, "g1"),
-        "a2": (lambda x: norm(ic.g2.value(x)), xs, "g2"),
+        "a1": (lambda y: _row_norm(ic.g1.value(y)), ys, "g1"),
+        "a2": (lambda x: _row_norm(ic.g2.value(x)), xs, "g2"),
         "b1": (lambda y: np.linalg.norm(ic.g1.jacobian(y), 2, (-2, -1)), ys, "Dg1"),
         "b2": (lambda x: np.linalg.norm(ic.g2.jacobian(x), 2, (-2, -1)), xs, "Dg2"),
         "eta1": (lambda x: np.abs(bounds1.gamma(x)), xs, "gamma1"),

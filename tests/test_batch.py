@@ -50,7 +50,7 @@ from ieskit.invariance import OuterLyapunov, fhn_outer_lyapunov, find_invariant_
 from ieskit.polynomials import PolynomialMap, polynomial_field, polynomial_interconnection
 from ieskit.sampling import ball_grid
 from ieskit.scenarios import build_field, parse_config
-from ieskit.smallgain import extract_constants
+from ieskit.smallgain import _refine_max, extract_constants
 
 # dz/dt = z^3 - z: rows starting inside (-1, 1) contract to 0, rows outside
 # blow up in finite time
@@ -847,3 +847,68 @@ def test_each_search_makes_one_call_and_one_per_move():
     assert moves >= 3
     assert got.eta1 == pytest.approx(best * 1.05, rel=CONSTANT_REL_BOUND)
     assert len(calls) - 1 <= 1 + moves
+
+
+# -- edge states of the pattern search ------------------------------------
+
+# name -> (fn on a point or a batch of points, start, scale, radius, the
+# moves the search makes); each case drives the search into one edge state
+PATTERN_EDGES = {
+    # every sweep moves on its first try, so the 60-sweep cap ends the search
+    "ramp_hits_sweep_cap": (lambda z: z[..., 0], [0.0], 1.0, 1e3, 60),
+    # every sweep moves on its last try and the cap ends the search there,
+    # with no tries left to evaluate
+    "ramp_moves_on_last_try": (lambda z: -z[..., 0], [0.0], 1.0, 1e3, 60),
+    # a start on the ball boundary: the tries off the ball are projected,
+    # and the search climbs along the boundary to its maximum sqrt(1.25)
+    "boundary_start_projected": (lambda z: z[..., 0] + 0.5 * z[..., 1], [1.0, 0.0], 0.1,
+                                 1.0, 14),
+    # each sweep moves on its last try (y - s) until the ball stops it; the
+    # scale then halves down to the floor
+    "last_try_then_floor": (lambda z: -z[..., 1], [0.0, 0.0], 0.25, 1.0, 4),
+    # a -0.0 coordinate that the tries of the other one leave as it is, and
+    # a function that tells it from +0.0
+    "signed_zero_kept": (lambda z: z[..., 0] + np.copysign(1.0, z[..., 1]), [0.0, -0.0], 0.25,
+                         1.0, 61),
+    # nothing improves, so the scale halves from 1 to the floor in one call
+    "flat_halves_to_floor": (lambda z: np.zeros(np.shape(z)[:-1]), [0.3, -0.2], 1.0,
+                             1.0, 0),
+}
+
+
+def counted_search(fn, x, s, radius):
+    """_refine_max from x at scale s: the maximum it returns, the moves it
+    made (the calls with a value above the best so far, as it takes the
+    first of them), and the number of tries in each of its calls."""
+    calls = []
+
+    def counted(z):
+        vals = fn(z)
+        calls.append(vals)
+        return vals
+
+    best = start = float(fn(x))
+    got = _refine_max(counted, x, start, s, radius)
+    moves = 0
+    for vals in calls:
+        up = np.flatnonzero(vals > best)
+        if len(up):
+            best, moves = float(vals[up[0]]), moves + 1
+    assert got == best
+    return got, moves, [len(vals) for vals in calls]
+
+
+@pytest.mark.parametrize("case", PATTERN_EDGES)
+def test_pattern_search_edge_states_match_the_loop(case):
+    fn, start, s, radius, moves = PATTERN_EDGES[case]
+    x = np.array(start)
+    got, got_moves, sizes = counted_search(fn, x.copy(), s, radius)
+    evaluated = []
+    want, want_moves = oracle_refine_max(lambda p: evaluated.append(p) or fn(p), x.copy(), s,
+                                         radius)
+    assert (got, got_moves) == (want, want_moves)
+    assert got_moves == moves
+    # one call per move, and one more unless the last move ended the search
+    assert len(sizes) == got_moves + (case != "ramp_moves_on_last_try")
+    if not moves:  # the one call holds every try down to the floor
+        assert sizes == [len(evaluated) - 1]

@@ -447,6 +447,12 @@ BAD_VALUES = {
     "matrix_ragged": ("estimate", LINEAR_ESTIMATE, "dim = 2", "matrix = 1 2; 3", "matrix"),
     "box_reversed": ("estimate", LINEAR_ESTIMATE, "pairs = 2",
                      "pairs = 2\nbox = -1 1; 1 -1", "box"),
+    "box_diagonal_below_separation": ("estimate", LINEAR_ESTIMATE, "pairs = 2",
+                                      "pairs = 2\nbox = 0 1e-7; 0 1e-7", "box"),
+    "weight_denominator_not_positive": ("certify", FHN_CERTIFY, "r = 2.1", "r = 1.23", "r"),
+    "weight_denominator_not_positive_fc_table": (
+        "fc-table", FHN_CERTIFY, "action = certify\n\n[params]\nr = 2.1",
+        "action = fc_table\n\n[params]\nr = 1.23", "r"),
     "step_over_half_horizon": ("estimate", LINEAR_ESTIMATE, "horizon = 2\nstep = 0.1",
                                "horizon = 1\nstep = 0.9", "step"),
     "horizon_nan": ("estimate", LINEAR_ESTIMATE, "horizon = 2", "horizon = nan", "horizon"),
@@ -495,6 +501,14 @@ def test_bad_value_exits_2_with_line_anchor(case, tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert f"{cfg}:{line}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_weight_domain_is_checked_only_where_the_weight_is_built(tmp_path):
+    # at r = 1.23, x - x^3/3 + c dips below zero near x = -1, which only the
+    # weight table cares about
+    text = FHN_CERTIFY.replace("action = certify", "action = estimate").replace(
+        "r = 2.1", "r = 1.23")
+    assert parse_config(write_config(tmp_path, text)).model.r == 1.23
 
 
 def test_figures_runs_the_given_pair(tmp_path):

@@ -7,6 +7,7 @@ from ieskit.dynsys import assemble
 from ieskit.fhn import (
     FhnParams,
     build_fc,
+    check_weight_domain,
     fc_candidate,
     fhn_field,
     figure_params,
@@ -14,6 +15,32 @@ from ieskit.fhn import (
     x_subsystem,
 )
 from ieskit.finsler import vdot
+
+
+def special_points(table):
+    """Signed zeros and infinities, NaN, +-s* with their neighbours, and
+    table knots at both ends and inside."""
+    s, inf = table.s_star, np.inf
+    knots = table.grid[[0, 1, 2, 7, len(table.grid) // 2, -3, -2, -1]].tolist()
+    near = [np.nextafter(e, to).item() for e in (s, -s) for to in (-inf, inf)]
+    return [0.0, -0.0, inf, -inf, np.nan, s, -s, *near, *knots]
+
+
+def assert_scalar_query_is_array_query(table, x):
+    """Every scalar query of the weight, as a Python float and as an
+    np.float64, returns a Python float bitwise the one-element array
+    query's value."""
+    queries = {"fc": table.fc, "fc_prime": table.fc_prime, "ratio": table._ratio,
+               "spline": table._spline,
+               "fc_pair.value": lambda v: table.fc_pair(v)[0],
+               "fc_pair.slope": lambda v: table.fc_pair(v)[1]}
+    for name, query in queries.items():
+        with np.errstate(all="ignore"):  # huge |x| overflow the end cubics
+            want = query(np.array([x]))[0].tobytes()
+        for arg in (float(x), np.float64(x)):
+            got = query(arg)
+            assert type(got) is float, (name, arg)
+            assert np.float64(got).tobytes() == want, (name, arg)
 
 
 def composite_gauss_legendre(fn, a, b, panels=512, order=10):
@@ -219,15 +246,27 @@ class TestWeightTable:
             assert np.float64(table._spline(x)).tobytes() == scipy_spline(x).tobytes()
 
     def test_scalar_weight_is_the_one_element_array_weight_bitwise(self, default_table):
-        """A scalar query takes the array path.  The cube in the log slope is
-        an array power, which on a SIMD build differs in the last bit from a
-        Python or numpy-scalar ``**`` for some positive bases, and takes a
-        scalar pow for negative ones: both signs are checked.  A scalar cube
-        would change about 5 in 1 000 positive points here."""
-        fc_prime, s = default_table.fc_prime, default_table.s_star
-        xs = np.random.default_rng(5).uniform(0.0, s, 2000)
-        for x in [*xs.tolist(), *(-xs).tolist(), 0.0, -0.0, s, -s, np.nan, 1e-300]:
-            assert np.float64(fc_prime(x)).tobytes() == fc_prime(np.array([x]))[0].tobytes(), x
+        """A scalar query takes the float path, whose cube is still an array
+        power: on a SIMD build that differs in the last bit from a Python or
+        numpy-scalar ``**`` for some positive bases, and takes a scalar pow
+        for negative ones, so both signs are checked.  A scalar cube would
+        change about 5 in 1 000 positive points here.  Points out to 3 s*
+        reach the spline's end cubics, whose higher-order terms are not
+        lost in the rounding of the sum."""
+        s = default_table.s_star
+        rng = np.random.default_rng(5)
+        xs, wide = rng.uniform(0.0, s, 2000), rng.uniform(-3 * s, 3 * s, 500)
+        for x in [*xs.tolist(), *(-xs).tolist(), *wide.tolist(),
+                  *special_points(default_table)]:
+            assert_scalar_query_is_array_query(default_table, x)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_queries_are_array_queries_bitwise(self, default_table, data):
+        s = default_table.s_star
+        x = data.draw(st.one_of(st.sampled_from(special_points(default_table)),
+                                st.floats(-1.5 * s, 1.5 * s), st.floats()))
+        assert_scalar_query_is_array_query(default_table, x)
 
     def test_clamp_is_bitwise_np_clip(self, default_table):
         s, table = default_table.s_star, default_table
@@ -285,6 +324,25 @@ class TestCandidates:
         dy = np.array([2.0])
         got = vdot(v2, field, 0.0, np.array([1.0]), dy)
         assert got == pytest.approx(-(p.b / p.epsilon) * dy[0] ** 2, rel=1e-14)
+
+
+@given(r=st.floats(1.01, 2.5), share=st.floats(0.01, 0.99))
+@settings(max_examples=200, deadline=None)
+def test_weight_domain_check_is_the_dense_probe(r, share):
+    """The closed-form minimum of x - x^3/3 + c on [-s*, s*] refuses the
+    parameters that a 4 097-point probe finds nonpositive, and only those,
+    up to the probe's spacing."""
+    p = FhnParams(b=1.0, rho1=1.0, rho2=1.0, epsilon=0.9, r=r,
+                  alpha=share * (2 * r * r - 2))
+    probe = np.linspace(-p.s_star, p.s_star, 4097)
+    low = np.min(probe - probe**3 / 3.0 + p.c)
+    if abs(low) < 1e-6:
+        return
+    if low > 0:
+        check_weight_domain(p)
+    else:
+        with pytest.raises(ValueError, match="must be positive"):
+            check_weight_domain(p)
 
 
 @given(alpha=st.floats(0.2, 6.0), r=st.floats(2.05, 3.0))

@@ -152,19 +152,32 @@ system = fhn
 action = fc_table
 
 [params]
-r = 2.1
-b = 1
-epsilon = 0.9
+{}
 """
-FC_TABLE_SHA256 = "48db5431a36236f3d39c7a02929e636e21a1848a229d56b71b2b107ce148d1c8"
+# the [params] lines and fc_table.csv digest of each weight table that the
+# certify-sweep benchmark builds (a table depends on r and alpha only), and
+# of the figure-3 preset, where the mu quadrature subdivides; the csv header
+# holds the reprs of mu and eta
+FC_TABLES = {
+    "r2.1": ("r = 2.1\nb = 1\nepsilon = 0.9",
+             "48db5431a36236f3d39c7a02929e636e21a1848a229d56b71b2b107ce148d1c8"),
+    "r1.8-alpha0.8": ("r = 1.8\nb = 1\nepsilon = 0.9\nalpha = 0.8",
+                      "4c1bc377f0198e0b65fa8cab9cfac324532f02ea2cd983e29eb611d12a3e01c8"),
+    "r2.5-alpha2": ("r = 2.5\nb = 1\nepsilon = 0.9\nalpha = 2",
+                    "2e304ad93fefecf92ab879ae8350332f7c81e68e13979426fccdb1c8df236289"),
+    "figure3": ("c = 1\nb = 1\nepsilon = 0.9",
+                "91c454d6b02581bf9aaedfab830788efcca9daaec39cd7ef455fa701c86691c6"),
+}
 
 
-def test_fc_table_is_pinned(tmp_path):
+@pytest.mark.parametrize("case", FC_TABLES)
+def test_fc_table_is_pinned(case, tmp_path):
+    params, digest = FC_TABLES[case]
     cfg = tmp_path / "fc.cfg"
-    cfg.write_text(FC_TABLE)
+    cfg.write_text(FC_TABLE.format(params))
     assert main(["fc-table", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
     table = (tmp_path / "out" / "fc_table.csv").read_bytes()
-    assert hashlib.sha256(table).hexdigest() == FC_TABLE_SHA256
+    assert hashlib.sha256(table).hexdigest() == digest
 
 
 ESTIMATE = """
