@@ -66,27 +66,21 @@ def matvec(m: Array, v: Array) -> Array:
     return (m @ np.asarray(v)[..., None])[..., 0]
 
 
-def central_difference(f: Callable[[Array], Array], x) -> Array:
-    """Central differences of ``f`` at points x of shape (..., d), one per
-    coordinate, stacked on a new last axis: entry [..., i] is
-    (f(x + h e_i) - f(x - h e_i)) / (2 h) with h = FD_REL_STEP * (1 + |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.shape[-1]):
-        h = FD_REL_STEP * (1.0 + np.abs(x[..., i]))
-        xp, xm = x.copy(), x.copy()
-        xp[..., i] += h
-        xm[..., i] -= h
-        diff = np.asarray(f(xp)) - np.asarray(f(xm))
-        cols.append(diff / (2.0 * h.reshape(h.shape + (1,) * (diff.ndim - h.ndim))))
-    return np.stack(cols, axis=-1)
-
-
 def fd_jacobian(rhs: RhsFn, dim: int) -> JacFn:
-    """Central-difference Jacobian of ``rhs`` (see ``central_difference``)."""
+    """Central-difference Jacobian of ``rhs`` at states z of shape (..., dim):
+    column i is (rhs(t, z + h e_i) - rhs(t, z - h e_i)) / (2 h) with
+    h = FD_REL_STEP * (1 + |z_i|)."""
 
     def jac(t: float, z: Array) -> Array:
-        return central_difference(lambda w: rhs(t, w), z)
+        z = np.asarray(z, dtype=float)
+        cols = []
+        for i in range(dim):
+            h = FD_REL_STEP * (1.0 + np.abs(z[..., i]))
+            zp, zm = z.copy(), z.copy()
+            zp[..., i] += h
+            zm[..., i] -= h
+            cols.append((np.asarray(rhs(t, zp)) - np.asarray(rhs(t, zm))) / (2.0 * h[..., None]))
+        return np.stack(cols, axis=-1)
 
     return jac
 
@@ -285,7 +279,9 @@ class Trajectory:
         end = int(self.ends[k])
         return Trajectory(
             t0=self.t0, times=self.times[:end], states=self.states[:end, k],
-            derivatives=self.derivatives[:end, k], blew_up=bool(self.blew_up[k]),
+            derivatives=self.derivatives[:end, k],
+            displacements=None if self.displacements is None else self.displacements[:end, k],
+            blew_up=bool(self.blew_up[k]),
         )
 
     def state_at(self, t) -> Array:
@@ -500,24 +496,6 @@ def _dopri_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, atol: float, r
     return np.array(ts), np.array(ys), np.array(fs), ends, blew
 
 
-def _solve(rhs: RhsFn, t0: float, z0: Array, config: IntegratorConfig):
-    """Integrate the batch z0 (N, d) as one whole batch: a row that stops is
-    still stepped, on whatever values it holds, so that a field with per-row
-    parameters always gets all N rows.  Row k keeps its samples before
-    ``ends[k]`` and holds NaN from there on."""
-    if config.method == FIXED_RK4:
-        times, states, derivs, ends, blew = _rk4_path(rhs, t0, z0, config.max_time,
-                                                      config.step)
-    else:
-        times, states, derivs, ends, blew = _dopri_path(rhs, t0, z0, config.max_time,
-                                                        config.atol, config.rtol)
-    if blew.any():
-        after = np.arange(len(times))[:, None] >= ends  # (T, N): from each row's end on
-        states[after] = np.nan
-        derivs[after] = np.nan
-    return times, states, derivs, ends, blew
-
-
 def integrate(
     field: TimeVaryingField, t0: float, z0, config: IntegratorConfig
 ) -> Trajectory:
@@ -525,15 +503,27 @@ def integrate(
     of shape (d,), or from a batch of shape (N, d) in one solver loop.
 
     On numerical blow-up (non-finite values) the partial trajectory is
-    returned with ``blew_up`` set; in a batch, only the rows that blew up
-    stop.
+    returned with ``blew_up`` set.  A batch is stepped whole: a row that
+    stops is still stepped, on whatever values it holds, so that a field
+    with per-row parameters always gets all N rows; only the rows that blew
+    up stop, and row k keeps its samples before ``ends[k]`` and holds NaN
+    from there on.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim not in (1, 2) or z0.shape[-1] != field.dim or not z0.size:
         raise ValueError(f"z0 must have shape ({field.dim},) or (N, {field.dim}) "
                          f"with N >= 1, got {z0.shape}")
-    times, states, derivs, ends, blew = _solve(field.rhs, t0, z0.reshape(-1, field.dim),
-                                               config)
+    batch = z0.reshape(-1, field.dim)
+    if config.method == FIXED_RK4:
+        times, states, derivs, ends, blew = _rk4_path(field.rhs, t0, batch, config.max_time,
+                                                      config.step)
+    else:
+        times, states, derivs, ends, blew = _dopri_path(field.rhs, t0, batch, config.max_time,
+                                                        config.atol, config.rtol)
+    if blew.any():
+        after = np.arange(len(times))[:, None] >= ends  # (T, N): from each row's end on
+        states[after] = np.nan
+        derivs[after] = np.nan
     if z0.ndim == 1:
         return Trajectory(t0=t0, times=times, states=states[:, 0],
                           derivatives=derivs[:, 0], blew_up=bool(blew[0]))
@@ -544,32 +534,31 @@ def integrate(
 def integrate_with_displacement(
     field: TimeVaryingField, t0: float, z0, d0, config: IntegratorConfig
 ) -> Trajectory:
-    """Jointly integrate the state and its displacement d(dz)/dt = J_f dz."""
+    """Integrate states z0 and their displacements d0, of one shape (d,) or
+    (N, d), as one ``integrate`` call on the variational field of dimension
+    2d: the state with dz/dt = f(t, z), and the displacement with
+    d(dz)/dt = J_f(t, z) dz.  Its Jacobian is ``fd_jacobian`` of its rhs,
+    which the solvers never call.  A row stops, as ``integrate`` stops it,
+    at its first non-finite state or displacement value; ``displacements``
+    holds the displacement samples, and ``row(k)`` keeps them."""
     z0 = np.asarray(z0, dtype=float)
     d0 = np.asarray(d0, dtype=float)
-    if z0.shape != (field.dim,) or d0.shape != (field.dim,):
-        raise ValueError(
-            f"z0 and d0 must have shape ({field.dim},), got {z0.shape} and {d0.shape}"
-        )
     dim = field.dim
+    if z0.shape != d0.shape or z0.ndim not in (1, 2) or z0.shape[-1] != dim or not z0.size:
+        raise ValueError(f"z0 and d0 must both have shape ({dim},) or both (N, {dim}) "
+                         f"with N >= 1, got {z0.shape} and {d0.shape}")
 
-    def aug_rhs(t: float, u: Array) -> Array:
-        z, dz = u[:, :dim], u[:, dim:]
+    def rhs(t: float, u: Array) -> Array:
+        z, dz = u[..., :dim], u[..., dim:]
         out = np.empty(u.shape)
-        out[:, :dim] = field.rhs(t, z)
-        out[:, dim:] = matvec(field.jacobian(t, z), dz)
+        out[..., :dim] = field.rhs(t, z)
+        out[..., dim:] = matvec(field.jacobian(t, z), dz)
         return out
 
-    u0 = np.concatenate([z0, d0])[None]
-    times, states, derivs, _, blew = _solve(aug_rhs, t0, u0, config)
-    return Trajectory(
-        t0=t0,
-        times=times,
-        states=states[:, 0, :dim],
-        derivatives=derivs[:, 0, :dim],
-        displacements=states[:, 0, dim:],
-        blew_up=bool(blew[0]),
-    )
+    variational = TimeVaryingField(2 * dim, rhs, fd_jacobian(rhs, 2 * dim))
+    tr = integrate(variational, t0, np.concatenate([z0, d0], axis=-1), config)
+    return replace(tr, states=tr.states[..., :dim], derivatives=tr.derivatives[..., :dim],
+                   displacements=tr.states[..., dim:])
 
 
 @dataclass

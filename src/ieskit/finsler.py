@@ -11,11 +11,11 @@ verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from ieskit.dynsys import TimeVaryingField, central_difference, matvec, rowdot
+from ieskit.dynsys import TimeVaryingField, matvec, rowdot
 from ieskit.sampling import halton_box, halton_sphere
 
 Array = np.ndarray
@@ -47,47 +47,24 @@ class FinslerCandidate:
             raise ValueError("c_lower must not exceed c_upper")
 
 
-def generic_candidate(
-    dim: int,
-    value: Callable[[Array, Array], Array],
-    c_lower: float,
-    c_upper: float,
-) -> FinslerCandidate:
-    """Candidate from a value function alone; gradients by central differences."""
-
-    def grad_state(z: Array, dz: Array) -> Array:
-        return central_difference(lambda w: value(w, dz), z)
-
-    def grad_disp(z: Array, dz: Array) -> Array:
-        return central_difference(lambda w: value(z, w), dz)
-
-    return FinslerCandidate(dim, value, grad_state, grad_disp, c_lower, c_upper)
-
-
 def quadratic_candidate(
     dim: int,
     metric: Callable[[Array], Array],
     c_lower: float,
     c_upper: float,
-    metric_grad: Optional[Callable[[Array], Array]] = None,
+    metric_grad: Callable[[Array], Array],
 ) -> FinslerCandidate:
     """Quadratic-form candidate V = dz^T M(z) dz.
 
     ``metric`` returns M of shape (..., dim, dim), and ``metric_grad`` the
-    (..., dim, dim, dim) array whose [..., i, j, k] entry is dM_ij/dz_k; when
-    omitted it is approximated by central differences of M.
+    (..., dim, dim, dim) array whose [..., i, j, k] entry is dM_ij/dz_k.
     """
-
-    def _dmetric(z: Array) -> Array:
-        if metric_grad is not None:
-            return np.asarray(metric_grad(z), dtype=float)
-        return central_difference(metric, z)
 
     def value(z: Array, dz: Array) -> Array:
         return _quadform(metric(z), dz)
 
     def grad_state(z: Array, dz: Array) -> Array:
-        dm = _dmetric(np.asarray(z, dtype=float))
+        dm = np.asarray(metric_grad(np.asarray(z, dtype=float)), dtype=float)
         return _quadform(np.moveaxis(dm, -1, -3), np.asarray(dz)[..., None, :])
 
     def grad_disp(z: Array, dz: Array) -> Array:
@@ -231,8 +208,6 @@ class DecayReport:
     worst_z: Array
     worst_dz: Array
     n_samples: int
-    alpha: float
-    comparator: str
     note: str = NO_VIOLATION_NOTE
 
 
@@ -272,8 +247,6 @@ def check_decay(
         worst_z=samples.zs[worst_i].copy(),
         worst_dz=samples.dzs[worst_i].copy(),
         n_samples=len(samples),
-        alpha=alpha,
-        comparator=comparator,
         note=note,
     )
 

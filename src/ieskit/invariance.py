@@ -231,6 +231,9 @@ def ultimate_bound_fhn(
     bound = (eps / b) * (1.0 + c * c / 4.0) + m_slack
     if trajectory is None:
         return UltimateBound(bound=bound)
+    if trajectory.ends is not None:
+        raise ValueError("the ultimate bound takes a single-state trajectory; "
+                         "cut row k out of a batch with Trajectory.row(k)")
     y2 = eps * trajectory.states[:, 1] ** 2
     below = y2 <= bound
     entry = None

@@ -68,8 +68,9 @@ class SupConstants:
 
     def __post_init__(self):
         for name in CONSTANTS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)!r}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.safety < 1.0:
@@ -142,7 +143,7 @@ def extract_constants(
     a_i are coupling magnitudes, b_i coupling-Jacobian spectral norms, eta_i
     and theta_i the gradient-bound suprema of the two candidates.  Each value
     is the maximum that a pattern search from the grid maximum finds, times
-    the safety factor.
+    the safety factor; a value that is not finite raises ValueError.
     """
     grids = {dim: ball_grid(radius, dim, grid_density) for dim in {ic.n, ic.m}}
     xs, ys = grids[ic.n], grids[ic.m]
@@ -299,9 +300,11 @@ def certify(
     The component candidates are first checked against their decay rates in
     squared-displacement form; the budget is then computed from the sampled
     constants, and the composed candidate is re-checked on the assembled field
-    at the budget gains.  Any failing check refuses certification.  When
-    ``requested_gains`` is given it must be finite, nonnegative and within
-    the budget.
+    at the budget gains.  Any failing check refuses certification, and so
+    do a decay sample set with no state in the ball and a sampled value or
+    sup-constant that is not finite (finite constants give a budget that is
+    finite, or infinite on a zero denominator).  When ``requested_gains`` is
+    given it must be finite, nonnegative and within the budget.
     """
     if requested_gains is not None and not all(
             math.isfinite(g) and g >= 0.0 for g in requested_gains):
@@ -314,6 +317,9 @@ def certify(
         if field.dim not in samples:
             samples[field.dim] = DisplacementSamples.product_ball(
                 radius, field.dim, N_STATES, N_DIRECTIONS)
+        if not len(samples[field.dim]):
+            raise CertificationError(
+                f"{label} decay check has no sample state in the ball of radius {radius!r}")
         report = check_decay(candidate, field, rate, samples[field.dim], tol=tol,
                              comparator="squared_norm")
         if not report.passed:
@@ -326,7 +332,11 @@ def certify(
     checked("first component", candidate1, ic.f1, alpha1)
     checked("second component", candidate2, ic.f2, alpha2)
 
-    constants = extract_constants(ic, bounds1, bounds2, radius)
+    try:
+        constants = extract_constants(ic, bounds1, bounds2, radius)
+    except ValueError as exc:  # a sampled value or a sup-constant is not finite
+        raise CertificationError(
+            f"no finite sup-constants on the ball of radius {radius!r}: {exc}") from exc
     epsilons = default_epsilons(alpha1, alpha2, alpha)
     rho1_max, rho2_max = gain_budget(constants, alpha1, alpha2, alpha, epsilons)
 

@@ -42,7 +42,6 @@ from ieskit.finsler import (
     check_decay,
     check_sandwich,
     compose,
-    generic_candidate,
     quadratic_candidate,
     verify_assumption2,
 )
@@ -578,7 +577,7 @@ def test_fhn_constants_and_invariant_level_are_bitwise_the_loops(case, gains, ra
         assert (est.level, est.radius, est.margin, est.shell_samples) == want
 
 
-# -- generic, quadratic, linear and polynomial: within REL_BOUND of the terms --
+# -- quadratic, linear and polynomial: within REL_BOUND of the terms --
 
 
 def state_metric(z):
@@ -593,15 +592,9 @@ def state_metric_grad(z):
     return (0.2 * z)[..., None, None] * eye[:, :, None] * eye[:, None, :]
 
 
-def candidates(d):
-    """Quadratic candidates with an analytic and a finite-difference metric
-    gradient, and a generic candidate from the same value."""
-    def value(z, dz):
-        return np.sum((1.0 + 0.1 * z * z) * dz * dz, axis=-1)
-
-    return (quadratic_candidate(d, state_metric, 1.0, 10.0, metric_grad=state_metric_grad),
-            quadratic_candidate(d, state_metric, 1.0, 10.0),
-            generic_candidate(d, value, 1.0, 10.0))
+def candidate(d):
+    """A quadratic candidate with an analytic state-dependent metric gradient."""
+    return quadratic_candidate(d, state_metric, 1.0, 10.0, metric_grad=state_metric_grad)
 
 
 @st.composite
@@ -634,40 +627,40 @@ def test_candidate_checks_match_the_row_loops(field_mag, n_states, n_dirs, alpha
     d = field.dim
     samples = DisplacementSamples.product_box([[-2.0, 2.0]] * d, n_states, n_dirs)
     zs, dzs = samples.zs, samples.dzs
-    for cand in candidates(d):
-        gs = np.array([cand.grad_state(z, dz) for z, dz in zip(zs, dzs)])
-        gd = np.array([cand.grad_disp(z, dz) for z, dz in zip(zs, dzs)])
-        v = np.array([cand.value(z, dz) for z, dz in zip(zs, dzs)])
-        for comparator in ("candidate", "squared_norm"):
-            report = check_decay(cand, field, alpha, samples, comparator=comparator)
-            viol, worst, _ = oracle_decay(cand, field, alpha, samples, 1e-9, comparator)
-            compared = v if comparator == "candidate" else np.sum(dzs * dzs, axis=-1)
-            scale = (rows_abs_dot(gs, f_mag(zs))
-                     + rows_abs_dot(gd, np.einsum("nij,nj->ni", j_mag(zs), np.abs(dzs)))
-                     + alpha * np.abs(compared) + 1e-9 * (1.0 + np.abs(v)))
-            k = report.worst_index
-            assert abs(report.worst - viol[k]) <= REL_BOUND * scale[k]
-            assert viol[k] >= worst - REL_BOUND * (scale[k] + scale[np.argmax(viol)])
+    cand = candidate(d)
+    gs = np.array([cand.grad_state(z, dz) for z, dz in zip(zs, dzs)])
+    gd = np.array([cand.grad_disp(z, dz) for z, dz in zip(zs, dzs)])
+    v = np.array([cand.value(z, dz) for z, dz in zip(zs, dzs)])
+    for comparator in ("candidate", "squared_norm"):
+        report = check_decay(cand, field, alpha, samples, comparator=comparator)
+        viol, worst, _ = oracle_decay(cand, field, alpha, samples, 1e-9, comparator)
+        compared = v if comparator == "candidate" else np.sum(dzs * dzs, axis=-1)
+        scale = (rows_abs_dot(gs, f_mag(zs))
+                 + rows_abs_dot(gd, np.einsum("nij,nj->ni", j_mag(zs), np.abs(dzs)))
+                 + alpha * np.abs(compared) + 1e-9 * (1.0 + np.abs(v)))
+        k = report.worst_index
+        assert abs(report.worst - viol[k]) <= REL_BOUND * scale[k]
+        assert viol[k] >= worst - REL_BOUND * (scale[k] + scale[np.argmax(viol)])
 
-        lower, upper = oracle_sandwich(cand, samples)
-        report = check_sandwich(cand, samples)
-        q = np.sum(dzs * dzs, axis=-1)
-        scale = np.abs(v) + 10.0 * q
-        for margin, index, oracle in ((report.lower_margin, report.worst_lower_index, lower),
-                                      (report.upper_margin, report.worst_upper_index, upper)):
-            assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
-            assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
+    lower, upper = oracle_sandwich(cand, samples)
+    report = check_sandwich(cand, samples)
+    q = np.sum(dzs * dzs, axis=-1)
+    scale = np.abs(v) + 10.0 * q
+    for margin, index, oracle in ((report.lower_margin, report.worst_lower_index, lower),
+                                  (report.upper_margin, report.worst_upper_index, upper)):
+        assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
+        assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
 
-        bounds = AssumptionTwoBounds(gamma=lambda z: 0.2 * np.max(np.abs(z), axis=-1),
-                                     zeta=lambda z: 2.0 + 0.2 * np.sum(z * z, axis=-1))
-        state_m, disp_m = oracle_assumption2(cand, bounds, samples)
-        report = verify_assumption2(cand, bounds, samples)
-        scales = (0.4 * q + np.abs(gs).sum(-1), (2.0 + 0.8 * d) * np.sqrt(q) + np.abs(gd).sum(-1))
-        for margin, index, oracle, scale in (
-                (report.state_margin, report.worst_state_index, state_m, scales[0]),
-                (report.disp_margin, report.worst_disp_index, disp_m, scales[1])):
-            assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
-            assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
+    bounds = AssumptionTwoBounds(gamma=lambda z: 0.2 * np.max(np.abs(z), axis=-1),
+                                 zeta=lambda z: 2.0 + 0.2 * np.sum(z * z, axis=-1))
+    state_m, disp_m = oracle_assumption2(cand, bounds, samples)
+    report = verify_assumption2(cand, bounds, samples)
+    scales = (0.4 * q + np.abs(gs).sum(-1), (2.0 + 0.8 * d) * np.sqrt(q) + np.abs(gd).sum(-1))
+    for margin, index, oracle, scale in (
+            (report.state_margin, report.worst_state_index, state_m, scales[0]),
+            (report.disp_margin, report.worst_disp_index, disp_m, scales[1])):
+        assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
+        assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
 
 
 @given(field_mag=fields_with_magnitudes(), density=st.integers(min_value=3, max_value=21))
@@ -700,7 +693,7 @@ def test_invariant_level_matches_the_row_loop(field_mag, density):
 
 
 def test_zero_displacement_anywhere_in_the_batch_raises():
-    cand = candidates(2)[0]
+    cand = candidate(2)
     dzs = np.ones((5, 2))
     dzs[3] = 0.0
     samples = DisplacementSamples.from_points(np.zeros((5, 2)), dzs)

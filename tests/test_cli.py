@@ -583,6 +583,35 @@ def test_estimate_of_a_pair_that_blows_up_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+# extreme but legal certify values, refused as a certification naming the
+# cause: (line replacements in FHN_CERTIFY, the refusal's cause)
+EXTREME_CERTIFY = {
+    "radius_1e120": ({"radius = 6": "radius = 1e120"}, "first component decay check failed"),
+    "radius_1e160": ({"radius = 6": "radius = 1e160"},
+                     "no finite sup-constants on the ball of radius 1e+160: a2 must be finite"),
+    "radius_1e200": ({"radius = 6": "radius = 1e200"},
+                     "composite (budget gains) decay check has no sample state in the "
+                     "ball of radius 1e+200"),
+    "epsilon_1e-200": ({"epsilon = 0.9": "epsilon = 1e-200", "radius = 6": "radius = 5"},
+                       "no finite sup-constants on the ball of radius 5.0: "
+                       "non-finite value of g2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_CERTIFY))
+def test_extreme_certify_value_exits_4(case, tmp_path, capsys):
+    lines, cause = EXTREME_CERTIFY[case]
+    text = FHN_CERTIFY
+    for old, new in lines.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    rc = main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_REFUSED
+    assert f"certification refused: {cause}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "certificate.rec").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--tolerance", "nan")])
 def test_bad_override_exits_2(flag, value, tmp_path, capsys):
     rc = main(["figures", "--out", str(tmp_path), flag, value])

@@ -1,6 +1,6 @@
 """FHN parameters as per-row columns: a field built from one parameter set per
 state row gives, row by row, bitwise the derivatives, Jacobians and RK4
-solves of each set's own field, both solvers take such a field to the end
+solves (also with their displacements) of each set's own field, both solvers take such a field to the end
 after a row stops, and a column holding one invalid value is refused.  The
 whole-state rhs of an FHN field gives the derivatives of its block form, and
 bit for bit those of the column-view expression under any sequence of batch
@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ieskit.cli import EXIT_BLOWUP, main
-from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig, assemble, integrate
+from ieskit.dynsys import (
+    ADAPTIVE_EMBEDDED,
+    IntegratorConfig,
+    TimeVaryingField,
+    assemble,
+    integrate,
+    integrate_with_displacement,
+    matvec,
+)
 from ieskit.fhn import FhnParams, fhn_field, figure_params
 
 
@@ -90,6 +98,46 @@ def test_rk4_rows_are_each_sets_own_solve(sets, seed, scale):
             assert_bitwise(mine.states, theirs.states)
             assert_bitwise(mine.derivatives, theirs.derivatives)
             assert mine.blew_up == theirs.blew_up
+
+
+# dz/dt = A z with A Hurwitz and non-normal, one product A z per row:
+# ``linear_field`` takes z @ A.T as one BLAS product over the whole batch,
+# whose rows are not bitwise those of a one-row product
+NON_NORMAL_A = np.array([[-1.0, 10.0], [0.0, -1.0]])
+NON_NORMAL = TimeVaryingField(
+    2, lambda t, z: matvec(NON_NORMAL_A, z),
+    lambda t, z: np.broadcast_to(NON_NORMAL_A, np.shape(z)[:-1] + (2, 2)).copy())
+
+
+@st.composite
+def variational_cases(draw):
+    """(field of a batch, the field of each row's own solve): FHN at one
+    set, FHN at one set per row, or the non-normal linear field."""
+    kind = draw(st.sampled_from(["one set", "per-row sets", "non-normal"]))
+    if kind == "per-row sets":
+        rows = per_row(draw(SETS))
+        return assemble(fhn_field(rows)), [assemble(fhn_field(p)) for p in rows]
+    field = assemble(fhn_field(draw(fhn_params()))) if kind == "one set" else NON_NORMAL
+    return field, [field] * draw(st.integers(min_value=1, max_value=6))
+
+
+@given(case=variational_cases(), seed=st.integers(min_value=0, max_value=2**16),
+       scale=st.sampled_from([3.0, 1e3]))
+@settings(max_examples=30, deadline=None)
+def test_rk4_variational_rows_are_their_single_solves(case, seed, scale):
+    # at scale 1e3 some FHN rows blow up and stop while the others go on
+    field, own = case
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-scale, scale, (len(own), 2))
+    dz = rng.normal(size=(len(own), 2))
+    config = IntegratorConfig(max_time=1.0, step=0.05)
+    batch = integrate_with_displacement(field, 0.0, z, dz, config)
+    for k, single_field in enumerate(own):
+        mine = batch.row(k)
+        single = integrate_with_displacement(single_field, 0.0, z[k], dz[k], config)
+        for name in ("times", "states", "derivatives", "displacements"):
+            assert_bitwise(getattr(mine, name), getattr(single, name))
+        assert mine.blew_up == single.blew_up
 
 
 @given(sets=SETS, row=st.integers(min_value=0, max_value=11),

@@ -264,6 +264,35 @@ class TestDisplacement:
         assert 3.5 <= defects[0] / defects[1] <= 4.5
 
 
+    @pytest.mark.parametrize("z0, d0", [
+        ([1.0, 2.0], [[1.0, 0.0]]),
+        ([[1.0, 2.0]] * 3, [[1.0, 0.0]] * 2),
+        ([1.0, 2.0, 3.0], [1.0, 0.0, 0.0]),
+        ([[[1.0, 2.0]]], [[[1.0, 0.0]]]),
+        (np.empty((0, 2)), np.empty((0, 2))),
+        (1.0, 1.0),
+    ])
+    def test_unequal_or_wrong_shapes_refused(self, z0, d0):
+        field = linear_field(-np.eye(2))
+        with pytest.raises(ValueError, match=r"shape \(2,\) or both \(N, 2\)"):
+            integrate_with_displacement(field, 0.0, z0, d0,
+                                        IntegratorConfig(max_time=1.0, step=0.1))
+
+    @pytest.mark.parametrize("method", [FIXED_RK4, ADAPTIVE_EMBEDDED])
+    def test_batch_rows_stop_on_their_own(self, method):
+        # dz/dt = z^3 - z: the row from 0.5 contracts, the row from 2 blows
+        # up and stops, and its displacement stops with it
+        cubic = TimeVaryingField(1, lambda t, z: z**3 - z,
+                                 lambda t, z: (3.0 * z**2 - 1.0)[..., None])
+        cfg = IntegratorConfig(max_time=5.0, method=method, step=0.01)
+        tr = integrate_with_displacement(cubic, 0.0, [[0.5], [2.0]], [[1.0], [1.0]], cfg)
+        assert tr.blew_up.tolist() == [False, True]
+        calm, blown = tr.row(0), tr.row(1)
+        assert calm.t_end == 5.0 and 0.0 < calm.displacements[-1, 0] < 0.02
+        assert blown.t_end < 1.0
+        assert len(blown.displacements) == len(blown.times) == tr.ends[1]
+
+
 class TestFlowDifference:
     def test_identical_states_zero_series(self):
         field = assemble(fhn_field(figure_params(1)))

@@ -10,7 +10,6 @@ from ieskit.finsler import (
     check_decay,
     check_sandwich,
     compose,
-    generic_candidate,
     quadratic_candidate,
     vdot,
     verify_assumption2,
@@ -79,7 +78,8 @@ class TestVdot:
 
 class TestSandwich:
     def test_plain_quadratic_passes(self):
-        cand = quadratic_candidate(2, constant(2.0 * np.eye(2)), 1.0, 3.0)
+        cand = quadratic_candidate(2, constant(2.0 * np.eye(2)), 1.0, 3.0,
+                                   constant(np.zeros((2, 2, 2))))
         report = check_sandwich(cand, samples_on_box(2, 1.0))
         assert report.passed
         assert report.lower_margin > 0
@@ -94,7 +94,8 @@ class TestSandwich:
         assert report.passed
 
     def test_deliberate_violation_fails(self):
-        cand = quadratic_candidate(2, constant(np.eye(2)), 2.0, 3.0)
+        cand = quadratic_candidate(2, constant(np.eye(2)), 2.0, 3.0,
+                                   constant(np.zeros((2, 2, 2))))
         report = check_sandwich(cand, samples_on_box(2, 1.0))
         assert not report.passed
         assert report.lower_margin < 0
@@ -291,17 +292,6 @@ def test_quadratic_vdot_matches_generic():
         mdot = metric_grad(z) @ rhs(0.0, z)
         b = dz @ (mdot + m @ j + j.T @ m) @ dz
         assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
-
-
-def test_generic_candidate_gradients_match_finite_differences():
-    cand = generic_candidate(
-        2, lambda z, dz: (1 + z[..., 0] ** 2) * np.sum(dz * dz, axis=-1), 1.0, 10.0
-    )
-    z, dz = np.array([0.7, -0.2]), np.array([0.4, 1.1])
-    gs = cand.grad_state(z, dz)
-    gd = cand.grad_disp(z, dz)
-    np.testing.assert_allclose(gs, [2 * z[0] * (dz @ dz), 0.0], atol=1e-7)
-    np.testing.assert_allclose(gd, 2 * (1 + z[0] ** 2) * dz, atol=1e-7)
 
 
 def test_quadratic_homogeneity(default_table):

@@ -277,6 +277,15 @@ class TestUltimateBound:
         without = ultimate_bound_fhn(p, 0.1)
         assert without.settled is None and not without.refuted
 
+    def test_batch_trajectory_refused_naming_row(self):
+        # a batch has states (T, N, 2); the bound reads one trajectory
+        p = FhnParams.from_c(c=1.0, b=5.0, rho1=1.0, rho2=1.0, epsilon=0.9)
+        tr = integrate(assemble(fhn_field(p)), 0.0, np.array([[3.0, 3.0], [1.0, -1.0]]),
+                       IntegratorConfig(max_time=4.0, step=0.01))
+        with pytest.raises(ValueError, match=r"Trajectory\.row\(k\)"):
+            ultimate_bound_fhn(p, 0.1, tr)
+        assert ultimate_bound_fhn(p, 0.1, tr.row(1)).settled is not None
+
     def test_entered_bound_is_not_refuted(self):
         p = FhnParams.from_c(c=1.0, b=5.0, rho1=1.0, rho2=1.0, epsilon=0.9)
         tr = integrate(assemble(fhn_field(p)), 0.0, np.array([3.0, 3.0]),

@@ -278,5 +278,8 @@ def test_sup_constants_validate():
         unit_constants(a1=-1.0)
     with pytest.raises(ValueError):
         unit_constants(safety=0.9)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="a2 must be finite and nonnegative"):
+            unit_constants(a2=bad)
     cons = unit_constants()
     assert cons.provenance == "sampled, inflated"

@@ -8,11 +8,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ieskit import cli, estimator, finsler, scenarios
+from ieskit import cli, dynsys, estimator, finsler, scenarios
 from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig
-from ieskit.fhn import FcTable
+from ieskit.fhn import FcTable, fhn_field, figure_params
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -141,6 +142,25 @@ def test_tracer_counts_an_adaptive_scan_round():
     assert metrics["dynsys.rhs_calls"] == 1178
     assert metrics["dynsys.steps_accepted"] == 184
     assert metrics["dynsys.steps_rejected"] == 12
+
+
+def test_tracer_books_one_integrate_for_a_batched_variational_solve():
+    # 40 FHN states with their displacements: one dynsys.integrate call,
+    # one RK4 loop of 1 + 4 rhs calls per step over the whole batch
+    rng = np.random.default_rng(0)
+    z0, d0 = rng.uniform(-2.0, 2.0, (40, 2)), rng.normal(size=(40, 2))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        field = dynsys.assemble(fhn_field(figure_params(3)))
+        tr = dynsys.integrate_with_displacement(field, 0.0, z0, d0,
+                                                IntegratorConfig(max_time=20.0, step=0.01))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["dynsys.integrate"] == 1
+    assert tracer.counts["rk4_steps"] == 2000
+    assert tracer.counts["rhs_calls"] == 1 + 4 * 2000
+    assert tr.displacements.shape == (2001, 40, 2)
 
 
 def load_bench_record():
