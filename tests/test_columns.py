@@ -1,7 +1,8 @@
 """FHN parameters as per-row columns: a field built from one parameter set per
 state row gives, row by row, bitwise the derivatives, Jacobians and RK4
-solves (also with their displacements) of each set's own field, both solvers take such a field to the end
-after a row stops, and a column holding one invalid value is refused.  The
+solves (also with their displacements) of each set's own field, both
+solvers take such a field to the end after a row stops, and a column
+holding one invalid value is refused.  The
 whole-state rhs of an FHN field gives the derivatives of its block form, and
 bit for bit those of the column-view expression under any sequence of batch
 shapes and memory layouts."""
