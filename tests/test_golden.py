@@ -1,7 +1,8 @@
-"""Golden outputs: the figure CSV rows, one FHN certificate record, the f_c
-table, a seeded FHN estimate, the rows of an FHN simulate, the sampled pairs
-and the adaptive radius scans, pinned byte for byte, so a change that moves a printed digit, a
-sampled point or a resampled distance fails here."""
+"""Golden outputs: the figure CSV rows, the FHN certificate records of the
+four certify-sweep weight sets, the f_c table, a seeded FHN estimate, the
+rows of an FHN simulate, the sampled pairs and the adaptive radius scans,
+pinned byte for byte, so a change that moves a printed digit, a sampled point
+or a resampled distance fails here."""
 
 import hashlib
 from pathlib import Path
@@ -109,6 +110,111 @@ def test_certificate_record_is_pinned(tmp_path, radius):
             if line.split(" = ")[0] not in ("tool_version", "provenance")]
     assert "".join(kept) == GOLDEN_RECORDS[radius]
 
+
+SWEEP_CERTIFY = """
+[scenario]
+system = fhn
+action = certify
+
+[params]
+r = {r}
+b = {b}
+epsilon = {epsilon}
+alpha = {alpha}
+
+[certify]
+radius = {radius}
+"""
+
+# certificate.rec of SWEEP_CERTIFY, without its tool_version and provenance
+# lines, for the other three weight sets (r, b, epsilon, alpha) of the
+# certify-sweep benchmark, at one radius each
+SWEEP_RECORDS = {
+    (2.1, 2, 0.5, 1, 16): """\
+radius = 16.0
+safety = 1.05
+a1 = 16.8
+a2 = 33.6
+b1 = 1.05
+b2 = 2.1
+eta1 = 0.6789446871163017
+eta2 = 0.0
+theta1 = 4.172843141918077
+theta2 = 1.05
+alpha1 = 1.0
+alpha2 = 4.0
+alpha = 0.5
+epsilon1 = 0.16666666666666666
+epsilon2 = 0.16666666666666666
+epsilon3 = 1.1666666666666667
+epsilon4 = 1.1666666666666667
+rho1_max = 0.008111130461831116
+rho2_max = 0.15873015873015872
+decay_check = pass
+decay_worst = -0.5082062232015695
+decay_samples = 1328
+""",
+    (1.8, 1, 0.9, 0.8, 8): """\
+radius = 8.0
+safety = 1.05
+a1 = 8.4
+a2 = 9.333333333333334
+b1 = 1.05
+b2 = 1.1666666666666667
+eta1 = 1.579964891777902
+eta2 = 0.0
+theta1 = 6.360108574567145
+theta2 = 1.05
+alpha1 = 0.8
+alpha2 = 1.1111111111111112
+alpha = 0.4
+epsilon1 = 0.13333333333333333
+epsilon2 = 0.13333333333333333
+epsilon3 = 0.23703703703703705
+epsilon4 = 0.23703703703703705
+rho1_max = 0.003863785694426199
+rho2_max = 0.22857142857142856
+decay_check = pass
+decay_worst = -0.3752593059165043
+decay_samples = 1328
+""",
+    (2.5, 1, 0.9, 2, 32): """\
+radius = 32.0
+safety = 1.05
+a1 = 33.6
+a2 = 37.333333333333336
+b1 = 1.05
+b2 = 1.1666666666666667
+eta1 = 0.45285642712992324
+eta2 = 0.0
+theta1 = 3.733388826085859
+theta2 = 1.05
+alpha1 = 2.0
+alpha2 = 1.1111111111111112
+alpha = 0.5555555555555556
+epsilon1 = 0.48148148148148145
+epsilon2 = 0.48148148148148145
+epsilon3 = 0.1851851851851852
+epsilon4 = 0.1851851851851852
+rho1_max = 0.02136733789468846
+rho2_max = 0.28794586617715867
+decay_check = pass
+decay_worst = -0.5555555570555556
+decay_samples = 1328
+""",
+}
+
+
+@pytest.mark.parametrize("r, b, epsilon, alpha, radius", sorted(SWEEP_RECORDS))
+def test_sweep_certificate_record_is_pinned(tmp_path, r, b, epsilon, alpha, radius):
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text(SWEEP_CERTIFY.format(r=r, b=b, epsilon=epsilon, alpha=alpha,
+                                        radius=radius))
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    lines = (tmp_path / "out" / "certificate.rec").read_text().splitlines(keepends=True)
+    kept = [line for line in lines
+            if line.split(" = ")[0] not in ("tool_version", "provenance")]
+    assert "".join(kept) == SWEEP_RECORDS[r, b, epsilon, alpha, radius]
 
 SCAN_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 # (config, radii, horizon) of the two adaptive radius scans, 8 pairs per radius
