@@ -516,33 +516,19 @@ def _refine_eta(table: FcTable, node_derivs: Array) -> float:
 
 
 def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
-    """Component candidates: f_c(x) dx^2 for the excitable block (sandwich
-    constants 1 and exp(mu)) and dy^2 / 2 for the recovery block."""
-
-    def value1(z: Array, dz: Array) -> Array:
-        return (table.fc(z[..., :1]) * dz[..., :1] * dz[..., :1])[..., 0]
-
-    def grad_state1(z: Array, dz: Array) -> Array:
-        _, d = table.fc_pair(z[..., :1])
-        return d * dz[..., :1] * dz[..., :1]
-
-    def grad_disp1(z: Array, dz: Array) -> Array:
-        return 2.0 * table.fc(z[..., :1]) * dz[..., :1]
-
+    """Component candidates: the metric f_c(x), with gradient f_c'(x) and sandwich
+    constants 1 and exp(mu), of the excitable block, and 1/2 of the recovery block."""
     v1 = FinslerCandidate(
         dim=1,
-        value=value1,
-        grad_state=grad_state1,
-        grad_disp=grad_disp1,
+        metric=lambda z: table.fc(z[..., :1])[..., None],
+        metric_grad=lambda z: table.fc_prime(z[..., :1])[..., None, None],
         c_lower=1.0,
         c_upper=table.left_plateau,
     )
-
     v2 = FinslerCandidate(
         dim=1,
-        value=lambda z, dz: 0.5 * (dz[..., 0] * dz[..., 0]),
-        grad_state=lambda z, dz: np.zeros(np.shape(z)),
-        grad_disp=lambda z, dz: np.array(dz, dtype=float),
+        metric=lambda z: np.full(np.shape(z)[:-1] + (1, 1), 0.5),
+        metric_grad=lambda z: np.zeros(np.shape(z)[:-1] + (1, 1, 1)),
         c_lower=0.5,
         c_upper=0.5,
     )

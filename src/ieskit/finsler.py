@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ieskit.dynsys import TimeVaryingField, matvec, rowdot
-from ieskit.sampling import halton_box, halton_sphere
+from ieskit.sampling import _check_radius, halton_box, halton_sphere
 
 Array = np.ndarray
 
@@ -25,18 +25,18 @@ NO_VIOLATION_NOTE = "no violation found on the sampled set (sampling refutes, it
 
 @dataclass(frozen=True)
 class FinslerCandidate:
-    """Candidate V(z, dz) with both partial gradients and sandwich constants.
-
-    For z and dz of shape (..., dim), ``value`` returns V of shape (...), and
-    ``grad_state`` and ``grad_disp`` return dV/dz and dV/d(dz) of shape
-    (..., dim).  V must satisfy c_lower |dz|^2 <= V <= c_upper |dz|^2 on the
-    working set.
+    """Candidate V(z, dz) = dz^T M(z) dz, with c_lower |dz|^2 <= V <= c_upper |dz|^2
+    on the working set.  For states of shape (..., dim), ``metric`` returns M of
+    shape (..., dim, dim) and ``metric_grad`` dM_ij/dz_k at [..., i, j, k].
+    ``value`` (shape (...)), ``grad_state`` and ``grad_disp`` (dz^T dM/dz_k dz
+    and 2 M dz, shape (..., dim)) add products in index order, not by matrix
+    products, so the zero blocks of a ``compose`` change nothing: bitwise, its
+    value is the sum of its blocks' values and its gradients their concatenation.
     """
 
     dim: int
-    value: Callable[[Array, Array], Array]
-    grad_state: Callable[[Array, Array], Array]
-    grad_disp: Callable[[Array, Array], Array]
+    metric: Callable[[Array], Array]
+    metric_grad: Callable[[Array], Array]
     c_lower: float
     c_upper: float
 
@@ -46,54 +46,44 @@ class FinslerCandidate:
         if self.c_lower > self.c_upper:
             raise ValueError("c_lower must not exceed c_upper")
 
+    def value(self, z: Array, dz: Array) -> Array:
+        return _dot(dz, _dot(self.metric(z), dz[..., None, :]))
 
-def quadratic_candidate(
-    dim: int,
-    metric: Callable[[Array], Array],
-    c_lower: float,
-    c_upper: float,
-    metric_grad: Callable[[Array], Array],
-) -> FinslerCandidate:
-    """Quadratic-form candidate V = dz^T M(z) dz.
+    def grad_state(self, z: Array, dz: Array) -> Array:
+        dm, dzr = self.metric_grad(z), dz[..., None, :]
+        return np.stack([_dot(dz, _dot(dm[..., k], dzr)) for k in range(dm.shape[-1])], axis=-1)
 
-    ``metric`` returns M of shape (..., dim, dim), and ``metric_grad`` the
-    (..., dim, dim, dim) array whose [..., i, j, k] entry is dM_ij/dz_k.
-    """
-
-    def value(z: Array, dz: Array) -> Array:
-        return _quadform(metric(z), dz)
-
-    def grad_state(z: Array, dz: Array) -> Array:
-        dm = np.asarray(metric_grad(np.asarray(z, dtype=float)), dtype=float)
-        return _quadform(np.moveaxis(dm, -1, -3), np.asarray(dz)[..., None, :])
-
-    def grad_disp(z: Array, dz: Array) -> Array:
-        return 2.0 * matvec(np.asarray(metric(z)), dz)
-
-    return FinslerCandidate(dim, value, grad_state, grad_disp, c_lower, c_upper)
+    def grad_disp(self, z: Array, dz: Array) -> Array:
+        return 2.0 * _dot(self.metric(z), dz[..., None, :])
 
 
-def _quadform(m: Array, v: Array) -> Array:
-    """v^T m v for (..., d, d) matrices and (..., d) vectors, as (...)."""
-    return (v[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
+def _dot(a: Array, b: Array) -> Array:
+    """sum_j a[..., j] b[..., j], added in index order to +0.0: a sum of
+    zeros is then +0.0 whatever their signs, so the zero entries of a
+    block-diagonal metric change no bit of a quadratic form."""
+    out = 0.0 + a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
 
 
 def compose(a: FinslerCandidate, b: FinslerCandidate) -> FinslerCandidate:
-    """Direct sum on the product space: values add, gradients concatenate."""
-    na = a.dim
+    """Direct sum on the product space: the block-diagonal metric of the two."""
+    na, dim = a.dim, a.dim + b.dim
 
-    def value(z: Array, dz: Array) -> Array:
-        return a.value(z[..., :na], dz[..., :na]) + b.value(z[..., na:], dz[..., na:])
+    def block_diagonal(fa, fb, order: int):
+        def joined(z: Array) -> Array:
+            out = np.zeros(np.shape(z)[:-1] + (dim,) * order)
+            out[(...,) + (np.s_[:na],) * order] = fa(z[..., :na])
+            out[(...,) + (np.s_[na:],) * order] = fb(z[..., na:])
+            return out
 
-    def joined(grad_a, grad_b):
-        return lambda z, dz: np.concatenate(
-            [grad_a(z[..., :na], dz[..., :na]), grad_b(z[..., na:], dz[..., na:])], axis=-1)
+        return joined
 
     return FinslerCandidate(
-        dim=a.dim + b.dim,
-        value=value,
-        grad_state=joined(a.grad_state, b.grad_state),
-        grad_disp=joined(a.grad_disp, b.grad_disp),
+        dim=dim,
+        metric=block_diagonal(a.metric, b.metric, 2),
+        metric_grad=block_diagonal(a.metric_grad, b.metric_grad, 3),
         c_lower=min(a.c_lower, b.c_lower),
         c_upper=max(a.c_upper, b.c_upper),
     )
@@ -154,6 +144,7 @@ class DisplacementSamples:
     def product_ball(
         cls, radius: float, dim: int, n_states: int, n_directions: int
     ) -> "DisplacementSamples":
+        _check_radius(radius)
         bounds = np.array([[-radius, radius]] * dim)
         samples = cls.product_box(bounds, int(np.ceil(n_states * 1.6)), n_directions)
         keep = np.linalg.norm(samples.zs, axis=1) <= radius
@@ -217,24 +208,19 @@ def check_decay(
     alpha: float,
     samples: DisplacementSamples,
     tol: float = 1e-9,
-    comparator: str = "candidate",
 ) -> DecayReport:
-    """Check Vdot <= -alpha * V ("candidate") or Vdot <= -alpha |dz|^2
-    ("squared_norm") over the sample set, at t = 0.
+    """Check Vdot <= -alpha |dz|^2 over the sample set, at t = 0.
 
-    The worst violation is Vdot plus the compared quantity; a negative worst
-    value means every sampled point has margin.  The first non-finite
-    violation counts as the worst, since it would never compare as one.
+    The violation is Vdot + alpha |dz|^2; a negative worst value means every
+    sampled point has margin.  The first non-finite violation counts as the
+    worst, since it would never compare as one.
     """
     if len(samples) == 0:
         raise ValueError("sample set must be nonempty")
-    if comparator not in ("candidate", "squared_norm"):
-        raise ValueError(f"unknown comparator {comparator!r}")
     zs, dzs = samples.zs, samples.dzs
     v = candidate.value(zs, dzs)
     vd = vdot(candidate, field, 0.0, zs, dzs)
-    compared = v if comparator == "candidate" else rowdot(dzs, dzs)
-    violation = vd + alpha * compared - tol * (1.0 + np.abs(v))
+    violation = vd + alpha * rowdot(dzs, dzs) - tol * (1.0 + np.abs(v))
     bad = ~np.isfinite(violation)
     worst_i = int(np.argmax(bad) if bad.any() else np.argmax(violation))
     worst = float(violation[worst_i])

@@ -69,14 +69,21 @@ def halton_sphere(dim: int, n: int) -> Array:
     return g / norms
 
 
+def _check_radius(radius: float) -> None:
+    """Refuse a radius <= 0, or one whose square overflows: the ball would lose states."""
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
+    if not np.isfinite(radius * radius):
+        raise ValueError(f"radius {radius!r} is too large: its square is not finite")
+
+
 def ball_grid(radius: float, dim: int, density: int) -> Array:
     """Uniform per-axis grid over [-R, R]^dim restricted to the ball |z| <= R.
 
     Axis endpoints are included, so in one dimension the extreme points +-R
     are always part of the grid.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     pts = box_grid([[-radius, radius]] * dim, density)
     return pts[np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)]
 

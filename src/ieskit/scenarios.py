@@ -106,6 +106,10 @@ def _matrix(text: str) -> Array:
     return np.vstack(rows)
 
 
+# The most grid points (density^dim) and levels of an invariant_set search: at
+# (16 dim + 24) peak bytes per point, 224 MiB in 2-D and 480 MiB in 6-D.
+MAX_INVARIANT_POINTS = 2**22
+
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _REQUIRED = object()
@@ -336,10 +340,19 @@ def parse_config(path) -> Scenario:
             box_bounds(box)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    inv = options["invariant"]
+    inv, inv_entries = options["invariant"], sections.get("invariant", {})
     if inv["level_min"] >= inv["level_max"]:
-        where = _at(path, sections.get("invariant", {}), "level_max", "level_min")
+        where = _at(path, inv_entries, "level_max", "level_min")
         raise ConfigError(f"{where}: level_min must be below level_max")
+    if sc["action"] == "invariant_set":  # integer arithmetic, before any grid is built
+        for key, count, what in (("density", inv["density"] ** dim, f"grid points in {dim}-D"),
+                                 ("levels", inv["levels"], "levels")):
+            if count > MAX_INVARIANT_POINTS:
+                # the key's line, else (a default density) the dimension's line
+                where = _at(path, {**sections.get("params", {}), **inv_entries}, key,
+                            "dim", "matrix", "n", "m")
+                raise ConfigError(f"{where}: {key} = {inv[key]} asks for {count} {what}, "
+                                  f"above the limit of {MAX_INVARIANT_POINTS}")
     return Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
                     model=model, params=params, options=options, **sc)
 

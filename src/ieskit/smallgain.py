@@ -25,7 +25,7 @@ from ieskit.finsler import (
     compose,
 )
 from ieskit.io_utils import atomic_write_text
-from ieskit.sampling import ball_grid
+from ieskit.sampling import _check_radius, ball_grid
 
 Array = np.ndarray
 
@@ -303,9 +303,14 @@ def certify(
     at the budget gains.  Any failing check refuses certification, and so
     do a decay sample set with no state in the ball and a sampled value or
     sup-constant that is not finite (finite constants give a budget that is
-    finite, or infinite on a zero denominator).  When ``requested_gains`` is
-    given it must be finite, nonnegative and within the budget.
+    finite, or infinite on a zero denominator); a radius whose square is not
+    finite is refused first.  When ``requested_gains`` is given it must be
+    finite, nonnegative and within the budget.
     """
+    try:
+        _check_radius(radius)
+    except ValueError as exc:  # no ball of this radius can be sampled
+        raise CertificationError(str(exc)) from None
     if requested_gains is not None and not all(
             math.isfinite(g) and g >= 0.0 for g in requested_gains):
         raise CertificationError(
@@ -320,8 +325,7 @@ def certify(
         if not len(samples[field.dim]):
             raise CertificationError(
                 f"{label} decay check has no sample state in the ball of radius {radius!r}")
-        report = check_decay(candidate, field, rate, samples[field.dim], tol=tol,
-                             comparator="squared_norm")
+        report = check_decay(candidate, field, rate, samples[field.dim], tol=tol)
         if not report.passed:
             raise CertificationError(
                 f"{label} decay check failed at z={report.worst_z}, "

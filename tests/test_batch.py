@@ -39,10 +39,10 @@ from ieskit.fhn import (
 from ieskit.finsler import (
     AssumptionTwoBounds,
     DisplacementSamples,
+    FinslerCandidate,
     check_decay,
     check_sandwich,
     compose,
-    quadratic_candidate,
     verify_assumption2,
 )
 from ieskit.invariance import OuterLyapunov, fhn_outer_lyapunov, find_invariant_level
@@ -370,7 +370,7 @@ def test_polynomial_map_matches_its_term_list(pmap, n, seed):
 # -- oracles: the sampled checks as loops over rows, one call per row ----------
 
 
-def oracle_decay(candidate, field, alpha, samples, tol, comparator):
+def oracle_decay(candidate, field, alpha, samples, tol):
     """Per-sample violations and the first worst one, the first non-finite
     one counting as the worst."""
     viol = []
@@ -378,8 +378,7 @@ def oracle_decay(candidate, field, alpha, samples, tol, comparator):
         v = candidate.value(z, dz)
         vd = (candidate.grad_state(z, dz) @ field.rhs(0.0, z)
               + candidate.grad_disp(z, dz) @ (field.jacobian(0.0, z) @ dz))
-        compared = v if comparator == "candidate" else dz @ dz
-        viol.append(vd + alpha * compared - tol * (1.0 + abs(v)))
+        viol.append(vd + alpha * (dz @ dz) - tol * (1.0 + abs(v)))
     worst, worst_i = -math.inf, 0
     for i, violation in enumerate(viol):
         if not math.isfinite(violation):
@@ -500,9 +499,9 @@ def fhn_table(case):
     return build_fc(params)
 
 
-def assert_decay_equals_oracle(candidate, field, alpha, samples, tol, comparator):
-    report = check_decay(candidate, field, alpha, samples, tol=tol, comparator=comparator)
-    _, worst, worst_i = oracle_decay(candidate, field, alpha, samples, tol, comparator)
+def assert_decay_equals_oracle(candidate, field, alpha, samples, tol):
+    report = check_decay(candidate, field, alpha, samples, tol=tol)
+    _, worst, worst_i = oracle_decay(candidate, field, alpha, samples, tol)
     assert report.worst_index == worst_i
     assert report.worst == worst or (math.isnan(report.worst) and math.isnan(worst))
     assert report.passed == (worst <= 0.0 and math.isfinite(worst))
@@ -526,14 +525,13 @@ def test_fhn_checks_are_bitwise_the_row_loops(case, gains, radius, n_states, n_d
     samples = DisplacementSamples.product_ball(radius, 2, n_states, n_dirs)
     if len(samples) == 0:
         return
-    for comparator in ("candidate", "squared_norm"):
-        assert_decay_equals_oracle(composed, field, alpha, samples, tol, comparator)
+    assert_decay_equals_oracle(composed, field, alpha, samples, tol)
     for cand, block, block_samples in (
             (v1, x_subsystem(table.params), DisplacementSamples.product_ball(
                 radius, 1, n_states, n_dirs)),
             (v2, y_subsystem(table.params), DisplacementSamples.product_ball(
                 radius, 1, n_states, n_dirs))):
-        assert_decay_equals_oracle(cand, block, alpha, block_samples, tol, "squared_norm")
+        assert_decay_equals_oracle(cand, block, alpha, block_samples, tol)
         lower, upper = oracle_sandwich(cand, block_samples)
         report = check_sandwich(cand, block_samples, tol=tol)
         assert (report.worst_lower_index, report.worst_upper_index) == (
@@ -594,7 +592,7 @@ def state_metric_grad(z):
 
 def candidate(d):
     """A quadratic candidate with an analytic state-dependent metric gradient."""
-    return quadratic_candidate(d, state_metric, 1.0, 10.0, metric_grad=state_metric_grad)
+    return FinslerCandidate(d, state_metric, state_metric_grad, 1.0, 10.0)
 
 
 @st.composite
@@ -631,16 +629,14 @@ def test_candidate_checks_match_the_row_loops(field_mag, n_states, n_dirs, alpha
     gs = np.array([cand.grad_state(z, dz) for z, dz in zip(zs, dzs)])
     gd = np.array([cand.grad_disp(z, dz) for z, dz in zip(zs, dzs)])
     v = np.array([cand.value(z, dz) for z, dz in zip(zs, dzs)])
-    for comparator in ("candidate", "squared_norm"):
-        report = check_decay(cand, field, alpha, samples, comparator=comparator)
-        viol, worst, _ = oracle_decay(cand, field, alpha, samples, 1e-9, comparator)
-        compared = v if comparator == "candidate" else np.sum(dzs * dzs, axis=-1)
-        scale = (rows_abs_dot(gs, f_mag(zs))
-                 + rows_abs_dot(gd, np.einsum("nij,nj->ni", j_mag(zs), np.abs(dzs)))
-                 + alpha * np.abs(compared) + 1e-9 * (1.0 + np.abs(v)))
-        k = report.worst_index
-        assert abs(report.worst - viol[k]) <= REL_BOUND * scale[k]
-        assert viol[k] >= worst - REL_BOUND * (scale[k] + scale[np.argmax(viol)])
+    report = check_decay(cand, field, alpha, samples)
+    viol, worst, _ = oracle_decay(cand, field, alpha, samples, 1e-9)
+    scale = (rows_abs_dot(gs, f_mag(zs))
+             + rows_abs_dot(gd, np.einsum("nij,nj->ni", j_mag(zs), np.abs(dzs)))
+             + alpha * np.sum(dzs * dzs, axis=-1) + 1e-9 * (1.0 + np.abs(v)))
+    k = report.worst_index
+    assert abs(report.worst - viol[k]) <= REL_BOUND * scale[k]
+    assert viol[k] >= worst - REL_BOUND * (scale[k] + scale[np.argmax(viol)])
 
     lower, upper = oracle_sandwich(cand, samples)
     report = check_sandwich(cand, samples)

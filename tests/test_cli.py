@@ -18,6 +18,7 @@ from ieskit.cli import (
 )
 from ieskit.scenarios import (
     ACTIONS,
+    MAX_INVARIANT_POINTS,
     PARAMS,
     SCHEMA,
     SYSTEMS,
@@ -463,6 +464,17 @@ BAD_VALUES = {
                     "density"),
     "levels_zero": ("invariant-set", FHN_INVARIANT, "density = 41",
                     "density = 41\nlevels = 0", "levels"),
+    # grids and level lists above MAX_INVARIANT_POINTS, refused before any
+    # allocation: 10^10 points (74.5 GiB), 10^9 levels (7.45 GiB), and the
+    # default density 81 in 6-D, 81^6 points (2.05 TiB)
+    "density_grid_too_large": ("invariant-set", FHN_INVARIANT, "density = 41",
+                               "density = 100000", "density"),
+    "levels_too_many": ("invariant-set", FHN_INVARIANT, "density = 41",
+                        "density = 41\nlevels = 1000000000", "levels"),
+    "default_density_in_6d": ("invariant-set", LINEAR_ESTIMATE,
+                              "action = estimate\nhorizon = 2\nstep = 0.1\n\n[params]\ndim = 2",
+                              "action = invariant_set\nhorizon = 2\nstep = 0.1\n\n[params]\n"
+                              "dim = 6", "dim"),
     "tolerance_nan": ("certify", FHN_CERTIFY, "action = certify",
                       "action = certify\ntolerance = nan", "tolerance"),
     "polynomial_term": ("simulate", POLYNOMIAL_SIMULATE, "f1_0 = -1 1", "f1_0 = -1 x",
@@ -501,6 +513,22 @@ def test_bad_value_exits_2_with_line_anchor(case, tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert f"{cfg}:{line}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_invariant_grid_limit_is_exact(tmp_path):
+    # 2048^2 is MAX_INVARIANT_POINTS; the check is integer arithmetic that
+    # parse_config makes before any grid is built
+    assert 2048**2 == MAX_INVARIANT_POINTS
+    at_limit = FHN_INVARIANT.replace("density = 41", "density = 2048\nlevels = 4194304")
+    inv = parse_config(write_config(tmp_path, at_limit)).options["invariant"]
+    assert (inv["density"], inv["levels"]) == (2048, MAX_INVARIANT_POINTS)
+    over = FHN_INVARIANT.replace("density = 41", "density = 2049")
+    with pytest.raises(ConfigError, match="density = 2049 asks for 4198401 grid points in 2-D, "
+                                          "above the limit of 4194304"):
+        parse_config(write_config(tmp_path, over))
+    # the limit is the invariant_set grid's: another action never builds it
+    other = LINEAR_ESTIMATE.replace("dim = 2", "dim = 6")
+    assert parse_config(write_config(tmp_path, other)).options["invariant"]["density"] == 81
 
 
 def test_weight_domain_is_checked_only_where_the_weight_is_built(tmp_path):
@@ -587,11 +615,12 @@ def test_estimate_of_a_pair_that_blows_up_exits_3(tmp_path, capsys):
 # cause: (line replacements in FHN_CERTIFY, the refusal's cause)
 EXTREME_CERTIFY = {
     "radius_1e120": ({"radius = 6": "radius = 1e120"}, "first component decay check failed"),
+    "radius_1e155": ({"radius = 6": "radius = 1e155"},
+                     "radius 1e+155 is too large: its square is not finite"),
     "radius_1e160": ({"radius = 6": "radius = 1e160"},
-                     "no finite sup-constants on the ball of radius 1e+160: a2 must be finite"),
+                     "radius 1e+160 is too large: its square is not finite"),
     "radius_1e200": ({"radius = 6": "radius = 1e200"},
-                     "composite (budget gains) decay check has no sample state in the "
-                     "ball of radius 1e+200"),
+                     "radius 1e+200 is too large: its square is not finite"),
     "epsilon_1e-200": ({"epsilon = 0.9": "epsilon = 1e-200", "radius = 6": "radius = 5"},
                        "no finite sup-constants on the ball of radius 5.0: "
                        "non-finite value of g2"),

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ieskit.dynsys import TimeVaryingField, assemble, linear_field
 from ieskit.finsler import (
     AssumptionTwoBounds,
     DisplacementSamples,
+    FinslerCandidate,
     check_decay,
     check_sandwich,
     compose,
-    quadratic_candidate,
     vdot,
     verify_assumption2,
 )
@@ -33,12 +34,12 @@ def constant(value):
 
 
 def half_norm_candidate(dim):
-    return quadratic_candidate(
+    return FinslerCandidate(
         dim,
         metric=constant(0.5 * np.eye(dim)),
+        metric_grad=constant(np.zeros((dim, dim, dim))),
         c_lower=0.5,
         c_upper=0.5,
-        metric_grad=constant(np.zeros((dim, dim, dim))),
     )
 
 
@@ -78,8 +79,8 @@ class TestVdot:
 
 class TestSandwich:
     def test_plain_quadratic_passes(self):
-        cand = quadratic_candidate(2, constant(2.0 * np.eye(2)), 1.0, 3.0,
-                                   constant(np.zeros((2, 2, 2))))
+        cand = FinslerCandidate(2, constant(2.0 * np.eye(2)),
+                                constant(np.zeros((2, 2, 2))), 1.0, 3.0)
         report = check_sandwich(cand, samples_on_box(2, 1.0))
         assert report.passed
         assert report.lower_margin > 0
@@ -94,8 +95,8 @@ class TestSandwich:
         assert report.passed
 
     def test_deliberate_violation_fails(self):
-        cand = quadratic_candidate(2, constant(np.eye(2)), 2.0, 3.0,
-                                   constant(np.zeros((2, 2, 2))))
+        cand = FinslerCandidate(2, constant(np.eye(2)),
+                                constant(np.zeros((2, 2, 2))), 2.0, 3.0)
         report = check_sandwich(cand, samples_on_box(2, 1.0))
         assert not report.passed
         assert report.lower_margin < 0
@@ -234,6 +235,30 @@ def test_composition_additivity_exact(x, y, dx, dy, default_table):
     assert total == parts
 
 
+def batch(n, width):
+    """An (n, 2) batch of finite floats in [-width, width]."""
+    return arrays(np.float64, (n, 2), elements=st.floats(-width, width))
+
+
+@given(states=st.integers(1, 12).flatmap(lambda n: st.tuples(batch(n, 4.0), batch(n, 3.0))))
+@settings(max_examples=60, deadline=None)
+def test_composite_is_bitwise_its_blocks_on_batches(states, default_table):
+    # compose's block-diagonal metric gives, element for element and bit for
+    # bit, the sum of the block values and the concatenated block gradients
+    z, dz = states
+    v1, v2 = fc_candidate(default_table)
+    c = compose(v1, v2)
+    x, dx, y, dy = z[:, :1], dz[:, :1], z[:, 1:], dz[:, 1:]
+    want = {
+        "value": v1.value(x, dx) + v2.value(y, dy),
+        "grad_state": np.concatenate([v1.grad_state(x, dx), v2.grad_state(y, dy)], axis=-1),
+        "grad_disp": np.concatenate([v1.grad_disp(x, dx), v2.grad_disp(y, dy)], axis=-1),
+    }
+    for name, parts in want.items():
+        got = getattr(c, name)(z, dz)
+        assert got.shape == parts.shape and got.tobytes() == parts.tobytes(), name
+
+
 @given(
     x=st.floats(-4.0, 4.0),
     y=st.floats(-4.0, 4.0),
@@ -269,7 +294,7 @@ def test_quadratic_vdot_matches_generic():
         dm[..., 1, 1, 1] = 2.0 * y
         return dm
 
-    cand = quadratic_candidate(2, metric, 0.5, 10.0, metric_grad=metric_grad)
+    cand = FinslerCandidate(2, metric, metric_grad, 0.5, 10.0)
 
     def rhs(t, z):
         x, y = z[..., 0], z[..., 1]

@@ -14,7 +14,7 @@ from ieskit.dynsys import (
     linear_field,
 )
 from ieskit.fhn import assumption2_bounds, build_fc, fc_candidate, fhn_field, figure_params
-from ieskit.finsler import AssumptionTwoBounds, quadratic_candidate
+from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
 from ieskit.smallgain import (
     CertificationError,
     GainCertificate,
@@ -32,9 +32,9 @@ ZERO_BOUNDS = AssumptionTwoBounds(gamma=lambda z: np.zeros(np.shape(z)[:-1]),
 
 
 def half_norm_candidate():
-    return quadratic_candidate(
-        1, lambda z: np.full(np.shape(z) + (1,), 0.5), 0.5, 0.5,
-        metric_grad=lambda z: np.zeros(np.shape(z) + (1, 1)))
+    return FinslerCandidate(
+        1, lambda z: np.full(np.shape(z) + (1,), 0.5),
+        lambda z: np.zeros(np.shape(z) + (1, 1)), 0.5, 0.5)
 
 
 def scalar_linear_interconnection(rho1=0.0, rho2=0.0):
@@ -232,9 +232,9 @@ class TestCertify:
         # both blocks decay at rate 2, but the declared zeta = 1 understates
         # the true |dV/d(dz)| / |dz| = 2, so the budget gains are too large
         # for the composite to keep rate 1
-        unit = quadratic_candidate(
-            1, lambda z: np.ones(np.shape(z) + (1,)), 1.0, 1.0,
-            metric_grad=lambda z: np.zeros(np.shape(z) + (1, 1)))
+        unit = FinslerCandidate(
+            1, lambda z: np.ones(np.shape(z) + (1,)),
+            lambda z: np.zeros(np.shape(z) + (1, 1)), 1.0, 1.0)
         ic = Interconnection(linear_field([[-1.0]]), linear_field([[-1.0]]),
                              linear_coupling([[1.0]]), linear_coupling([[1.0]]), 0.0, 0.0)
         with pytest.raises(CertificationError, match="composite.*budget gains"):
