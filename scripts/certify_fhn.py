@@ -13,7 +13,7 @@ import numpy as np
 
 from ieskit.dynsys import IntegratorConfig, assemble
 from ieskit.estimator import ensemble_ies
-from ieskit.fhn import FhnParams, assumption2_bounds, build_fc, fc_candidate, fhn_field
+from ieskit.fhn import FhnParams, build_fc, fc_candidate, fhn_field
 from ieskit.invariance import fhn_outer_lyapunov, find_invariant_level
 from ieskit.smallgain import certify
 
@@ -40,9 +40,8 @@ def main() -> int:
           f"plateau={table.left_plateau:.6f}")
 
     cand1, cand2 = fc_candidate(table)
-    bounds1, bounds2 = assumption2_bounds(table)
     ic = fhn_field(params)
-    cert = certify(ic, cand1, cand2, bounds1, bounds2, args.radius,
+    cert = certify(ic, cand1, cand2, args.radius,
                    alpha1=params.alpha, alpha2=params.b / params.epsilon,
                    alpha=args.alpha)
     print(f"gain budget: rho1 <= {cert.rho1_max:.6f}, rho2 <= {cert.rho2_max:.6f}")

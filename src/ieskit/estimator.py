@@ -17,6 +17,7 @@ import numpy as np
 
 from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_differences
 from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
+from ieskit.sampling import _check_radius
 
 Array = np.ndarray
 
@@ -154,17 +155,20 @@ def sample_pairs_box(bounds, n_pairs: int, seed: int):
 def sample_pairs_ball(radius: float, dim: int, n_pairs: int, seed: int):
     """n seeded random pairs with both endpoints inside the ball |z| <= radius,
     separated by at least MIN_SEPARATION.  A radius that is not positive and
-    finite, or a ball whose diameter does not exceed MIN_SEPARATION, is
-    refused with ``ValueError``."""
+    finite or whose square is not, or a ball whose diameter does not exceed
+    MIN_SEPARATION, is refused with ``ValueError``: past sqrt(DBL_MAX) every
+    draw's norm would overflow and be rejected, without end."""
     if dim < 1:
         raise ValueError(f"ball dimension must be positive, got {dim}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"ball radius must be positive and finite, got {radius}")
+    _check_radius(radius)
     if not 2.0 * radius > MIN_SEPARATION:
         raise ValueError(f"ball diameter {2.0 * radius:g} must exceed the pair "
                          f"separation {MIN_SEPARATION:g}")
-    return _sample_pairs(-radius, radius, dim, n_pairs, seed,
-                         inside=lambda z: np.linalg.norm(z) <= radius)
+    with np.errstate(over="ignore"):  # an inf norm is a draw off the ball
+        return _sample_pairs(-radius, radius, dim, n_pairs, seed,
+                             inside=lambda z: np.linalg.norm(z) <= radius)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
-from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
+from ieskit.finsler import FinslerCandidate
 from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
 
 Array = np.ndarray
@@ -517,7 +517,8 @@ def _refine_eta(table: FcTable, node_derivs: Array) -> float:
 
 def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
     """Component candidates: the metric f_c(x), with gradient f_c'(x) and sandwich
-    constants 1 and exp(mu), of the excitable block, and 1/2 of the recovery block."""
+    constants 1 and exp(mu), of the excitable block, and 1/2 of the recovery block.
+    Their Assumption-2 bounds are |f_c'(x)| and 2 f_c(x), and 0 and 1."""
     v1 = FinslerCandidate(
         dim=1,
         metric=lambda z: table.fc(z[..., :1])[..., None],
@@ -533,17 +534,6 @@ def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
         c_upper=0.5,
     )
     return v1, v2
-
-
-def assumption2_bounds(table: FcTable) -> tuple[AssumptionTwoBounds, AssumptionTwoBounds]:
-    """Gradient-bound functions for the two component candidates."""
-    b1 = AssumptionTwoBounds(
-        gamma=lambda z: np.abs(table.fc_prime(z[..., 0])),
-        zeta=lambda z: 2.0 * table.fc(z[..., 0]),
-    )
-    b2 = AssumptionTwoBounds(gamma=lambda z: np.zeros(np.shape(z)[:-1]),
-                             zeta=lambda z: np.ones(np.shape(z)[:-1]))
-    return b1, b2
 
 
 def write_fc_csv(table: FcTable, path) -> None:

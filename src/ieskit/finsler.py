@@ -1,7 +1,7 @@
 """Finsler Lyapunov candidates: evaluation and sampled inequality checks.
 
-Candidates and gradient bounds take points of shape (..., d) as the fields of
-``ieskit.dynsys`` do, so each check calls them once on its whole sample set.
+Candidates take points of shape (..., d) as the fields of ``ieskit.dynsys``
+do, so each check calls them once on its whole sample set.
 
 Grid checks can only refute an inequality, never prove it over a continuum,
 so every report carries a "no violation found" note rather than a claim of
@@ -32,6 +32,9 @@ class FinslerCandidate:
     and 2 M dz, shape (..., dim)) add products in index order, not by matrix
     products, so the zero blocks of a ``compose`` change nothing: bitwise, its
     value is the sum of its blocks' values and its gradients their concatenation.
+    ``gamma`` and ``zeta`` (shape (...)) are its Assumption-2 bounds, in the
+    matrix norm |A| = largest absolute row sum, which bounds the spectral norm
+    of a symmetric matrix and equals it on a diagonal one.
     """
 
     dim: int
@@ -55,6 +58,18 @@ class FinslerCandidate:
 
     def grad_disp(self, z: Array, dz: Array) -> Array:
         return 2.0 * _dot(self.metric(z), dz[..., None, :])
+
+    def gamma(self, z: Array) -> Array:
+        """|dV/dz| <= gamma(z) |dz|^2 for gamma the hypot over k of |dM/dz_k|,
+        as |dz^T dM/dz_k dz| <= |dM/dz_k| |dz|^2.  In one dimension it is
+        abs(M'(z)), bit for bit."""
+        row_sums = np.abs(self.metric_grad(z)).sum(axis=-2)  # [..., i, k]
+        return np.hypot.reduce(row_sums.max(axis=-2), axis=-1)
+
+    def zeta(self, z: Array) -> Array:
+        """|dV/d(dz)| = |2 M dz| <= zeta(z) |dz| for zeta = 2 |M(z)|.  In one
+        dimension it is 2 abs(M(z)), bit for bit."""
+        return 2.0 * np.abs(self.metric(z)).sum(axis=-1).max(axis=-1)
 
 
 def _dot(a: Array, b: Array) -> Array:
@@ -147,7 +162,8 @@ class DisplacementSamples:
         _check_radius(radius)
         bounds = np.array([[-radius, radius]] * dim)
         samples = cls.product_box(bounds, int(np.ceil(n_states * 1.6)), n_directions)
-        keep = np.linalg.norm(samples.zs, axis=1) <= radius
+        with np.errstate(over="ignore"):  # an inf norm is a state off the ball
+            keep = np.linalg.norm(samples.zs, axis=1) <= radius
         return cls(zs=samples.zs[keep], dzs=samples.dzs[keep])
 
 
@@ -174,21 +190,11 @@ def check_sandwich(
     v = candidate.value(samples.zs, samples.dzs)
     lower = v - candidate.c_lower * q
     upper = candidate.c_upper * q - v
-    return _margin_report(SandwichReport, "sandwich", lower, upper, len(samples), tol)
-
-
-def _margin_report(report_cls, what: str, first: Array, second: Array, n_samples: int,
-                   tol: float):
-    """Report of two margin arrays that must both stay >= -tol: each one's
-    smallest value and its first index, in the field order that
-    ``SandwichReport`` and ``GradientBoundReport`` share."""
-    i = int(np.argmin(first))
-    j = int(np.argmin(second))
-    passed = bool(first[i] >= -tol and second[j] >= -tol)
+    i, j = int(np.argmin(lower)), int(np.argmin(upper))
+    passed = bool(lower[i] >= -tol and upper[j] >= -tol)
     note = NO_VIOLATION_NOTE if passed else (
-        f"{what} violated at sample {i if first[i] < second[j] else j}"
-    )
-    return report_cls(passed, float(first[i]), float(second[j]), i, j, n_samples, note)
+        f"sandwich violated at sample {i if lower[i] < upper[j] else j}")
+    return SandwichReport(passed, float(lower[i]), float(upper[j]), i, j, len(samples), note)
 
 
 @dataclass(frozen=True)
@@ -235,42 +241,3 @@ def check_decay(
         n_samples=len(samples),
         note=note,
     )
-
-
-@dataclass(frozen=True)
-class AssumptionTwoBounds:
-    """Continuous bounds |dV/dz| <= gamma(z)|dz|^2 and |dV/d(dz)| <= zeta(z)|dz|;
-    ``gamma`` and ``zeta`` map states of shape (..., d) to (...)."""
-
-    gamma: Callable[[Array], Array]
-    zeta: Callable[[Array], Array]
-
-
-@dataclass(frozen=True)
-class GradientBoundReport:
-    passed: bool
-    state_margin: float
-    disp_margin: float
-    worst_state_index: int
-    worst_disp_index: int
-    n_samples: int
-    note: str = NO_VIOLATION_NOTE
-
-
-def verify_assumption2(
-    candidate: FinslerCandidate,
-    bounds: AssumptionTwoBounds,
-    samples: DisplacementSamples,
-    tol: float = 1e-9,
-) -> GradientBoundReport:
-    """Check both gradient inequalities at every sample within tolerance."""
-    if len(samples) == 0:
-        raise ValueError("sample set must be nonempty")
-    zs, dzs = samples.zs, samples.dzs
-    q = rowdot(dzs, dzs)
-    gs = candidate.grad_state(zs, dzs)
-    gd = candidate.grad_disp(zs, dzs)
-    state_m = bounds.gamma(zs) * q - np.sqrt(rowdot(gs, gs))
-    disp_m = bounds.zeta(zs) * np.sqrt(q) - np.sqrt(rowdot(gd, gd))
-    return _margin_report(GradientBoundReport, "gradient bound", state_m, disp_m,
-                          len(samples), tol)

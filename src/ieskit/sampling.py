@@ -81,11 +81,13 @@ def ball_grid(radius: float, dim: int, density: int) -> Array:
     """Uniform per-axis grid over [-R, R]^dim restricted to the ball |z| <= R.
 
     Axis endpoints are included, so in one dimension the extreme points +-R
-    are always part of the grid.
+    are always part of the grid.  Near the largest radius the norms of the
+    box corners overflow to inf, silently: those points lie outside the ball.
     """
     _check_radius(radius)
     pts = box_grid([[-radius, radius]] * dim, density)
-    return pts[np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)]
+    with np.errstate(over="ignore"):
+        return pts[np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)]
 
 
 def box_grid(bounds, density: int) -> Array:

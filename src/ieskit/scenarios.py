@@ -34,7 +34,6 @@ from ieskit.estimator import (
 )
 from ieskit.fhn import (
     FhnParams,
-    assumption2_bounds,
     build_fc,
     check_weight_domain,
     fc_candidate,
@@ -548,7 +547,6 @@ def run_certify(scenario: Scenario) -> list[Path]:
     opts = scenario.options["certify"]
     table = build_fc(params)
     cand1, cand2 = fc_candidate(table)
-    bounds1, bounds2 = assumption2_bounds(table)
     alpha1 = _given(opts["alpha1"], params.alpha)
     alpha2 = _given(opts["alpha2"], params.b / params.epsilon)
     alpha = _given(opts["alpha"], 0.5 * min(alpha1, alpha2))
@@ -565,7 +563,7 @@ def run_certify(scenario: Scenario) -> list[Path]:
         radius = math.sqrt(2.0 * level * max(1.0, 1.0 / params.epsilon)) * SAFETY
     ic = fhn_field(params)
     cert = certify(
-        ic, cand1, cand2, bounds1, bounds2, radius,
+        ic, cand1, cand2, radius,
         alpha1=alpha1, alpha2=alpha2, alpha=alpha,
         requested_gains=requested, tol=scenario.tolerance,
     )

@@ -17,7 +17,6 @@ import numpy as np
 from ieskit import __version__
 from ieskit.dynsys import Interconnection, TimeVaryingField, assemble, rowdot
 from ieskit.finsler import (
-    AssumptionTwoBounds,
     DecayReport,
     DisplacementSamples,
     FinslerCandidate,
@@ -133,17 +132,18 @@ def _refine_max(fn: Callable[[Array], Array], x: Array, best: float, s: float,
 
 def extract_constants(
     ic: Interconnection,
-    bounds1: AssumptionTwoBounds,
-    bounds2: AssumptionTwoBounds,
+    candidate1: FinslerCandidate,
+    candidate2: FinslerCandidate,
     radius: float,
     grid_density: int = GRID_DENSITY,
 ) -> SupConstants:
     """Sampled sup-constants over the balls |x| <= R and |y| <= R.
 
     a_i are coupling magnitudes, b_i coupling-Jacobian spectral norms, eta_i
-    and theta_i the gradient-bound suprema of the two candidates.  Each value
-    is the maximum that a pattern search from the grid maximum finds, times
-    the safety factor; a value that is not finite raises ValueError.
+    and theta_i the suprema of the candidates' Assumption-2 bounds ``gamma``
+    and ``zeta``.  Each value is the maximum that a pattern search from the
+    grid maximum finds, times the safety factor; a value that is not finite
+    raises ValueError.
     """
     grids = {dim: ball_grid(radius, dim, grid_density) for dim in {ic.n, ic.m}}
     xs, ys = grids[ic.n], grids[ic.m]
@@ -164,10 +164,10 @@ def extract_constants(
         "a2": (lambda x: _row_norm(ic.g2.value(x)), xs, "g2"),
         "b1": (lambda y: np.linalg.norm(ic.g1.jacobian(y), 2, (-2, -1)), ys, "Dg1"),
         "b2": (lambda x: np.linalg.norm(ic.g2.jacobian(x), 2, (-2, -1)), xs, "Dg2"),
-        "eta1": (lambda x: np.abs(bounds1.gamma(x)), xs, "gamma1"),
-        "eta2": (lambda y: np.abs(bounds2.gamma(y)), ys, "gamma2"),
-        "theta1": (lambda x: np.abs(bounds1.zeta(x)), xs, "zeta1"),
-        "theta2": (lambda y: np.abs(bounds2.zeta(y)), ys, "zeta2"),
+        "eta1": (candidate1.gamma, xs, "gamma1"),
+        "eta2": (candidate2.gamma, ys, "gamma2"),
+        "theta1": (candidate1.zeta, xs, "zeta1"),
+        "theta2": (candidate2.zeta, ys, "zeta2"),
     }
     return SupConstants(
         radius=radius, **{name: grid_max(*searches[name]) * SAFETY for name in CONSTANTS})
@@ -286,8 +286,6 @@ def certify(
     ic: Interconnection,
     candidate1: FinslerCandidate,
     candidate2: FinslerCandidate,
-    bounds1: AssumptionTwoBounds,
-    bounds2: AssumptionTwoBounds,
     radius: float,
     alpha1: float,
     alpha2: float,
@@ -337,7 +335,7 @@ def certify(
     checked("second component", candidate2, ic.f2, alpha2)
 
     try:
-        constants = extract_constants(ic, bounds1, bounds2, radius)
+        constants = extract_constants(ic, candidate1, candidate2, radius)
     except ValueError as exc:  # a sampled value or a sup-constant is not finite
         raise CertificationError(
             f"no finite sup-constants on the ball of radius {radius!r}: {exc}") from exc

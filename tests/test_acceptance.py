@@ -27,7 +27,6 @@ from ieskit.estimator import (
 )
 from ieskit.fhn import (
     FhnParams,
-    assumption2_bounds,
     build_fc,
     fc_candidate,
     fhn_field,
@@ -228,10 +227,9 @@ def test_criterion_8_certificate_simulation_consistency():
     params = FhnParams(b=1.0, rho1=1.0, rho2=1.0, epsilon=0.9, r=2.1, alpha=1.0)
     table = build_fc(params)
     cand1, cand2 = fc_candidate(table)
-    bounds1, bounds2 = assumption2_bounds(table)
     ic = fhn_field(params)
     radius = 16.0
-    cert = certify(ic, cand1, cand2, bounds1, bounds2, radius,
+    cert = certify(ic, cand1, cand2, radius,
                    alpha1=params.alpha, alpha2=params.b / params.epsilon,
                    alpha=0.5)
     assert cert.decay_report.passed

@@ -28,7 +28,6 @@ from ieskit.dynsys import (
 from ieskit.estimator import CONTRACTING, ensemble_ies, sample_pairs_ball, wies_scan
 from ieskit.fhn import (
     FhnParams,
-    assumption2_bounds,
     build_fc,
     fc_candidate,
     fhn_field,
@@ -37,13 +36,11 @@ from ieskit.fhn import (
     y_subsystem,
 )
 from ieskit.finsler import (
-    AssumptionTwoBounds,
     DisplacementSamples,
     FinslerCandidate,
     check_decay,
     check_sandwich,
     compose,
-    verify_assumption2,
 )
 from ieskit.invariance import OuterLyapunov, fhn_outer_lyapunov, find_invariant_level
 from ieskit.polynomials import PolynomialMap, polynomial_field, polynomial_interconnection
@@ -407,15 +404,6 @@ def oracle_sandwich(candidate, samples):
     return np.array(lower, dtype=float), np.array(upper, dtype=float)
 
 
-def oracle_assumption2(candidate, bounds, samples):
-    state_m, disp_m = [], []
-    for z, dz in zip(samples.zs, samples.dzs):
-        q = dz @ dz
-        state_m.append(bounds.gamma(z) * q - np.linalg.norm(candidate.grad_state(z, dz)))
-        disp_m.append(bounds.zeta(z) * np.sqrt(q) - np.linalg.norm(candidate.grad_disp(z, dz)))
-    return np.array(state_m, dtype=float), np.array(disp_m, dtype=float)
-
-
 def oracle_refine_max(fn, x, s, radius):
     """The greedy pattern search one point at a time, from x at scale s:
     (the maximum found, the number of moves it made)."""
@@ -439,7 +427,7 @@ def oracle_refine_max(fn, x, s, radius):
     return best, moves
 
 
-def oracle_extract_constants(ic, bounds1, bounds2, radius, grid_density, safety=1.05):
+def oracle_extract_constants(ic, candidate1, candidate2, radius, grid_density, safety=1.05):
     """Grid scan with a strict > and the greedy pattern search from its argmax."""
     xs = ball_grid(radius, ic.n, grid_density)
     ys = ball_grid(radius, ic.m, grid_density)
@@ -458,10 +446,10 @@ def oracle_extract_constants(ic, bounds1, bounds2, radius, grid_density, safety=
         a2=grid_max(lambda x: np.linalg.norm(ic.g2.value(x)), xs),
         b1=grid_max(lambda y: np.linalg.norm(ic.g1.jacobian(y), 2), ys),
         b2=grid_max(lambda x: np.linalg.norm(ic.g2.jacobian(x), 2), xs),
-        eta1=grid_max(lambda x: abs(bounds1.gamma(x)), xs),
-        eta2=grid_max(lambda y: abs(bounds2.gamma(y)), ys),
-        theta1=grid_max(lambda x: abs(bounds1.zeta(x)), xs),
-        theta2=grid_max(lambda y: abs(bounds2.zeta(y)), ys),
+        eta1=grid_max(candidate1.gamma, xs),
+        eta2=grid_max(candidate2.gamma, ys),
+        theta1=grid_max(candidate1.zeta, xs),
+        theta2=grid_max(candidate2.zeta, ys),
     )
 
 
@@ -519,7 +507,6 @@ def test_fhn_checks_are_bitwise_the_row_loops(case, gains, radius, n_states, n_d
                                                alpha, tol):
     table = fhn_table(case)
     v1, v2 = fc_candidate(table)
-    b1, b2 = assumption2_bounds(table)
     ic = fhn_field(table.params).with_gains(*gains)
     composed, field = compose(v1, v2), assemble(ic)
     samples = DisplacementSamples.product_ball(radius, 2, n_states, n_dirs)
@@ -537,13 +524,6 @@ def test_fhn_checks_are_bitwise_the_row_loops(case, gains, radius, n_states, n_d
         assert (report.worst_lower_index, report.worst_upper_index) == (
             first_min(lower), first_min(upper))
         assert report.lower_margin == lower.min() and report.upper_margin == upper.min()
-    for cand, bounds in ((v1, b1), (v2, b2)):
-        block_samples = DisplacementSamples.product_ball(radius, 1, n_states, n_dirs)
-        state_m, disp_m = oracle_assumption2(cand, bounds, block_samples)
-        report = verify_assumption2(cand, bounds, block_samples, tol=tol)
-        assert (report.worst_state_index, report.worst_disp_index) == (
-            first_min(state_m), first_min(disp_m))
-        assert report.state_margin == state_m.min() and report.disp_margin == disp_m.min()
 
 
 @given(case=st.sampled_from([1, 2, 3, 4]),
@@ -554,10 +534,10 @@ def test_fhn_checks_are_bitwise_the_row_loops(case, gains, radius, n_states, n_d
 def test_fhn_constants_and_invariant_level_are_bitwise_the_loops(case, gains, radius,
                                                                  density):
     table = fhn_table(case)
-    b1, b2 = assumption2_bounds(table)
+    v1, v2 = fc_candidate(table)
     ic = fhn_field(table.params).with_gains(*gains)
-    got = extract_constants(ic, b1, b2, radius, grid_density=density)
-    want = oracle_extract_constants(ic, b1, b2, radius, density)
+    got = extract_constants(ic, v1, v2, radius, grid_density=density)
+    want = oracle_extract_constants(ic, v1, v2, radius, density)
     assert {k: getattr(got, k) for k in want} == want
 
     p = table.params
@@ -647,17 +627,6 @@ def test_candidate_checks_match_the_row_loops(field_mag, n_states, n_dirs, alpha
         assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
         assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
 
-    bounds = AssumptionTwoBounds(gamma=lambda z: 0.2 * np.max(np.abs(z), axis=-1),
-                                 zeta=lambda z: 2.0 + 0.2 * np.sum(z * z, axis=-1))
-    state_m, disp_m = oracle_assumption2(cand, bounds, samples)
-    report = verify_assumption2(cand, bounds, samples)
-    scales = (0.4 * q + np.abs(gs).sum(-1), (2.0 + 0.8 * d) * np.sqrt(q) + np.abs(gd).sum(-1))
-    for margin, index, oracle, scale in (
-            (report.state_margin, report.worst_state_index, state_m, scales[0]),
-            (report.disp_margin, report.worst_disp_index, disp_m, scales[1])):
-        assert abs(margin - oracle[index]) <= REL_BOUND * scale[index]
-        assert oracle[index] <= oracle.min() + REL_BOUND * (scale[index] + scale.max())
-
 
 @given(field_mag=fields_with_magnitudes(), density=st.integers(min_value=3, max_value=21))
 @settings(max_examples=20, deadline=None)
@@ -697,6 +666,22 @@ def test_zero_displacement_anywhere_in_the_batch_raises():
         check_sandwich(cand, samples)
 
 
+def carrying(d, gamma, zeta):
+    """A test candidate in d dimensions whose derived bounds are |gamma| and
+    |zeta|, bit for bit: gamma sits at dM_00/dz_0, the rest of dM is 0, and
+    M = zeta/2 times the identity.  M need not integrate to dM here: the
+    sup-constants read only the two bounds."""
+    def metric(z):
+        return (0.5 * zeta(z))[..., None, None] * np.eye(d)
+
+    def metric_grad(z):
+        dm = np.zeros(np.shape(z)[:-1] + (d, d, d))
+        dm[..., 0, 0, 0] = gamma(z)
+        return dm
+
+    return FinslerCandidate(d, metric, metric_grad, 1.0, 1.0)
+
+
 def test_grid_maximum_ties_start_the_search_at_the_first_point():
     # on the grid -2, -1, 0, 1, 2 gamma ties at -1 and 1 (value 1); only the
     # right peak rises off the grid (to 2 at x = 1.25), and the pattern search
@@ -706,11 +691,10 @@ def test_grid_maximum_ties_start_the_search_at_the_first_point():
         return np.maximum(np.maximum(1.0 - (x + 1.0) ** 2, 2.0 - 16.0 * (x - 1.25) ** 2), 0.0)
 
     ic = fhn_field(figure_params(2)).with_gains(0.5, 0.5)
-    ones = lambda z: np.ones(np.shape(z)[:-1])  # noqa: E731
-    bounds = AssumptionTwoBounds(gamma=gamma, zeta=ones)
-    got = extract_constants(ic, bounds, bounds, 2.0, grid_density=5)
+    cand = carrying(1, gamma, lambda z: np.ones(np.shape(z)[:-1]))
+    got = extract_constants(ic, cand, cand, 2.0, grid_density=5)
     assert got.eta1 == 1.0 * 1.05
-    want = oracle_extract_constants(ic, bounds, bounds, 2.0, 5)
+    want = oracle_extract_constants(ic, cand, cand, 2.0, 5)
     assert {k: getattr(got, k) for k in want} == want
 
 
@@ -724,22 +708,21 @@ def block_terms(draw, n_out, n_in):
     return tuple(tuple(draw(st.lists(term, min_size=1, max_size=3))) for _ in range(n_out))
 
 
-def peak_bounds(d, rng, radius):
-    """Assumption-2 bounds with an off-grid interior peak and a matrix
-    product in gamma, so the search moves and batched calls can round
-    otherwise than single ones; with the sums of absolute terms of gamma
-    and zeta over the ball."""
+def peak_candidate(d, rng, radius):
+    """A candidate whose gamma has an off-grid interior peak and a matrix
+    product, so the search moves and batched calls can round otherwise than
+    single ones; with the sums of absolute terms of gamma and zeta over the
+    ball."""
     centre, w = rng.uniform(-0.5, 0.5, d), rng.normal(size=d)
-    bounds = AssumptionTwoBounds(
-        gamma=lambda z: np.exp(-np.sum((z - centre) ** 2, axis=-1)) + 0.1 * (z @ w),
-        zeta=lambda z: 1.0 + np.sum(z * z, axis=-1))
-    return bounds, (1.0 + 0.1 * np.abs(w).sum() * radius, 1.0 + d * radius**2)
+    cand = carrying(d, lambda z: np.exp(-np.sum((z - centre) ** 2, axis=-1)) + 0.1 * (z @ w),
+                    lambda z: 1.0 + np.sum(z * z, axis=-1))
+    return cand, (1.0 + 0.1 * np.abs(w).sum() * radius, 1.0 + d * radius**2)
 
 
 @st.composite
 def generic_interconnections(draw):
     """A linear or polynomial interconnection of blocks of 1-3 dimensions,
-    with bounds for each block, a radius, a grid density, and per constant
+    with a candidate for each block, a radius, a grid density, and per constant
     the sum of absolute terms of its function over the ball (a bound on it)."""
     n, m = (draw(st.integers(min_value=1, max_value=3)) for _ in range(2))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
@@ -759,11 +742,11 @@ def generic_interconnections(draw):
         corners = np.full(m, radius), np.full(n, radius)
         a = tuple(np.sum(f(c)) for f, c in zip(mags, corners))
         b = tuple(np.sum(f.jacobian(c)) for f, c in zip(mags, corners))
-    bounds1, (eta1, theta1) = peak_bounds(n, rng, radius)
-    bounds2, (eta2, theta2) = peak_bounds(m, rng, radius)
+    cand1, (eta1, theta1) = peak_candidate(n, rng, radius)
+    cand2, (eta2, theta2) = peak_candidate(m, rng, radius)
     scales = dict(a1=a[0], a2=a[1], b1=b[0], b2=b[1], eta1=eta1, eta2=eta2,
                   theta1=theta1, theta2=theta2)
-    return (ic, bounds1, bounds2, radius, draw(st.integers(min_value=3, max_value=9)),
+    return (ic, cand1, cand2, radius, draw(st.integers(min_value=3, max_value=9)),
             {k: 1.05 * v for k, v in scales.items()})
 
 
@@ -772,24 +755,25 @@ def row_by_row(fn):
     return lambda z: np.array([fn(p) for p in z]) if np.ndim(z) > 1 else fn(z)
 
 
-def row_by_row_case(ic, bounds1, bounds2):
+def row_by_row_case(ic, cand1, cand2):
     def coupling(g):
         return CouplingMap(g.in_dim, g.out_dim, row_by_row(g.value), row_by_row(g.jacobian))
 
-    def bounds(b):
-        return AssumptionTwoBounds(gamma=row_by_row(b.gamma), zeta=row_by_row(b.zeta))
+    def candidate(c):
+        return dataclasses.replace(c, metric=row_by_row(c.metric),
+                                   metric_grad=row_by_row(c.metric_grad))
 
     return (dataclasses.replace(ic, g1=coupling(ic.g1), g2=coupling(ic.g2)),
-            bounds(bounds1), bounds(bounds2))
+            candidate(cand1), candidate(cand2))
 
 
 @given(case=generic_interconnections())
 @settings(max_examples=30, deadline=None)
 def test_generic_constants_are_bitwise_the_loops_row_by_row(case):
-    ic, bounds1, bounds2, radius, density, _ = case
-    ic, bounds1, bounds2 = row_by_row_case(ic, bounds1, bounds2)
-    got = extract_constants(ic, bounds1, bounds2, radius, grid_density=density)
-    want = oracle_extract_constants(ic, bounds1, bounds2, radius, density)
+    ic, cand1, cand2, radius, density, _ = case
+    ic, cand1, cand2 = row_by_row_case(ic, cand1, cand2)
+    got = extract_constants(ic, cand1, cand2, radius, grid_density=density)
+    want = oracle_extract_constants(ic, cand1, cand2, radius, density)
     assert {k: getattr(got, k) for k in want} == want
 
 
@@ -804,9 +788,9 @@ CONSTANT_REL_BOUND = 1e-14
 @given(case=generic_interconnections())
 @settings(max_examples=30, deadline=None)
 def test_generic_constants_match_the_loops_within_rounding(case):
-    ic, bounds1, bounds2, radius, density, scales = case
-    got = extract_constants(ic, bounds1, bounds2, radius, grid_density=density)
-    want = oracle_extract_constants(ic, bounds1, bounds2, radius, density)
+    ic, cand1, cand2, radius, density, scales = case
+    got = extract_constants(ic, cand1, cand2, radius, grid_density=density)
+    want = oracle_extract_constants(ic, cand1, cand2, radius, density)
     for name, value in want.items():
         assert abs(getattr(got, name) - value) <= CONSTANT_REL_BOUND * scales[name], name
 
@@ -817,21 +801,21 @@ def test_each_search_makes_one_call_and_one_per_move():
     ic = Interconnection(f1=linear_field(-np.eye(2)), f2=linear_field([[-1.0]]),
                          g1=linear_coupling(np.ones((2, 1))),
                          g2=linear_coupling(np.ones((1, 2))), rho1=0.5, rho2=0.5)
-    bounds1, _ = peak_bounds(2, np.random.default_rng(3), 2.0)
+    cand1, _ = peak_candidate(2, np.random.default_rng(3), 2.0)
     calls = []
 
-    def gamma(z):
+    def metric_grad(z):  # called by gamma only, once per call
         calls.append(len(z))
-        return bounds1.gamma(z)
+        return cand1.metric_grad(z)
 
-    counted = AssumptionTwoBounds(gamma=gamma, zeta=bounds1.zeta)
+    counted = dataclasses.replace(cand1, metric_grad=metric_grad)
     radius, density = 2.0, 7
-    got = extract_constants(ic, counted, peak_bounds(1, np.random.default_rng(4), 2.0)[0],
+    got = extract_constants(ic, counted, peak_candidate(1, np.random.default_rng(4), 2.0)[0],
                             radius, grid_density=density)
     grid = ball_grid(radius, 2, density)
     assert calls[0] == len(grid)
-    vals = np.abs(bounds1.gamma(grid))
-    best, moves = oracle_refine_max(lambda p: abs(bounds1.gamma(p)), grid[np.argmax(vals)],
+    vals = cand1.gamma(grid)
+    best, moves = oracle_refine_max(cand1.gamma, grid[np.argmax(vals)],
                                     2.0 * radius / (density - 1), radius)
     assert moves >= 3
     assert got.eta1 == pytest.approx(best * 1.05, rel=CONSTANT_REL_BOUND)

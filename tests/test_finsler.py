@@ -6,17 +6,14 @@ from hypothesis.extra.numpy import arrays
 
 from ieskit.dynsys import TimeVaryingField, assemble, linear_field
 from ieskit.finsler import (
-    AssumptionTwoBounds,
     DisplacementSamples,
     FinslerCandidate,
     check_decay,
     check_sandwich,
     compose,
     vdot,
-    verify_assumption2,
 )
 from ieskit.fhn import (
-    assumption2_bounds,
     fc_candidate,
     fhn_field,
     figure_params,
@@ -24,7 +21,6 @@ from ieskit.fhn import (
     x_subsystem,
     y_subsystem,
 )
-from ieskit.sampling import halton_sphere
 
 
 def constant(value):
@@ -163,34 +159,71 @@ class TestDecay:
 class TestAssumptionTwo:
     def test_half_norm_bounds(self):
         cand = half_norm_candidate(2)
-        bounds = AssumptionTwoBounds(gamma=constant(0.0), zeta=constant(1.0))
-        report = verify_assumption2(cand, bounds, samples_on_box(2, 2.0))
-        assert report.passed
+        zs = samples_on_box(2, 2.0).zs
+        assert cand.gamma(zs).tobytes() == np.zeros(len(zs)).tobytes()
+        assert np.array_equal(cand.zeta(zs), np.ones(len(zs)))
 
     def test_fhn_weight_bounds(self, default_table):
-        v1, _ = fc_candidate(default_table)
-        bounds1, _ = assumption2_bounds(default_table)
+        v1, v2 = fc_candidate(default_table)
         s = default_table.s_star
-        xs = np.linspace(-s, s, 257).reshape(-1, 1)
-        dirs = halton_sphere(1, 4)
-        zz = np.repeat(xs, len(dirs), axis=0)
-        dd = np.tile(dirs, (len(xs), 1))
-        report = verify_assumption2(
-            v1, bounds1, DisplacementSamples.from_points(zz, dd)
-        )
-        assert report.passed
-        eta = default_table.eta
-        e_mu = default_table.left_plateau
+        xs = np.linspace(-1.5 * s, 1.5 * s, 257).reshape(-1, 1)
+        gamma, zeta = v1.gamma(xs), v1.zeta(xs)
+        # bit for bit |f_c'| and 2 f_c, the bounds of the excitable block
+        assert gamma.tobytes() == np.abs(default_table.fc_prime(xs[:, 0])).tobytes()
+        assert zeta.tobytes() == (2.0 * default_table.fc(xs[:, 0])).tobytes()
         # the pointwise bounds are below the global constants
-        assert all(abs(default_table.fc_prime(x)) <= eta * (1 + 1e-9) for x in xs[:, 0])
-        assert all(2 * default_table.fc(x) <= 2 * e_mu * (1 + 1e-12) for x in xs[:, 0])
+        assert np.all(gamma <= default_table.eta * (1 + 1e-9))
+        assert np.all(zeta <= 2 * default_table.left_plateau * (1 + 1e-12))
+        # the recovery block's gamma is +0.0, never -0.0, and its zeta 1
+        assert v2.gamma(xs).tobytes() == np.zeros(len(xs)).tobytes()
+        assert np.array_equal(v2.zeta(xs), np.ones(len(xs)))
 
-    def test_undersized_zeta_fails(self):
-        cand = half_norm_candidate(2)
-        bounds = AssumptionTwoBounds(gamma=constant(0.0), zeta=constant(0.25))
-        report = verify_assumption2(cand, bounds, samples_on_box(2, 2.0))
-        assert not report.passed
-        assert report.disp_margin < 0
+
+# relative slack of the derived-bound inequalities: for d <= 3 each side is
+# a sum of at most about 13 rounded terms whose absolute values add up to at
+# most the bound, so rounding moves it by at most about 13 ulps of the bound;
+# 1e-13, about 450 ulps, leaves a factor of 30
+BOUND_SLACK = 1e-13
+
+
+@st.composite
+def symmetric_metrics(draw):
+    """M(z) = A + sum_k (z_k A_k + z_k^2 B_k), with random symmetric A, A_k
+    and B_k in d = 1-3, so dM/dz_k = A_k + 2 z_k B_k; with 32 random (z, dz).
+    The inequalities hold for any symmetric M, so M need not be definite."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def symmetric(n):
+        a = rng.normal(size=(n, d, d)) * rng.uniform(0.1, 10.0)
+        return a + np.swapaxes(a, -1, -2)
+
+    a, lin, sq = symmetric(1)[0], symmetric(d), symmetric(d)
+
+    def metric(z):
+        return a + np.einsum("...k,kij->...ij", z, lin) + np.einsum("...k,kij->...ij", z * z, sq)
+
+    def metric_grad(z):
+        return np.einsum("kij->ijk", lin) + 2.0 * np.einsum("...k,kij->...ijk", z, sq)
+
+    zs, dzs = rng.normal(size=(2, 32, d)) * rng.uniform(0.1, 4.0, size=(2, 1, 1))
+    return FinslerCandidate(d, metric, metric_grad, 1.0, 1.0), zs, dzs
+
+
+@given(case=symmetric_metrics())
+@settings(max_examples=100, deadline=None)
+def test_derived_bounds_hold_on_random_symmetric_metrics(case):
+    cand, zs, dzs = case
+    gamma, zeta = cand.gamma(zs), cand.zeta(zs)
+    q = np.sum(dzs * dzs, axis=-1)
+    assert gamma.shape == zeta.shape == (len(zs),)
+    state = np.linalg.norm(cand.grad_state(zs, dzs), axis=-1)
+    disp = np.linalg.norm(cand.grad_disp(zs, dzs), axis=-1)
+    assert np.all(state <= gamma * q * (1.0 + BOUND_SLACK))
+    assert np.all(disp <= zeta * np.sqrt(q) * (1.0 + BOUND_SLACK))
+    if cand.dim == 1:  # bit for bit |M'| and 2 |M|
+        assert gamma.tobytes() == np.abs(cand.metric_grad(zs)[:, 0, 0, 0]).tobytes()
+        assert zeta.tobytes() == (2.0 * np.abs(cand.metric(zs)[:, 0, 0])).tobytes()
 
 
 class TestCompose:

@@ -7,6 +7,8 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from ieskit.dynsys import IntegratorConfig, linear_field
+from ieskit.estimator import sample_pairs_ball, wies_scan
 from ieskit.finsler import DisplacementSamples
 from ieskit.sampling import _halton, ball_grid, halton_box, halton_sphere
 
@@ -58,9 +60,11 @@ def test_halton_sphere_is_the_qmc_body(d):
 
 
 def ball_samplers(dim):
-    """The two ball samplers at their certify sizes, as functions of the radius."""
+    """The ball samplers as functions of the radius: the two state samplers at
+    their certify sizes, and 8 seeded pairs as an (8, 2, dim) array."""
     return (lambda radius: ball_grid(radius, dim, 101),
-            lambda radius: DisplacementSamples.product_ball(radius, dim, 64, 16).zs)
+            lambda radius: DisplacementSamples.product_ball(radius, dim, 64, 16).zs,
+            lambda radius: np.array(sample_pairs_ball(radius, dim, 8, 0)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -71,8 +75,18 @@ def test_radius_whose_square_overflows_is_refused(dim):
             sample(1e155)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dim", [1, 2])
 def test_largest_radius_keeps_every_state(dim):
-    # just below sqrt(DBL_MAX) the ball keeps as many points as the unit ball
+    # just below sqrt(DBL_MAX) the ball keeps as many points as the unit ball,
+    # and the points whose norms overflow are dropped without a warning
     for sample in ball_samplers(dim):
         assert len(sample(1.34e154)) == len(sample(1.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scan_refuses_a_radius_whose_square_overflows(dim):
+    # every pair draw's norm would overflow and be rejected, without end
+    with pytest.raises(ValueError, match=r"radius 1e\+200 is too large: its square"):
+        wies_scan(linear_field(-np.eye(dim)), (1.0, 1e200), 1, 1.0,
+                  IntegratorConfig(max_time=1.0, step=0.1))

@@ -13,8 +13,8 @@ from ieskit.dynsys import (
     linear_coupling,
     linear_field,
 )
-from ieskit.fhn import assumption2_bounds, build_fc, fc_candidate, fhn_field, figure_params
-from ieskit.finsler import AssumptionTwoBounds, FinslerCandidate
+from ieskit.fhn import build_fc, fc_candidate, fhn_field, figure_params
+from ieskit.finsler import FinslerCandidate
 from ieskit.smallgain import (
     CertificationError,
     GainCertificate,
@@ -27,11 +27,8 @@ from ieskit.smallgain import (
     parse_certificate_record,
 )
 
-ZERO_BOUNDS = AssumptionTwoBounds(gamma=lambda z: np.zeros(np.shape(z)[:-1]),
-                                  zeta=lambda z: np.ones(np.shape(z)[:-1]))
-
-
 def half_norm_candidate():
+    """V = dz^2 / 2, with the Assumption-2 bounds gamma = 0 and zeta = 1."""
     return FinslerCandidate(
         1, lambda z: np.full(np.shape(z) + (1,), 0.5),
         lambda z: np.zeros(np.shape(z) + (1, 1)), 0.5, 0.5)
@@ -55,7 +52,8 @@ def unit_constants(**overrides):
 class TestExtractConstants:
     def test_linear_coupling_supremum(self):
         ic = scalar_linear_interconnection()
-        cons = extract_constants(ic, ZERO_BOUNDS, ZERO_BOUNDS, radius=3.0)
+        half = half_norm_candidate()
+        cons = extract_constants(ic, half, half, radius=3.0)
         assert cons.a1 == pytest.approx(3.0 * 1.05)
         assert cons.b1 == pytest.approx(1.05)
         assert cons.a2 == pytest.approx(3.0 * 1.05)
@@ -66,9 +64,9 @@ class TestExtractConstants:
     def test_fhn_couplings(self, default_table):
         params = default_table.params
         ic = fhn_field(params)
-        b1, b2 = assumption2_bounds(default_table)
+        c1, c2 = fc_candidate(default_table)
         radius = 4.0
-        cons = extract_constants(ic, b1, b2, radius)
+        cons = extract_constants(ic, c1, c2, radius)
         assert cons.a1 == pytest.approx(radius * 1.05)
         assert cons.a2 == pytest.approx(radius / params.epsilon * 1.05)
         assert cons.b1 == pytest.approx(1.05)
@@ -83,9 +81,9 @@ class TestExtractConstants:
 
     def test_monotone_in_radius(self, default_table):
         ic = fhn_field(default_table.params)
-        b1, b2 = assumption2_bounds(default_table)
-        small = extract_constants(ic, b1, b2, 2.0)
-        large = extract_constants(ic, b1, b2, 5.0)
+        c1, c2 = fc_candidate(default_table)
+        small = extract_constants(ic, c1, c2, 2.0)
+        large = extract_constants(ic, c1, c2, 5.0)
         for name in ("a1", "a2", "b1", "b2", "eta1", "eta2", "theta1", "theta2"):
             assert getattr(large, name) >= getattr(small, name) - 1e-12
 
@@ -102,7 +100,7 @@ class TestExtractConstants:
         g2 = linear_coupling([[1.0]])
         ic = Interconnection(f1, f2, g1, g2, 1.0, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            extract_constants(ic, ZERO_BOUNDS, ZERO_BOUNDS, radius=1.0)
+            extract_constants(ic, half_norm_candidate(), half_norm_candidate(), radius=1.0)
 
 
 class TestGainBudget:
@@ -146,8 +144,8 @@ class TestGainBudget:
         params = figure_params(2)
         table = build_fc(params)
         ic = fhn_field(params)
-        b1, b2 = assumption2_bounds(table)
-        cons = extract_constants(ic, b1, b2, radius=5.1)
+        c1, c2 = fc_candidate(table)
+        cons = extract_constants(ic, c1, c2, radius=5.1)
         rho1, rho2 = gain_budget(cons, params.alpha, params.b / params.epsilon,
                                  alpha=0.01)
         assert 0.0 < rho1 < 0.1
@@ -177,7 +175,7 @@ class TestCertify:
         ic = scalar_linear_interconnection()
         half = half_norm_candidate()
         cert = certify(
-            ic, half, half, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
+            ic, half, half, radius=2.0,
             alpha1=1.0, alpha2=1.0, alpha=0.9, requested_gains=(0.0, 0.0),
         )
         assert cert.decay_report.passed
@@ -187,8 +185,7 @@ class TestCertify:
         params = default_table.params
         ic = fhn_field(params)
         c1, c2 = fc_candidate(default_table)
-        b1, b2 = assumption2_bounds(default_table)
-        cert = certify(ic, c1, c2, b1, b2, radius=16.0,
+        cert = certify(ic, c1, c2, radius=16.0,
                        alpha1=params.alpha, alpha2=params.b / params.epsilon,
                        alpha=0.5)
         assert cert.decay_report.passed
@@ -200,9 +197,8 @@ class TestCertify:
         table = build_fc(params)
         ic = fhn_field(params)
         c1, c2 = fc_candidate(table)
-        b1, b2 = assumption2_bounds(table)
         with pytest.raises(CertificationError, match="exceed"):
-            certify(ic, c1, c2, b1, b2, radius=5.1,
+            certify(ic, c1, c2, radius=5.1,
                     alpha1=params.alpha, alpha2=params.b / params.epsilon,
                     alpha=0.01, requested_gains=(1.0, 1.0))
 
@@ -211,7 +207,7 @@ class TestCertify:
         ic = scalar_linear_interconnection()
         half = half_norm_candidate()
         with pytest.raises(CertificationError, match="component"):
-            certify(ic, half, half, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
+            certify(ic, half, half, radius=2.0,
                     alpha1=1.5, alpha2=1.0, alpha=0.9)
 
     @pytest.mark.parametrize("gains", [(math.nan, 0.0), (-1.0, 0.0), (0.0, math.inf),
@@ -221,24 +217,27 @@ class TestCertify:
         table = build_fc(params)
         ic = fhn_field(params)
         c1, c2 = fc_candidate(table)
-        b1, b2 = assumption2_bounds(table)
         with pytest.raises(CertificationError,
                            match=re.escape(f"requested gains {gains}") + ".*finite"):
-            certify(ic, c1, c2, b1, b2, radius=8.0,
+            certify(ic, c1, c2, radius=8.0,
                     alpha1=params.alpha, alpha2=params.b / params.epsilon,
                     alpha=0.5, requested_gains=gains)
 
     def test_composite_check_failure_refused(self):
-        # both blocks decay at rate 2, but the declared zeta = 1 understates
-        # the true |dV/d(dz)| / |dz| = 2, so the budget gains are too large
-        # for the composite to keep rate 1
-        unit = FinslerCandidate(
+        # both blocks decay at rate 2, but a zeta = 1 understates the true
+        # |dV/d(dz)| / |dz| = 2, so the budget gains are too large for the
+        # composite to keep rate 1
+        class UnderstatedZeta(FinslerCandidate):
+            def zeta(self, z):
+                return np.ones(np.shape(z)[:-1])
+
+        unit = UnderstatedZeta(
             1, lambda z: np.ones(np.shape(z) + (1,)),
             lambda z: np.zeros(np.shape(z) + (1, 1)), 1.0, 1.0)
         ic = Interconnection(linear_field([[-1.0]]), linear_field([[-1.0]]),
                              linear_coupling([[1.0]]), linear_coupling([[1.0]]), 0.0, 0.0)
         with pytest.raises(CertificationError, match="composite.*budget gains"):
-            certify(ic, unit, unit, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
+            certify(ic, unit, unit, radius=2.0,
                     alpha1=2.0, alpha2=2.0, alpha=1.0)
 
     def test_infinite_budget_is_checked_at_a_finite_gain(self):
@@ -248,7 +247,7 @@ class TestCertify:
         ic = Interconnection(linear_field([[-1.0]]), linear_field([[-1.0]]), zero, zero,
                              0.0, 0.0)
         half = half_norm_candidate()
-        cert = certify(ic, half, half, ZERO_BOUNDS, ZERO_BOUNDS, radius=2.0,
+        cert = certify(ic, half, half, radius=2.0,
                        alpha1=1.0, alpha2=1.0, alpha=0.5)
         assert math.isinf(cert.rho1_max) and math.isinf(cert.rho2_max)
         assert cert.decay_report.passed
@@ -257,8 +256,7 @@ class TestCertify:
         params = default_table.params
         ic = fhn_field(params)
         c1, c2 = fc_candidate(default_table)
-        b1, b2 = assumption2_bounds(default_table)
-        cert = certify(ic, c1, c2, b1, b2, radius=8.0,
+        cert = certify(ic, c1, c2, radius=8.0,
                        alpha1=params.alpha, alpha2=params.b / params.epsilon,
                        alpha=0.5)
         rec_path = tmp_path / "cert.rec"

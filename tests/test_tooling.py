@@ -3,7 +3,9 @@ ieskit (it patches public functions and a few methods by name, so a renamed
 or moved one would break every traced benchmark run), and the script that
 folds result files into a BENCH_<pr>.json record."""
 
+import importlib
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -63,6 +65,51 @@ def test_tracer_records_a_certify_run(tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["fhn.fc_calls"] == tracer.counts["fc_calls"]
     assert metrics["finsler.us_per_decay_sample"] > 0
+
+
+class ReadLog(dict):
+    """An empty dict that records every key read from it and reads it as 0."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return 0.0
+
+
+def is_traceable(name: str, modules) -> bool:
+    """Whether ``module.function`` names a public function defined in that
+    ieskit module, or ``module.Class.method`` a public method or classmethod
+    of a public class there: what the tracer wraps."""
+    module_name, *path = name.split(".")
+    if module_name not in modules:
+        return False
+    module = importlib.import_module(f"ieskit.{module_name}")
+    if any(part.startswith("_") and not part.startswith("__") for part in path):
+        return False
+    if len(path) == 1:
+        fn = vars(module).get(path[0])
+        return inspect.isfunction(fn) and fn.__module__ == module.__name__
+    cls = vars(module).get(path[0])
+    method = vars(cls).get(path[1]) if inspect.isclass(cls) else None
+    return inspect.isfunction(method) or isinstance(method, classmethod)
+
+
+def test_every_name_the_tracer_reads_is_a_public_ieskit_callable():
+    # self times and call counts are read from defaultdicts by name, so a
+    # renamed or privatised ieskit function would read 0 without notice
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.self_time, tracer.calls = ReadLog(), ReadLog()
+    tracer.layer_metrics()
+    names = tracer.self_time.read | tracer.calls.read | set(tracing.FC_NAMES)
+    names |= {f"{m}.{cls}.{meth}" for m, classes in tracing.METHODS.items()
+              for cls, methods in classes.items() for meth in methods}
+    names |= {f"{m}.{fn}" for m, fn in tracing.FIELD_BUILDERS}
+    assert "smallgain.extract_constants" in names and "fhn.FcTable.fc" in names
+    assert sorted(n for n in names if not is_traceable(n, tracing.MODULES)) == []
 
 
 FIGURES = """
