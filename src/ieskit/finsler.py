@@ -1,11 +1,13 @@
 """Finsler Lyapunov candidates: evaluation and sampled inequality checks.
 
 Candidates take points of shape (..., d) as the fields of ``ieskit.dynsys``
-do, so each check calls them once on its whole sample set.
+do, so each check calls them once on its whole sample set.  A candidate is
+quadratic in the displacement, so the checks sample states only and take
+the worst displacement at each state from an eigendecomposition.
 
-Grid checks can only refute an inequality, never prove it over a continuum,
-so every report carries a "no violation found" note rather than a claim of
-verification.
+Sampled checks can only refute an inequality, never prove it over a
+continuum of states, so every report carries a "no violation found" note
+rather than a claim of verification.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ieskit.dynsys import TimeVaryingField, matvec, rowdot
-from ieskit.sampling import _check_radius, halton_box, halton_sphere
+from ieskit.sampling import _check_radius, halton_box
 
 Array = np.ndarray
 
@@ -112,7 +114,8 @@ def vdot(
     dz: Array,
 ) -> Array:
     """Lie derivative of V along the augmented (state, displacement) system,
-    at states and displacements of shape (..., d), as (...)."""
+    at states and displacements of shape (..., d), as (...): one direction
+    at a time, where ``check_decay`` takes the worst one in closed form."""
     z = np.asarray(z, dtype=float)
     dz = np.asarray(dz, dtype=float)
     f = field.rhs(t, z)
@@ -122,49 +125,36 @@ def vdot(
 
 @dataclass(frozen=True)
 class DisplacementSamples:
-    """Sample set of (z, dz) pairs used by the inequality checks."""
+    """Sample states of shape (N, d); the checks take the worst displacement
+    at each state in closed form."""
 
     zs: Array
-    dzs: Array
 
     def __len__(self) -> int:
         return len(self.zs)
 
     @classmethod
-    def from_points(cls, zs, dzs) -> "DisplacementSamples":
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        dzs = np.atleast_2d(np.asarray(dzs, dtype=float))
-        if zs.shape != dzs.shape:
-            raise ValueError("state and displacement samples must align")
-        return cls(zs=zs, dzs=dzs)
+    def product_box(cls, bounds, n_states: int) -> "DisplacementSamples":
+        """Halton states in a box."""
+        return cls(zs=halton_box(bounds, n_states))
 
     @classmethod
-    def product_box(
-        cls, bounds, n_states: int, n_directions: int
-    ) -> "DisplacementSamples":
-        """Halton states in a box crossed with unit-sphere displacement directions.
-
-        Displacements are sampled on the unit sphere only: for quadratically
-        homogeneous candidates radial sampling adds no information.
-        """
-        bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-        dim = bounds.shape[0]
-        zs = halton_box(bounds, n_states)
-        dirs = halton_sphere(dim, n_directions)
-        zz = np.repeat(zs, n_directions, axis=0)
-        dd = np.tile(dirs, (n_states, 1))
-        return cls(zs=zz, dzs=dd)
-
-    @classmethod
-    def product_ball(
-        cls, radius: float, dim: int, n_states: int, n_directions: int
-    ) -> "DisplacementSamples":
+    def product_ball(cls, radius: float, dim: int, n_states: int) -> "DisplacementSamples":
         _check_radius(radius)
         bounds = np.array([[-radius, radius]] * dim)
-        samples = cls.product_box(bounds, int(np.ceil(n_states * 1.6)), n_directions)
+        zs = cls.product_box(bounds, int(np.ceil(n_states * 1.6))).zs
         with np.errstate(over="ignore"):  # an inf norm is a state off the ball
-            keep = np.linalg.norm(samples.zs, axis=1) <= radius
-        return cls(zs=samples.zs[keep], dzs=samples.dzs[keep])
+            return cls(zs=zs[np.linalg.norm(zs, axis=1) <= radius])
+
+
+def _eigh(a: Array) -> tuple[Array, Array]:
+    """Ascending eigenvalues and unit eigenvectors of symmetric matrices of
+    shape (..., d, d); a matrix with an entry that is not finite gets nan
+    eigenvalues, whatever LAPACK would make of it."""
+    bad = ~np.isfinite(a).all(axis=(-2, -1))
+    w, v = np.linalg.eigh(np.where(bad[..., None, None], 0.0, a))
+    w[bad] = np.nan
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -181,15 +171,15 @@ class SandwichReport:
 def check_sandwich(
     candidate: FinslerCandidate, samples: DisplacementSamples, tol: float = 1e-9
 ) -> SandwichReport:
-    """Margins of c_lower |dz|^2 <= V <= c_upper |dz|^2 over the sample set."""
+    """Margins of c_lower |dz|^2 <= V <= c_upper |dz|^2 over the sample
+    states, exact in dz: lambda_min(M) - c_lower and c_upper - lambda_max(M).
+    The first non-finite margin counts as the worst."""
     if len(samples) == 0:
         raise ValueError("sample set must be nonempty")
-    q = rowdot(samples.dzs, samples.dzs)
-    if np.any(q == 0.0):
-        raise ValueError("sandwich samples require nonzero displacement")
-    v = candidate.value(samples.zs, samples.dzs)
-    lower = v - candidate.c_lower * q
-    upper = candidate.c_upper * q - v
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
+        w, _ = _eigh(candidate.metric(samples.zs))
+        lower = w[..., 0] - candidate.c_lower
+        upper = candidate.c_upper - w[..., -1]
     i, j = int(np.argmin(lower)), int(np.argmin(upper))
     passed = bool(lower[i] >= -tol and upper[j] >= -tol)
     note = NO_VIOLATION_NOTE if passed else (
@@ -215,18 +205,26 @@ def check_decay(
     samples: DisplacementSamples,
     tol: float = 1e-9,
 ) -> DecayReport:
-    """Check Vdot <= -alpha |dz|^2 over the sample set, at t = 0.
+    """Check Vdot <= -alpha |dz|^2 over the sample states, at t = 0, exactly
+    in dz.
 
-    The violation is Vdot + alpha |dz|^2; a negative worst value means every
-    sampled point has margin.  The first non-finite violation counts as the
-    worst, since it would never compare as one.
+    Vdot = dz^T Q(z) dz with Q = M J + J^T M + sum_k dM/dz_k f_k, so the
+    violation at a state is lambda_max(Q) + alpha - tol (1 + |v^T M v|), at
+    the top unit eigenvector v, which the report gives as ``worst_dz``.  A
+    negative worst value means every sampled state has margin.  The first
+    non-finite violation counts as the worst, since it would never compare
+    as one.
     """
     if len(samples) == 0:
         raise ValueError("sample set must be nonempty")
-    zs, dzs = samples.zs, samples.dzs
-    v = candidate.value(zs, dzs)
-    vd = vdot(candidate, field, 0.0, zs, dzs)
-    violation = vd + alpha * rowdot(dzs, dzs) - tol * (1.0 + np.abs(v))
+    zs = samples.zs
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
+        m = candidate.metric(zs)
+        mj = m @ field.jacobian(0.0, zs)
+        mdot = matvec(candidate.metric_grad(zs), field.rhs(0.0, zs)[..., None, :])
+        w, vecs = _eigh(mj + np.swapaxes(mj, -1, -2) + mdot)
+        v = vecs[..., -1]
+        violation = w[..., -1] + alpha - tol * (1.0 + np.abs(rowdot(v, matvec(m, v))))
     bad = ~np.isfinite(violation)
     worst_i = int(np.argmax(bad) if bad.any() else np.argmax(violation))
     worst = float(violation[worst_i])
@@ -234,10 +232,10 @@ def check_decay(
     note = NO_VIOLATION_NOTE if passed else f"decay violated at sample {worst_i}"
     return DecayReport(
         passed=passed,
-        worst=float(worst),
+        worst=worst,
         worst_index=worst_i,
-        worst_z=samples.zs[worst_i].copy(),
-        worst_dz=samples.dzs[worst_i].copy(),
+        worst_z=zs[worst_i].copy(),
+        worst_dz=v[worst_i].copy(),
         n_samples=len(samples),
         note=note,
     )

@@ -1,4 +1,4 @@
-"""Deterministic sample-set builders: Halton boxes, spheres, ball grids."""
+"""Deterministic sample-set builders: Halton boxes and uniform ball and box grids."""
 
 from __future__ import annotations
 
@@ -51,22 +51,6 @@ def halton_box(bounds, n: int) -> Array:
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     u = _halton(bounds.shape[0], n)
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
-
-
-def halton_sphere(dim: int, n: int) -> Array:
-    """n quasi-random directions on the unit sphere in R^dim."""
-    if dim == 1:
-        signs = np.ones((n, 1))
-        signs[1::2, 0] = -1.0
-        return signs
-    # scipy is imported where it is called: importing ieskit needs numpy only
-    from scipy.special import ndtri
-
-    u = _halton(dim, n)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return g / norms
 
 
 def _check_radius(radius: float) -> None:

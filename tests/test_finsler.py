@@ -21,6 +21,7 @@ from ieskit.fhn import (
     x_subsystem,
     y_subsystem,
 )
+from ieskit.polynomials import polynomial_field
 
 
 def constant(value):
@@ -39,9 +40,9 @@ def half_norm_candidate(dim):
     )
 
 
-def samples_on_box(dim, half_width, n_states=32, n_dirs=8):
+def samples_on_box(dim, half_width, n_states=32):
     bounds = np.array([[-half_width, half_width]] * dim)
-    return DisplacementSamples.product_box(bounds, n_states, n_dirs)
+    return DisplacementSamples.product_box(bounds, n_states)
 
 
 class TestVdot:
@@ -85,9 +86,7 @@ class TestSandwich:
     def test_fhn_weight_candidate_passes_on_grid(self, default_table):
         v1, _ = fc_candidate(default_table)
         xs = np.linspace(-5.0, 5.0, 101).reshape(-1, 1)
-        dirs = np.tile([[1.0]], (len(xs), 1))
-        samples = DisplacementSamples.from_points(xs, dirs)
-        report = check_sandwich(v1, samples)
+        report = check_sandwich(v1, DisplacementSamples(xs))
         assert report.passed
 
     def test_deliberate_violation_fails(self):
@@ -100,7 +99,7 @@ class TestSandwich:
 
     def test_empty_set_rejected(self):
         cand = half_norm_candidate(1)
-        empty = DisplacementSamples(np.empty((0, 1)), np.empty((0, 1)))
+        empty = DisplacementSamples(np.empty((0, 1)))
         with pytest.raises(ValueError, match="nonempty"):
             check_sandwich(cand, empty)
 
@@ -129,7 +128,7 @@ class TestDecay:
         params = default_table.params
         v1, _ = fc_candidate(default_table)
         field = x_subsystem(params)
-        samples = samples_on_box(1, 4.0, n_states=64, n_dirs=2)
+        samples = samples_on_box(1, 4.0, n_states=64)
         report = check_decay(v1, field, params.alpha, samples)
         assert report.passed
 
@@ -139,10 +138,27 @@ class TestDecay:
         v1, v2 = fc_candidate(table)
         composite = compose(v1, v2)
         field = assemble(fhn_field(p))
-        samples = samples_on_box(2, 3.0, n_states=100, n_dirs=12)
+        samples = samples_on_box(2, 3.0, n_states=100)
         report = check_decay(composite, field, 0.05, samples)
         assert not report.passed
         assert report.worst > 0
+
+    def test_worst_direction_between_sampled_ones_is_found(self):
+        # at figure-2 parameters and gains 0.01, sixteen sampled unit
+        # directions per state all read -0.050; the top eigenvector of Q at
+        # one of the same 83 states violates the decay inequality
+        p = figure_params(2)
+        composite = compose(*fc_candidate(build_fc(p)))
+        field = assemble(fhn_field(p).with_gains(0.01, 0.01))
+        samples = DisplacementSamples.product_ball(2.0, 2, 64)
+        report = check_decay(composite, field, 0.05, samples)
+        assert not report.passed and report.n_samples == len(samples) == 83
+        assert report.worst == pytest.approx(0.0037, abs=1e-4)
+        np.testing.assert_allclose(report.worst_z, [-1.219, 0.173], atol=1e-3)
+        z, dz = report.worst_z, report.worst_dz
+        at_worst = (vdot(composite, field, 0.0, z, dz) + 0.05
+                    - 1e-9 * (1.0 + composite.value(z, dz)))
+        assert at_worst == pytest.approx(report.worst, abs=1e-12)
 
     def test_monotone_in_alpha(self, default_table):
         params = default_table.params
@@ -224,6 +240,64 @@ def test_derived_bounds_hold_on_random_symmetric_metrics(case):
     if cand.dim == 1:  # bit for bit |M'| and 2 |M|
         assert gamma.tobytes() == np.abs(cand.metric_grad(zs)[:, 0, 0, 0]).tobytes()
         assert zeta.tobytes() == (2.0 * np.abs(cand.metric(zs)[:, 0, 0])).tobytes()
+
+
+# relative slack of the exact checks against the per-direction forms: Q and
+# each side are sums of at most about 40 rounded products for d <= 3, and
+# eigh is backward stable, so each side is within a few hundred ulps of the
+# sum of absolute terms; 1e-12, about 4500 ulps, leaves a factor of 10
+EXACT_SLACK = 1e-12
+
+
+@st.composite
+def metrics_with_fields(draw):
+    """A random symmetric metric as above, with a linear or a cubic
+    polynomial field of its dimension and 32 random (z, dz)."""
+    cand, zs, dzs = draw(symmetric_metrics())
+    d = cand.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return cand, linear_field(rng.normal(size=(d, d))), zs, dzs
+    components = tuple(
+        tuple((float(rng.normal()), tuple(int(e) for e in rng.integers(0, 4, d)))
+              for _ in range(rng.integers(1, 5)))
+        for _ in range(d))
+    return cand, polynomial_field(components), zs, dzs
+
+
+@given(case=metrics_with_fields(), alpha=st.floats(0.0, 2.0))
+@settings(max_examples=100, deadline=None)
+def test_exact_checks_bound_every_direction(case, alpha):
+    cand, field, zs, dzs = case
+    units = dzs / np.linalg.norm(dzs, axis=-1, keepdims=True)
+    samples = DisplacementSamples(zs)
+    m, dm = cand.metric(zs), cand.metric_grad(zs)
+    jac, f = field.jacobian(0.0, zs), field.rhs(0.0, zs)
+    # the sum of absolute terms of Q = M J + J^T M + sum_k dM/dz_k f_k, per state
+    scale = (2.0 * np.sum(np.abs(m) @ np.abs(jac), axis=(-2, -1))
+             + np.sum(np.abs(dm) @ np.abs(f)[:, None, :, None], axis=(-3, -2, -1)) + alpha)
+
+    decay = check_decay(cand, field, alpha, samples, tol=0.0)
+    sampled = vdot(cand, field, 0.0, zs, units) + alpha
+    assert np.all(decay.worst >= sampled - EXACT_SLACK * scale)
+    k, v = decay.worst_index, decay.worst_dz
+    at_worst = vdot(cand, field, 0.0, zs[k], v) + alpha * (v @ v)
+    assert abs(at_worst - decay.worst) <= EXACT_SLACK * scale[k]
+
+    sandwich = check_sandwich(cand, samples)
+    value = cand.value(zs, units)
+    m_scale = EXACT_SLACK * (np.sum(np.abs(m), axis=(-2, -1)) + 1.0)
+    assert np.all(sandwich.lower_margin <= value - cand.c_lower + m_scale)
+    assert np.all(sandwich.upper_margin <= cand.c_upper - value + m_scale)
+
+    if cand.dim == 1:  # bit for bit the check over the directions +1 and -1
+        ones = np.ones_like(zs)
+        both = np.concatenate([ones, -ones], axis=1).reshape(-1, 1)
+        zz = np.repeat(zs, 2, axis=0)
+        rows = (vdot(cand, field, 0.0, zz, both) + alpha
+                - 1e-9 * (1.0 + np.abs(cand.value(zz, both))))
+        report = check_decay(cand, field, alpha, samples)
+        assert report.worst == rows.max() and report.worst_index == rows.argmax() // 2
 
 
 class TestCompose:

@@ -37,8 +37,7 @@ radius = {radius}
 """
 
 # certificate.rec of CERTIFY per radius, without its tool_version and
-# provenance lines.  Radius 32 also pins the last digit of decay_worst that
-# a regrouped product inside fhn.fc_candidate moves; radius 9 does not show it.
+# provenance lines.
 GOLDEN_RECORDS = {
     9: """\
 radius = 9.0
@@ -61,8 +60,8 @@ epsilon4 = 0.20370370370370372
 rho1_max = 0.010712841423883124
 rho2_max = 0.2857142857142857
 decay_check = pass
-decay_worst = -0.40329511465943535
-decay_samples = 1328
+decay_worst = -0.4031246554889802
+decay_samples = 83
 """,
     32: """\
 radius = 32.0
@@ -85,8 +84,8 @@ epsilon4 = 0.20370370370370372
 rho1_max = 0.00521580384314801
 rho2_max = 0.2857142857142857
 decay_check = pass
-decay_worst = -0.4106037730503076
-decay_samples = 1328
+decay_worst = -0.4096160295318687
+decay_samples = 83
 """,
 }
 
@@ -151,8 +150,8 @@ epsilon4 = 1.1666666666666667
 rho1_max = 0.008111130461831116
 rho2_max = 0.15873015873015872
 decay_check = pass
-decay_worst = -0.5082062232015695
-decay_samples = 1328
+decay_worst = -0.49310017530487926
+decay_samples = 83
 """,
     (1.8, 1, 0.9, 0.8, 8): """\
 radius = 8.0
@@ -175,8 +174,8 @@ epsilon4 = 0.23703703703703705
 rho1_max = 0.003863785694426199
 rho2_max = 0.22857142857142856
 decay_check = pass
-decay_worst = -0.3752593059165043
-decay_samples = 1328
+decay_worst = -0.3585952542778105
+decay_samples = 83
 """,
     (2.5, 1, 0.9, 2, 32): """\
 radius = 32.0
@@ -199,8 +198,8 @@ epsilon4 = 0.1851851851851852
 rho1_max = 0.02136733789468846
 rho2_max = 0.28794586617715867
 decay_check = pass
-decay_worst = -0.5555555570555556
-decay_samples = 1328
+decay_worst = -0.5370257713232884
+decay_samples = 83
 """,
 }
 

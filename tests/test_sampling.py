@@ -1,16 +1,15 @@
 """The numpy Halton sequence against scipy's ``qmc.Halton``, bit for bit, the
-Halton sample builders against their former qmc-based bodies, and the radii
-the ball samplers take."""
+Halton box builder against its former qmc-based body, and the radii the ball
+samplers take."""
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 from scipy.stats import qmc
 
 from ieskit.dynsys import IntegratorConfig, linear_field
 from ieskit.estimator import sample_pairs_ball, wies_scan
 from ieskit.finsler import DisplacementSamples
-from ieskit.sampling import _halton, ball_grid, halton_box, halton_sphere
+from ieskit.sampling import _halton, ball_grid, halton_box
 
 DIMS = range(1, 25)  # the 24th prime is 89, past the 71 of d = 20
 SIZES = (1, 2, 7, 64, 1000, 20000)
@@ -26,14 +25,6 @@ def qmc_box(bounds, n):
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     u = qmc_points(bounds.shape[0], n)
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
-
-
-def qmc_sphere(dim, n):
-    u = qmc_points(dim, n)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return g / norms
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -53,17 +44,11 @@ def test_halton_box_is_the_qmc_body(d):
         assert halton_box(bounds, n).tobytes() == qmc_box(bounds, n).tobytes(), (d, n)
 
 
-@pytest.mark.parametrize("d", range(2, 25))
-def test_halton_sphere_is_the_qmc_body(d):
-    for n in SIZES:
-        assert halton_sphere(d, n).tobytes() == qmc_sphere(d, n).tobytes(), (d, n)
-
-
 def ball_samplers(dim):
     """The ball samplers as functions of the radius: the two state samplers at
     their certify sizes, and 8 seeded pairs as an (8, 2, dim) array."""
     return (lambda radius: ball_grid(radius, dim, 101),
-            lambda radius: DisplacementSamples.product_ball(radius, dim, 64, 16).zs,
+            lambda radius: DisplacementSamples.product_ball(radius, dim, 64).zs,
             lambda radius: np.array(sample_pairs_ball(radius, dim, 8, 0)))
 
 
