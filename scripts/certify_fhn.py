@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end certification experiment on the FitzHugh-Nagumo model.
 
-Builds the contraction-weight table, certifies an admissible gain budget over
+Builds the contraction weight, certifies an admissible gain budget over
 a ball, locates a forward-invariant sublevel set at the budget gains, and
 cross-checks with a trajectory-pair ensemble sampled inside that set.
 """
@@ -36,7 +36,7 @@ def main() -> int:
     params = FhnParams(b=args.b, rho1=1.0, rho2=1.0, epsilon=args.epsilon,
                        r=args.r, alpha=args.alpha_weight)
     table = build_fc(params)
-    print(f"weight table: mu={table.mu:.6f} eta={table.eta:.6f} "
+    print(f"weight: mu={table.mu:.6f} eta={table.eta:.6f} "
           f"plateau={table.left_plateau:.6f}")
 
     cand1, cand2 = fc_candidate(table)

@@ -21,7 +21,7 @@ from ieskit.dynsys import (
     integrate,
     integrate_with_displacement,
 )
-from ieskit.finsler import FinslerCandidate, check_decay, check_sandwich, compose, vdot
+from ieskit.finsler import FinslerCandidate, check_decay, check_sandwich, compose
 
 __all__ = [
     "CouplingMap",
@@ -38,6 +38,5 @@ __all__ = [
     "flow_differences",
     "integrate",
     "integrate_with_displacement",
-    "vdot",
     "__version__",
 ]

@@ -5,7 +5,7 @@ Finsler candidates."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -282,38 +282,65 @@ def fhn_field(params: ParamSets) -> Interconnection:
     )
 
 
-# Gauss-Legendre nodes per panel of the f_c table's cumulative quadrature
-PANEL_ORDER = 15
-
-
 def _weight_ratio(params: FhnParams):
     """The logarithmic slope (2x^2 - 2 - alpha) / (x - x^3/3 + c), zero off
-    the interior interval |x| < s*.
-
-    A Python-float or ``np.float64`` query is answered in float arithmetic,
-    with the array path's operations in its order, so its value is bitwise
-    that of the one-element array query.  The cube stays an array power
-    there too (of a 0-d array): a Python or numpy-scalar ``**`` differs from
-    it in the last bit for some bases on a SIMD build (1 054 of 20 000
-    positive bases with numpy 2.4 on AVX-512), which would make a scalar
-    f_c' differ from the batched one.  On such a build a negative base takes
-    a scalar pow, about 40 times slower per element than a positive one."""
-    c, alpha, s_star = params.c, params.alpha, params.s_star
+    the interior interval |x| < s*.  It is evaluated on x clamped to
+    [-s*, s*], so no value off the interval overflows.  A scalar query runs
+    the array operations on a 0-d array, so its value is bitwise that of
+    the one-element array query; the cube is ``np.power`` for it too, as a
+    numpy-scalar ``**`` differs from the array power in the last bit for
+    some bases on a SIMD build."""
+    c, alpha, s = params.c, params.alpha, params.s_star
 
     def ratio(x):
-        if isinstance(x, float):
-            x = float(x)
-            if not abs(x) < s_star:
-                return 0.0
-            cube = float(np.asarray(x) ** 3)
-            return (2.0 * x * x - 2.0 - alpha) / (x - cube / 3.0 + c)
         x = np.asarray(x, dtype=float)
-        num = 2.0 * x * x - 2.0 - alpha
-        den = x - x**3 / 3.0 + c
-        out = np.where(np.abs(x) < s_star, num / den, 0.0)
+        inner = np.minimum(np.maximum(x, -s), s)
+        num = 2.0 * inner * inner - 2.0 - alpha
+        den = inner - np.power(inner, 3) / 3.0 + c
+        out = np.where(np.abs(x) < s, num / den, 0.0)
         return out if out.ndim else float(out)
 
     return ratio
+
+
+def _log_weight(params: FhnParams, dtype=np.float64):
+    """log f_c(x) = -(integral from x to s* of the log slope), for x in
+    [-s*, s*], in closed form.
+
+    With q(x) = x - x^3/3 + c, the slope is -2q'/q - alpha/q, so log f_c(x)
+    = 2 log(q(s*)/q(x)) + alpha I(x), I(x) the integral of 1/q from x to s*.
+    check_weight_domain's q(-1) > 0 means c > 2/3, so t^3 - 3t - 3c has one
+    real root t0 > 2, and 3q(x) = (t0 - x)(u^2 + w^2) with u = x + t0/2 and
+    w^2 = 3 t0^2/4 - 3 > 0; q > 0 on [-s*, s*] puts t0 above s*.  Partial
+    fractions with A = 1/(3 t0^2 - 3) give
+
+        I(x) = 3A log((t0 - x)/(t0 - s*)) - (3A/2) log((u^2 + w^2)/(u*^2 + w^2))
+               - (9A t0/(2w)) (atan(u/w) - atan(u*/w)),   u* = s* + t0/2.
+
+    Each ratio is taken as log1p of its excess over one and the arctan
+    difference as one atan2, each formed from s* - x, so that no term
+    cancels against another."""
+    c, alpha, s = (dtype(v) for v in (params.c, params.alpha, params.s_star))
+    t0 = 2.0 * np.cosh(np.arccosh(1.5 * c) / 3.0)
+    for _ in range(2):  # Newton polish to the last ulp
+        t0 -= (t0**3 - 3.0 * t0 - 3.0 * c) / (3.0 * t0 * t0 - 3.0)
+    a = 1.0 / (3.0 * (t0 - 1.0) * (t0 + 1.0))
+    w = np.sqrt(0.75 * (t0 - 2.0) * (t0 + 2.0))
+    u_s = s + 0.5 * t0
+    k1, k2, k3 = 3.0 * alpha * a, -1.5 * alpha * a, -4.5 * alpha * a * t0 / w
+
+    def log_weight(x):
+        x = np.asarray(x, dtype=dtype)
+        gap = s - x
+        q = x - x**3 / 3.0 + c
+        rise = gap * (1.0 - (s * s + s * x + x * x) / 3.0)  # q(s*) - q(x)
+        u = x + 0.5 * t0
+        return (2.0 * np.log1p(rise / q)
+                + k1 * np.log1p(gap / (t0 - s))
+                + k2 * np.log1p(-gap * (x + s + t0) / (u_s * u_s + w * w))
+                + k3 * np.arctan2(-w * gap, w * w + u * u_s))
+
+    return log_weight
 
 
 def check_weight_domain(params: FhnParams) -> None:
@@ -334,20 +361,19 @@ def check_weight_domain(params: FhnParams) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FcTable:
-    """Tabulated contraction weight on [-s*, s*] with attached plateaus.
+    """The contraction weight in closed form on [-s*, s*], with attached
+    plateaus.
 
     The weight equals 1 on the right plateau and exp(mu) on the left one,
     is nonincreasing, and its derivative lies in [-eta, 0].  Off-plateau
-    queries clamp to the plateau values.
+    queries clamp to the plateau values.  A Python-float or ``np.float64``
+    query returns a Python float, bitwise the one-element array query.
     """
 
     params: FhnParams
     mu: float
     eta: float
-    grid: Array
-    values: Array
-    quadrature_error: float
-    _spline: Callable = field(repr=False)
+    _log_weight: Callable = field(repr=False)
     _ratio: Callable = field(repr=False)
 
     @property
@@ -359,20 +385,11 @@ class FcTable:
         return math.exp(self.mu)
 
     def fc(self, x):
-        """The weight at x.  A Python-float or ``np.float64`` query is
-        answered in float arithmetic, bitwise the one-element array query."""
+        """The weight at x."""
         s = self.s_star
-        if isinstance(x, float):
-            if x >= s:
-                return 1.0
-            if x <= -s:
-                return self.left_plateau
-            return self._spline(x)  # the clamp leaves x, NaN included, as it is
         x = np.asarray(x, dtype=float)
-        inner = np.minimum(np.maximum(x, -s), s)
-        out = np.where(
-            x >= s, 1.0, np.where(x <= -s, self.left_plateau, self._spline(inner))
-        )
+        inner = np.exp(self._log_weight(np.minimum(np.maximum(x, -s), s)))
+        out = np.where(x >= s, 1.0, np.where(x <= -s, self.left_plateau, inner))
         return out if out.ndim else float(out)
 
     def fc_prime(self, x):
@@ -386,133 +403,28 @@ class FcTable:
         return v, self._ratio(x) * v
 
 
-def _gauss_legendre_panels(fn, edges: Array, order: int) -> Array:
-    """Per-panel Gauss-Legendre integrals of fn over consecutive edge pairs."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ weights)
+def build_fc(params: FhnParams) -> FcTable:
+    """The contraction weight of ``params`` with its constants mu and eta.
 
-
-def _cubic_hermite(x: Array, y: Array, dydx: Array) -> Callable:
-    """The piecewise cubic Hermite interpolant of values y and slopes dydx
-    at ascending knots x, extended by its end cubics.  It makes the
-    floating-point operations of scipy's CubicHermiteSpline in their order,
-    so its values are bitwise that spline's, NaN included.  A Python-float
-    or ``np.float64`` query makes the same operations in float arithmetic on
-    ``.item`` reads of one knot's coefficients, so it too is bitwise that
-    spline's."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c0, c1, c2, c3 = t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]
-    last = len(x) - 2
-
-    def spline(p):
-        if isinstance(p, float):
-            k = min(max(int(x.searchsorted(p, side="right")) - 1, 0), last)
-            z = float(p) - x.item(k)
-            res = 0.0 + c3.item(k)
-            res += c2.item(k) * z
-            res += c1.item(k) * (z * z)
-            res += c0.item(k) * ((z * z) * z)
-            return res
-        i = np.minimum(np.maximum(np.searchsorted(x, p, side="right") - 1, 0), last)
-        z = p - x[i]
-        res = 0.0 + c3[i]
-        res += c2[i] * z
-        res += c1[i] * (z * z)
-        res += c0[i] * ((z * z) * z)
-        return res
-
-    return spline
-
-
-def build_fc(params: FhnParams, table_size: int = 2048) -> FcTable:
-    """Construct the contraction-weight table on ``table_size`` nodes.
-
-    mu is computed by adaptive Gauss-Kronrod quadrature of the logarithmic
-    slope over [-s*, s*]; the table itself comes from cumulative per-panel
-    Gauss-Legendre quadrature from s* leftward on a Chebyshev-spaced grid and
-    is anchored so that the left plateau value is exp(mu) exactly.
+    mu = log f_c(-s*) is evaluated in ``np.longdouble``, which on x86 carries
+    11 more bits than a double, so it is rounded once.  eta = -min f_c': with
+    the slope N/q, N = 2x^2 - 2 - alpha, f_c'' = (N'q - Nq' + N^2) f_c / q^2,
+    so f_c' is least at a root of that quartic in (-s*, s*), and it is zero
+    at +-s*.  Every root's real part, clamped to [-s*, s*], is a point of
+    the interval, so trying them all, a complex pair's included, finds the
+    least value without sorting the roots out.
     """
-    if table_size < 2:
-        raise ValueError(f"table_size must be at least 2, got {table_size}")
-    # scipy is imported where it is called: importing ieskit needs numpy only
-    from scipy.integrate import quad
-
     check_weight_domain(params)
     s = params.s_star
-    ratio = _weight_ratio(params)
-    mu_quad, mu_err = quad(ratio, -s, s, epsabs=1e-12, epsrel=1e-13, limit=500)
-    mu = -mu_quad
-
-    j = np.arange(table_size)
-    grid = -s * np.cos(np.pi * j / (table_size - 1))
-    grid[0], grid[-1] = -s, s
-    panel = _gauss_legendre_panels(ratio, grid, PANEL_ORDER)
-    # F(x) = integral from s* down to x of the slope; cumulative from the right
-    f_log = np.zeros(table_size)
-    f_log[:-1] = -(np.cumsum(panel[::-1])[::-1])
-    mu_panels = f_log[0]
-    quadrature_error = abs(mu - mu_panels) + abs(mu_err)
-    if quadrature_error > 1e-9:
-        raise ArithmeticError(
-            f"quadrature routes disagree: {quadrature_error:.3e} on mu"
-        )
-    # anchor the cumulative log-weight so the left plateau is exp(mu) exactly
-    if mu_panels != 0.0:
-        f_log = f_log * (mu / mu_panels)
-    values = np.exp(f_log)
-    values[-1] = 1.0
-    derivs = ratio(grid) * values
-    derivs[0] = 0.0
-    derivs[-1] = 0.0
-    table = FcTable(
-        params=params,
-        mu=mu,
-        eta=0.0,
-        grid=grid,
-        values=values,
-        quadrature_error=quadrature_error,
-        _spline=_cubic_hermite(grid, values, derivs),
-        _ratio=ratio,
-    )
-    return replace(table, eta=_refine_eta(table, derivs))
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimizer; returns the argmin."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc_, fd_ = fn(c), fn(d)
-    while b - a > tol:
-        if fc_ < fd_:
-            b, d, fd_ = d, c, fc_
-            c = b - invphi * (b - a)
-            fc_ = fn(c)
-        else:
-            a, c, fc_ = c, d, fd_
-            d = a + invphi * (b - a)
-            fd_ = fn(d)
-    return 0.5 * (a + b)
-
-
-def _refine_eta(table: FcTable, node_derivs: Array) -> float:
-    """eta = -min f_c': grid scan over the table nodes, then golden-section
-    refinement around the coarse argmin.  The search runs on Python floats,
-    so each of its f_c' queries takes the float path, bitwise the array
-    path's value."""
-    k = int(np.argmin(node_derivs))
-    lo = table.grid.item(max(k - 1, 0))
-    hi = table.grid.item(min(k + 1, len(table.grid) - 1))
-    x_min = _golden_min(table.fc_prime, lo, hi)
-    return -min(table.fc_prime(x_min), node_derivs.item(k))
+    log_weight, ratio = _log_weight(params), _weight_ratio(params)
+    poly = np.polynomial.Polynomial
+    n = poly([-2.0 - params.alpha, 0.0, 2.0])
+    q = poly([params.c, 1.0, 0.0, -1.0 / 3.0])
+    xs = np.clip((n.deriv() * q - n * q.deriv() + n * n).roots().real, -s, s)
+    return FcTable(params=params,
+                   mu=float(_log_weight(params, np.longdouble)(-s)),
+                   eta=-float(np.min(ratio(xs) * np.exp(log_weight(xs)))),
+                   _log_weight=log_weight, _ratio=ratio)
 
 
 def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
@@ -537,8 +449,12 @@ def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:
 
 
 def write_fc_csv(table: FcTable, path) -> None:
-    """Export (x, f_c, f_c_prime) rows with a mu/eta/s*/error header comment."""
-    header = (f"# mu={table.mu!r} eta={table.eta!r} s_star={table.s_star!r} "
-              f"quadrature_error={table.quadrature_error!r}\nx,f_c,f_c_prime\n")
-    columns = [table.grid, *table.fc_pair(table.grid)]
+    """Export (x, f_c, f_c_prime) rows on 2 048 Chebyshev-spaced nodes of
+    [-s*, s*], with a mu/eta/s* header comment."""
+    s = table.s_star
+    grid = -s * np.cos(np.pi * np.arange(2048) / 2047)
+    grid[0], grid[-1] = -s, s
+    header = (f"# mu={table.mu!r} eta={table.eta!r} s_star={s!r}\n"
+              "x,f_c,f_c_prime\n")
+    columns = [grid, *table.fc_pair(grid)]
     atomic_write_text(path, _csv_rows(map(_cells, columns), head=header))

@@ -30,10 +30,9 @@ class FinslerCandidate:
     """Candidate V(z, dz) = dz^T M(z) dz, with c_lower |dz|^2 <= V <= c_upper |dz|^2
     on the working set.  For states of shape (..., dim), ``metric`` returns M of
     shape (..., dim, dim) and ``metric_grad`` dM_ij/dz_k at [..., i, j, k].
-    ``value`` (shape (...)), ``grad_state`` and ``grad_disp`` (dz^T dM/dz_k dz
-    and 2 M dz, shape (..., dim)) add products in index order, not by matrix
+    ``value`` (shape (...)) adds products in index order, not by matrix
     products, so the zero blocks of a ``compose`` change nothing: bitwise, its
-    value is the sum of its blocks' values and its gradients their concatenation.
+    value is the sum of its blocks' values.
     ``gamma`` and ``zeta`` (shape (...)) are its Assumption-2 bounds, in the
     matrix norm |A| = largest absolute row sum, which bounds the spectral norm
     of a symmetric matrix and equals it on a diagonal one.
@@ -53,13 +52,6 @@ class FinslerCandidate:
 
     def value(self, z: Array, dz: Array) -> Array:
         return _dot(dz, _dot(self.metric(z), dz[..., None, :]))
-
-    def grad_state(self, z: Array, dz: Array) -> Array:
-        dm, dzr = self.metric_grad(z), dz[..., None, :]
-        return np.stack([_dot(dz, _dot(dm[..., k], dzr)) for k in range(dm.shape[-1])], axis=-1)
-
-    def grad_disp(self, z: Array, dz: Array) -> Array:
-        return 2.0 * _dot(self.metric(z), dz[..., None, :])
 
     def gamma(self, z: Array) -> Array:
         """|dV/dz| <= gamma(z) |dz|^2 for gamma the hypot over k of |dM/dz_k|,
@@ -104,23 +96,6 @@ def compose(a: FinslerCandidate, b: FinslerCandidate) -> FinslerCandidate:
         c_lower=min(a.c_lower, b.c_lower),
         c_upper=max(a.c_upper, b.c_upper),
     )
-
-
-def vdot(
-    candidate: FinslerCandidate,
-    field: TimeVaryingField,
-    t: float,
-    z: Array,
-    dz: Array,
-) -> Array:
-    """Lie derivative of V along the augmented (state, displacement) system,
-    at states and displacements of shape (..., d), as (...): one direction
-    at a time, where ``check_decay`` takes the worst one in closed form."""
-    z = np.asarray(z, dtype=float)
-    dz = np.asarray(dz, dtype=float)
-    f = field.rhs(t, z)
-    jdz = matvec(field.jacobian(t, z), dz)
-    return rowdot(candidate.grad_state(z, dz), f) + rowdot(candidate.grad_disp(z, dz), jdz)
 
 
 @dataclass(frozen=True)

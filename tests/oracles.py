@@ -1,0 +1,43 @@
+"""Per-direction references for the tests: the Lie derivative of a Finsler
+candidate along one displacement, and the two gradients it is made of.  The
+library's checks are exact in the displacement, taking the worst one at each
+state from an eigendecomposition, so the library has no per-direction
+derivative; the checks are tested against these."""
+
+import numpy as np
+
+from ieskit.dynsys import TimeVaryingField, matvec, rowdot
+from ieskit.finsler import FinslerCandidate, _dot
+
+Array = np.ndarray
+
+
+def grad_state(candidate: FinslerCandidate, z: Array, dz: Array) -> Array:
+    """dz^T dM/dz_k dz, shape (..., dim), added in index order, so that the
+    zero blocks of a ``compose`` change nothing: bitwise, its gradient is the
+    concatenation of its blocks'."""
+    dm, dzr = candidate.metric_grad(z), dz[..., None, :]
+    return np.stack([_dot(dz, _dot(dm[..., k], dzr)) for k in range(dm.shape[-1])], axis=-1)
+
+
+def grad_disp(candidate: FinslerCandidate, z: Array, dz: Array) -> Array:
+    """2 M dz, shape (..., dim), added in index order as ``grad_state`` is."""
+    return 2.0 * _dot(candidate.metric(z), dz[..., None, :])
+
+
+def vdot(
+    candidate: FinslerCandidate,
+    field: TimeVaryingField,
+    t: float,
+    z: Array,
+    dz: Array,
+) -> Array:
+    """Lie derivative of V along the augmented (state, displacement) system,
+    at states and displacements of shape (..., d), as (...): one direction
+    at a time, where ``check_decay`` takes the worst one in closed form."""
+    z = np.asarray(z, dtype=float)
+    dz = np.asarray(dz, dtype=float)
+    f = field.rhs(t, z)
+    jdz = matvec(field.jacobian(t, z), dz)
+    return (rowdot(grad_state(candidate, z, dz), f)
+            + rowdot(grad_disp(candidate, z, dz), jdz))

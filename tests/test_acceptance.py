@@ -33,7 +33,7 @@ from ieskit.fhn import (
     figure_params,
     x_subsystem,
 )
-from ieskit.finsler import vdot
+from oracles import vdot
 from ieskit.invariance import (
     check_dissipation_chain_fhn,
     fhn_outer_lyapunov,
@@ -105,8 +105,8 @@ def test_criterion_3_fc_certificate():
     mu_oracle = -float(np.sum(half * ((num / den) @ weights)))
 
     agree = abs(table.mu - mu_oracle)
-    vals = table.values
-    ders = table.fc_prime(table.grid)
+    grid = -s * np.cos(np.pi * np.arange(2048) / 2047)
+    vals, ders = table.fc_pair(grid)
     bounds_ok = bool(np.all(vals >= 1.0 - 1e-12)
                      and np.all(vals <= table.left_plateau + 1e-12))
     mono_ok = bool(np.all(np.diff(vals) <= 1e-12))

@@ -46,7 +46,7 @@ a1 = 9.450000000000001
 a2 = 10.5
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 0.6789446871163017
+eta1 = 0.6789446871162977
 eta2 = 0.0
 theta1 = 4.172843141918077
 theta2 = 1.05
@@ -57,10 +57,10 @@ epsilon1 = 0.16666666666666666
 epsilon2 = 0.16666666666666666
 epsilon3 = 0.20370370370370372
 epsilon4 = 0.20370370370370372
-rho1_max = 0.010712841423883124
+rho1_max = 0.010712841423883148
 rho2_max = 0.2857142857142857
 decay_check = pass
-decay_worst = -0.4031246554889802
+decay_worst = -0.40312465548898074
 decay_samples = 83
 """,
     32: """\
@@ -70,7 +70,7 @@ a1 = 33.6
 a2 = 37.333333333333336
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 0.6789446871163017
+eta1 = 0.6789446871162979
 eta2 = 0.0
 theta1 = 4.172843141918077
 theta2 = 1.05
@@ -81,7 +81,7 @@ epsilon1 = 0.16666666666666666
 epsilon2 = 0.16666666666666666
 epsilon3 = 0.20370370370370372
 epsilon4 = 0.20370370370370372
-rho1_max = 0.00521580384314801
+rho1_max = 0.005215803843148032
 rho2_max = 0.2857142857142857
 decay_check = pass
 decay_worst = -0.4096160295318687
@@ -136,7 +136,7 @@ a1 = 16.8
 a2 = 33.6
 b1 = 1.05
 b2 = 2.1
-eta1 = 0.6789446871163017
+eta1 = 0.6789446871162979
 eta2 = 0.0
 theta1 = 4.172843141918077
 theta2 = 1.05
@@ -147,7 +147,7 @@ epsilon1 = 0.16666666666666666
 epsilon2 = 0.16666666666666666
 epsilon3 = 1.1666666666666667
 epsilon4 = 1.1666666666666667
-rho1_max = 0.008111130461831116
+rho1_max = 0.00811113046183114
 rho2_max = 0.15873015873015872
 decay_check = pass
 decay_worst = -0.49310017530487926
@@ -160,7 +160,7 @@ a1 = 8.4
 a2 = 9.333333333333334
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 1.579964891777902
+eta1 = 1.5799648917777736
 eta2 = 0.0
 theta1 = 6.360108574567145
 theta2 = 1.05
@@ -171,10 +171,10 @@ epsilon1 = 0.13333333333333333
 epsilon2 = 0.13333333333333333
 epsilon3 = 0.23703703703703705
 epsilon4 = 0.23703703703703705
-rho1_max = 0.003863785694426199
+rho1_max = 0.0038637856944263196
 rho2_max = 0.22857142857142856
 decay_check = pass
-decay_worst = -0.3585952542778105
+decay_worst = -0.3585952542778112
 decay_samples = 83
 """,
     (2.5, 1, 0.9, 2, 32): """\
@@ -184,9 +184,9 @@ a1 = 33.6
 a2 = 37.333333333333336
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 0.45285642712992324
+eta1 = 0.4528564271299141
 eta2 = 0.0
-theta1 = 3.733388826085859
+theta1 = 3.7333888260858594
 theta2 = 1.05
 alpha1 = 2.0
 alpha2 = 1.1111111111111112
@@ -195,7 +195,7 @@ epsilon1 = 0.48148148148148145
 epsilon2 = 0.48148148148148145
 epsilon3 = 0.1851851851851852
 epsilon4 = 0.1851851851851852
-rho1_max = 0.02136733789468846
+rho1_max = 0.02136733789468875
 rho2_max = 0.28794586617715867
 decay_check = pass
 decay_worst = -0.5370257713232884
@@ -259,19 +259,19 @@ action = fc_table
 [params]
 {}
 """
-# the [params] lines and fc_table.csv digest of each weight table that the
-# certify-sweep benchmark builds (a table depends on r and alpha only), and
-# of the figure-3 preset, where the mu quadrature subdivides; the csv header
-# holds the reprs of mu and eta
+# the [params] lines and fc_table.csv digest of each weight that the
+# certify-sweep benchmark builds (a weight depends on r and alpha only), and
+# of the figure-3 preset, whose weight is the steepest; the csv header holds
+# the reprs of mu and eta
 FC_TABLES = {
     "r2.1": ("r = 2.1\nb = 1\nepsilon = 0.9",
-             "48db5431a36236f3d39c7a02929e636e21a1848a229d56b71b2b107ce148d1c8"),
+             "48313d622a21ca242abf7d8201a0b06e2b148a2f63d221568e90e37b1fa41b68"),
     "r1.8-alpha0.8": ("r = 1.8\nb = 1\nepsilon = 0.9\nalpha = 0.8",
-                      "4c1bc377f0198e0b65fa8cab9cfac324532f02ea2cd983e29eb611d12a3e01c8"),
+                      "9db8a458b3e952f8fee7f209baed52f5a483f95443c85ea1327f47afaf0f6cf2"),
     "r2.5-alpha2": ("r = 2.5\nb = 1\nepsilon = 0.9\nalpha = 2",
-                    "2e304ad93fefecf92ab879ae8350332f7c81e68e13979426fccdb1c8df236289"),
+                    "f84152d485cdfa8653be6bc1f919711e5c59e52d3fee349c729f7b17fec44849"),
     "figure3": ("c = 1\nb = 1\nepsilon = 0.9",
-                "91c454d6b02581bf9aaedfab830788efcca9daaec39cd7ef455fa701c86691c6"),
+                "39c5df40fe297ca6c773477b88229a3b5aca8e5842eecec665b6e6497b012049"),
 }
 
 

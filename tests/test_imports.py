@@ -1,6 +1,6 @@
-"""What importing ieskit and running its actions loads: numpy, and scipy only
-where an action calls it.  Each check runs in a fresh interpreter, since this
-test process has scipy loaded already."""
+"""What importing ieskit and running its actions loads: numpy, and no scipy.
+The check runs in a fresh interpreter, since this test process has scipy
+loaded already."""
 
 import os
 import subprocess
@@ -86,19 +86,8 @@ def loaded_modules(tmp_path, actions):
 
 
 def test_import_and_numpy_only_actions_load_no_scipy(tmp_path):
-    modules = loaded_modules(tmp_path, ["simulate", "estimate", "figures", "invariant-set"])
+    modules = loaded_modules(tmp_path, ["simulate", "estimate", "figures", "invariant-set",
+                                        "certify", "fc-table"])
     assert "ieskit.cli" in modules
     assert sorted(m for m in modules if m == "scipy" or m.startswith("scipy.")) == []
 
-
-def test_certify_loads_no_scipy_stats(tmp_path):
-    modules = loaded_modules(tmp_path, ["certify"])
-    assert "scipy.integrate" in modules
-    assert "scipy.stats" not in modules
-
-
-def test_weight_table_actions_load_no_scipy_interpolate(tmp_path):
-    # the f_c spline is evaluated by numpy; scipy.integrate stays for mu
-    modules = loaded_modules(tmp_path, ["certify", "fc-table"])
-    assert "scipy.integrate" in modules
-    assert "scipy.interpolate" not in modules
