@@ -6,7 +6,11 @@ return ``(..., d)`` values and ``(..., out, in)`` Jacobians.  An
 interconnection may carry a whole-state rhs (``Interconnection.joint_rhs``)
 that ``assemble`` uses in place of the block form.  The solvers step a whole
 batch of states ``(N, d)`` in one loop; fixed-step RK4 looks for non-finite
-values once per block of steps, not after every step.  The state and its
+values once per block of steps, not after every step.  On a field declared
+``autonomous=True`` it also stops stepping once the whole batch repeats bit
+for bit, and fills in the rest of the path, which is the same bytes the full
+path would hold; the library's builders declare it, and a field a user
+builds keeps the full path unless the user sets the flag.  The state and its
 displacement (variational) dynamics are integrated jointly as one augmented
 system, so the Jacobian is always evaluated on the exact integrator iterates
 rather than on re-interpolated states.
@@ -44,11 +48,19 @@ class TimeVaryingField:
     For states z of shape (..., dim), one point per row, ``rhs`` returns
     dz/dt of shape (..., dim) and ``jacobian`` the matrices of partials in z,
     of shape (..., dim, dim).
+
+    ``autonomous`` declares that ``rhs`` ignores t and is a deterministic
+    function of the batch it gets.  Fixed-step RK4 then stops stepping once
+    the batch repeats bit for bit (see ``integrate``).  It is off unless set:
+    ``linear_field``, ``polynomial_field``, the FHN blocks, ``assemble`` of
+    two autonomous blocks and the variational field of an autonomous field
+    set it.
     """
 
     dim: int
     rhs: RhsFn
     jacobian: JacFn
+    autonomous: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -95,6 +107,7 @@ def linear_field(a: Array) -> TimeVaryingField:
         dim=dim,
         rhs=lambda t, z: z @ a.T,
         jacobian=lambda t, z: np.broadcast_to(a, np.shape(z)[:-1] + a.shape).copy(),
+        autonomous=True,
     )
 
 
@@ -174,7 +187,8 @@ def _gain_block(rho, g: CouplingMap):
 
 def assemble(ic: Interconnection) -> TimeVaryingField:
     """Assembled (n+m)-dimensional field with block-structured Jacobian;
-    its rhs is ``ic.joint_rhs(rho1, rho2)`` when that is set."""
+    its rhs is ``ic.joint_rhs(rho1, rho2)`` when that is set.  It is
+    autonomous when both blocks are, the couplings being autonomous."""
     n, m = ic.n, ic.m
     if ic.g1.in_dim != m or ic.g1.out_dim != n:
         raise DimensionMismatchError(
@@ -211,7 +225,8 @@ def assemble(ic: Interconnection) -> TimeVaryingField:
             jac[..., n:, :n] = block2(x)
         return jac
 
-    return TimeVaryingField(dim=n + m, rhs=rhs, jacobian=jacobian)
+    return TimeVaryingField(dim=n + m, rhs=rhs, jacobian=jacobian,
+                            autonomous=f1.autonomous and f2.autonomous)
 
 
 @dataclass(frozen=True)
@@ -364,16 +379,32 @@ def _first_bad(a: Array, start: int, first: Array) -> None:
 # about as much as a step, and a batch whose rows have all stopped is stepped
 # at most this many steps further.
 _SCAN_BLOCK = 256
+# Fixed RK4 steps between two tests of an autonomous batch for a repeat: a
+# test costs about 0.3 us against 34-46 us for an FHN step of 6-48 rows, so
+# the tests cost under 0.1% of the steps they span, and a batch that repeats
+# is stepped at most this many steps further.
+_REPEAT_STRIDE = 8
 
 
-def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
+def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float,
+              autonomous: bool):
     """Fixed-step RK4 of the batch z0 (N, d).  A row stops at its first
     non-finite state or derivative; the other rows go on.
 
     The steps run in blocks of ``_SCAN_BLOCK``, with one scan for non-finite
     values after each block.  This finds the stops a test after every step
     would find: a non-finite derivative at sample k makes the state at
-    k + 1 non-finite, and whatever a row holds after its stop is dropped."""
+    k + 1 non-finite, and whatever a row holds after its stop is dropped.
+
+    For an ``autonomous`` rhs, every ``_REPEAT_STRIDE`` steps the newest
+    state of the whole batch is compared bit for bit with the one before.
+    On a match the batch is a fixed point of the step map: an RK4 step of an
+    autonomous field is a function of the batch alone, so every later state
+    and derivative repeats the last ones, and they are filled in without
+    calling ``rhs``.  The samples are those of the full path, byte for
+    byte.  ``integrate`` passes ``field.autonomous``, which a field a user
+    builds leaves off unless the user sets it, so such a field is stepped
+    to the horizon."""
     n_steps = max(2, math.ceil(horizon / step - 1e-12))
     h = horizon / n_steps
     half, sixth = 0.5 * h, h / 6.0
@@ -392,9 +423,9 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
         derivs[0] = rhs(t0, z0)
         y, k1 = states[0], derivs[0]
         _first_bad(derivs[:1], 0, bad_deriv)
-        done = 0
-        while done < n_steps and not (np.minimum(bad_state, bad_deriv) < last).all():
-            stop = min(done + _SCAN_BLOCK, n_steps)
+        done, steps = 0, n_steps  # the steps taken, and the steps to take
+        while done < steps and not (np.minimum(bad_state, bad_deriv) < last).all():
+            stop = min(done + _SCAN_BLOCK, steps)
             for i in range(done, stop):
                 t = ts[i]
                 k2 = rhs(t + half, y + half * k1)
@@ -404,6 +435,14 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float):
                 y = states[i + 1]
                 derivs[i + 1] = rhs(ts[i + 1], y)
                 k1 = derivs[i + 1]
+                if (autonomous and (i + 1) % _REPEAT_STRIDE == 0
+                        and y.tobytes() == states[i].tobytes()):
+                    # the filled samples repeat sample i + 1, so the scan
+                    # of the steps taken finds every stop among them
+                    states[i + 2:] = y
+                    derivs[i + 2:] = k1
+                    stop = steps = i + 1
+                    break
             _first_bad(states[done + 1:stop + 1], done + 1, bad_state)
             _first_bad(derivs[done + 1:stop + 1], done + 1, bad_deriv)
             done = stop
@@ -508,6 +547,15 @@ def integrate(
     with per-row parameters always gets all N rows; only the rows that blew
     up stop, and row k keeps its samples before ``ends[k]`` and holds NaN
     from there on.
+
+    When ``field.autonomous`` is set, fixed-step RK4 compares the newest
+    state of the whole batch with the one before, bit for bit, every
+    ``_REPEAT_STRIDE`` steps, and on a match fills the remaining states and
+    derivatives with the last ones instead of calling ``rhs``.  The outputs
+    are those of the full path, byte for byte; only the rhs calls drop.  A
+    field a user builds is not autonomous unless the user sets the flag, and
+    keeps the full path; setting it on an rhs that reads t can cut the path
+    short at a standstill.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim not in (1, 2) or z0.shape[-1] != field.dim or not z0.size:
@@ -516,7 +564,7 @@ def integrate(
     batch = z0.reshape(-1, field.dim)
     if config.method == FIXED_RK4:
         times, states, derivs, ends, blew = _rk4_path(field.rhs, t0, batch, config.max_time,
-                                                      config.step)
+                                                      config.step, field.autonomous)
     else:
         times, states, derivs, ends, blew = _dopri_path(field.rhs, t0, batch, config.max_time,
                                                         config.atol, config.rtol)
@@ -555,7 +603,8 @@ def integrate_with_displacement(
         out[..., dim:] = matvec(field.jacobian(t, z), dz)
         return out
 
-    variational = TimeVaryingField(2 * dim, rhs, fd_jacobian(rhs, 2 * dim))
+    variational = TimeVaryingField(2 * dim, rhs, fd_jacobian(rhs, 2 * dim),
+                                   autonomous=field.autonomous)
     tr = integrate(variational, t0, np.concatenate([z0, d0], axis=-1), config)
     return replace(tr, states=tr.states[..., :dim], derivatives=tr.derivatives[..., :dim],
                    displacements=tr.states[..., dim:])

@@ -132,7 +132,8 @@ def _fixed_batch(block: TimeVaryingField, column) -> TimeVaryingField:
             raise _refuse(shape, z)
         return block_jacobian(t, z)
 
-    return TimeVaryingField(dim=block.dim, rhs=rhs, jacobian=jacobian)
+    return TimeVaryingField(dim=block.dim, rhs=rhs, jacobian=jacobian,
+                            autonomous=block.autonomous)
 
 
 def x_subsystem(params: ParamSets) -> TimeVaryingField:
@@ -145,7 +146,7 @@ def x_subsystem(params: ParamSets) -> TimeVaryingField:
     def jac(t: float, x: Array) -> Array:
         return (1.0 - x * x)[..., None]
 
-    return _fixed_batch(TimeVaryingField(dim=1, rhs=rhs, jacobian=jac), c)
+    return _fixed_batch(TimeVaryingField(dim=1, rhs=rhs, jacobian=jac, autonomous=True), c)
 
 
 def y_subsystem(params: ParamSets) -> TimeVaryingField:
@@ -159,7 +160,8 @@ def y_subsystem(params: ParamSets) -> TimeVaryingField:
     def jac(t: float, y: Array) -> Array:
         return np.full(y.shape + (1,), jac_entry)
 
-    return _fixed_batch(TimeVaryingField(dim=1, rhs=rhs, jacobian=jac), rate)
+    return _fixed_batch(TimeVaryingField(dim=1, rhs=rhs, jacobian=jac, autonomous=True),
+                        rate)
 
 
 def _pair(a, b) -> Array:
@@ -282,22 +284,29 @@ def fhn_field(params: ParamSets) -> Interconnection:
     )
 
 
+def _clamp_q(x: Array, s: float, c: float):
+    """x clamped to [-s*, s*], and q = x - x^3/3 + c there.  The cube is
+    ``np.power``, so a clamped scalar is cubed as a 0-d array is, bitwise
+    the one-element array query; a numpy-scalar ``**`` differs from the
+    array power in the last bit for some bases on a SIMD build."""
+    inner = np.minimum(np.maximum(x, -s), s)
+    return inner, inner - np.power(inner, 3) / 3.0 + c
+
+
 def _weight_ratio(params: FhnParams):
     """The logarithmic slope (2x^2 - 2 - alpha) / (x - x^3/3 + c), zero off
     the interior interval |x| < s*.  It is evaluated on x clamped to
-    [-s*, s*], so no value off the interval overflows.  A scalar query runs
-    the array operations on a 0-d array, so its value is bitwise that of
-    the one-element array query; the cube is ``np.power`` for it too, as a
-    numpy-scalar ``**`` differs from the array power in the last bit for
-    some bases on a SIMD build."""
+    [-s*, s*], so no value off the interval overflows; ``clamped``, when
+    given, is ``_clamp_q`` of x.  A scalar query runs the array operations
+    on a 0-d array, so its value is bitwise that of the one-element array
+    query."""
     c, alpha, s = params.c, params.alpha, params.s_star
 
-    def ratio(x):
+    def ratio(x, clamped=None):
         x = np.asarray(x, dtype=float)
-        inner = np.minimum(np.maximum(x, -s), s)
+        inner, q = _clamp_q(x, s, c) if clamped is None else clamped
         num = 2.0 * inner * inner - 2.0 - alpha
-        den = inner - np.power(inner, 3) / 3.0 + c
-        out = np.where(np.abs(x) < s, num / den, 0.0)
+        out = np.where(np.abs(x) < s, num / q, 0.0)
         return out if out.ndim else float(out)
 
     return ratio
@@ -305,7 +314,7 @@ def _weight_ratio(params: FhnParams):
 
 def _log_weight(params: FhnParams, dtype=np.float64):
     """log f_c(x) = -(integral from x to s* of the log slope), for x in
-    [-s*, s*], in closed form.
+    [-s*, s*], in closed form; ``q``, when given, is q(x) below.
 
     With q(x) = x - x^3/3 + c, the slope is -2q'/q - alpha/q, so log f_c(x)
     = 2 log(q(s*)/q(x)) + alpha I(x), I(x) the integral of 1/q from x to s*.
@@ -319,26 +328,31 @@ def _log_weight(params: FhnParams, dtype=np.float64):
 
     Each ratio is taken as log1p of its excess over one and the arctan
     difference as one atan2, each formed from s* - x, so that no term
-    cancels against another."""
+    cancels against another.  The terms free of x are taken once, with the
+    operands and order they have inside the expression."""
     c, alpha, s = (dtype(v) for v in (params.c, params.alpha, params.s_star))
     t0 = 2.0 * np.cosh(np.arccosh(1.5 * c) / 3.0)
     for _ in range(2):  # Newton polish to the last ulp
         t0 -= (t0**3 - 3.0 * t0 - 3.0 * c) / (3.0 * t0 * t0 - 3.0)
     a = 1.0 / (3.0 * (t0 - 1.0) * (t0 + 1.0))
     w = np.sqrt(0.75 * (t0 - 2.0) * (t0 + 2.0))
-    u_s = s + 0.5 * t0
+    half_t0 = 0.5 * t0
+    u_s = s + half_t0
     k1, k2, k3 = 3.0 * alpha * a, -1.5 * alpha * a, -4.5 * alpha * a * t0 / w
+    s2, w2, neg_w = s * s, w * w, -w
+    t0_gap, uw_s = t0 - s, u_s * u_s + w2
 
-    def log_weight(x):
+    def log_weight(x, q=None):
         x = np.asarray(x, dtype=dtype)
         gap = s - x
-        q = x - x**3 / 3.0 + c
-        rise = gap * (1.0 - (s * s + s * x + x * x) / 3.0)  # q(s*) - q(x)
-        u = x + 0.5 * t0
+        if q is None:
+            q = x - x**3 / 3.0 + c
+        rise = gap * (1.0 - (s2 + s * x + x * x) / 3.0)  # q(s*) - q(x)
+        u = x + half_t0
         return (2.0 * np.log1p(rise / q)
-                + k1 * np.log1p(gap / (t0 - s))
-                + k2 * np.log1p(-gap * (x + s + t0) / (u_s * u_s + w * w))
-                + k3 * np.arctan2(-w * gap, w * w + u * u_s))
+                + k1 * np.log1p(gap / t0_gap)
+                + k2 * np.log1p(-gap * (x + s + t0) / uw_s)
+                + k3 * np.arctan2(neg_w * gap, w2 + u * u_s))
 
     return log_weight
 
@@ -386,10 +400,8 @@ class FcTable:
 
     def fc(self, x):
         """The weight at x."""
-        s = self.s_star
         x = np.asarray(x, dtype=float)
-        inner = np.exp(self._log_weight(np.minimum(np.maximum(x, -s), s)))
-        out = np.where(x >= s, 1.0, np.where(x <= -s, self.left_plateau, inner))
+        out = self._weight(x, _clamp_q(x, self.s_star, self.params.c))
         return out if out.ndim else float(out)
 
     def fc_prime(self, x):
@@ -398,9 +410,19 @@ class FcTable:
 
     def fc_pair(self, x):
         """Weight and derivative evaluated consistently: the derivative is the
-        logarithmic slope times the same weight value."""
-        v = self.fc(x)
-        return v, self._ratio(x) * v
+        logarithmic slope times the same weight value.  x is clamped, and q
+        taken there, once for both."""
+        x = np.asarray(x, dtype=float)
+        clamped = _clamp_q(x, self.s_star, self.params.c)
+        v = self._weight(x, clamped)
+        d = self._ratio(x, clamped) * v
+        return (v, d) if v.ndim else (float(v), float(d))
+
+    def _weight(self, x: Array, clamped) -> Array:
+        """The weight at x, given ``_clamp_q`` of x."""
+        s = self.s_star
+        inner = np.exp(self._log_weight(*clamped))
+        return np.where(x >= s, 1.0, np.where(x <= -s, self.left_plateau, inner))
 
 
 def build_fc(params: FhnParams) -> FcTable:

@@ -152,6 +152,7 @@ def _field(pmap: PolynomialMap) -> TimeVaryingField:
         dim=pmap.out_dim,
         rhs=lambda t, z: pmap(z),
         jacobian=lambda t, z: pmap.jacobian(z),
+        autonomous=True,
     )
 
 

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ieskit.dynsys import (
@@ -24,7 +25,8 @@ from ieskit.dynsys import (
     linear_field,
 )
 from ieskit.dynsys import _SCAN_BLOCK, _row_norms
-from ieskit.fhn import fhn_field, figure_params
+from ieskit.fhn import FhnParams, fhn_field, figure_params
+from ieskit.polynomials import polynomial_field, polynomial_interconnection
 
 
 def central_difference_jacobian(rhs, t, z, h):
@@ -492,6 +494,113 @@ def test_block_scan_derivative_non_finite_only_at_last_sample():
     _, states, derivs, ends, blew = assert_same_as_per_step(z0[at_derivative][:1], k * STEP)
     assert ends.tolist() == [k + 1] and blew.tolist() == [True]
     assert np.isfinite(states).all() and derivs[-1, 0].tolist() == [0.0, 0.0]
+
+
+def standstill_rhs(t, z):
+    """dz/dt = 0 for t < 2, then -(z - 2): the state repeats bit for bit
+    over the first 128 steps of STEP, and moves after them."""
+    return np.zeros_like(z) if t < 2.0 else -(z - 2.0)
+
+
+def test_time_varying_standstill_is_stepped_through():
+    field = TimeVaryingField(2, standstill_rhs, fd_jacobian(standstill_rhs, 2))
+    assert not field.autonomous
+    z0 = np.array([[0.0, 1.0], [-3.0, 5.0], [np.nan, 0.0]])
+    oracle = per_step_rk4(standstill_rhs, 0.0, z0, 4.0, STEP)
+    tr = integrate(field, 0.0, z0, IntegratorConfig(max_time=4.0, step=STEP))
+    for a, b in zip((tr.times, tr.states, tr.derivatives, tr.ends, tr.blew_up), oracle):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert tr.states[:128, :2].tobytes() == np.broadcast_to(z0[:2], (128, 2, 2)).tobytes()
+    assert np.abs(tr.states[-1, :2] - 2.0).max() < 0.7
+    # declared autonomous, the same field is cut at the standstill
+    cut = integrate(dataclasses.replace(field, autonomous=True), 0.0, z0,
+                    IntegratorConfig(max_time=4.0, step=STEP))
+    assert (cut.states[-1, :2] == z0[:2]).all()
+
+
+def counted(field):
+    """``field`` with its rhs calls counted in the returned one-item list."""
+    calls = [0]
+    rhs = field.rhs
+
+    def counting(t, z):
+        calls[0] += 1
+        return rhs(t, z)
+
+    return dataclasses.replace(field, rhs=counting), calls
+
+
+FHN_SETS = (figure_params(3),
+            FhnParams.from_c(c=1.0, b=1.0, rho1=0.5, rho2=1.0, epsilon=0.9),
+            FhnParams.from_c(c=2.0, b=2.0, rho1=1.0, rho2=1.0, epsilon=0.5))
+# dx/dt = 1 - x - x^3 + y/2, dy/dt = 1/2 - 2y + 3x/10: one stable
+# equilibrium, off the origin, as a field and as two coupled blocks
+POLYNOMIAL = (((1.0, (0, 0)), (-1.0, (1, 0)), (-1.0, (3, 0)), (0.5, (0, 1))),
+              ((0.5, (0, 0)), (-2.0, (0, 1)), (0.3, (1, 0))))
+POLYNOMIAL_BLOCKS = ((((1.0, (0,)), (-1.0, (1,)), (-1.0, (3,))),),
+                     (((0.5, (0,)), (-2.0, (1,))),),
+                     (((1.0, (1,)),),), (((1.0, (1,)),),))
+
+
+def autonomous_field(kind: str, rows: int):
+    if kind == "fhn":
+        return assemble(fhn_field(figure_params(3)))
+    if kind == "fhn_rows":
+        return assemble(fhn_field([FHN_SETS[k % 3] for k in range(rows)]))
+    if kind == "polynomial":
+        return polynomial_field(POLYNOMIAL)
+    if kind == "polynomial_blocks":
+        return assemble(polynomial_interconnection(*POLYNOMIAL_BLOCKS, rho1=0.5, rho2=0.3))
+    return linear_field([[-1.0, 10.0], [0.0, -1.0]])
+
+
+def assert_stop_is_invisible(field, z0, config):
+    """``field`` solves to the bytes of the same field declared not
+    autonomous, which RK4 steps to the horizon; returns the rhs calls of
+    the two solves."""
+    assert field.autonomous
+    full, full_calls = counted(dataclasses.replace(field, autonomous=False))
+    field, calls = counted(field)
+    got, want = integrate(field, 0.0, z0, config), integrate(full, 0.0, z0, config)
+    for name in ("times", "states", "derivatives", "ends", "blew_up"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return calls[0], full_calls[0]
+
+
+KINDS = ["fhn", "fhn_rows", "polynomial", "polynomial_blocks", "linear"]
+
+
+@given(kind=st.sampled_from(KINDS), rows=st.integers(1, 6), seed=st.integers(0, 2**16),
+       special=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e200]),
+       horizon=st.sampled_from([1.0, 20.0, 60.0]))
+@example(kind="fhn", rows=4, seed=0, special=None, horizon=60.0)
+@example(kind="fhn_rows", rows=3, seed=1, special=np.nan, horizon=60.0)
+@example(kind="polynomial", rows=5, seed=2, special=-np.inf, horizon=60.0)
+@example(kind="polynomial_blocks", rows=2, seed=3, special=None, horizon=60.0)
+@settings(max_examples=40, deadline=None)
+def test_stop_at_a_repeat_keeps_every_byte(kind, rows, seed, special, horizon):
+    # horizon 60 is past the bitwise convergence of the FHN and polynomial
+    # batches; a row of NaN or inf, or one that overflows, stops at its
+    # first non-finite value and is stepped on
+    rng = np.random.default_rng(seed)
+    z0 = rng.uniform(-3.0, 3.0, (rows, 2))
+    if special is not None:
+        z0[rng.integers(rows), rng.integers(2)] = special
+    config = IntegratorConfig(max_time=horizon, step=0.05)
+    calls, full_calls = assert_stop_is_invisible(autonomous_field(kind, rows), z0, config)
+    assert calls <= full_calls
+
+
+@pytest.mark.parametrize("kind", KINDS[:4])
+def test_autonomous_batches_stop_once_they_repeat(kind):
+    # every row converges to an equilibrium and lands on a fixed point of
+    # the step map, and the NaN row repeats by its bits (NaN != NaN)
+    z0 = np.random.default_rng(5).uniform(-3.0, 3.0, (6, 2))
+    z0[2] = [np.nan, 1.0]
+    calls, full_calls = assert_stop_is_invisible(
+        autonomous_field(kind, 6), z0, IntegratorConfig(max_time=60.0, step=0.05))
+    assert calls < full_calls
 
 
 def hermite_oracle(times, values, derivs, t):

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 from ieskit import cli, dynsys, estimator, finsler, scenarios
 from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig
+from ieskit.dynsys import _REPEAT_STRIDE
 from ieskit.fhn import FcTable, fhn_field, figure_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -208,6 +210,30 @@ def test_tracer_books_one_integrate_for_a_batched_variational_solve():
     assert tracer.counts["rk4_steps"] == 2000
     assert tracer.counts["rhs_calls"] == 1 + 4 * 2000
     assert tr.displacements.shape == (2001, 40, 2)
+
+
+def test_tracer_books_the_whole_path_of_an_ensemble_solve_that_stops_early():
+    # the ensemble workload's solve: 24 pairs in [-3, 3]^2 on FHN figure 3,
+    # where every pair contracts onto one equilibrium and the batch repeats
+    # bit for bit well before t = 40, so RK4 stops at the first repeat test
+    # after that; the trajectory keeps all its steps
+    z1s, z2s = zip(*estimator.sample_pairs_box([[-3.0, 3.0]] * 2, 24, seed=12345))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        field = dynsys.assemble(fhn_field(figure_params(3)))
+        tr = dynsys.integrate(field, 0.0, np.concatenate([z1s, z2s]),
+                              IntegratorConfig(max_time=40.0, step=0.02))
+    finally:
+        tracer.uninstall()
+    states = [s.tobytes() for s in tr.states]
+    k = len(states) - 1  # the first sample from which every sample repeats
+    while states[k - 1] == states[-1]:
+        k -= 1
+    stopped = _REPEAT_STRIDE * math.ceil((k + 1) / _REPEAT_STRIDE)
+    assert tr.states.shape == (2001, 48, 2) and stopped < 2000
+    assert tracer.counts["rk4_steps"] == 2000
+    assert tracer.counts["rhs_calls"] == 1 + 4 * stopped <= 1 + 4 * (k + _REPEAT_STRIDE)
 
 
 def load_bench_record():
