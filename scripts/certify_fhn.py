@@ -9,10 +9,8 @@ cross-checks with a trajectory-pair ensemble sampled inside that set.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from ieskit.dynsys import IntegratorConfig, assemble
-from ieskit.estimator import ensemble_ies
+from ieskit.estimator import ensemble_ies, sample_pairs_sublevel
 from ieskit.fhn import FhnParams, build_fc, fc_candidate, fhn_field
 from ieskit.invariance import fhn_outer_lyapunov, find_invariant_level
 from ieskit.smallgain import certify
@@ -57,14 +55,7 @@ def main() -> int:
     print(f"invariant sublevel: level={est.level:.3f} radius={est.radius:.3f} "
           f"shell margin={est.margin:.4f}")
 
-    rng = np.random.default_rng(args.seed)
-    bound = np.sqrt(2 * est.level)
-    pairs = []
-    while len(pairs) < args.pairs:
-        z1, z2 = rng.uniform(-bound, bound, (2, 2))
-        if (w.value(0.0, z1) <= est.level and w.value(0.0, z2) <= est.level
-                and np.linalg.norm(z1 - z2) > 1e-6):
-            pairs.append((z1, z2))
+    pairs = sample_pairs_sublevel(w, est.level, args.pairs, args.seed)
     report = ensemble_ies(field, pairs, 40.0,
                           IntegratorConfig(max_time=40.0, step=0.02))
     print(f"ensemble: min lambda={report.min_lambda:.4f} "

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ieskit.dynsys import DistanceSeries, IntegratorConfig, TimeVaryingField, flow_differences
+from ieskit.invariance import OuterLyapunov
 from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
 from ieskit.sampling import _check_radius
 
@@ -169,6 +170,24 @@ def sample_pairs_ball(radius: float, dim: int, n_pairs: int, seed: int):
     with np.errstate(over="ignore"):  # an inf norm is a draw off the ball
         return _sample_pairs(-radius, radius, dim, n_pairs, seed,
                              inside=lambda z: np.linalg.norm(z) <= radius)
+
+
+def sample_pairs_sublevel(w: OuterLyapunov, level: float, n_pairs: int, seed: int):
+    """n seeded random pairs with both endpoints inside the sublevel set
+    {W <= level}, drawn from the box of its half-axes and separated by at
+    least MIN_SEPARATION.  A level that is not positive and finite, and a set
+    whose half-axes are not finite or whose widest axis does not exceed
+    MIN_SEPARATION / 2, are refused with ``ValueError``: no pair could be
+    drawn from either."""
+    if not (math.isfinite(level) and level > 0.0):
+        raise ValueError(f"sublevel must be positive and finite, got {level}")
+    axes = w.half_axes(level)
+    if not (np.all(np.isfinite(axes)) and 2.0 * float(np.max(axes)) > MIN_SEPARATION):
+        raise ValueError(f"sublevel set {level} has half-axes {axes}: they must be "
+                         f"finite, and the widest above {MIN_SEPARATION / 2:g}")
+    with np.errstate(over="ignore"):  # an inf value is a draw off the set
+        return _sample_pairs(-axes, axes, w.dim, n_pairs, seed,
+                             inside=lambda z: w.value(z) <= level)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,27 +37,56 @@ class NoInvariantLevelError(RuntimeError):
         self.best_margin = best_margin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuterLyapunov:
-    """Outer Lyapunov candidate W(t, z) with gradient split into the state
-    part and the time slot, plus optional comparison-function metadata.
+    """Outer Lyapunov function W(z) = 1/2 sum_k p_k z_k^2, a diagonal
+    quadratic given by its ``weights`` p, one positive finite value per
+    coordinate.  Its sublevel set {W <= L} is the ellipse with half-axes
+    sqrt(2 L / p_k), which lies in the ball of radius sqrt(2 L max_k 1/p_k).
 
     For states z of shape (..., d), ``value`` returns W of shape (...) and
-    ``gradient`` the pair (dW/dz of shape (..., d), dW/dt broadcastable to
-    (...)); the class bounds map norms of shape (...) to (...)."""
+    ``gradient`` dW/dz = p z of shape (..., d)."""
 
-    value: Callable[[float, Array], Array]
-    gradient: Callable[[float, Array], tuple[Array, Array]]
-    class_lower: Optional[Callable[[Array], Array]] = None
-    class_upper: Optional[Callable[[Array], Array]] = None
+    weights: Array
+
+    def __post_init__(self):
+        p = np.array(self.weights, dtype=float)
+        if p.ndim != 1 or not p.size or not np.all(np.isfinite(p) & (p > 0.0)):
+            raise ValueError(f"W weights must be a non-empty 1-D array of positive "
+                             f"finite values, got {self.weights!r}")
+        p.setflags(write=False)
+        object.__setattr__(self, "weights", p)
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    def value(self, z) -> Array:
+        # summed in coordinate order, so weights (1, eps) give bitwise
+        # 0.5 * (x * x + eps * y * y)
+        z = np.asarray(z, dtype=float)
+        total = self.weights[0] * z[..., 0] * z[..., 0]
+        for k in range(1, self.dim):
+            total = total + self.weights[k] * z[..., k] * z[..., k]
+        return 0.5 * total
+
+    def gradient(self, z) -> Array:
+        return self.weights * np.asarray(z, dtype=float)
+
+    def half_axes(self, level: float) -> Array:
+        """Half-axes sqrt(2 L / p_k) of the sublevel set {W <= L}."""
+        return np.sqrt(2.0 * level / self.weights)
+
+    def radius(self, level: float) -> float:
+        """Radius sqrt(2 L max_k 1/p_k) of the ball that holds {W <= L}."""
+        return math.sqrt(2.0 * level * float(np.max(1.0 / self.weights)))
 
 
-def wdot(w: OuterLyapunov, field: TimeVaryingField, t: float, z) -> Array:
-    """Derivative of W along the field, dW/dt + dW/dz . f(t, z), at states of
-    shape (..., d), as (...)."""
+def wdot(w: OuterLyapunov, field: TimeVaryingField, z) -> Array:
+    """Derivative dW/dz . f(0, z) of W along the field at t = 0, at states of
+    shape (..., d), as (...).  A zero derivative reads +0.0."""
     z = np.asarray(z, dtype=float)
-    grad_z, grad_t = w.gradient(t, z)
-    return grad_t + rowdot(grad_z, field.rhs(t, z))
+    return 0.0 + rowdot(w.gradient(z), field.rhs(0.0, z))
 
 
 @dataclass(frozen=True)
@@ -85,19 +114,22 @@ def find_invariant_level(
 ) -> InvariantSetEstimate:
     """Smallest grid level whose sampled shell {L <= W <= L (1 + delta)} has
     strictly negative Wdot at t = 0; the enclosing radius comes from the
-    sampled sublevel set, inflated by half a grid-cell diagonal."""
+    sampled sublevel set, inflated by half a grid-cell diagonal.  A box whose
+    dimension is not W's, fewer than 2 grid points per axis or fewer than 1
+    level is refused with ValueError."""
     lo, hi = level_range
     if not (0 < lo < hi):
         raise ValueError("level range must satisfy 0 < lo < hi")
+    if grid_density < 2:
+        raise ValueError(f"grid_density must be at least 2, got {grid_density}")
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be at least 1, got {n_levels}")
     box = np.atleast_2d(np.asarray(box, dtype=float))
+    if len(box) != w.dim:
+        raise ValueError(f"box has dimension {len(box)}, W has dimension {w.dim}")
     pts = box_grid(box, grid_density)
-    w_vals = w.value(0.0, pts)
+    w_vals = w.value(pts)
     norms = np.linalg.norm(pts, axis=1)
-    if w.class_lower is not None and w.class_upper is not None:
-        lo_ok = np.all(w.class_lower(norms) <= w_vals + 1e-12)
-        hi_ok = np.all(w_vals <= w.class_upper(norms) + 1e-12)
-        if not (lo_ok and hi_ok):
-            raise ValueError("class bounds violated on the sampling grid")
     cell = float(np.linalg.norm((box[:, 1] - box[:, 0]) / (grid_density - 1))) / 2.0
 
     levels = np.linspace(lo, hi, n_levels)
@@ -107,7 +139,7 @@ def find_invariant_level(
         n_shell = int(np.count_nonzero(shell))
         if n_shell == 0:
             continue
-        margin = float(np.max(wdot(w, field, 0.0, pts[shell])))
+        margin = float(np.max(wdot(w, field, pts[shell])))
         if margin < 0.0:
             inside = w_vals <= level
             radius = float(np.max(norms[inside])) + cell if np.any(inside) else cell
@@ -145,20 +177,7 @@ def write_invariant_report(est: InvariantSetEstimate, path) -> None:
 
 def fhn_outer_lyapunov(params: FhnParams) -> OuterLyapunov:
     """W(x, y) = (x^2 + eps y^2) / 2 for the coupled model."""
-    eps = params.epsilon
-
-    def value(t: float, z: Array) -> Array:
-        return 0.5 * (z[..., 0] * z[..., 0] + eps * z[..., 1] * z[..., 1])
-
-    def gradient(t: float, z: Array) -> tuple[Array, float]:
-        return np.stack([z[..., 0], eps * z[..., 1]], axis=-1), 0.0
-
-    return OuterLyapunov(
-        value=value,
-        gradient=gradient,
-        class_lower=lambda s: 0.5 * min(1.0, eps) * s * s,
-        class_upper=lambda s: 0.5 * max(1.0, eps) * s * s,
-    )
+    return OuterLyapunov(np.array([1.0, params.epsilon]))
 
 
 @dataclass(frozen=True)

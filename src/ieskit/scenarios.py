@@ -23,7 +23,6 @@ from ieskit.dynsys import (
     integrate,
     linear_field,
     pair_distances,
-    rowdot,
 )
 from ieskit.estimator import (
     box_bounds,
@@ -513,12 +512,7 @@ def run_invariant_set(scenario: Scenario) -> list[Path]:
     if isinstance(scenario.model, FhnParams):
         w = fhn_outer_lyapunov(scenario.model)
     else:
-        w = OuterLyapunov(
-            value=lambda t, z: 0.5 * rowdot(z, z),
-            gradient=lambda t, z: (np.asarray(z, dtype=float), 0.0),
-            class_lower=lambda s: 0.5 * s * s,
-            class_upper=lambda s: 0.5 * s * s,
-        )
+        w = OuterLyapunov(np.ones(field.dim))
     half = opts["box_halfwidth"]
     box = np.array([[-half, half]] * field.dim)
     est = find_invariant_level(
@@ -560,7 +554,7 @@ def run_certify(scenario: Scenario) -> list[Path]:
         # level and radius each widened by the safety factor
         kappa = min(0.125, params.b / params.epsilon)
         level = (2.0 + params.c**2 / 2.0) / (2.0 * kappa) * SAFETY
-        radius = math.sqrt(2.0 * level * max(1.0, 1.0 / params.epsilon)) * SAFETY
+        radius = fhn_outer_lyapunov(params).radius(level) * SAFETY
     ic = fhn_field(params)
     cert = certify(
         ic, cand1, cand2, radius,

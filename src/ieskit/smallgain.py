@@ -144,8 +144,10 @@ def extract_constants(
     and theta_i the suprema of the candidates' Assumption-2 bounds ``gamma``
     and ``zeta``.  Each value is the maximum that a pattern search from the
     grid maximum finds, times the safety factor; a value that is not finite
-    raises ValueError.
+    raises ValueError, and so does a ``grid_density`` below 2.
     """
+    if grid_density < 2:
+        raise ValueError(f"grid_density must be at least 2, got {grid_density}")
     grids = {dim: ball_grid(radius, dim, grid_density) for dim in {ic.n, ic.m}}
     xs, ys = grids[ic.n], grids[ic.m]
 

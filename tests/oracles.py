@@ -1,8 +1,14 @@
-"""Per-direction references for the tests: the Lie derivative of a Finsler
-candidate along one displacement, and the two gradients it is made of.  The
-library's checks are exact in the displacement, taking the worst one at each
-state from an eigendecomposition, so the library has no per-direction
-derivative; the checks are tested against these."""
+"""References for the tests.
+
+Per-direction references: the Lie derivative of a Finsler candidate along one
+displacement, and the two gradients it is made of.  The library's checks are
+exact in the displacement, taking the worst one at each state from an
+eigendecomposition, so the library has no per-direction derivative; the
+checks are tested against these.
+
+The FHN outer Lyapunov function W = (x^2 + eps y^2) / 2 written out: its
+value, gradient and derivative along a field, which ``OuterLyapunov`` with
+weights (1, eps) must match byte for byte."""
 
 import numpy as np
 
@@ -41,3 +47,16 @@ def vdot(
     jdz = matvec(field.jacobian(t, z), dz)
     return (rowdot(grad_state(candidate, z, dz), f)
             + rowdot(grad_disp(candidate, z, dz), jdz))
+
+
+def fhn_w_value(eps: float, z: Array) -> Array:
+    return 0.5 * (z[..., 0] * z[..., 0] + eps * z[..., 1] * z[..., 1])
+
+
+def fhn_w_gradient(eps: float, z: Array) -> Array:
+    return np.stack([z[..., 0], eps * z[..., 1]], axis=-1)
+
+
+def fhn_wdot(eps: float, field: TimeVaryingField, z: Array) -> Array:
+    """dW/dz . f(0, z), with the zero time derivative added first."""
+    return 0.0 + rowdot(fhn_w_gradient(eps, z), field.rhs(0.0, z))

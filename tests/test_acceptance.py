@@ -24,6 +24,7 @@ from ieskit.estimator import (
     NON_CONTRACTING,
     ensemble_ies,
     fit_envelope,
+    sample_pairs_sublevel,
 )
 from ieskit.fhn import (
     FhnParams,
@@ -243,14 +244,7 @@ def test_criterion_8_certificate_simulation_consistency():
                                n_levels=36, grid_density=81)
     assert est.radius <= radius, "invariant set not contained in the certified ball"
 
-    rng = np.random.default_rng(17)
-    pairs = []
-    while len(pairs) < 20:
-        z1 = rng.uniform([-np.sqrt(2 * est.level)] * 2, [np.sqrt(2 * est.level)] * 2)
-        z2 = rng.uniform([-np.sqrt(2 * est.level)] * 2, [np.sqrt(2 * est.level)] * 2)
-        if (w.value(0.0, z1) <= est.level and w.value(0.0, z2) <= est.level
-                and np.linalg.norm(z1 - z2) > 1e-6):
-            pairs.append((z1, z2))
+    pairs = sample_pairs_sublevel(w, est.level, 20, seed=17)
     report = ensemble_ies(field, pairs, 40.0,
                           IntegratorConfig(max_time=40.0, step=0.02))
     non_contracting = [v for v in report.verdicts if v == NON_CONTRACTING]

@@ -10,13 +10,16 @@ from ieskit.estimator import (
     NON_CONTRACTING,
     ensemble_ies,
     fit_envelope,
+    MIN_SEPARATION,
     sample_pairs_ball,
     sample_pairs_box,
+    sample_pairs_sublevel,
     wies_scan,
     write_distance_csv,
     write_summary_csv,
 )
 from ieskit.fhn import fhn_field, figure_params
+from ieskit.invariance import OuterLyapunov
 
 
 def synthetic_exponential(lam=2.0, t_end=10.0, n=401, d0=1.0):
@@ -154,6 +157,43 @@ class TestSamplers:
     def test_box_without_separated_pairs_refused(self, bounds, match):
         with pytest.raises(ValueError, match=match):
             sample_pairs_box(bounds, 2, seed=0)
+
+    @given(weights=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=4),
+           level=st.floats(min_value=1e-3, max_value=1e3),
+           n_pairs=st.integers(min_value=0, max_value=30),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sublevel_pairs_inside_separated_and_seeded(self, weights, level, n_pairs, seed):
+        w = OuterLyapunov(weights)
+        pairs = sample_pairs_sublevel(w, level, n_pairs, seed)
+        assert len(pairs) == n_pairs
+        for z1, z2 in pairs:
+            assert z1.shape == z2.shape == (len(weights),)
+            assert w.value(z1) <= level and w.value(z2) <= level
+            assert np.linalg.norm(z1 - z2) >= MIN_SEPARATION
+        again = sample_pairs_sublevel(w, level, n_pairs, seed)
+        assert all(np.array_equal(a, c) and np.array_equal(b, d)
+                   for (a, b), (c, d) in zip(pairs, again))
+
+    def test_sublevel_pairs_reach_the_caps_beyond_the_ball_of_sqrt_2l(self):
+        # W = (x^2 + 0.9 y^2)/2 at level 9 reaches |y| = sqrt(20), past the
+        # box [-sqrt(18), sqrt(18)]^2 that the set was once sampled from
+        w = OuterLyapunov([1.0, 0.9])
+        ys = [abs(z[1]) for seed in range(10)
+              for pair in sample_pairs_sublevel(w, 9.0, 20, seed) for z in pair]
+        assert max(ys) > np.sqrt(18.0)
+
+    @pytest.mark.parametrize("level, match", [
+        (0.0, "positive and finite"),
+        (-1.0, "positive and finite"),
+        (np.nan, "positive and finite"),
+        (np.inf, "positive and finite"),
+        (1e308, "must be finite"),
+        (1e-14, "the widest above 5e-07"),
+    ])
+    def test_sublevel_without_separated_pairs_refused(self, level, match):
+        with pytest.raises(ValueError, match=match):
+            sample_pairs_sublevel(OuterLyapunov([1.0, 0.5]), level, 2, seed=0)
 
     def test_box_with_room_for_one_flat_axis_still_samples(self):
         pairs = sample_pairs_box([[0.0, 0.0], [-1.0, 1.0]], 3, seed=0)

@@ -1,8 +1,8 @@
 """Golden outputs: the figure CSV rows, the FHN certificate records of the
-four certify-sweep weight sets, the f_c table, a seeded FHN estimate, the
-rows of an FHN simulate, the sampled pairs and the adaptive radius scans,
-pinned byte for byte, so a change that moves a printed digit, a sampled point
-or a resampled distance fails here."""
+four certify-sweep weight sets and of the default radius, the f_c table, a
+seeded FHN estimate, the rows of an FHN simulate, the sampled pairs and the
+adaptive radius scans, pinned byte for byte, so a change that moves a printed
+digit, a sampled point or a resampled distance fails here."""
 
 import hashlib
 from pathlib import Path
@@ -108,6 +108,45 @@ def test_certificate_record_is_pinned(tmp_path, radius):
     kept = [line for line in lines
             if line.split(" = ")[0] not in ("tool_version", "provenance")]
     assert "".join(kept) == GOLDEN_RECORDS[radius]
+
+
+# certificate.rec of CERTIFY without its radius key, so that run_certify
+# encloses the invariant sublevel set of the dissipation chain, without its
+# tool_version and provenance lines
+DEFAULT_RADIUS_RECORD = """\
+radius = 16.864613649443623
+safety = 1.05
+a1 = 17.707844331915805
+a2 = 19.67538259101756
+b1 = 1.05
+b2 = 1.1666666666666667
+eta1 = 0.6789446871162979
+eta2 = 0.0
+theta1 = 4.172843141918077
+theta2 = 1.05
+alpha1 = 1.0
+alpha2 = 1.1111111111111112
+alpha = 0.5
+epsilon1 = 0.16666666666666666
+epsilon2 = 0.16666666666666666
+epsilon3 = 0.20370370370370372
+epsilon4 = 0.20370370370370372
+rho1_max = 0.0078749065660914
+rho2_max = 0.2857142857142857
+decay_check = pass
+decay_worst = -0.3931081061600142
+decay_samples = 83
+"""
+
+
+def test_default_radius_certificate_is_pinned(tmp_path):
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text(CERTIFY.replace("radius = {radius}\n", ""))
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    lines = (tmp_path / "out" / "certificate.rec").read_text().splitlines(keepends=True)
+    kept = [line for line in lines
+            if line.split(" = ")[0] not in ("tool_version", "provenance")]
+    assert "".join(kept) == DEFAULT_RADIUS_RECORD
 
 
 SWEEP_CERTIFY = """

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ieskit.dynsys import IntegratorConfig, TimeVaryingField, assemble, integrate, linear_field
 from ieskit.fhn import FhnParams, fhn_field, figure_params
@@ -13,15 +17,11 @@ from ieskit.invariance import (
     wdot,
     write_invariant_report,
 )
+from oracles import fhn_w_gradient, fhn_w_value, fhn_wdot
 
 
 def half_norm_lyapunov(dim=2):
-    return OuterLyapunov(
-        value=lambda t, z: 0.5 * np.sum(z * z, axis=-1),
-        gradient=lambda t, z: (np.asarray(z, dtype=float), 0.0),
-        class_lower=lambda s: 0.5 * s * s,
-        class_upper=lambda s: 0.5 * s * s,
-    )
+    return OuterLyapunov(np.ones(dim))
 
 
 class TestWdot:
@@ -29,7 +29,7 @@ class TestWdot:
         w = half_norm_lyapunov()
         field = linear_field(-np.eye(2))
         z = np.array([1.0, -2.0])
-        assert wdot(w, field, 0.0, z) == pytest.approx(-float(z @ z), rel=1e-14)
+        assert wdot(w, field, z) == pytest.approx(-float(z @ z), rel=1e-14)
 
     def test_fhn_energy_matches_model_chain_head(self):
         p = figure_params(1)
@@ -38,18 +38,56 @@ class TestWdot:
         rng = np.random.default_rng(2)
         for _ in range(50):
             x, y = rng.uniform(-4, 4, 2)
-            got = wdot(w, field, 0.0, np.array([x, y]))
+            got = wdot(w, field, np.array([x, y]))
             expected = x * (x - x**3 / 3 + p.c - p.rho1 * y) + y * (-p.b * y + p.rho2 * x)
             assert got == pytest.approx(expected, abs=1e-12 * (1 + abs(expected)))
 
-    def test_zero_field_leaves_time_slot(self):
-        w = OuterLyapunov(
-            value=lambda t, z: t + 0.5 * np.sum(z * z, axis=-1),
-            gradient=lambda t, z: (np.asarray(z, dtype=float), 1.0),
-        )
-        field = TimeVaryingField(2, lambda t, z: np.zeros(np.shape(z)),
-                                 lambda t, z: np.zeros(np.shape(z) + (2,)))
-        assert wdot(w, field, 0.0, np.array([3.0, 4.0])) == 1.0
+
+# coordinates that include both zeros, both infinities, NaN and a value whose
+# square overflows
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200])
+_COORD = _SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestOuterLyapunov:
+    @given(eps=st.floats(min_value=0.05, max_value=20.0),
+           rows=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_fhn_weights_are_bitwise_the_written_out_w(self, eps, rows):
+        z = np.array(rows, dtype=float)
+        w = OuterLyapunov(np.array([1.0, eps]))
+        field = assemble(fhn_field(FhnParams(b=1.0, rho1=0.3, rho2=0.7, epsilon=eps, r=2.1)))
+        with np.errstate(all="ignore"):
+            for got, want in ((w.value(z), fhn_w_value(eps, z)),
+                              (w.gradient(z), fhn_w_gradient(eps, z)),
+                              (wdot(w, field, z), fhn_wdot(eps, field, z))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for row in z:  # a single state, without a batch axis
+                assert w.value(row).tobytes() == fhn_w_value(eps, row).tobytes()
+
+    @given(eps=st.floats(min_value=0.05, max_value=20.0),
+           level=st.floats(min_value=1e-6, max_value=1e6))
+    def test_radius_is_the_closed_form(self, eps, level):
+        w = OuterLyapunov(np.array([1.0, eps]))
+        assert w.radius(level) == math.sqrt(2 * level * max(1, 1 / eps))
+        assert w.half_axes(level).tolist() == [math.sqrt(2 * level),
+                                               math.sqrt(2 * level / eps)]
+
+    def test_fhn_w_has_weights_one_and_epsilon(self):
+        w = fhn_outer_lyapunov(figure_params(3))
+        assert w.weights.tolist() == [1.0, 0.9] and w.dim == 2
+        assert not w.weights.flags.writeable
+
+    @pytest.mark.parametrize("weights", [[], [[1.0, 2.0]], 1.0, [1.0, 0.0], [1.0, -2.0],
+                                         [math.nan, 1.0], [1.0, math.inf]])
+    def test_bad_weights_refused(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            OuterLyapunov(weights)
+
+    def test_box_of_another_dimension_refused(self):
+        w = fhn_outer_lyapunov(figure_params(1))
+        with pytest.raises(ValueError, match="box has dimension 3, W has dimension 2"):
+            find_invariant_level(w, linear_field(-np.eye(3)), (0.5, 5.0), [[-4, 4]] * 3)
 
 
 class TestDissipationChain:
@@ -148,7 +186,7 @@ class TestInvariantLevel:
                                    n_levels=30, grid_density=81)
         cfg = IntegratorConfig(max_time=50.0, step=0.01)
         for z0 in (np.array([2.0, 0.0]), np.array([-2.0, 1.0])):
-            assert w.value(0.0, z0) <= est.level
+            assert w.value(z0) <= est.level
             tr = integrate(field, 0.0, z0, cfg)
             assert not tr.blew_up
             assert float(np.max(np.linalg.norm(tr.states, axis=1))) <= est.radius
@@ -164,13 +202,25 @@ class TestInvariantLevel:
         count = 0
         while count < 50:
             z0 = rng.uniform(-6.5, 6.5, 2)
-            v = w.value(0.0, z0)
+            v = w.value(z0)
             if not (est.level * 0.9 <= v <= est.level):
                 continue
             count += 1
             tr = integrate(field, 0.0, z0, cfg)
-            values = np.array([w.value(0.0, z) for z in tr.states])
+            values = np.array([w.value(z) for z in tr.states])
             assert np.max(values) <= est.level * (1.0 + est.shell_width)
+
+    @pytest.mark.parametrize("density", [1, 0, -3])
+    def test_degenerate_grid_refused(self, density):
+        with pytest.raises(ValueError, match="grid_density must be at least 2"):
+            find_invariant_level(half_norm_lyapunov(), linear_field(-np.eye(2)), (0.5, 5.0),
+                                 [[-4, 4]] * 2, grid_density=density)
+
+    @pytest.mark.parametrize("n_levels", [0, -1])
+    def test_no_levels_refused(self, n_levels):
+        with pytest.raises(ValueError, match="n_levels must be at least 1"):
+            find_invariant_level(half_norm_lyapunov(), linear_field(-np.eye(2)), (0.5, 5.0),
+                                 [[-4, 4]] * 2, n_levels=n_levels)
 
     def test_report_file(self, tmp_path):
         field = linear_field(-np.eye(2))
@@ -210,7 +260,7 @@ class TestComparisonEnvelope:
         cfg = IntegratorConfig(max_time=40.0, step=0.01)
         for z0 in (np.array([4.0, -4.0]), np.array([0.5, 0.5])):
             tr = integrate(field, 0.0, z0, cfg)
-            values = np.array([w.value(0.0, z) for z in tr.states])
+            values = np.array([w.value(z) for z in tr.states])
             env = w_inf + (values[0] - w_inf) * np.exp(-2.0 * kappa * tr.times)
             assert np.all(values <= env * (1 + 1e-8) + 1e-9)
 

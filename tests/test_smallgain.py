@@ -102,6 +102,14 @@ class TestExtractConstants:
         with pytest.raises(ValueError, match="non-finite"):
             extract_constants(ic, half_norm_candidate(), half_norm_candidate(), radius=1.0)
 
+    # a density of 1 used to divide by zero, and 0 to take the argmax of no points
+    @pytest.mark.parametrize("density", [1, 0])
+    def test_degenerate_grid_refused(self, density):
+        ic = scalar_linear_interconnection()
+        with pytest.raises(ValueError, match="grid_density must be at least 2"):
+            extract_constants(ic, half_norm_candidate(), half_norm_candidate(), radius=1.0,
+                              grid_density=density)
+
 
 class TestGainBudget:
     def test_hand_checkable_substitution(self):
