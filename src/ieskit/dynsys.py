@@ -34,6 +34,10 @@ ADAPTIVE_EMBEDDED = "adaptive_embedded"
 # Largest number of fixed steps one integration may take: every step stores a
 # state and a derivative per row, so the horizon/step ratio bounds the memory.
 MAX_STEPS = 10**7
+# Most values (samples x rows x dimension) a fixed-step solve stores in its
+# state array and again in its derivative array: 1 GiB each.  The six 2-D
+# rows of the figures action stay below it even at MAX_STEPS.
+MAX_STORED_VALUES = 2**27
 FD_REL_STEP = 1e-6  # relative step h / (1 + |x_i|) of every central difference
 
 
@@ -386,6 +390,18 @@ _SCAN_BLOCK = 256
 _REPEAT_STRIDE = 8
 
 
+def rk4_shape(horizon: float, step: float, batch_shape) -> tuple[int, ...]:
+    """Shape (n + 1, N, d) of the arrays fixed-step RK4 stores for a batch of
+    shape (N, d) over ``horizon`` in n = max(2, ceil(horizon / step)) equal
+    steps; above ``MAX_STORED_VALUES`` values it is refused with ValueError."""
+    shape = (max(2, math.ceil(horizon / step - 1e-12)) + 1, *batch_shape)
+    if math.prod(shape) > MAX_STORED_VALUES:
+        raise ValueError(f"a fixed-step solve of shape {shape} would store "
+                         f"{math.prod(shape)} values per array, above the limit of "
+                         f"{MAX_STORED_VALUES}")
+    return shape
+
+
 def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float,
               autonomous: bool):
     """Fixed-step RK4 of the batch z0 (N, d).  A row stops at its first
@@ -405,14 +421,15 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float,
     byte.  ``integrate`` passes ``field.autonomous``, which a field a user
     builds leaves off unless the user sets it, so such a field is stepped
     to the horizon."""
-    n_steps = max(2, math.ceil(horizon / step - 1e-12))
+    shape = rk4_shape(horizon, step, z0.shape)
+    n_steps = shape[0] - 1
     h = horizon / n_steps
     half, sixth = 0.5 * h, h / 6.0
     last = n_steps + 1
     times = t0 + h * np.arange(last)
     times[-1] = t0 + horizon
     ts = times.tolist()
-    states = np.empty((last,) + z0.shape)
+    states = np.empty(shape)
     derivs = np.empty_like(states)
     # per row, the first sample >= 1 with a non-finite state, and the first
     # sample with a non-finite derivative; ``last`` while there is none
@@ -556,6 +573,9 @@ def integrate(
     field a user builds is not autonomous unless the user sets the flag, and
     keeps the full path; setting it on an rhs that reads t can cut the path
     short at a standstill.
+
+    A fixed-step solve above ``MAX_STORED_VALUES`` values per array is
+    refused with ``ValueError`` before any array is allocated (``rk4_shape``).
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim not in (1, 2) or z0.shape[-1] != field.dim or not z0.size:

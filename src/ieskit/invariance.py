@@ -1,5 +1,5 @@
 """Forward-invariant sublevel sets and ultimate bounds from an outer
-Lyapunov function, plus the dissipation chain of the FitzHugh-Nagumo model."""
+Lyapunov function, plus the level of the FitzHugh-Nagumo dissipation chain."""
 
 from __future__ import annotations
 
@@ -15,12 +15,6 @@ from ieskit.io_utils import atomic_write_text
 from ieskit.sampling import box_grid
 
 Array = np.ndarray
-
-# Half-width and points per axis of the grid the FHN dissipation chain is
-# checked on, and the slack each sampled margin is allowed below zero.
-_CHAIN_GRID_RADIUS = 6.0
-_CHAIN_GRID_DENSITY = 201
-_CHAIN_TOL = 1e-9
 
 
 class NoInvariantLevelError(RuntimeError):
@@ -180,48 +174,24 @@ def fhn_outer_lyapunov(params: FhnParams) -> OuterLyapunov:
     return OuterLyapunov(np.array([1.0, params.epsilon]))
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """Worst margins of the three printed dissipation inequalities on the grid
-    (each margin is the sampled minimum of rhs - lhs; all must be >= -1e-9)."""
+def fhn_dissipation_level(params: FhnParams) -> float:
+    """Level (2 + c^2/2) / (2 kappa), kappa = min(1/8, b/eps), that the
+    dissipation chain of W = (x^2 + eps y^2)/2 gives at equal gains:
 
-    passed: bool
-    margin_young: float
-    margin_quartic: float
-    margin_comparison: float
+        Wdot <= s1 = 3/2 x^2 - x^4/3 + c^2/2 - b y^2
+             <= s2 = -x^2/8 - b y^2 + 2 + c^2/2
+             <= s3 = -2 kappa W + 2 + c^2/2.
 
-
-def check_dissipation_chain_fhn(params: FhnParams) -> ChainReport:
-    """Check of the dissipation chain for W = (x^2 + eps y^2)/2 at equal gains
-    on the 201 x 201 grid of [-6, 6]^2:
-
-        Wdot <= 3/2 x^2 - x^4/3 + c^2/2 - b y^2
-             <= -x^2/8 - b y^2 + 2 + c^2/2
-             <= -2 min(1/8, b/eps) W + 2 + c^2/2
-    """
-    if params.rho1 != params.rho2:
-        raise ValueError("the chain is derived for rho1 = rho2")
-    b, eps, c = params.b, params.epsilon, params.c
-    rho = params.rho1
-    g = np.linspace(-_CHAIN_GRID_RADIUS, _CHAIN_GRID_RADIUS, _CHAIN_GRID_DENSITY)
-    x, y = np.meshgrid(g, g, indexing="ij")
-
-    wd = x * (x - x**3 / 3.0 + c - rho * y) + y * (-b * y + rho * x)
-    s1 = 1.5 * x * x - x**4 / 3.0 + c * c / 2.0 - b * y * y
-    s2 = -x * x / 8.0 - b * y * y + 2.0 + c * c / 2.0
-    kappa = min(0.125, b / eps)
-    w = 0.5 * (x * x + eps * y * y)
-    s3 = -2.0 * kappa * w + 2.0 + c * c / 2.0
-
-    m1 = float(np.min(s1 - wd))
-    m2 = float(np.min(s2 - s1))
-    m3 = float(np.min(s3 - s2))
-    return ChainReport(
-        passed=(m1 >= -_CHAIN_TOL and m2 >= -_CHAIN_TOL and m3 >= -_CHAIN_TOL),
-        margin_young=m1,
-        margin_quartic=m2,
-        margin_comparison=m3,
-    )
+    With rho1 = rho2 the coupling terms of Wdot cancel, and each link is an
+    identity whose gap is never negative: s1 - Wdot = (x - c)^2/2;
+    s2 - s1 = x^4/3 - 13 x^2/8 + 2, at least 5/256 (at x^2 = 39/16); and
+    s3 - s2 = (1/8 - kappa) x^2 + (b - kappa eps) y^2 >= 0.  So
+    Wdot <= -2 kappa (W - level) - 5/256 < 0 wherever W >= level, and every
+    sublevel set {W <= L} with L >= level is forward invariant.  The level
+    ignores the gains; it is proven at rho1 = rho2 only, and unequal gains
+    are not refused."""
+    kappa = min(0.125, params.b / params.epsilon)
+    return (2.0 + params.c**2 / 2.0) / (2.0 * kappa)
 
 
 @dataclass(frozen=True)

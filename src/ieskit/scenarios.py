@@ -23,6 +23,7 @@ from ieskit.dynsys import (
     integrate,
     linear_field,
     pair_distances,
+    rk4_shape,
 )
 from ieskit.estimator import (
     box_bounds,
@@ -42,6 +43,7 @@ from ieskit.fhn import (
 )
 from ieskit.invariance import (
     OuterLyapunov,
+    fhn_dissipation_level,
     fhn_outer_lyapunov,
     find_invariant_level,
     write_invariant_report,
@@ -327,6 +329,14 @@ def parse_config(path) -> Scenario:
         raise ConfigError(f"{_at(path, raw, 'initial')}: estimate takes initial states "
                           f"two by two as pairs, at most pairs = {n_pairs} of them; got "
                           f"{given} states")
+    rows = {"estimate": 2 * n_pairs, "simulate": given}.get(sc["action"])
+    if rows is not None:
+        try:  # integer arithmetic, before any pair is drawn
+            rk4_shape(sc["horizon"], sc["step"], (rows, dim))
+        except ValueError as exc:
+            key = "pairs" if sc["action"] == "estimate" else "initial"
+            where = _at(path, {**raw, **sections.get("estimate", {})}, key, "step", "horizon")
+            raise ConfigError(f"{where}: {exc}") from None
     box = options["estimate"]["box"]
     if box is None:
         options["estimate"]["box"] = np.array([[-3.0, 3.0]] * dim)
@@ -550,10 +560,9 @@ def run_certify(scenario: Scenario) -> list[Path]:
     if opts["radius"] is not None:
         radius = opts["radius"]
     else:
-        # closed-form enclosure from the dissipation chain at equal gains,
+        # the ball around the dissipation chain's invariant sublevel set,
         # level and radius each widened by the safety factor
-        kappa = min(0.125, params.b / params.epsilon)
-        level = (2.0 + params.c**2 / 2.0) / (2.0 * kappa) * SAFETY
+        level = fhn_dissipation_level(params) * SAFETY
         radius = fhn_outer_lyapunov(params).radius(level) * SAFETY
     ic = fhn_field(params)
     cert = certify(

@@ -32,8 +32,9 @@ Array = np.ndarray
 # The eight sup-constants, in record order.
 CONSTANTS = ("a1", "a2", "b1", "b2", "eta1", "eta2", "theta1", "theta2")
 # Sampled maxima are inflated by this factor (true suprema are unattainable
-# numerically).
+# numerically); a certificate record names how its constants were obtained.
 SAFETY = 1.05
+PROVENANCE = "sampled, inflated"
 # Points per axis of the ball grid the constants are searched on.
 GRID_DENSITY = 101
 # Halton states per decay-check sample set (drawn from the box around the
@@ -63,8 +64,6 @@ class SupConstants:
     eta2: float
     theta1: float
     theta2: float
-    safety: float = SAFETY
-    provenance: str = "sampled, inflated"
 
     def __post_init__(self):
         for name in CONSTANTS:
@@ -73,8 +72,6 @@ class SupConstants:
                                  f"got {getattr(self, name)!r}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.safety < 1.0:
-            raise ValueError("safety factor must be >= 1")
 
 
 def _row_norm(v: Array) -> Array:
@@ -245,8 +242,8 @@ class GainCertificate:
         rec = {
             "tool_version": __version__,
             "radius": repr(c.radius),
-            "safety": repr(c.safety),
-            "provenance": c.provenance,
+            "safety": repr(SAFETY),
+            "provenance": PROVENANCE,
         }
         rec.update((name, repr(getattr(c, name))) for name in CONSTANTS)
         rec.update(alpha1=repr(self.alpha1), alpha2=repr(self.alpha2), alpha=repr(self.alpha))

@@ -8,7 +8,9 @@ checks are tested against these.
 
 The FHN outer Lyapunov function W = (x^2 + eps y^2) / 2 written out: its
 value, gradient and derivative along a field, which ``OuterLyapunov`` with
-weights (1, eps) must match byte for byte."""
+weights (1, eps) must match byte for byte; and the terms of its dissipation
+chain, whose gaps ``invariance.fhn_dissipation_level`` states in closed
+form."""
 
 import numpy as np
 
@@ -60,3 +62,16 @@ def fhn_w_gradient(eps: float, z: Array) -> Array:
 def fhn_wdot(eps: float, field: TimeVaryingField, z: Array) -> Array:
     """dW/dz . f(0, z), with the zero time derivative added first."""
     return 0.0 + rowdot(fhn_w_gradient(eps, z), field.rhs(0.0, z))
+
+
+def dissipation_chain(params, x, y):
+    """Wdot and the three bounds s1, s2, s3 of the FHN dissipation chain,
+    Wdot <= s1 <= s2 <= s3 at equal gains, at the state (x, y)."""
+    b, eps, c = params.b, params.epsilon, params.c
+    wd = x * (x - x**3 / 3.0 + c - params.rho1 * y) + y * (-b * y + params.rho2 * x)
+    s1 = 1.5 * x * x - x**4 / 3.0 + c * c / 2.0 - b * y * y
+    s2 = -x * x / 8.0 - b * y * y + 2.0 + c * c / 2.0
+    kappa = min(0.125, b / eps)
+    w = 0.5 * (x * x + eps * y * y)
+    s3 = -2.0 * kappa * w + 2.0 + c * c / 2.0
+    return wd, s1, s2, s3

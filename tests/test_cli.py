@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from ieskit.cli import (
     EXIT_REFUSED,
     main,
 )
+from ieskit.dynsys import MAX_STORED_VALUES
 from ieskit.scenarios import (
     ACTIONS,
     MAX_INVARIANT_POINTS,
@@ -498,6 +500,12 @@ BAD_VALUES = {
                             "initial = 1 0", "initial"),
     "figures_three_initial": ("figures", FHN_FIGURES, "initial = 2 0; -2 1",
                               "initial = 2 0; -2 1; 1 1", "initial"),
+    # fixed-step solves above MAX_STORED_VALUES per array: 21 samples of
+    # 8 * 10^6 2-D rows, and 10 001 samples of 7 000 2-D rows
+    "pairs_solve_too_large": ("estimate", LINEAR_ESTIMATE, "pairs = 2", "pairs = 4000000",
+                              "pairs"),
+    "initial_solve_too_large": ("simulate", POLYNOMIAL_SIMULATE, "initial = 1 1",
+                                "initial = " + "; ".join(["1 1"] * 7000), "initial"),
 }
 
 
@@ -529,6 +537,40 @@ def test_invariant_grid_limit_is_exact(tmp_path):
     # the limit is the invariant_set grid's: another action never builds it
     other = LINEAR_ESTIMATE.replace("dim = 2", "dim = 6")
     assert parse_config(write_config(tmp_path, other)).options["invariant"]["density"] == 81
+
+
+def test_solve_size_limit_is_exact(tmp_path):
+    # 8191 unit steps store 2^13 samples; 4096 pairs are 2^13 rows of
+    # dimension 2, so the solve stores exactly MAX_STORED_VALUES per array
+    assert 2**13 * 2**13 * 2 == MAX_STORED_VALUES
+    at_limit = LINEAR_ESTIMATE.replace("horizon = 2\nstep = 0.1", "horizon = 8191\nstep = 1")
+    assert parse_config(write_config(tmp_path, at_limit.replace(
+        "pairs = 2", "pairs = 4096"))).options["estimate"]["pairs"] == 4096
+    with pytest.raises(ConfigError, match=r":12: a fixed-step solve of shape \(8192, 8194, 2\) "
+                                          r"would store 134250496 values per array, above "
+                                          r"the limit of 134217728"):
+        parse_config(write_config(tmp_path, at_limit.replace("pairs = 2", "pairs = 4097")))
+    # at the default pairs the step line is the one named
+    default_pairs = at_limit.replace("pairs = 2", "").replace("step = 1", "step = 0.001")
+    with pytest.raises(ConfigError, match=r":6: a fixed-step solve of shape \(8191001, 40, 2\)"):
+        parse_config(write_config(tmp_path, default_pairs))
+
+
+def test_oversized_estimate_exits_2_before_drawing_a_pair(tmp_path, monkeypatch, capsys):
+    def draw(*args):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr("ieskit.scenarios.sample_pairs_box", draw)
+    text = FHN_CERTIFY.replace("action = certify", "action = estimate\nhorizon = 100\n"
+                               "step = 0.01").replace("[certify]\nradius = 6",
+                                                      "[estimate]\npairs = 200000")
+    cfg = write_config(tmp_path, text)
+    start = time.perf_counter()
+    rc = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_CONFIG
+    assert f"{cfg}:14: a fixed-step solve of shape (10001, 400000, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_weight_domain_is_checked_only_where_the_weight_is_built(tmp_path):

@@ -10,6 +10,7 @@ from ieskit.dynsys import (
     ADAPTIVE_EMBEDDED,
     FIXED_RK4,
     MAX_STEPS,
+    MAX_STORED_VALUES,
     CouplingMap,
     DimensionMismatchError,
     IntegratorConfig,
@@ -382,6 +383,23 @@ def test_fixed_step_count_bounded():
     with pytest.raises(ValueError, match="at most"):
         IntegratorConfig(max_time=1.0, step=0.5 / MAX_STEPS)
     assert IntegratorConfig(max_time=1.0, step=1.0 / MAX_STEPS).step == 1.0 / MAX_STEPS
+
+
+def test_fixed_step_solve_too_large_to_store_refused():
+    # 2^23 steps of 8 rows of dimension 2 store 16 (2^23 + 1) values per
+    # array, 16 above MAX_STORED_VALUES; the rhs is never called
+    def rhs(t, z):
+        raise AssertionError("the solve started")
+
+    field = TimeVaryingField(2, rhs, lambda t, z: np.zeros(z.shape + (2,)))
+    config = IntegratorConfig(max_time=2.0**20, step=0.125)
+    assert 16 * (2**23 + 1) == MAX_STORED_VALUES + 16
+    with pytest.raises(ValueError, match=r"shape \(8388609, 8, 2\) would store 134217744 "
+                                         r"values per array, above the limit of 134217728"):
+        integrate(field, 0.0, np.zeros((8, 2)), config)
+    # the variational field of 4 rows has dimension 4: the same count
+    with pytest.raises(ValueError, match=r"shape \(8388609, 4, 4\)"):
+        integrate_with_displacement(field, 0.0, np.zeros((4, 2)), np.ones((4, 2)), config)
 
 
 def per_step_rk4(rhs, t0, z0, horizon, step):

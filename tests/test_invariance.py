@@ -10,14 +10,14 @@ from ieskit.fhn import FhnParams, fhn_field, figure_params
 from ieskit.invariance import (
     NoInvariantLevelError,
     OuterLyapunov,
-    check_dissipation_chain_fhn,
+    fhn_dissipation_level,
     fhn_outer_lyapunov,
     find_invariant_level,
     ultimate_bound_fhn,
     wdot,
     write_invariant_report,
 )
-from oracles import fhn_w_gradient, fhn_w_value, fhn_wdot
+from oracles import dissipation_chain, fhn_w_gradient, fhn_w_value, fhn_wdot
 
 
 def half_norm_lyapunov(dim=2):
@@ -90,35 +90,46 @@ class TestOuterLyapunov:
             find_invariant_level(w, linear_field(-np.eye(3)), (0.5, 5.0), [[-4, 4]] * 3)
 
 
+# (r, b, epsilon, alpha) of the four certify-sweep weight sets
+SWEEP_SETS = ((2.1, 1.0, 0.9, 1.0), (2.1, 2.0, 0.5, 1.0),
+              (1.8, 1.0, 0.9, 0.8), (2.5, 1.0, 0.9, 2.0))
+CHAIN_SETS = {**{f"figure{k}": figure_params(k) for k in (1, 2, 3)},
+              **{f"sweep{i}": FhnParams(b=b, rho1=1.0, rho2=1.0, epsilon=eps, r=r, alpha=a)
+                 for i, (r, b, eps, a) in enumerate(SWEEP_SETS)}}
+
+
 class TestDissipationChain:
-    @pytest.mark.parametrize("figure", [1, 2, 3])
-    def test_benchmark_sets_pass_on_default_grid(self, figure):
-        report = check_dissipation_chain_fhn(figure_params(figure))
-        assert report.passed
-        assert report.margin_young >= -1e-9
-        assert report.margin_quartic >= -1e-9
-        assert report.margin_comparison >= -1e-9
+    @given(b=st.floats(0.01, 20.0), eps=st.floats(0.01, 20.0), r=st.floats(1.25, 4.0),
+           rho=st.floats(0.0, 10.0), x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0))
+    @settings(max_examples=300, deadline=None)
+    def test_gaps_are_their_closed_forms(self, b, eps, r, rho, x, y):
+        p = FhnParams(b=b, rho1=rho, rho2=rho, epsilon=eps, r=r)
+        c, kappa = p.c, min(0.125, b / eps)
+        wd, s1, s2, s3 = dissipation_chain(p, x, y)
+        gaps = ((s1 - wd, (x - c) ** 2 / 2, 0.0),
+                (s2 - s1, x**4 / 3 - 13 * x * x / 8 + 2, 5 / 256),
+                (s3 - s2, (0.125 - kappa) * x * x + (b - kappa * eps) * y * y, 0.0))
+        # every term of the chain, in absolute value: the rounding scale
+        size = (x * x + x**4 + abs(c * x) + 2 * rho * abs(x * y) + b * y * y + c * c + 2
+                + kappa * (x * x + eps * y * y))
+        for got, closed, floor in gaps:
+            assert got == pytest.approx(closed, rel=0, abs=1e-12 * size)
+            assert closed >= floor
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_SETS))
+    def test_level_is_the_certify_expression(self, name):
+        # bitwise the level the certify action's default radius was built on
+        p = CHAIN_SETS[name]
+        kappa = min(0.125, p.b / p.epsilon)
+        assert fhn_dissipation_level(p) == (2.0 + p.c**2 / 2.0) / (2.0 * kappa)
 
     def test_origin_reduces_to_offset_chain(self):
         # at the origin the chain reads 0 <= c^2/2 <= 2 + c^2/2 <= 2 + c^2/2
         p = figure_params(1)
-        g = np.array([0.0])
-        x = y = 0.0
-        wd = x * (x - x**3 / 3 + p.c - p.rho1 * y) + y * (-p.b * y + p.rho2 * x)
-        s1 = 1.5 * x * x - x**4 / 3 + p.c**2 / 2 - p.b * y * y
-        s2 = -x * x / 8 - p.b * y * y + 2 + p.c**2 / 2
+        wd, s1, s2, s3 = dissipation_chain(p, 0.0, 0.0)
         assert wd == 0.0
         assert s1 == pytest.approx(p.c**2 / 2)
-        assert s2 == pytest.approx(2 + p.c**2 / 2)
-
-    def test_unequal_gains_rejected(self):
-        p = FhnParams.from_c(c=1.0, b=0.1, rho1=1.0, rho2=0.5, epsilon=1.0)
-        with pytest.raises(ValueError, match="rho1 = rho2"):
-            check_dissipation_chain_fhn(p)
-
-    def test_fig3_parameters_pass(self):
-        report = check_dissipation_chain_fhn(figure_params(3))
-        assert report.passed
+        assert s2 == s3 == pytest.approx(2 + p.c**2 / 2)
 
 
 class TestInvariantLevel:
@@ -254,7 +265,7 @@ class TestComparisonEnvelope:
         # integrated: W(t) <= W_inf + (W(0) - W_inf) exp(-2 kappa t)
         p = figure_params(figure)
         kappa = min(0.125, p.b / p.epsilon)
-        w_inf = (2.0 + p.c**2 / 2.0) / (2.0 * kappa)
+        w_inf = fhn_dissipation_level(p)
         field = assemble(fhn_field(p))
         w = fhn_outer_lyapunov(p)
         cfg = IntegratorConfig(max_time=40.0, step=0.01)

@@ -44,7 +44,7 @@ def scalar_linear_interconnection(rho1=0.0, rho2=0.0):
 
 def unit_constants(**overrides):
     values = dict(radius=1.0, a1=1.0, a2=1.0, b1=1.0, b2=1.0,
-                  eta1=1.0, eta2=1.0, theta1=1.0, theta2=1.0, safety=1.0)
+                  eta1=1.0, eta2=1.0, theta1=1.0, theta2=1.0)
     values.update(overrides)
     return SupConstants(**values)
 
@@ -169,7 +169,7 @@ class TestGainBudget:
 def test_budget_satisfies_proof_inequalities(vals, alpha1, alpha2):
     a1, a2, b1, b2, e1, e2, t1, t2 = vals
     cons = SupConstants(radius=1.0, a1=a1, a2=a2, b1=b1, b2=b2,
-                        eta1=e1, eta2=e2, theta1=t1, theta2=t2, safety=1.0)
+                        eta1=e1, eta2=e2, theta1=t1, theta2=t2)
     alpha = 0.5 * min(alpha1, alpha2)
     rho1, rho2 = gain_budget(cons, alpha1, alpha2, alpha)
     lhs1 = -alpha1 + rho1 * (a1 * e1 + b1 * t1**2 / 2.0) + rho2 * b2 / 2.0
@@ -276,16 +276,14 @@ class TestCertify:
         assert float(parsed["rho2_max"]) == cert.rho2_max
         assert float(parsed["a1"]) == cert.constants.a1
         assert parsed["decay_check"] == "pass"
+        # the two labels are module constants, not fields of the constants
+        assert (parsed["safety"], parsed["provenance"]) == ("1.05", "sampled, inflated")
         assert "sampled" in txt_path.read_text()
 
 
 def test_sup_constants_validate():
     with pytest.raises(ValueError):
         unit_constants(a1=-1.0)
-    with pytest.raises(ValueError):
-        unit_constants(safety=0.9)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="a2 must be finite and nonnegative"):
             unit_constants(a2=bad)
-    cons = unit_constants()
-    assert cons.provenance == "sampled, inflated"
