@@ -19,7 +19,7 @@ rather than on re-interpolated states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -235,19 +235,30 @@ def assemble(ic: Interconnection) -> TimeVaryingField:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration settings.  ``max_time`` is the horizon measured from t0."""
+    """Integration settings.  ``max_time`` is the horizon measured from t0.
+
+    ``block_sink``, when set, is called by fixed-step RK4 with each stretch
+    of samples that has become final, as ``block_sink(times, states)``: the
+    blocks come in order, end at the last sample of the trajectory, and
+    joined give its ``times`` and, on every row that did not blow up, its
+    ``states`` byte for byte.  It takes no part in comparisons; the adaptive
+    method refuses it."""
 
     max_time: float
     method: str = FIXED_RK4
     step: float = 1e-2
     atol: float = 1e-9
     rtol: float = 1e-6
+    block_sink: Optional[Callable[[Array, Array], None]] = dc_field(default=None,
+                                                                     compare=False)
 
     def __post_init__(self):
         if not 0 < self.max_time < math.inf:
             raise ValueError(f"max_time must be positive and finite, got {self.max_time}")
         if self.method not in (FIXED_RK4, ADAPTIVE_EMBEDDED):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.block_sink is not None and self.method != FIXED_RK4:
+            raise ValueError(f"a block sink needs method {FIXED_RK4!r}, got {self.method!r}")
         if self.method == FIXED_RK4:
             if not self.step > 0:
                 raise ValueError("fixed step must be positive")
@@ -403,7 +414,7 @@ def rk4_shape(horizon: float, step: float, batch_shape) -> tuple[int, ...]:
 
 
 def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float,
-              autonomous: bool):
+              autonomous: bool, sink: Optional[Callable[[Array, Array], None]] = None):
     """Fixed-step RK4 of the batch z0 (N, d).  A row stops at its first
     non-finite state or derivative; the other rows go on.
 
@@ -420,7 +431,12 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float,
     calling ``rhs``.  The samples are those of the full path, byte for
     byte.  ``integrate`` passes ``field.autonomous``, which a field a user
     builds leaves off unless the user sets it, so such a field is stepped
-    to the horizon."""
+    to the horizon.
+
+    ``sink``, when given, is handed ``(times, states)`` of each stretch of
+    samples as it becomes final: after each scan, the samples up to the
+    block's end while some row is still going, else up to the last row's
+    end; once the loop ends, the rest, such as a filled repeat."""
     shape = rk4_shape(horizon, step, z0.shape)
     n_steps = shape[0] - 1
     h = horizon / n_steps
@@ -436,6 +452,14 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float,
     bad_state = np.full(len(z0), last)
     bad_deriv = np.full(len(z0), last)
     states[0] = z0
+    sent = 0  # the samples handed to the sink
+
+    def send(upto: int) -> None:
+        nonlocal sent
+        if sink is not None and upto > sent:
+            sink(times[sent:upto], states[sent:upto])
+            sent = upto
+
     with np.errstate(over="ignore", invalid="ignore"):
         derivs[0] = rhs(t0, z0)
         y, k1 = states[0], derivs[0]
@@ -463,11 +487,13 @@ def _rk4_path(rhs: RhsFn, t0: float, z0: Array, horizon: float, step: float,
             _first_bad(states[done + 1:stop + 1], done + 1, bad_state)
             _first_bad(derivs[done + 1:stop + 1], done + 1, bad_deriv)
             done = stop
+            send(min(done + 1, np.minimum(bad_state, bad_deriv + 1).max()))
     ends = np.minimum(bad_state, bad_deriv + 1)
     blew = np.minimum(bad_state, bad_deriv) < last
     cut = np.nonzero(bad_deriv < bad_state)[0]  # rows that stop at a derivative
     derivs[bad_deriv[cut], cut] = 0.0
     end = ends.max()
+    send(end)
     return times[:end], states[:end], derivs[:end], ends, blew
 
 
@@ -582,9 +608,12 @@ def integrate(
         raise ValueError(f"z0 must have shape ({field.dim},) or (N, {field.dim}) "
                          f"with N >= 1, got {z0.shape}")
     batch = z0.reshape(-1, field.dim)
+    sink = config.block_sink
+    if sink is not None and z0.ndim == 1:  # blocks shaped as the trajectory's states
+        sink = lambda times, states: config.block_sink(times, states[:, 0])
     if config.method == FIXED_RK4:
         times, states, derivs, ends, blew = _rk4_path(field.rhs, t0, batch, config.max_time,
-                                                      config.step, field.autonomous)
+                                                      config.step, field.autonomous, sink)
     else:
         times, states, derivs, ends, blew = _dopri_path(field.rhs, t0, batch, config.max_time,
                                                         config.atol, config.rtol)

@@ -3,18 +3,33 @@
 Every CSV is streamed: its cells are formatted and its rows joined ``CHUNK``
 rows at a time, and the atomic writer writes each chunk of text as it comes,
 so the peak memory of a write is one chunk plus the column a caller formats
-once to share (the time column), whatever the number of rows."""
+once to share (the time column), whatever the number of rows.
+
+``block_csvs`` writes CSVs whose rows come in blocks while a solve runs: a
+forked worker process formats each block into temp files next to the targets
+while the caller computes the next one, and the targets are replaced only
+once the caller's work and the worker's both succeed.  Where ``os.fork`` is
+missing, the same formatter runs in the calling process."""
 
 from __future__ import annotations
 
+import gc
 import os
-from collections.abc import Iterable, Iterator
+import pickle
+import signal
+import struct
+import tempfile
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 CHUNK = 1024
+# The shape (rows, N, d) that leads each block of float64 times and states
+# on the worker's pipe; a block of no rows ends the stream.
+_HEADER = struct.Struct("3q")
 
 
 def _cells(values):
@@ -52,8 +67,7 @@ def atomic_write_text(path, text: str | Iterable[str]) -> Path:
     umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp, fd = _temp_file(path)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
@@ -65,3 +79,245 @@ def atomic_write_text(path, text: str | Iterable[str]) -> Path:
             pass
         raise
     return path
+
+
+def _temp_file(path: Path) -> tuple[Path, int]:
+    """A new temp file next to ``path``, created with mode 0o666 less the
+    umask, and its descriptor open for writing."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+
+
+def _write_all(fd: int, data) -> None:
+    """Write all of ``data``, a contiguous buffer: ``os.write`` may take
+    only part of it, for one when a signal handler runs during the write."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, size: int) -> bytearray:
+    """The next ``size`` bytes of ``fd``; EOFError if it ends before."""
+    buf = bytearray(size)
+    view, got = memoryview(buf), 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            raise EOFError("the block stream ended without its end mark")
+        got += n
+    return buf
+
+
+class _BlockWriter:
+    """Writes each block's text into open files.  ``format_block(times,
+    states)`` gives one iterable of text chunks per part, and part k belongs
+    to file ``owners[k]``; a file holds its parts one after another, each
+    its head and then its text of every block.  A file's first part is
+    written as it comes.  Its later parts, such as the estimate's pairs
+    1..n-1, are written to one unlinked spill file in ``spill_dir`` and
+    copied in, part by part, by ``finish``; so what is held in memory is
+    one block's text and the place of each spilled piece, whatever the
+    number of blocks."""
+
+    def __init__(self, fds: Sequence[int], owners: Sequence[int], heads: Sequence[str],
+                 format_block, spill_dir: Path):
+        self.files = [os.fdopen(fd, "w") for fd in fds]
+        self.owners = owners
+        firsts = {}
+        self.direct = [firsts.setdefault(owner, k) == k for k, owner in enumerate(owners)]
+        self.pieces: list[list[tuple[int, int]]] = [[] for _ in owners]
+        self.format_block = format_block
+        self.spill_dir, self.spill = spill_dir, None
+        self._write([head] for head in heads)
+
+    def _write(self, parts) -> None:
+        for k, (owner, chunks) in enumerate(zip(self.owners, parts, strict=True)):
+            if self.direct[k]:
+                self.files[owner].writelines(chunks)
+            elif data := "".join(chunks).encode():
+                if self.spill is None:
+                    self.spill = tempfile.TemporaryFile(dir=self.spill_dir)
+                self.pieces[k].append((self.spill.tell(), len(data)))
+                self.spill.write(data)
+
+    def send(self, times, states) -> None:
+        self._write(self.format_block(times, states))
+
+    def finish(self) -> None:
+        for owner, pieces in zip(self.owners, self.pieces):
+            for offset, size in pieces:
+                self.spill.seek(offset)
+                self.files[owner].write(self.spill.read(size).decode())
+        for fh in [*self.files, self.spill]:
+            if fh is not None:
+                fh.close()
+
+    def abort(self) -> None:
+        for fh in [*self.files, self.spill]:
+            try:
+                if fh is not None:
+                    fh.close()
+            except OSError:
+                pass
+
+
+class _ForkedWriter:
+    """A ``_BlockWriter`` in a forked worker process that reads the blocks
+    from a pipe.  The worker runs no garbage collection and ends with
+    ``os._exit``, so it runs no finalizer or exit handler and flushes no
+    buffer it shares with the caller; a failure there comes back pickled and
+    is raised by ``send`` or ``finish``.  It takes the arguments of a
+    ``_BlockWriter``."""
+
+    def __init__(self, fds: Sequence[int], *args):
+        data_r, self.data_w = os.pipe()
+        self.status_r, status_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (data_r, self.data_w, self.status_r, status_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                gc.disable()
+                os.close(self.data_w)
+                os.close(self.status_r)
+                writer = _BlockWriter(fds, *args)
+                while True:
+                    rows, n, d = _HEADER.unpack(_read_exact(data_r, _HEADER.size))
+                    if not rows:
+                        break
+                    values = np.frombuffer(_read_exact(data_r, 8 * rows * (1 + n * d)))
+                    writer.send(values[:rows], values[rows:].reshape(rows, n, d))
+                writer.finish()
+                code = 0
+            except BaseException as exc:
+                try:
+                    # the caller may be blocked sending a block: closing the
+                    # stream fails that send, so it goes on to read this
+                    os.close(data_r)
+                    try:
+                        report = pickle.dumps(exc)
+                        pickle.loads(report)
+                    except Exception:  # an exception that does not round-trip
+                        report = pickle.dumps(RuntimeError(repr(exc)))
+                    _write_all(status_w, report)
+                except BaseException:
+                    pass
+            finally:
+                os._exit(code)
+        os.close(data_r)
+        os.close(status_w)
+        for fd in fds:
+            os.close(fd)
+
+    def send(self, times, states) -> None:
+        """Hand the worker one block: ``times`` (k,) and ``states`` (k, N, d)."""
+        if not len(times):
+            return
+        states = np.ascontiguousarray(states, dtype=float)
+        try:
+            _write_all(self.data_w, _HEADER.pack(*states.shape))
+            _write_all(self.data_w, np.ascontiguousarray(times, dtype=float))
+            _write_all(self.data_w, states)
+        except BrokenPipeError:  # the worker has stopped: raise its failure
+            self._wait()
+            raise
+
+    def finish(self) -> None:
+        try:
+            _write_all(self.data_w, _HEADER.pack(0, 0, 0))
+        except BrokenPipeError:  # the worker has stopped; _wait raises why
+            pass
+        self._wait()
+
+    def abort(self) -> None:
+        if self.pid is not None:
+            self._wait(kill=True)
+
+    def _wait(self, kill: bool = False) -> None:
+        """Close the stream, stop the worker if ``kill``, wait for it to end
+        and, unless killed, raise its failure.  Each step is done once, so
+        that ``abort`` after an interrupted wait still reaps the worker."""
+        if self.data_w is not None:
+            os.close(self.data_w)
+            self.data_w = None
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        report = b""
+        if self.status_r is not None:
+            with os.fdopen(self.status_r, "rb") as fh:
+                self.status_r = None
+                report = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if kill:
+            return
+        if report:
+            raise pickle.loads(report)
+        if status:
+            raise RuntimeError(f"the CSV worker ended with wait status {status}")
+
+
+def _make_dirs(path: Path) -> list[Path]:
+    """Make the directory ``path`` and its missing parents, and return the
+    ones made, innermost first."""
+    made = [p for p in (path, *path.parents) if not p.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+    return made
+
+
+@contextmanager
+def block_csvs(paths: Sequence, heads: Sequence[str],
+               format_block: Callable[[np.ndarray, np.ndarray], Sequence]) -> Iterator:
+    """Write the files ``paths`` from blocks of rows handed over while the
+    ``with`` body runs, atomically: yields ``send(times, states)``, which
+    takes a block of times (k,) and states (k, N, d), and on a clean exit
+    of the body replaces the targets.
+
+    ``format_block(times, states)`` gives one iterable of text chunks
+    (``_csv_rows``) per entry of ``paths``, the block's part of that entry.
+    An entry's text is its head in ``heads`` and then its parts in block
+    order; a path listed more than once is the text of its entries one
+    after another, in the order listed.  A forked worker calls it while the
+    body goes on, writing into temp files next to the targets; where
+    ``os.fork`` is missing, ``send`` calls it.  If the body or the
+    formatting fails, the temp files and the directories made for them are
+    removed, the worker is gone, and the targets are left as they were; a
+    failure in the worker is raised in the caller."""
+    slots = {path: k for k, path in enumerate(dict.fromkeys(map(Path, paths)))}
+    owners = [slots[Path(p)] for p in paths]
+    paths = list(slots)
+    made = [d for parent in dict.fromkeys(p.parent for p in paths)
+            for d in _make_dirs(parent)]
+    temps, fds, writer = [], [], None
+    try:
+        for path in paths:
+            tmp, fd = _temp_file(path)
+            temps.append(tmp)
+            fds.append(fd)
+        writer = (_ForkedWriter if hasattr(os, "fork") else _BlockWriter)(
+            fds, owners, heads, format_block, paths[0].parent)
+        fds = []  # the writer's now
+        yield writer.send
+        writer.finish()
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        if writer is not None:
+            writer.abort()
+        for fd in fds:
+            os.close(fd)
+        for tmp in temps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:
+                pass
+        raise

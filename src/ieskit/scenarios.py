@@ -19,17 +19,16 @@ from ieskit import __version__
 from ieskit.dynsys import (
     IntegratorConfig,
     TimeVaryingField,
+    _row_norms,
     assemble,
     integrate,
     linear_field,
-    pair_distances,
     rk4_shape,
 )
 from ieskit.estimator import (
     box_bounds,
     ensemble_ies,
     sample_pairs_box,
-    write_distance_csv,
     write_summary_csv,
 )
 from ieskit.fhn import (
@@ -48,7 +47,7 @@ from ieskit.invariance import (
     find_invariant_level,
     write_invariant_report,
 )
-from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
+from ieskit.io_utils import _cells, _csv_rows, atomic_write_text, block_csvs
 from ieskit.polynomials import parse_polynomial_component, polynomial_interconnection
 from ieskit.smallgain import SAFETY, certify
 
@@ -473,28 +472,31 @@ def run_figures(
     three presets in one batch: rows 2k - 2 and 2k - 1 under figure k."""
     out_dir = Path(out_dir)
     z1, z2 = (np.asarray(p, dtype=float) for p in pair)
-    config = IntegratorConfig(max_time=horizon, step=step)
     presets = [figure_params(fig) for fig in (1, 2, 3)]
     field = assemble(fhn_field([p for p in presets for _ in range(2)]))
-    tr = _integrate_all(field, (z1, z2) * len(presets), config)
-    pairs = [(2 * k, 2 * k + 1) for k in range(len(presets))]
-    series = pair_distances(tr, pairs, config)
-    times = list(_cells(tr.times))
-    written = []
-    for fig, (p, (i, j), dist) in enumerate(zip(presets, pairs, series), start=1):
-        head = (
-            f"# ieskit {__version__} figure={fig} c={p.c:g} b={p.b:g} "
-            f"epsilon={p.epsilon:g} rho1={p.rho1:g} rho2={p.rho2:g} "
-            f"horizon={horizon:g} step={step:g} "
-            f"z1={' '.join(f'{v:g}' for v in z1)} "
-            f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}\n"
-            "t,x1,y1,x2,y2,distance\n"
-        )
-        columns = [*tr.states[:, i].T, *tr.states[:, j].T, dist.values]
-        out = out_dir / f"figure{fig}.csv"
-        atomic_write_text(out, _csv_rows([times, *map(_cells, columns)], head=head))
-        written.append(out)
-    return written
+    paths = [out_dir / f"figure{fig}.csv" for fig in (1, 2, 3)]
+    heads = [
+        f"# ieskit {__version__} figure={fig} c={p.c:g} b={p.b:g} "
+        f"epsilon={p.epsilon:g} rho1={p.rho1:g} rho2={p.rho2:g} "
+        f"horizon={horizon:g} step={step:g} "
+        f"z1={' '.join(f'{v:g}' for v in z1)} "
+        f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}\n"
+        "t,x1,y1,x2,y2,distance\n"
+        for fig, p in enumerate(presets, start=1)
+    ]
+
+    def rows(times, states):
+        # the pair of figure k is rows 2k - 2 and 2k - 1; their distance is
+        # that of pair_distances on the fixed-step grid, bit for bit
+        t = list(_cells(times))
+        return [_csv_rows([t, *map(_cells, (*states[:, i].T, *states[:, i + 1].T,
+                                             _row_norms(states[:, i] - states[:, i + 1])))])
+                for i in range(0, 2 * len(presets), 2)]
+
+    with block_csvs(paths, heads, rows) as sink:
+        config = IntegratorConfig(max_time=horizon, step=step, block_sink=sink)
+        _integrate_all(field, (z1, z2) * len(presets), config)
+    return paths
 
 
 def run_estimate(scenario: Scenario) -> list[Path]:
@@ -504,14 +506,26 @@ def run_estimate(scenario: Scenario) -> list[Path]:
     ics = scenario.initial_conditions
     pairs = list(zip(ics[0::2], ics[1::2]))
     pairs += sample_pairs_box(opts["box"], opts["pairs"] - len(pairs), scenario.seed)
-    config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
-    report = ensemble_ies(field, pairs, scenario.horizon, config, opts["transient_skip"])
-    if report.blown_up:
-        raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up during "
-                          f"estimation")
+    n = len(pairs)
     out_d = scenario.output_path / "distances.csv"
     out_s = scenario.output_path / "summary.csv"
-    write_distance_csv(out_d, report.results)
+
+    def rows(times, states):
+        # one part per pair: the 2n flows are integrated as one batch, pair
+        # k as rows k and n + k (flow_differences), so these are the rows
+        # write_distance_csv writes from the report
+        t = list(_cells(times))
+        return [_csv_rows([t, _cells(_row_norms(states[:, k] - states[:, n + k]))],
+                          prefix=f"{k},") for k in range(n)]
+
+    heads = ["pair_id,t,distance\n"] + [""] * (n - 1)
+    with block_csvs([out_d] * n, heads, rows) as sink:
+        config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step,
+                                  block_sink=sink)
+        report = ensemble_ies(field, pairs, scenario.horizon, config, opts["transient_skip"])
+        if report.blown_up:
+            raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up during "
+                              f"estimation")
     write_summary_csv(out_s, report.results)
     return [out_d, out_s]
 

@@ -621,6 +621,91 @@ def test_autonomous_batches_stop_once_they_repeat(kind):
     assert calls < full_calls
 
 
+class BlockLog:
+    """A block sink that keeps a copy of every block, and the rhs calls a
+    counted field had made when each came."""
+
+    def __init__(self, calls=None):
+        self.blocks, self.calls_at, self._calls = [], [], calls
+
+    def __call__(self, times, states):
+        self.blocks.append((times.copy(), states.copy()))
+        self.calls_at.append(None if self._calls is None else self._calls[0])
+
+    def assert_joins_to(self, tr):
+        """The blocks come in order and none is empty; joined, they end at
+        len(tr.times) and give its times and, on the rows that did not blow
+        up, its states, byte for byte."""
+        assert self.blocks and all(len(t) == len(s) > 0 for t, s in self.blocks)
+        times = np.concatenate([t for t, _ in self.blocks])
+        states = np.concatenate([s for _, s in self.blocks])
+        assert times.tobytes() == tr.times.tobytes()
+        assert states.shape == tr.states.shape
+        kept = ~np.asarray(tr.blew_up)
+        assert states[:, kept].tobytes() == tr.states[:, kept].tobytes()
+
+
+def solve_with_blocks(field, z0, horizon, step):
+    field, calls = counted(field)
+    log = BlockLog(calls)
+    tr = integrate(field, 0.0, z0, IntegratorConfig(max_time=horizon, step=step,
+                                                    block_sink=log))
+    log.assert_joins_to(tr)
+    return tr, log, calls[0]
+
+
+def test_blocks_of_a_batch_that_repeat_stops():
+    # the figure-3 pair converges bit for bit long before t = 100: the steps
+    # stop there, and the last block is the filled rest of the path
+    field = assemble(fhn_field(figure_params(3)))
+    tr, log, calls = solve_with_blocks(field, [[2.0, 0.0], [-2.0, 1.0]], 100.0, 0.01)
+    assert calls < 4 * 10_000 + 1
+    assert len(log.blocks[-1][0]) > _SCAN_BLOCK
+    # each full block comes when its steps are taken, not at the end; the
+    # steps up to the repeat and the filled rest come last
+    n = len(log.blocks)
+    assert log.calls_at[:n - 2] == [4 * _SCAN_BLOCK * k + 1 for k in range(1, n - 1)]
+    assert log.calls_at[-2:] == [calls, calls]
+
+
+def test_blocks_of_rows_that_blow_up_inside_blocks():
+    # blow-up times 0.2-12 put the stops inside the first three blocks of
+    # 256; the last row never stops
+    x0 = -np.log(np.linspace(0.2, 12.0, 50))
+    z0 = np.vstack([np.column_stack([x0, np.ones_like(x0)]), SPECIAL])
+    tr, log, _ = solve_with_blocks(EXP_FIELD, z0, 16.0, STEP)
+    assert tr.blew_up[:-1].all() and not tr.blew_up[-1]
+    assert len(set((tr.ends[:-4] - 1) // _SCAN_BLOCK)) >= 3
+    # when every row stops, the blocks end at the last row's end
+    tr, log, _ = solve_with_blocks(EXP_FIELD, z0[:-1], 16.0, STEP)
+    assert tr.blew_up.all() and len(tr.times) == tr.ends.max() < 16.0 / STEP
+    assert len(tr.times) > _SCAN_BLOCK
+
+
+@pytest.mark.parametrize("steps", [2, _SCAN_BLOCK - 1, _SCAN_BLOCK, 2 * _SCAN_BLOCK + 57])
+def test_blocks_of_a_horizon_that_is_no_multiple_of_the_scan(steps):
+    field = TimeVaryingField(2, standstill_rhs, fd_jacobian(standstill_rhs, 2))
+    z0 = np.array([[0.0, 1.0], [-3.0, 5.0]])
+    tr, log, _ = solve_with_blocks(field, z0, steps * STEP, STEP)
+    # sample 0 and the first block's steps, then one block's steps at a time
+    ends = [*range(_SCAN_BLOCK + 1, steps + 1, _SCAN_BLOCK), steps + 1]
+    assert [len(t) for t, _ in log.blocks] == np.diff([0, *ends]).tolist()
+
+
+def test_blocks_of_a_single_state_are_shaped_as_its_states():
+    tr, log, _ = solve_with_blocks(linear_field([[-1.0, 10.0], [0.0, -1.0]]),
+                                   np.array([1.0, -2.0]), 8.0, 0.01)
+    assert tr.states.shape == (801, 2)
+    assert all(s.shape == (len(t), 2) for t, s in log.blocks)
+
+
+def test_block_sink_needs_fixed_step_rk4():
+    with pytest.raises(ValueError, match="block sink"):
+        IntegratorConfig(max_time=1.0, method=ADAPTIVE_EMBEDDED, block_sink=BlockLog())
+    # the sink is no part of a config's value
+    assert IntegratorConfig(max_time=1.0, block_sink=BlockLog()) == IntegratorConfig(1.0)
+
+
 def hermite_oracle(times, values, derivs, t):
     """Piecewise-cubic Hermite interpolation of one row, written out per
     call: the interval of each query, its cubic weights, and the stored

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ieskit.dynsys import IntegratorConfig, TimeVaryingField, assemble, integrate, linear_field
@@ -101,14 +101,19 @@ CHAIN_SETS = {**{f"figure{k}": figure_params(k) for k in (1, 2, 3)},
 class TestDissipationChain:
     @given(b=st.floats(0.01, 20.0), eps=st.floats(0.01, 20.0), r=st.floats(1.25, 4.0),
            rho=st.floats(0.0, 10.0), x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0))
+    @example(b=0.99999, eps=11.875, r=2.0, rho=0.0, x=0.0, y=1.0)
     @settings(max_examples=300, deadline=None)
     def test_gaps_are_their_closed_forms(self, b, eps, r, rho, x, y):
         p = FhnParams(b=b, rho1=rho, rho2=rho, epsilon=eps, r=r)
         c, kappa = p.c, min(0.125, b / eps)
         wd, s1, s2, s3 = dissipation_chain(p, x, y)
+        # kappa is b/eps or 1/8; where it is b/eps the y term is 0 exactly,
+        # though b - kappa*eps can round below it (to -1.1e-16 at b =
+        # 0.99999, eps = 11.875); elsewhere b >= eps/8, so b - eps/8 >= 0
+        y_term = 0.0 if kappa == b / eps else (b - kappa * eps) * y * y
         gaps = ((s1 - wd, (x - c) ** 2 / 2, 0.0),
                 (s2 - s1, x**4 / 3 - 13 * x * x / 8 + 2, 5 / 256),
-                (s3 - s2, (0.125 - kappa) * x * x + (b - kappa * eps) * y * y, 0.0))
+                (s3 - s2, (0.125 - kappa) * x * x + y_term, 0.0))
         # every term of the chain, in absolute value: the rounding scale
         size = (x * x + x**4 + abs(c * x) + 2 * rho * abs(x * y) + b * y * y + c * c + 2
                 + kappa * (x * x + eps * y * y))
