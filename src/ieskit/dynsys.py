@@ -669,63 +669,56 @@ class DistanceSeries:
 
 
 def _row_norms(diff: Array) -> Array:
-    """np.linalg.norm(diff, axis=1) of a (Q, d) array, bit for bit.  Up to
-    d = 7, ``add.reduce`` sums the squares of a row left to right, and the
+    """np.linalg.norm(diff, axis=-1) of a (..., d) array, bit for bit.  Up
+    to d = 7, ``add.reduce`` sums the squares of a row left to right, and the
     columns summed in that order give the same bits several times faster
     than a reduction over the short axis; from d = 8 on it sums pairwise, so
-    the norm itself is taken."""
-    if diff.shape[1] >= 8:
-        return np.linalg.norm(diff, axis=1)
-    squares = diff * diff
-    total = squares[:, 0]
-    for j in range(1, diff.shape[1]):
-        total = total + squares[:, j]
-    return np.sqrt(total)
-
-
-def pair_distances(traj: Trajectory, pairs, config: IntegratorConfig) -> list[DistanceSeries]:
-    """t -> |z_i(t) - z_j(t)| for every pair (i, j) of rows of a batched
-    trajectory: on the solver grid for fixed-step RK4, else Hermite-resampled
-    at spacing ``config.step`` up to the earlier end of the two rows.  The
-    pairs that are resampled share one Hermite basis per resampling end."""
-    rows = {k: traj.row(k) for pair in pairs for k in pair}
-    series: list[Optional[DistanceSeries]] = [None] * len(pairs)
-    resampled: dict[int, list[int]] = {}  # resampling end -> its pairs
-    for p, (i, j) in enumerate(pairs):
-        tr1, tr2 = rows[i], rows[j]
-        if config.method == FIXED_RK4 and not (tr1.blew_up or tr2.blew_up):
-            dist = _row_norms(tr1.states - tr2.states)
-            series[p] = DistanceSeries(times=tr1.times, values=dist, blew_up=False)
-        else:
-            resampled.setdefault(min(len(tr1.times), len(tr2.times)), []).append(p)
-    t0 = traj.t0
-    for end, members in resampled.items():
-        t_end = float(traj.times[end - 1])
-        n = max(2, math.ceil((t_end - t0) / config.step))
-        times = np.linspace(t0, t_end, n + 1)
-        basis = _HermiteBasis(traj.times[:end], times, traj.states.shape[2:])
-        for p in members:
-            tr1, tr2 = (rows[k] for k in pairs[p])
-            with np.errstate(over="ignore", invalid="ignore"):  # a blown-up pair nears overflow
-                dist = _row_norms(basis.apply(tr1.states, tr1.derivatives)
-                                  - basis.apply(tr2.states, tr2.derivatives))
-            series[p] = DistanceSeries(times=times, values=dist,
-                                       blew_up=tr1.blew_up or tr2.blew_up)
-    return series
+    the norm itself is taken.  A row that overflows or holds NaN gives inf or
+    NaN without a warning: that is the IEEE answer, and a caller treats such
+    a row as blown up."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if diff.shape[-1] >= 8:
+            return np.linalg.norm(diff, axis=-1)
+        squares = diff * diff
+        total = squares[..., 0]
+        for j in range(1, diff.shape[-1]):
+            total = total + squares[..., j]
+        return np.sqrt(total)
 
 
 def flow_differences(
     field: TimeVaryingField, t0: float, z1s, z2s, config: IntegratorConfig
 ) -> list[DistanceSeries]:
     """Distance series t -> |phi(t, z1s[k]) - phi(t, z2s[k])| of every pair,
-    with all 2N flows integrated as one batch."""
+    with all 2N flows integrated as one batch, pair k as rows k and N + k.
+    Under fixed-step RK4 a pair that does not blow up is measured on the
+    solver grid; the others are Hermite-resampled at spacing ``config.step``
+    up to the earlier end of the pair's two rows, and the pairs resampled
+    to one end share one Hermite basis."""
     z1s = np.asarray(z1s, dtype=float)
     z2s = np.asarray(z2s, dtype=float)
     if z1s.shape != z2s.shape:
         raise ValueError("z1 and z2 must have the same dimension")
     n = len(z1s)
     traj = integrate(field, t0, np.concatenate([z1s, z2s]), config)
-    return pair_distances(traj, [(k, n + k) for k in range(n)], config)
+    series: list[Optional[DistanceSeries]] = [None] * n
+    resampled: dict[int, list[int]] = {}  # resampling end -> its pairs
+    for k in range(n):
+        tr1, tr2 = traj.row(k), traj.row(n + k)
+        if config.method == FIXED_RK4 and not (tr1.blew_up or tr2.blew_up):
+            series[k] = DistanceSeries(tr1.times, _row_norms(tr1.states - tr2.states))
+        else:
+            resampled.setdefault(min(len(tr1.times), len(tr2.times)), []).append(k)
+    for end, members in resampled.items():
+        t_end = float(traj.times[end - 1])
+        times = np.linspace(t0, t_end, max(2, math.ceil((t_end - t0) / config.step)) + 1)
+        basis = _HermiteBasis(traj.times[:end], times, traj.states.shape[2:])
+        for k in members:
+            tr1, tr2 = traj.row(k), traj.row(n + k)
+            dist = _row_norms(basis.apply(tr1.states, tr1.derivatives)
+                              - basis.apply(tr2.states, tr2.derivatives))
+            series[k] = DistanceSeries(times, dist, tr1.blew_up or tr2.blew_up)
+    return series
 
 
 def flow_difference(

@@ -16,6 +16,10 @@ from ieskit.sampling import box_grid
 
 Array = np.ndarray
 
+# The most grid points (density^dim) and levels of a find_invariant_level search:
+# at (16 dim + 24) peak bytes per point, 224 MiB in 2-D and 480 MiB in 6-D.
+MAX_INVARIANT_POINTS = 2**22
+
 
 class NoInvariantLevelError(RuntimeError):
     """No sublevel set in the searched range had a strictly dissipating shell.
@@ -109,8 +113,9 @@ def find_invariant_level(
     """Smallest grid level whose sampled shell {L <= W <= L (1 + delta)} has
     strictly negative Wdot at t = 0; the enclosing radius comes from the
     sampled sublevel set, inflated by half a grid-cell diagonal.  A box whose
-    dimension is not W's, fewer than 2 grid points per axis or fewer than 1
-    level is refused with ValueError."""
+    dimension is not W's, fewer than 2 grid points per axis, fewer than 1
+    level, and more than ``MAX_INVARIANT_POINTS`` grid points or levels are
+    refused with ValueError before any grid is built."""
     lo, hi = level_range
     if not (0 < lo < hi):
         raise ValueError("level range must satisfy 0 < lo < hi")
@@ -121,6 +126,10 @@ def find_invariant_level(
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if len(box) != w.dim:
         raise ValueError(f"box has dimension {len(box)}, W has dimension {w.dim}")
+    points = int(grid_density) ** w.dim
+    if max(points, n_levels) > MAX_INVARIANT_POINTS:
+        raise ValueError(f"{points} grid points in {w.dim}-D and {n_levels} levels: either "
+                         f"is refused above the limit of {MAX_INVARIANT_POINTS}")
     pts = box_grid(box, grid_density)
     w_vals = w.value(pts)
     norms = np.linalg.norm(pts, axis=1)

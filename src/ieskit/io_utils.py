@@ -5,14 +5,17 @@ rows at a time, and the atomic writer writes each chunk of text as it comes,
 so the peak memory of a write is one chunk plus the column a caller formats
 once to share (the time column), whatever the number of rows.
 
+Every file is written through one commit routine, ``_commit``: the texts
+go into temp files next to the targets, which replace the targets only once
+all of them are written, so a failed write leaves every target as it was.
 ``block_csvs`` writes CSVs whose rows come in blocks while a solve runs: a
-forked worker process formats each block into temp files next to the targets
-while the caller computes the next one, and the targets are replaced only
-once the caller's work and the worker's both succeed.  Where ``os.fork`` is
-missing, the same formatter runs in the calling process."""
+forked worker process formats each block into the temp files while the
+caller computes the next one.  Where ``os.fork`` is missing, the same
+formatter runs in the calling process."""
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import pickle
@@ -20,8 +23,8 @@ import signal
 import struct
 import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
-from itertools import chain, islice
+from contextlib import contextmanager, suppress
+from itertools import chain, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -59,33 +62,59 @@ def _csv_rows(columns, prefix: str = "", head: str = "") -> Iterator[str]:
 
 def atomic_write_text(path, text: str | Iterable[str]) -> Path:
     """Write ``text``, a string or an iterable of string chunks written one
-    after another, to ``path`` atomically (a new temp file in the same
-    directory, then rename), so partially written outputs are never observed:
-    if a chunk fails to come or to encode, the temp file is removed and the
-    target is left as it was.  The temp file is created with mode 0o666, so
-    the kernel gives it the mode a plain ``open`` would, 0o666 less the
-    umask."""
+    after another, to ``path`` atomically (``_commit``): if a chunk fails to
+    come or to encode, the target is left as it was."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp, fd = _temp_file(path)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    _write_texts([path], [text])
     return path
 
 
-def _temp_file(path: Path) -> tuple[Path, int]:
-    """A new temp file next to ``path``, created with mode 0o666 less the
-    umask, and its descriptor open for writing."""
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _write_texts(paths: Sequence[Path], texts: Iterable) -> None:
+    """Write each of ``texts``, made one after another, to the matching path
+    of ``paths`` in one ``_commit``, with one file open at a time: a
+    failure in any leaves every target as it was."""
+    with _commit(paths) as temps:
+        for tmp, text in zip(temps, texts, strict=True):
+            with open(tmp, "w") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+
+
+@contextmanager
+def _commit(paths: Sequence[Path]) -> Iterator[list[Path]]:
+    """Replace the files ``paths`` together: yields one new, empty temp file
+    next to each target for the ``with`` body to write, created with mode
+    0o666 so that it gets the mode a plain ``open`` would, 0o666 less the
+    umask.  The missing directories are made first; only ancestors up to
+    the first that exists are looked at.  On a clean exit of the body every
+    target is checked, and if none is a directory the temp files are renamed
+    onto their targets.  If the body or a check fails, the temp files and
+    the directories made for them are removed and every target is left as
+    it was."""
+    made: list[Path] = []  # outermost first
+    temps: list[Path] = []
+    try:
+        for parent in dict.fromkeys(p.parent for p in paths):
+            missing = takewhile(lambda d: not d.exists(), (parent, *parent.parents))
+            made += reversed(list(missing))
+            parent.mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            temps.append(tmp)
+        yield temps
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with suppress(OSError):
+                tmp.unlink()
+        for d in reversed(made):
+            with suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _write_all(fd: int, data) -> None:
@@ -109,25 +138,25 @@ def _read_exact(fd: int, size: int) -> bytearray:
 
 
 class _BlockWriter:
-    """Writes each block's text into open files.  ``format_block(times,
-    states)`` gives one iterable of text chunks per part, and part k belongs
-    to file ``owners[k]``; a file holds its parts one after another, each
-    its head and then its text of every block.  A file's first part is
-    written as it comes.  Its later parts, such as the estimate's pairs
-    1..n-1, are written to one unlinked spill file in ``spill_dir`` and
-    copied in, part by part, by ``finish``; so what is held in memory is
-    one block's text and the place of each spilled piece, whatever the
-    number of blocks."""
+    """Writes each block's text into the files ``temps``, which it opens.
+    ``format_block(times, states)`` gives one iterable of text chunks per
+    part, and part k belongs to file ``owners[k]``; a file holds its parts
+    one after another, each its head and then its text of every block.  A
+    file's first part is written as it comes.  Its later parts, such as the
+    estimate's pairs 1..n-1, are written to one unlinked spill file next to
+    the first file and copied in, part by part, by ``finish``; so what is
+    held in memory is one block's text and the place of each spilled piece,
+    whatever the number of blocks."""
 
-    def __init__(self, fds: Sequence[int], owners: Sequence[int], heads: Sequence[str],
-                 format_block, spill_dir: Path):
-        self.files = [os.fdopen(fd, "w") for fd in fds]
+    def __init__(self, temps: Sequence[Path], owners: Sequence[int], heads: Sequence[str],
+                 format_block):
+        self.files = [open(tmp, "w") for tmp in temps]
         self.owners = owners
         firsts = {}
         self.direct = [firsts.setdefault(owner, k) == k for k, owner in enumerate(owners)]
         self.pieces: list[list[tuple[int, int]]] = [[] for _ in owners]
         self.format_block = format_block
-        self.spill_dir, self.spill = spill_dir, None
+        self.spill_dir, self.spill = temps[0].parent, None
         self._write([head] for head in heads)
 
     def _write(self, parts) -> None:
@@ -148,28 +177,24 @@ class _BlockWriter:
             for offset, size in pieces:
                 self.spill.seek(offset)
                 self.files[owner].write(self.spill.read(size).decode())
-        for fh in [*self.files, self.spill]:
-            if fh is not None:
-                fh.close()
+        for fh in filter(None, [*self.files, self.spill]):
+            fh.close()
 
     def abort(self) -> None:
-        for fh in [*self.files, self.spill]:
-            try:
-                if fh is not None:
-                    fh.close()
-            except OSError:
-                pass
+        for fh in filter(None, [*self.files, self.spill]):
+            with suppress(OSError):
+                fh.close()
 
 
 class _ForkedWriter:
     """A ``_BlockWriter`` in a forked worker process that reads the blocks
     from a pipe.  The worker runs no garbage collection and ends with
     ``os._exit``, so it runs no finalizer or exit handler and flushes no
-    buffer it shares with the caller; a failure there comes back pickled and
-    is raised by ``send`` or ``finish``.  It takes the arguments of a
-    ``_BlockWriter``."""
+    buffer it shares with the caller; a failure there, opening the files
+    included, comes back pickled and is raised by ``send`` or ``finish``.
+    It takes the arguments of a ``_BlockWriter``."""
 
-    def __init__(self, fds: Sequence[int], *args):
+    def __init__(self, *args):
         data_r, self.data_w = os.pipe()
         self.status_r, status_w = os.pipe()
         try:
@@ -184,7 +209,7 @@ class _ForkedWriter:
                 gc.disable()
                 os.close(self.data_w)
                 os.close(self.status_r)
-                writer = _BlockWriter(fds, *args)
+                writer = _BlockWriter(*args)
                 while True:
                     rows, n, d = _HEADER.unpack(_read_exact(data_r, _HEADER.size))
                     if not rows:
@@ -210,8 +235,6 @@ class _ForkedWriter:
                 os._exit(code)
         os.close(data_r)
         os.close(status_w)
-        for fd in fds:
-            os.close(fd)
 
     def send(self, times, states) -> None:
         """Hand the worker one block: ``times`` (k,) and ``states`` (k, N, d)."""
@@ -261,63 +284,31 @@ class _ForkedWriter:
             raise RuntimeError(f"the CSV worker ended with wait status {status}")
 
 
-def _make_dirs(path: Path) -> list[Path]:
-    """Make the directory ``path`` and its missing parents, and return the
-    ones made, innermost first."""
-    made = [p for p in (path, *path.parents) if not p.exists()]
-    path.mkdir(parents=True, exist_ok=True)
-    return made
-
-
 @contextmanager
 def block_csvs(paths: Sequence, heads: Sequence[str],
                format_block: Callable[[np.ndarray, np.ndarray], Sequence]) -> Iterator:
     """Write the files ``paths`` from blocks of rows handed over while the
-    ``with`` body runs, atomically: yields ``send(times, states)``, which
-    takes a block of times (k,) and states (k, N, d), and on a clean exit
-    of the body replaces the targets.
+    ``with`` body runs, in one ``_commit``: yields ``send(times, states)``,
+    which takes a block of times (k,) and states (k, N, d), and on a clean
+    exit of the body replaces the targets.
 
     ``format_block(times, states)`` gives one iterable of text chunks
     (``_csv_rows``) per entry of ``paths``, the block's part of that entry.
     An entry's text is its head in ``heads`` and then its parts in block
     order; a path listed more than once is the text of its entries one
     after another, in the order listed.  A forked worker calls it while the
-    body goes on, writing into temp files next to the targets; where
-    ``os.fork`` is missing, ``send`` calls it.  If the body or the
-    formatting fails, the temp files and the directories made for them are
-    removed, the worker is gone, and the targets are left as they were; a
-    failure in the worker is raised in the caller."""
+    body goes on, writing into the temp files; where ``os.fork`` is missing,
+    ``send`` calls it.  If the body or the formatting fails, the worker is
+    gone and the commit leaves the targets as they were; a failure in the
+    worker is raised in the caller."""
     slots = {path: k for k, path in enumerate(dict.fromkeys(map(Path, paths)))}
     owners = [slots[Path(p)] for p in paths]
-    paths = list(slots)
-    made = [d for parent in dict.fromkeys(p.parent for p in paths)
-            for d in _make_dirs(parent)]
-    temps, fds, writer = [], [], None
-    try:
-        for path in paths:
-            tmp, fd = _temp_file(path)
-            temps.append(tmp)
-            fds.append(fd)
+    with _commit(list(slots)) as temps:
         writer = (_ForkedWriter if hasattr(os, "fork") else _BlockWriter)(
-            fds, owners, heads, format_block, paths[0].parent)
-        fds = []  # the writer's now
-        yield writer.send
-        writer.finish()
-        for tmp, path in zip(temps, paths):
-            os.replace(tmp, path)
-    except BaseException:
-        if writer is not None:
+            temps, owners, heads, format_block)
+        try:
+            yield writer.send
+            writer.finish()
+        except BaseException:
             writer.abort()
-        for fd in fds:
-            os.close(fd)
-        for tmp in temps:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        for d in made:
-            try:
-                d.rmdir()
-            except OSError:
-                pass
-        raise
+            raise

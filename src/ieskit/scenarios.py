@@ -26,6 +26,7 @@ from ieskit.dynsys import (
     rk4_shape,
 )
 from ieskit.estimator import (
+    MIN_SEPARATION,
     box_bounds,
     ensemble_ies,
     sample_pairs_box,
@@ -41,13 +42,14 @@ from ieskit.fhn import (
     write_fc_csv,
 )
 from ieskit.invariance import (
+    MAX_INVARIANT_POINTS,
     OuterLyapunov,
     fhn_dissipation_level,
     fhn_outer_lyapunov,
     find_invariant_level,
     write_invariant_report,
 )
-from ieskit.io_utils import _cells, _csv_rows, atomic_write_text, block_csvs
+from ieskit.io_utils import _cells, _csv_rows, _write_texts, block_csvs
 from ieskit.polynomials import parse_polynomial_component, polynomial_interconnection
 from ieskit.smallgain import SAFETY, certify
 
@@ -104,10 +106,6 @@ def _matrix(text: str) -> Array:
         raise ValueError(f"must be rows 'a b; c d' of equal length, got {text!r}")
     return np.vstack(rows)
 
-
-# The most grid points (density^dim) and levels of an invariant_set search: at
-# (16 dim + 24) peak bytes per point, 224 MiB in 2-D and 480 MiB in 6-D.
-MAX_INVARIANT_POINTS = 2**22
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
@@ -328,6 +326,11 @@ def parse_config(path) -> Scenario:
         raise ConfigError(f"{_at(path, raw, 'initial')}: estimate takes initial states "
                           f"two by two as pairs, at most pairs = {n_pairs} of them; got "
                           f"{given} states")
+    if sc["action"] == "estimate":
+        for k, pair in enumerate(zip(sc["initial"][0::2], sc["initial"][1::2])):
+            if (gap := math.dist(*pair)) < MIN_SEPARATION:  # math.dist does not overflow
+                raise ConfigError(f"{_at(path, raw, 'initial')}: initial pair {k} has its "
+                                  f"states {gap:g} apart, closer than {MIN_SEPARATION:g}")
     rows = {"estimate": 2 * n_pairs, "simulate": given}.get(sc["action"])
     if rows is not None:
         try:  # integer arithmetic, before any pair is drawn
@@ -447,14 +450,13 @@ def run_simulate(scenario: Scenario) -> list[Path]:
     tr = _integrate_all(field, scenario.initial_conditions, config)
     cols = ",".join(f"z{k+1}" for k in range(field.dim))
     times = list(_cells(tr.times))
-    written = []
-    for i in range(len(scenario.initial_conditions)):
-        out = scenario.output_path / f"trajectory_{i:02d}.csv"
-        head = f"# ieskit {__version__} {scenario.echo()} ic={i}\nt,{cols}\n"
-        atomic_write_text(out, _csv_rows([times, *map(_cells, tr.states[:, i].T)],
-                                         head=head))
-        written.append(out)
-    return written
+    paths = [scenario.output_path / f"trajectory_{i:02d}.csv"
+             for i in range(len(scenario.initial_conditions))]
+    _write_texts(paths, (
+        _csv_rows([times, *map(_cells, tr.states[:, i].T)],
+                  head=f"# ieskit {__version__} {scenario.echo()} ic={i}\nt,{cols}\n")
+        for i in range(len(paths))))
+    return paths
 
 
 DEFAULT_FIGURE_PAIR = (np.array([2.0, 0.0]), np.array([-2.0, 1.0]))
@@ -469,11 +471,13 @@ def run_figures(
 ) -> list[Path]:
     """Reproduce the three benchmark scenarios: one CSV per figure with
     columns (t, x1, y1, x2, y2, distance).  The pair is integrated under all
-    three presets in one batch: rows 2k - 2 and 2k - 1 under figure k."""
+    three presets in one batch laid out as ``flow_differences`` lays out
+    three pairs."""
     out_dir = Path(out_dir)
     z1, z2 = (np.asarray(p, dtype=float) for p in pair)
     presets = [figure_params(fig) for fig in (1, 2, 3)]
-    field = assemble(fhn_field([p for p in presets for _ in range(2)]))
+    n = len(presets)
+    field = assemble(fhn_field(presets * 2))
     paths = [out_dir / f"figure{fig}.csv" for fig in (1, 2, 3)]
     heads = [
         f"# ieskit {__version__} figure={fig} c={p.c:g} b={p.b:g} "
@@ -486,16 +490,15 @@ def run_figures(
     ]
 
     def rows(times, states):
-        # the pair of figure k is rows 2k - 2 and 2k - 1; their distance is
-        # that of pair_distances on the fixed-step grid, bit for bit
         t = list(_cells(times))
-        return [_csv_rows([t, *map(_cells, (*states[:, i].T, *states[:, i + 1].T,
-                                             _row_norms(states[:, i] - states[:, i + 1])))])
-                for i in range(0, 2 * len(presets), 2)]
+        firsts, seconds = states[:, :n], states[:, n:]
+        dist = _row_norms(firsts - seconds)
+        return [_csv_rows([t, *map(_cells, (*firsts[:, k].T, *seconds[:, k].T, dist[:, k]))])
+                for k in range(n)]
 
     with block_csvs(paths, heads, rows) as sink:
         config = IntegratorConfig(max_time=horizon, step=step, block_sink=sink)
-        _integrate_all(field, (z1, z2) * len(presets), config)
+        _integrate_all(field, [z1] * n + [z2] * n, config)
     return paths
 
 
@@ -511,12 +514,9 @@ def run_estimate(scenario: Scenario) -> list[Path]:
     out_s = scenario.output_path / "summary.csv"
 
     def rows(times, states):
-        # one part per pair: the 2n flows are integrated as one batch, pair
-        # k as rows k and n + k (flow_differences), so these are the rows
-        # write_distance_csv writes from the report
         t = list(_cells(times))
-        return [_csv_rows([t, _cells(_row_norms(states[:, k] - states[:, n + k]))],
-                          prefix=f"{k},") for k in range(n)]
+        dist = _row_norms(states[:, :n] - states[:, n:])
+        return [_csv_rows([t, _cells(dist[:, k])], prefix=f"{k},") for k in range(n)]
 
     heads = ["pair_id,t,distance\n"] + [""] * (n - 1)
     with block_csvs([out_d] * n, heads, rows) as sink:

@@ -857,6 +857,27 @@ def test_estimate_writes_the_requested_pair_count(initial, pairs, tmp_path):
     assert [line.split(",")[0] for line in summary[1:]] == [str(k) for k in range(pairs)]
 
 
+@pytest.mark.parametrize("second, gap", [("2 0", "0"), ("2 1e-300", "1e-300")])
+def test_estimate_refuses_a_coincident_pair_before_any_work(second, gap, tmp_path,
+                                                             monkeypatch, capsys):
+    # the sampler's rule for its own pairs, applied to the given ones
+    def solve(*args):
+        raise AssertionError("the pairs were integrated")
+
+    monkeypatch.setattr("ieskit.scenarios.ensemble_ies", solve)
+    cfg = write_config(tmp_path, "[scenario]\nsystem = fhn\naction = estimate\n"
+                                 f"horizon = 5\ninitial = 2 0; {second}\n")
+    rc = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: {cfg}:5: initial pair 0 has its states "
+                                       f"{gap} apart, closer than 1e-06\n")
+    assert not (tmp_path / "o").exists()
+    # a pair MIN_SEPARATION apart is the closest the sampler keeps
+    at_limit = write_config(tmp_path, "[scenario]\nsystem = fhn\naction = estimate\n"
+                                      "initial = 2 0; 2 1e-6\n", name="at_limit.cfg")
+    assert len(parse_config(at_limit).initial_conditions) == 2
+
+
 def test_one_parser_serves_calls_without_leaking_overrides(tmp_path, capsys):
     # the parser is built once per process; the overrides of one call must
     # not reach the next

@@ -10,7 +10,9 @@ wait still reaps the worker.  The bytes hold while a fast interval timer
 interrupts the caller, the worker never flushes the caller's stdout, and
 the estimate action's distance rows are those the library writer makes
 from the report.  Many states or pairs need no more open files, and the
-worker's memory does not grow with the size of distances.csv."""
+worker's memory does not grow with the size of distances.csv.  A blow-up
+prints its one line, and a target that is a directory leaves every target
+of the action as it was."""
 
 import contextlib
 import os
@@ -286,4 +288,44 @@ def test_a_large_failure_report_does_not_stall_the_caller(tmp_path, monkeypatch,
         signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_INTERNAL
     assert "no cells today xxx" in capsys.readouterr().err
+    assert_clean(tmp_path)
+
+
+@pytest.mark.parametrize("action", ["figures", "estimate"])
+def test_a_blow_up_prints_only_its_line(action, tmp_path):
+    # the rows that blew up overflow when their distances are formatted;
+    # that is the IEEE answer, so no numpy warning may reach stderr
+    cfg = tmp_path / f"{action}.cfg"
+    cfg.write_text(CONFIGS[action].format(initial="initial = 1e10 0; 2 0\n", pairs=3))
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ieskit.cli", action, "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_BLOWUP
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical blow-up: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("forked", [True, False])
+@pytest.mark.parametrize("action, blocked", [("figures", "figure2.csv"),
+                                             ("simulate", "trajectory_01.csv")])
+def test_a_target_that_is_a_directory_leaves_every_target_as_it_was(
+        action, blocked, forked, tmp_path, monkeypatch, capsys):
+    # the files are committed together: a target that cannot be replaced is
+    # found before the first rename
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    for name in TARGETS[action]:
+        if name != blocked:
+            (out / name).write_text(f"old {name}\n")
+    assert run(tmp_path, action, CALM[action]) == EXIT_INTERNAL
+    assert f"Is a directory: '{out / blocked}'" in capsys.readouterr().err
+    for name in TARGETS[action]:
+        if name != blocked:
+            assert (out / name).read_text() == f"old {name}\n"
+    assert (out / blocked).is_dir()
     assert_clean(tmp_path)

@@ -771,15 +771,20 @@ def test_shared_basis_resampling_is_each_rows_own(seed, n_pairs, scale, method):
                     r.times, r.states, r.derivatives, t).tobytes()
 
 
-@given(rows=st.integers(1, 500), d=st.integers(1, 9),
+@given(rows=st.integers(1, 500), pairs=st.sampled_from([None, 1, 3]), d=st.integers(1, 9),
        special=st.sampled_from([0.0, 0.02, 0.3]), seed=st.integers(0, 2**16))
 @settings(max_examples=200, deadline=None)
-def test_row_norms_are_numpys_bitwise(rows, d, special, seed):
-    # scales of 1e+-150 make squares overflow and underflow; d >= 8 is the
-    # pairwise sum that the column sum would not give
+def test_row_norms_are_numpys_bitwise(rows, pairs, d, special, seed):
+    # scales of 1e+-150 make squares overflow and underflow, which gives inf
+    # or 0 without a warning; d >= 8 is the pairwise sum that the column sum
+    # would not give.  A pair axis after the rows gives each pair's norms.
     rng = np.random.default_rng(seed)
-    diff = rng.standard_normal((rows, d)) * 10.0 ** rng.choice([-150, -3, 0, 3, 150], (rows, d))
+    shape = (rows, d) if pairs is None else (rows, pairs, d)
+    diff = rng.standard_normal(shape) * 10.0 ** rng.choice([-150, -3, 0, 3, 150], shape)
     hit = rng.random(diff.shape) < special
     diff[hit] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], np.count_nonzero(hit))
+    norms = _row_norms(diff)
     with np.errstate(all="ignore"):
-        assert _row_norms(diff).tobytes() == np.linalg.norm(diff, axis=1).tobytes()
+        assert norms.tobytes() == np.linalg.norm(diff, axis=-1).tobytes()
+        for k in range(0 if pairs is None else pairs):
+            assert norms[:, k].tobytes() == np.linalg.norm(diff[:, k], axis=1).tobytes()

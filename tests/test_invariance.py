@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ieskit.dynsys import IntegratorConfig, TimeVaryingField, assemble, integrate, linear_field
 from ieskit.fhn import FhnParams, fhn_field, figure_params
 from ieskit.invariance import (
+    MAX_INVARIANT_POINTS,
     NoInvariantLevelError,
     OuterLyapunov,
     fhn_dissipation_level,
@@ -237,6 +238,32 @@ class TestInvariantLevel:
         with pytest.raises(ValueError, match="n_levels must be at least 1"):
             find_invariant_level(half_norm_lyapunov(), linear_field(-np.eye(2)), (0.5, 5.0),
                                  [[-4, 4]] * 2, n_levels=n_levels)
+
+    @pytest.mark.parametrize("density, n_levels, match", [
+        (2049, 40, "4198401 grid points in 2-D and 40 levels"),
+        (41, MAX_INVARIANT_POINTS + 1, "1681 grid points in 2-D and 4194305 levels"),
+    ])
+    def test_a_search_above_the_limit_is_refused_before_its_grid(self, density, n_levels,
+                                                                  match, monkeypatch):
+        class GridBuilt(Exception):
+            pass
+
+        def no_grid(*args):
+            raise GridBuilt
+
+        monkeypatch.setattr("ieskit.invariance.box_grid", no_grid)
+
+        def search(density, n_levels):
+            find_invariant_level(half_norm_lyapunov(), linear_field(-np.eye(2)), (0.5, 5.0),
+                                 [[-4, 4]] * 2, n_levels=n_levels, grid_density=density)
+
+        with pytest.raises(ValueError, match=f"{match}: either is refused above the limit "
+                                             f"of 4194304"):
+            search(density, n_levels)
+        # 2048^2 points and as many levels are at the limit: the grid is built
+        assert 2048**2 == MAX_INVARIANT_POINTS
+        with pytest.raises(GridBuilt):
+            search(2048, MAX_INVARIANT_POINTS)
 
     def test_report_file(self, tmp_path):
         field = linear_field(-np.eye(2))

@@ -3,8 +3,9 @@ the oracle: every cell the repr of its float, every row prefixed, byte for
 byte, at every chunk boundary and also when the pairs of a distance CSV have
 different time grids.  And the files the atomic writer leaves: the mode a
 plain ``open`` would give under the umask, and after a failed write or a
-stream failing mid-write the target as it was and no temp file; and the
-bounded memory of a streamed write."""
+stream failing mid-write the target as it was and no temp file; after a
+failed write of several files every target as it was, and no directory the
+write made; and the bounded memory of a streamed write."""
 
 import os
 import stat
@@ -25,7 +26,7 @@ from ieskit.dynsys import (
 )
 from ieskit.estimator import PairResult, write_distance_csv
 from ieskit.fhn import fhn_field, figure_params
-from ieskit.io_utils import CHUNK, _cells, _csv_rows, atomic_write_text
+from ieskit.io_utils import CHUNK, _cells, _csv_rows, _write_texts, atomic_write_text
 
 SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308,
             1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, 0.1, 1e16, 1e-5]
@@ -230,3 +231,38 @@ def test_a_streamed_write_holds_about_one_chunk(tmp_path):
     assert peak < 10_000_000
     assert peak - shared < 1_500_000
     assert (tmp_path / "big.csv").read_text() == "h\n" + oracle_rows(table)
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_a_failed_multi_file_write_keeps_every_target(tmp_path, blocked):
+    # the second file fails to encode, or its target is a directory: the
+    # first target is not replaced either, and no temp file is left
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("kept\n")
+    if blocked:
+        second.mkdir()
+    with pytest.raises(IsADirectoryError if blocked else UnicodeEncodeError):
+        _write_texts([first, second], ["new\n", "new\n" if blocked else "a\udc80\n"])
+    assert first.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["first.csv", "second.csv"] if blocked else ["first.csv"])
+
+
+def test_a_failed_write_removes_the_directories_it_made_and_no_other(tmp_path, monkeypatch):
+    # only the ancestors up to the first that exists are looked at, and
+    # only the directories made for the write are removed after it fails
+    (tmp_path / "a").mkdir()
+    looked = []
+    real_exists = type(tmp_path).exists
+
+    def exists(self, *args, **kwargs):
+        looked.append(self)
+        return real_exists(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(tmp_path), "exists", exists)
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(tmp_path / "a" / "b" / "c" / "out.csv", "a\udc80\n")
+    monkeypatch.undo()
+    assert looked == [tmp_path / "a" / "b" / "c", tmp_path / "a" / "b", tmp_path / "a"]
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+    assert not list((tmp_path / "a").iterdir())
