@@ -8,10 +8,10 @@ once to share (the time column), whatever the number of rows.
 Every file is written through one commit routine, ``_commit``: the texts
 go into temp files next to the targets, which replace the targets only once
 all of them are written, so a failed write leaves every target as it was.
-``block_csvs`` writes CSVs whose rows come in blocks while a solve runs: a
-forked worker process formats each block into the temp files while the
-caller computes the next one.  Where ``os.fork`` is missing, the same
-formatter runs in the calling process."""
+``block_csvs`` writes CSVs whose rows come in blocks while a solve runs,
+into temp files of its caller's commit: a forked worker process formats
+each block while the caller computes the next one.  Where ``os.fork`` is missing,
+the same formatter runs in the calling process."""
 
 from __future__ import annotations
 
@@ -65,18 +65,9 @@ def atomic_write_text(path, text: str | Iterable[str]) -> Path:
     after another, to ``path`` atomically (``_commit``): if a chunk fails to
     come or to encode, the target is left as it was."""
     path = Path(path)
-    _write_texts([path], [text])
+    with _commit([path]) as (tmp,), open(tmp, "w") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     return path
-
-
-def _write_texts(paths: Sequence[Path], texts: Iterable) -> None:
-    """Write each of ``texts``, made one after another, to the matching path
-    of ``paths`` in one ``_commit``, with one file open at a time: a
-    failure in any leaves every target as it was."""
-    with _commit(paths) as temps:
-        for tmp, text in zip(temps, texts, strict=True):
-            with open(tmp, "w") as fh:
-                fh.writelines([text] if isinstance(text, str) else text)
 
 
 @contextmanager
@@ -138,34 +129,34 @@ def _read_exact(fd: int, size: int) -> bytearray:
 
 
 class _BlockWriter:
-    """Writes each block's text into the files ``temps``, which it opens.
+    """Appends each block's text to the files ``paths``, which must exist.
     ``format_block(times, states)`` gives one iterable of text chunks per
-    part, and part k belongs to file ``owners[k]``; a file holds its parts
+    part, and part k belongs to file ``paths[k]``; a file holds its parts
     one after another, each its head and then its text of every block.  A
-    file's first part is written as it comes.  Its later parts, such as the
-    estimate's pairs 1..n-1, are written to one unlinked spill file next to
-    the first file and copied in, part by part, by ``finish``; so what is
-    held in memory is one block's text and the place of each spilled piece,
-    whatever the number of blocks."""
+    file's first part is written as it comes, the file open only while it
+    is appended to, so any number of files needs one open file at a time.
+    Its later parts, such as the estimate's pairs 1..n-1, are written to one
+    unlinked spill file next to the first file and copied in, part by part,
+    by ``finish``; so what is held in memory is one block's text and the
+    place of each spilled piece, whatever the number of blocks."""
 
-    def __init__(self, temps: Sequence[Path], owners: Sequence[int], heads: Sequence[str],
-                 format_block):
-        self.files = [open(tmp, "w") for tmp in temps]
-        self.owners = owners
+    def __init__(self, paths: Sequence[Path], heads: Sequence[str], format_block):
+        self.paths = paths
         firsts = {}
-        self.direct = [firsts.setdefault(owner, k) == k for k, owner in enumerate(owners)]
-        self.pieces: list[list[tuple[int, int]]] = [[] for _ in owners]
+        self.direct = [firsts.setdefault(path, k) == k for k, path in enumerate(paths)]
+        self.pieces: list[list[tuple[int, int]]] = [[] for _ in paths]
         self.format_block = format_block
-        self.spill_dir, self.spill = temps[0].parent, None
+        self.spill = None
         self._write([head] for head in heads)
 
     def _write(self, parts) -> None:
-        for k, (owner, chunks) in enumerate(zip(self.owners, parts, strict=True)):
+        for k, (path, chunks) in enumerate(zip(self.paths, parts, strict=True)):
             if self.direct[k]:
-                self.files[owner].writelines(chunks)
+                with open(path, "a") as fh:
+                    fh.writelines(chunks)
             elif data := "".join(chunks).encode():
                 if self.spill is None:
-                    self.spill = tempfile.TemporaryFile(dir=self.spill_dir)
+                    self.spill = tempfile.TemporaryFile(dir=self.paths[0].parent)
                 self.pieces[k].append((self.spill.tell(), len(data)))
                 self.spill.write(data)
 
@@ -173,17 +164,17 @@ class _BlockWriter:
         self._write(self.format_block(times, states))
 
     def finish(self) -> None:
-        for owner, pieces in zip(self.owners, self.pieces):
-            for offset, size in pieces:
-                self.spill.seek(offset)
-                self.files[owner].write(self.spill.read(size).decode())
-        for fh in filter(None, [*self.files, self.spill]):
-            fh.close()
+        for path, pieces in zip(self.paths, self.pieces):
+            with open(path, "a") as fh:
+                for offset, size in pieces:
+                    self.spill.seek(offset)
+                    fh.write(self.spill.read(size).decode())
+        self.abort()
 
     def abort(self) -> None:
-        for fh in filter(None, [*self.files, self.spill]):
+        if self.spill is not None:
             with suppress(OSError):
-                fh.close()
+                self.spill.close()
 
 
 class _ForkedWriter:
@@ -285,30 +276,28 @@ class _ForkedWriter:
 
 
 @contextmanager
-def block_csvs(paths: Sequence, heads: Sequence[str],
+def block_csvs(paths: Sequence[Path], heads: Sequence[str],
                format_block: Callable[[np.ndarray, np.ndarray], Sequence]) -> Iterator:
-    """Write the files ``paths`` from blocks of rows handed over while the
-    ``with`` body runs, in one ``_commit``: yields ``send(times, states)``,
-    which takes a block of times (k,) and states (k, N, d), and on a clean
-    exit of the body replaces the targets.
+    """Append to the files ``paths``, the empty temp files of the caller's
+    ``_commit``, blocks of rows handed over while the ``with`` body runs:
+    yields ``send(times, states)``, which takes a block of times (k,) and
+    states (k, N, d), and on a clean exit of the body waits until every
+    block is written.
 
     ``format_block(times, states)`` gives one iterable of text chunks
     (``_csv_rows``) per entry of ``paths``, the block's part of that entry.
     An entry's text is its head in ``heads`` and then its parts in block
     order; a path listed more than once is the text of its entries one
     after another, in the order listed.  A forked worker calls it while the
-    body goes on, writing into the temp files; where ``os.fork`` is missing,
-    ``send`` calls it.  If the body or the formatting fails, the worker is
-    gone and the commit leaves the targets as they were; a failure in the
-    worker is raised in the caller."""
-    slots = {path: k for k, path in enumerate(dict.fromkeys(map(Path, paths)))}
-    owners = [slots[Path(p)] for p in paths]
-    with _commit(list(slots)) as temps:
-        writer = (_ForkedWriter if hasattr(os, "fork") else _BlockWriter)(
-            temps, owners, heads, format_block)
-        try:
-            yield writer.send
-            writer.finish()
-        except BaseException:
-            writer.abort()
-            raise
+    body goes on; where ``os.fork`` is missing, ``send`` calls it.  If the
+    body or the formatting fails, the worker is gone before the failure
+    reaches the caller's commit; a failure in the worker is raised in the
+    caller."""
+    writer = (_ForkedWriter if hasattr(os, "fork") else _BlockWriter)(
+        paths, heads, format_block)
+    try:
+        yield writer.send
+        writer.finish()
+    except BaseException:
+        writer.abort()
+        raise

@@ -13,6 +13,7 @@ because an exponent broadcast across rows (stride 0) is squared as v*v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,8 @@ def parse_polynomial_component(text: str, in_dim: int) -> Component:
                 f"term {chunk!r} needs a coefficient and {in_dim} exponents"
             )
         coef = float(parts[0])
+        if not math.isfinite(coef):
+            raise ValueError(f"term {chunk!r} has a coefficient that is not finite")
         exps = tuple(int(p) for p in parts[1:])
         if any(e < 0 for e in exps):
             raise ValueError(f"term {chunk!r} has a negative exponent")

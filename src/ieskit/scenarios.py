@@ -17,6 +17,7 @@ import numpy as np
 
 from ieskit import __version__
 from ieskit.dynsys import (
+    MAX_STORED_VALUES,
     IntegratorConfig,
     TimeVaryingField,
     _row_norms,
@@ -49,7 +50,7 @@ from ieskit.invariance import (
     find_invariant_level,
     write_invariant_report,
 )
-from ieskit.io_utils import _cells, _csv_rows, _write_texts, block_csvs
+from ieskit.io_utils import _cells, _commit, _csv_rows, block_csvs
 from ieskit.polynomials import parse_polynomial_component, polynomial_interconnection
 from ieskit.smallgain import SAFETY, certify
 
@@ -184,7 +185,9 @@ PARAMS: dict[str, dict[str, Key]] = {
     },
     "builtin_linear": {
         "matrix": Key(_matrix, None, (lambda a: a.shape[0] == a.shape[1], "must be square")),
-        "dim": Key(_integer, 1, _POSITIVE),  # minus identity unless matrix is given
+        # minus identity unless matrix is given, refused before it is built
+        "dim": Key(_integer, 1, (lambda v: 0 < v and v * v <= MAX_STORED_VALUES,
+                                 f"must be positive with dim * dim at most {MAX_STORED_VALUES}")),
     },
     "user_polynomial": {
         "n": Key(_integer, _REQUIRED, _POSITIVE),
@@ -436,26 +439,27 @@ def build_field(scenario: Scenario) -> TimeVaryingField:
     return assemble(scenario.model)
 
 
-def _integrate_all(field: TimeVaryingField, states, config: IntegratorConfig):
+def _integrate_all(field: TimeVaryingField, states, config: IntegratorConfig) -> None:
     """One batched integration of ``states``; any row blowing up is an error."""
-    tr = integrate(field, 0.0, np.array(states), config)
-    if np.any(tr.blew_up):
+    if np.any(integrate(field, 0.0, np.array(states), config).blew_up):
         raise BlowUpError("integration hit non-finite values; partial output discarded")
-    return tr
 
 
 def run_simulate(scenario: Scenario) -> list[Path]:
     field = build_field(scenario)
-    config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
-    tr = _integrate_all(field, scenario.initial_conditions, config)
     cols = ",".join(f"z{k+1}" for k in range(field.dim))
-    times = list(_cells(tr.times))
-    paths = [scenario.output_path / f"trajectory_{i:02d}.csv"
-             for i in range(len(scenario.initial_conditions))]
-    _write_texts(paths, (
-        _csv_rows([times, *map(_cells, tr.states[:, i].T)],
-                  head=f"# ieskit {__version__} {scenario.echo()} ic={i}\nt,{cols}\n")
-        for i in range(len(paths))))
+    n = len(scenario.initial_conditions)
+    paths = [scenario.output_path / f"trajectory_{i:02d}.csv" for i in range(n)]
+    heads = [f"# ieskit {__version__} {scenario.echo()} ic={i}\nt,{cols}\n" for i in range(n)]
+
+    def rows(times, states):
+        t = list(_cells(times))
+        return [_csv_rows([t, *map(_cells, states[:, i].T)]) for i in range(n)]
+
+    with _commit(paths) as temps, block_csvs(temps, heads, rows) as sink:
+        config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step,
+                                  block_sink=sink)
+        _integrate_all(field, scenario.initial_conditions, config)
     return paths
 
 
@@ -496,7 +500,7 @@ def run_figures(
         return [_csv_rows([t, *map(_cells, (*firsts[:, k].T, *seconds[:, k].T, dist[:, k]))])
                 for k in range(n)]
 
-    with block_csvs(paths, heads, rows) as sink:
+    with _commit(paths) as temps, block_csvs(temps, heads, rows) as sink:
         config = IntegratorConfig(max_time=horizon, step=step, block_sink=sink)
         _integrate_all(field, [z1] * n + [z2] * n, config)
     return paths
@@ -519,14 +523,15 @@ def run_estimate(scenario: Scenario) -> list[Path]:
         return [_csv_rows([t, _cells(dist[:, k])], prefix=f"{k},") for k in range(n)]
 
     heads = ["pair_id,t,distance\n"] + [""] * (n - 1)
-    with block_csvs([out_d] * n, heads, rows) as sink:
-        config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step,
-                                  block_sink=sink)
-        report = ensemble_ies(field, pairs, scenario.horizon, config, opts["transient_skip"])
-        if report.blown_up:
-            raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up during "
-                              f"estimation")
-    write_summary_csv(out_s, report.results)
+    with _commit([out_d, out_s]) as (tmp_d, tmp_s):
+        with block_csvs([tmp_d] * n, heads, rows) as sink:
+            config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step,
+                                      block_sink=sink)
+            report = ensemble_ies(field, pairs, scenario.horizon, config, opts["transient_skip"])
+            if report.blown_up:
+                raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up "
+                                  f"during estimation")
+        write_summary_csv(tmp_s, report.results)
     return [out_d, out_s]
 
 
@@ -586,8 +591,9 @@ def run_certify(scenario: Scenario) -> list[Path]:
     )
     out_rec = scenario.output_path / "certificate.rec"
     out_txt = scenario.output_path / "certificate.txt"
-    cert.write_record(out_rec)
-    cert.write_report(out_txt)
+    with _commit([out_rec, out_txt]) as (tmp_rec, tmp_txt):
+        cert.write_record(tmp_rec)
+        cert.write_report(tmp_txt)
     return [out_rec, out_txt]
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ieskit.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUSED,
     main,
@@ -28,6 +29,7 @@ from ieskit.scenarios import (
     Scenario,
     parse_config,
 )
+from ieskit import scenarios
 from ieskit.fhn import FhnParams
 from ieskit.smallgain import parse_certificate_record
 
@@ -556,6 +558,52 @@ def test_solve_size_limit_is_exact(tmp_path):
         parse_config(write_config(tmp_path, default_pairs))
 
 
+def test_a_dim_too_large_is_refused_before_minus_identity_is_built(tmp_path, monkeypatch,
+                                                                   capsys):
+    # minus identity of dim = 11 586 holds more than MAX_STORED_VALUES values;
+    # 11 585 is the largest dim within it, and reaches np.eye (patched, since
+    # minus identity of that size would take 1 GiB)
+    def no_eye(*args, **kwargs):
+        raise AssertionError("np.eye called")
+
+    largest = math.isqrt(MAX_STORED_VALUES)
+    assert largest**2 <= MAX_STORED_VALUES < (largest + 1) ** 2
+    monkeypatch.setattr(np, "eye", no_eye)
+    for dim in (largest + 1, 1_000_000):
+        cfg = write_config(tmp_path, LINEAR_ESTIMATE.replace("dim = 2", f"dim = {dim}"))
+        rc = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:9: dim must be positive with dim * dim at most "
+            f"{MAX_STORED_VALUES}, got '{dim}'\n")
+    cfg = write_config(tmp_path, LINEAR_ESTIMATE.replace("dim = 2", f"dim = {largest}"))
+    with pytest.raises(AssertionError, match="np.eye called"):
+        parse_config(cfg)
+    monkeypatch.undo()
+    for dim in (1, 3):
+        cfg = write_config(tmp_path, LINEAR_ESTIMATE.replace("dim = 2", f"dim = {dim}"))
+        assert np.array_equal(parse_config(cfg).model, -np.eye(dim))
+
+
+@pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command", ["simulate", "invariant-set"])
+def test_a_non_finite_coefficient_exits_2_before_any_solve(coefficient, command, tmp_path,
+                                                           monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(scenarios, "integrate", no_solve)
+    monkeypatch.setattr(scenarios, "find_invariant_level", no_solve)
+    text = POLYNOMIAL_SIMULATE.replace("f1_0 = -1 1", f"f1_0 = {coefficient} 1")
+    cfg = write_config(tmp_path, text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:10: f1_0: term '{coefficient} 1' has a coefficient "
+        f"that is not finite\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_oversized_estimate_exits_2_before_drawing_a_pair(tmp_path, monkeypatch, capsys):
     def draw(*args):
         raise AssertionError("a pair was drawn")
@@ -634,6 +682,19 @@ def test_certify_without_radius_uses_the_closed_form_enclosure(tmp_path):
     out = tmp_path / "cert"
     assert main(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert parse_certificate_record(out / "certificate.rec")["radius"] == "16.864613649443623"
+
+
+def test_certify_commits_its_two_files_together(tmp_path, capsys):
+    # certificate.txt cannot be replaced: certificate.rec keeps its old bytes
+    cfg = write_config(tmp_path, FHN_CERTIFY)
+    out = tmp_path / "cert"
+    (out / "certificate.txt").mkdir(parents=True)
+    (out / "certificate.rec").write_text("old record\n")
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_INTERNAL
+    assert f"Is a directory: '{out / 'certificate.txt'}'" in capsys.readouterr().err
+    assert (out / "certificate.rec").read_text() == "old record\n"
+    assert (out / "certificate.txt").is_dir()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_invariant_set_of_a_linear_system_uses_the_half_norm(tmp_path):

@@ -1,5 +1,4 @@
-"""The forked CSV worker behind the figures and estimate actions, and the
-serial writes of the simulate action beside them.
+"""The forked CSV worker behind the figures, simulate and estimate actions.
 
 Every run leaves no child process and no temp file behind, whether it
 succeeds, blows up or its worker fails.  A failing worker leaves the targets
@@ -12,7 +11,7 @@ the estimate action's distance rows are those the library writer makes
 from the report.  Many states or pairs need no more open files, and the
 worker's memory does not grow with the size of distances.csv.  A blow-up
 prints its one line, and a target that is a directory leaves every target
-of the action as it was."""
+of the action as it was, the estimate's summary.csv included."""
 
 import contextlib
 import os
@@ -310,7 +309,8 @@ def test_a_blow_up_prints_only_its_line(action, tmp_path):
 
 @pytest.mark.parametrize("forked", [True, False])
 @pytest.mark.parametrize("action, blocked", [("figures", "figure2.csv"),
-                                             ("simulate", "trajectory_01.csv")])
+                                             ("simulate", "trajectory_01.csv"),
+                                             ("estimate", "summary.csv")])
 def test_a_target_that_is_a_directory_leaves_every_target_as_it_was(
         action, blocked, forked, tmp_path, monkeypatch, capsys):
     # the files are committed together: a target that cannot be replaced is

@@ -26,7 +26,7 @@ from ieskit.dynsys import (
 )
 from ieskit.estimator import PairResult, write_distance_csv
 from ieskit.fhn import fhn_field, figure_params
-from ieskit.io_utils import CHUNK, _cells, _csv_rows, _write_texts, atomic_write_text
+from ieskit.io_utils import CHUNK, _cells, _commit, _csv_rows, atomic_write_text
 
 SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308,
             1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, 0.1, 1e16, 1e-5]
@@ -242,7 +242,9 @@ def test_a_failed_multi_file_write_keeps_every_target(tmp_path, blocked):
     if blocked:
         second.mkdir()
     with pytest.raises(IsADirectoryError if blocked else UnicodeEncodeError):
-        _write_texts([first, second], ["new\n", "new\n" if blocked else "a\udc80\n"])
+        with _commit([first, second]) as temps:
+            for tmp, text in zip(temps, ["new\n", "new\n" if blocked else "a\udc80\n"]):
+                tmp.write_text(text)
     assert first.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["first.csv", "second.csv"] if blocked else ["first.csv"])

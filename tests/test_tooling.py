@@ -1,8 +1,10 @@
 """Smoke tests of the benchmark tooling: the tracer against the current
 ieskit (it patches public functions and a few methods by name, so a renamed
 or moved one would break every traced benchmark run), and the script that
-folds result files into a BENCH_<pr>.json record."""
+folds result files into a BENCH_<pr>.json record.  And a check on the
+source: only the commit routine renames files."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -339,3 +341,23 @@ def test_help_lists_one_subcommand_per_action(capsys):
     assert exc.value.code == 0
     usage = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
     assert usage.split(",") == [a.replace("_", "-") for a in scenarios.ACTIONS]
+
+
+
+def test_only_the_commit_routine_renames_files():
+    # every output file is replaced by io_utils._commit, so that an action
+    # that writes several files replaces all of them or none
+    found = []
+
+    def visit(node, where, module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("replace", "rename")):
+            found.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, module)
+
+    for path in sorted((ROOT / "src" / "ieskit").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None, path.name)
+    assert found == [("io_utils.py", "_commit")]
