@@ -116,29 +116,34 @@ def _sample_pairs(low, high, dim: int, n_pairs: int, seed: int, inside=lambda z:
     """n seeded pairs of points drawn uniformly from the box [low, high] in
     R^dim and redrawn until ``inside(z)`` holds; a pair is kept when its two
     points are at least MIN_SEPARATION apart.  Scalar bounds draw about three
-    times faster than (dim,) arrays of them, with the same bits."""
+    times faster than (dim,) arrays of them, with the same bits.  A norm
+    that overflows reads inf: a pair far apart, or a draw off a ball or a
+    sublevel set."""
     rng = np.random.default_rng(seed)
     points = filter(inside, (rng.uniform(low, high, size=dim) for _ in itertools.count()))
     pairs = []
-    while len(pairs) < n_pairs:
-        z1, z2 = next(points), next(points)
-        if np.linalg.norm(z1 - z2) >= MIN_SEPARATION:
-            pairs.append((z1, z2))
+    with np.errstate(over="ignore"):
+        while len(pairs) < n_pairs:
+            z1, z2 = next(points), next(points)
+            if np.linalg.norm(z1 - z2) >= MIN_SEPARATION:
+                pairs.append((z1, z2))
     return pairs
 
 
 def box_bounds(bounds) -> Array:
     """``bounds`` as the (d, 2) array of a box that can hold a pair of points
-    MIN_SEPARATION apart.  Bounds of another shape, non-finite bounds, and a
-    box whose diagonal does not exceed MIN_SEPARATION are refused with
-    ``ValueError``."""
+    MIN_SEPARATION apart.  Bounds of another shape or whose widths hi - lo
+    are not finite, and a box whose diagonal does not exceed MIN_SEPARATION
+    are refused with ``ValueError``."""
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     if bounds.ndim != 2 or bounds.shape[1] != 2 or not bounds.size:
         raise ValueError(f"box bounds must have shape (d, 2) with d >= 1, "
                          f"got {bounds.shape}")
-    if not np.all(np.isfinite(bounds)):
-        raise ValueError("box bounds must be finite")
-    diagonal = float(np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = bounds[:, 1] - bounds[:, 0]
+    if not np.all(np.isfinite(widths)):
+        raise ValueError("box bounds and their widths hi - lo must be finite")
+    diagonal = math.hypot(*widths)  # does not overflow
     if not diagonal > MIN_SEPARATION:
         raise ValueError(f"box diagonal {diagonal:g} must exceed the pair "
                          f"separation {MIN_SEPARATION:g}")
@@ -167,9 +172,8 @@ def sample_pairs_ball(radius: float, dim: int, n_pairs: int, seed: int):
     if not 2.0 * radius > MIN_SEPARATION:
         raise ValueError(f"ball diameter {2.0 * radius:g} must exceed the pair "
                          f"separation {MIN_SEPARATION:g}")
-    with np.errstate(over="ignore"):  # an inf norm is a draw off the ball
-        return _sample_pairs(-radius, radius, dim, n_pairs, seed,
-                             inside=lambda z: np.linalg.norm(z) <= radius)
+    return _sample_pairs(-radius, radius, dim, n_pairs, seed,
+                         inside=lambda z: np.linalg.norm(z) <= radius)
 
 
 def sample_pairs_sublevel(w: OuterLyapunov, level: float, n_pairs: int, seed: int):
@@ -185,9 +189,8 @@ def sample_pairs_sublevel(w: OuterLyapunov, level: float, n_pairs: int, seed: in
     if not (np.all(np.isfinite(axes)) and 2.0 * float(np.max(axes)) > MIN_SEPARATION):
         raise ValueError(f"sublevel set {level} has half-axes {axes}: they must be "
                          f"finite, and the widest above {MIN_SEPARATION / 2:g}")
-    with np.errstate(over="ignore"):  # an inf value is a draw off the set
-        return _sample_pairs(-axes, axes, w.dim, n_pairs, seed,
-                             inside=lambda z: w.value(z) <= level)
+    return _sample_pairs(-axes, axes, w.dim, n_pairs, seed,
+                         inside=lambda z: w.value(z) <= level)
 
 
 @dataclass(frozen=True)

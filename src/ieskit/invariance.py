@@ -101,6 +101,24 @@ class InvariantSetEstimate:
     shell_samples: int
 
 
+def check_box(w: OuterLyapunov, box) -> Array:
+    """``box``, d rows of (lo, hi), as an array on whose grid W and |z| can
+    be evaluated.  A box whose dimension is not W's, or whose widths, largest
+    |z|^2 or largest W are not finite (they would overflow on the grid), is
+    refused with ValueError."""
+    box = np.atleast_2d(np.asarray(box, dtype=float))
+    if len(box) != w.dim:
+        raise ValueError(f"box has dimension {len(box)}, W has dimension {w.dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = box[:, 1] - box[:, 0]
+        corner = np.max(np.abs(box), axis=1)
+        sizes = [*widths, corner @ corner, w.value(corner)]
+    if not np.all(np.isfinite(sizes)):
+        raise ValueError(f"box {box.tolist()} is too large: its widths, largest |z|^2 "
+                         f"and largest W must be finite")
+    return box
+
+
 def find_invariant_level(
     w: OuterLyapunov,
     field: TimeVaryingField,
@@ -112,8 +130,8 @@ def find_invariant_level(
 ) -> InvariantSetEstimate:
     """Smallest grid level whose sampled shell {L <= W <= L (1 + delta)} has
     strictly negative Wdot at t = 0; the enclosing radius comes from the
-    sampled sublevel set, inflated by half a grid-cell diagonal.  A box whose
-    dimension is not W's, fewer than 2 grid points per axis, fewer than 1
+    sampled sublevel set, inflated by half a grid-cell diagonal.  A box that
+    ``check_box`` refuses, fewer than 2 grid points per axis, fewer than 1
     level, and more than ``MAX_INVARIANT_POINTS`` grid points or levels are
     refused with ValueError before any grid is built."""
     lo, hi = level_range
@@ -123,9 +141,7 @@ def find_invariant_level(
         raise ValueError(f"grid_density must be at least 2, got {grid_density}")
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels}")
-    box = np.atleast_2d(np.asarray(box, dtype=float))
-    if len(box) != w.dim:
-        raise ValueError(f"box has dimension {len(box)}, W has dimension {w.dim}")
+    box = check_box(w, box)
     points = int(grid_density) ** w.dim
     if max(points, n_levels) > MAX_INVARIANT_POINTS:
         raise ValueError(f"{points} grid points in {w.dim}-D and {n_levels} levels: either "

@@ -21,7 +21,6 @@ import os
 import pickle
 import signal
 import struct
-import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from itertools import chain, islice, takewhile
@@ -128,64 +127,23 @@ def _read_exact(fd: int, size: int) -> bytearray:
     return buf
 
 
-class _BlockWriter:
-    """Appends each block's text to the files ``paths``, which must exist.
-    ``format_block(times, states)`` gives one iterable of text chunks per
-    part, and part k belongs to file ``paths[k]``; a file holds its parts
-    one after another, each its head and then its text of every block.  A
-    file's first part is written as it comes, the file open only while it
-    is appended to, so any number of files needs one open file at a time.
-    Its later parts, such as the estimate's pairs 1..n-1, are written to one
-    unlinked spill file next to the first file and copied in, part by part,
-    by ``finish``; so what is held in memory is one block's text and the
-    place of each spilled piece, whatever the number of blocks."""
-
-    def __init__(self, paths: Sequence[Path], heads: Sequence[str], format_block):
-        self.paths = paths
-        firsts = {}
-        self.direct = [firsts.setdefault(path, k) == k for k, path in enumerate(paths)]
-        self.pieces: list[list[tuple[int, int]]] = [[] for _ in paths]
-        self.format_block = format_block
-        self.spill = None
-        self._write([head] for head in heads)
-
-    def _write(self, parts) -> None:
-        for k, (path, chunks) in enumerate(zip(self.paths, parts, strict=True)):
-            if self.direct[k]:
-                with open(path, "a") as fh:
-                    fh.writelines(chunks)
-            elif data := "".join(chunks).encode():
-                if self.spill is None:
-                    self.spill = tempfile.TemporaryFile(dir=self.paths[0].parent)
-                self.pieces[k].append((self.spill.tell(), len(data)))
-                self.spill.write(data)
-
-    def send(self, times, states) -> None:
-        self._write(self.format_block(times, states))
-
-    def finish(self) -> None:
-        for path, pieces in zip(self.paths, self.pieces):
-            with open(path, "a") as fh:
-                for offset, size in pieces:
-                    self.spill.seek(offset)
-                    fh.write(self.spill.read(size).decode())
-        self.abort()
-
-    def abort(self) -> None:
-        if self.spill is not None:
-            with suppress(OSError):
-                self.spill.close()
+def _append(paths: Sequence[Path], parts) -> None:
+    """Append part k, an iterable of text chunks, to the file ``paths[k]``.
+    Each file is open only while it is appended to, so any number of files
+    needs one open file at a time."""
+    for path, chunks in zip(paths, parts, strict=True):
+        with open(path, "a") as fh:
+            fh.writelines(chunks)
 
 
 class _ForkedWriter:
-    """A ``_BlockWriter`` in a forked worker process that reads the blocks
-    from a pipe.  The worker runs no garbage collection and ends with
-    ``os._exit``, so it runs no finalizer or exit handler and flushes no
-    buffer it shares with the caller; a failure there, opening the files
-    included, comes back pickled and is raised by ``send`` or ``finish``.
-    It takes the arguments of a ``_BlockWriter``."""
+    """A forked worker process that reads the blocks from a pipe and calls
+    ``write(times, states)`` on each.  The worker runs no garbage collection
+    and ends with ``os._exit``, so it runs no finalizer or exit handler and
+    flushes no buffer it shares with the caller; a failure there comes back
+    pickled and is raised by ``send`` or ``finish``."""
 
-    def __init__(self, *args):
+    def __init__(self, write: Callable[[np.ndarray, np.ndarray], None]):
         data_r, self.data_w = os.pipe()
         self.status_r, status_w = os.pipe()
         try:
@@ -200,14 +158,12 @@ class _ForkedWriter:
                 gc.disable()
                 os.close(self.data_w)
                 os.close(self.status_r)
-                writer = _BlockWriter(*args)
                 while True:
                     rows, n, d = _HEADER.unpack(_read_exact(data_r, _HEADER.size))
                     if not rows:
                         break
                     values = np.frombuffer(_read_exact(data_r, 8 * rows * (1 + n * d)))
-                    writer.send(values[:rows], values[rows:].reshape(rows, n, d))
-                writer.finish()
+                    write(values[:rows], values[rows:].reshape(rows, n, d))
                 code = 0
             except BaseException as exc:
                 try:
@@ -278,23 +234,28 @@ class _ForkedWriter:
 @contextmanager
 def block_csvs(paths: Sequence[Path], heads: Sequence[str],
                format_block: Callable[[np.ndarray, np.ndarray], Sequence]) -> Iterator:
-    """Append to the files ``paths``, the empty temp files of the caller's
-    ``_commit``, blocks of rows handed over while the ``with`` body runs:
-    yields ``send(times, states)``, which takes a block of times (k,) and
-    states (k, N, d), and on a clean exit of the body waits until every
-    block is written.
+    """Append to the files ``paths``, which may be the empty temp files of
+    the caller's ``_commit``, blocks of rows handed over while the ``with``
+    body runs: yields ``send(times, states)``, which takes a block of times
+    (k,) and states (k, N, d), and on a clean exit of the body waits until
+    every block is written.
 
     ``format_block(times, states)`` gives one iterable of text chunks
-    (``_csv_rows``) per entry of ``paths``, the block's part of that entry.
-    An entry's text is its head in ``heads`` and then its parts in block
-    order; a path listed more than once is the text of its entries one
-    after another, in the order listed.  A forked worker calls it while the
-    body goes on; where ``os.fork`` is missing, ``send`` calls it.  If the
-    body or the formatting fails, the worker is gone before the failure
-    reaches the caller's commit; a failure in the worker is raised in the
-    caller."""
-    writer = (_ForkedWriter if hasattr(os, "fork") else _BlockWriter)(
-        paths, heads, format_block)
+    (``_csv_rows``) per file, the block's part of that file, and file k
+    holds its head in ``heads`` and then its parts in block order.  A forked
+    worker calls it while the body goes on; where ``os.fork`` is missing,
+    ``send`` calls it.  If the body or the formatting fails, the worker is
+    gone before the failure reaches the caller's commit; a failure in the
+    worker is raised in the caller."""
+    _append(paths, ([head] for head in heads))
+
+    def write(times, states) -> None:
+        _append(paths, format_block(times, states))
+
+    if not hasattr(os, "fork"):
+        yield write
+        return
+    writer = _ForkedWriter(write)
     try:
         yield writer.send
         writer.finish()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -45,6 +47,7 @@ from ieskit.fhn import (
 from ieskit.invariance import (
     MAX_INVARIANT_POINTS,
     OuterLyapunov,
+    check_box,
     fhn_dissipation_level,
     fhn_outer_lyapunov,
     find_invariant_level,
@@ -357,7 +360,7 @@ def parse_config(path) -> Scenario:
     if inv["level_min"] >= inv["level_max"]:
         where = _at(path, inv_entries, "level_max", "level_min")
         raise ConfigError(f"{where}: level_min must be below level_max")
-    if sc["action"] == "invariant_set":  # integer arithmetic, before any grid is built
+    if sc["action"] == "invariant_set":  # before any grid is built
         for key, count, what in (("density", inv["density"] ** dim, f"grid points in {dim}-D"),
                                  ("levels", inv["levels"], "levels")):
             if count > MAX_INVARIANT_POINTS:
@@ -366,6 +369,13 @@ def parse_config(path) -> Scenario:
                             "dim", "matrix", "n", "m")
                 raise ConfigError(f"{where}: {key} = {inv[key]} asks for {count} {what}, "
                                   f"above the limit of {MAX_INVARIANT_POINTS}")
+        try:
+            check_box(*_invariant_search(model, dim, inv["box_halfwidth"]))
+        except ValueError as exc:
+            # the key's line, else (a default half-width) the line of W's weight
+            where = _at(path, {**sections.get("params", {}), **inv_entries}, "box_halfwidth",
+                        "epsilon")
+            raise ConfigError(f"{where}: {exc}") from None
     return Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
                     model=model, params=params, options=options, **sc)
 
@@ -522,28 +532,37 @@ def run_estimate(scenario: Scenario) -> list[Path]:
         dist = _row_norms(states[:, :n] - states[:, n:])
         return [_csv_rows([t, _cells(dist[:, k])], prefix=f"{k},") for k in range(n)]
 
-    heads = ["pair_id,t,distance\n"] + [""] * (n - 1)
-    with _commit([out_d, out_s]) as (tmp_d, tmp_s):
-        with block_csvs([tmp_d] * n, heads, rows) as sink:
+    # the solve hands the pairs over time by time, and distances.csv lists
+    # them pair by pair: pair k streams into scratch file k, joined after
+    with (_commit([out_d, out_s]) as (tmp_d, tmp_s),
+          tempfile.TemporaryDirectory(suffix=".tmp", dir=tmp_d.parent) as scratch):
+        parts = [Path(scratch, str(k)) for k in range(n)]
+        with block_csvs(parts, [""] * n, rows) as sink:
             config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step,
                                       block_sink=sink)
             report = ensemble_ies(field, pairs, scenario.horizon, config, opts["transient_skip"])
             if report.blown_up:
                 raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up "
                                   f"during estimation")
+        with open(tmp_d, "wb") as fh:
+            fh.write(b"pair_id,t,distance\n")
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
         write_summary_csv(tmp_s, report.results)
     return [out_d, out_s]
+
+
+def _invariant_search(model, dim: int, half: float):
+    """The W and the box [-half, half]^dim that the invariant_set action searches."""
+    w = fhn_outer_lyapunov(model) if isinstance(model, FhnParams) else OuterLyapunov(np.ones(dim))
+    return w, np.array([[-half, half]] * dim)
 
 
 def run_invariant_set(scenario: Scenario) -> list[Path]:
     field = build_field(scenario)
     opts = scenario.options["invariant"]
-    if isinstance(scenario.model, FhnParams):
-        w = fhn_outer_lyapunov(scenario.model)
-    else:
-        w = OuterLyapunov(np.ones(field.dim))
-    half = opts["box_halfwidth"]
-    box = np.array([[-half, half]] * field.dim)
+    w, box = _invariant_search(scenario.model, field.dim, opts["box_halfwidth"])
     est = find_invariant_level(
         w, field, (opts["level_min"], opts["level_max"]), box,
         n_levels=opts["levels"], grid_density=opts["density"],

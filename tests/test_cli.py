@@ -697,6 +697,51 @@ def test_certify_commits_its_two_files_together(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, body, old, new, patched", [
+    ("estimate", LINEAR_ESTIMATE, "pairs = 2", "box = -1e308 1e308; -1 1",
+     "ieskit.scenarios.sample_pairs_box"),
+    ("invariant-set", FHN_INVARIANT, "box_halfwidth = 6.5", "box_halfwidth = 1e200",
+     "ieskit.invariance.box_grid"),
+    ("invariant-set", FHN_INVARIANT, "box_halfwidth = 6.5", "box_halfwidth = 1e308",
+     "ieskit.invariance.box_grid"),
+    # W = (x^2 + eps y^2) / 2 overflows at the corners of the default box
+    ("invariant-set", FHN_INVARIANT, "epsilon = 1\n\n[invariant]\nbox_halfwidth = 6.5",
+     "epsilon = 1e308\n\n[invariant]", "ieskit.invariance.box_grid"),
+], ids=["box-1e308", "box_halfwidth-1e200", "box_halfwidth-1e308", "epsilon-1e308"])
+def test_a_box_that_overflows_exits_2_before_any_sample(command, body, old, new, patched,
+                                                        tmp_path, monkeypatch, capsys):
+    # the refusal is all of stderr: no numpy warning is issued on the way
+    # (pytest would capture one away from stderr, so warnings are errors)
+    def no_samples(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(patched, no_samples)
+    text = body.replace(old, f"{old}\n{new}" if command == "estimate" else new)
+    line = text.splitlines().index(new.splitlines()[0]) + 1
+    cfg = write_config(tmp_path, text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{line}: ") and err.count("\n") == 1
+    assert err.endswith(" must be finite\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_box_halfwidth_with_finite_corners_is_searched_without_a_warning(tmp_path,
+                                                                            capsys):
+    # at 1e150 the corners' |z|^2 and W are near 1e300: the grid is built,
+    # and no level in [1, 40] has a shell sample on it
+    text = FHN_INVARIANT.replace("box_halfwidth = 6.5", "box_halfwidth = 1e150")
+    cfg = write_config(tmp_path, text)
+    rc = main(["invariant-set", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_REFUSED
+    assert capsys.readouterr().err == (
+        "invariant set not found: no level in [1.0, 40.0] has a dissipating shell at this "
+        "resolution; no shell had samples\n")
+
+
 def test_invariant_set_of_a_linear_system_uses_the_half_norm(tmp_path):
     cfg = write_config(tmp_path, "[scenario]\nsystem = builtin_linear\n"
                                  "action = invariant_set\n[params]\ndim = 2\n")
@@ -755,6 +800,13 @@ def test_bad_override_exits_2(flag, value, tmp_path, capsys):
     rc = main(["figures", "--out", str(tmp_path), flag, value])
     assert rc == EXIT_CONFIG
     assert f"{flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [a.replace("_", "-") for a in ACTIONS if a != "figures"])
+def test_an_action_other_than_figures_requires_a_config(command, tmp_path, capsys):
+    assert main([command, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {command} requires --config\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

@@ -181,7 +181,7 @@ def test_the_worker_never_flushes_the_callers_stdout(tmp_path):
 def test_estimate_distances_are_write_distance_csvs(system, params, forked, tmp_path,
                                                     monkeypatch):
     # the worker, or the caller where os.fork is missing, formats the
-    # distance rows block by block from the states, spilling pairs 1..4;
+    # distance rows block by block from the states, a scratch file a pair;
     # the library writer formats them pair by pair from the report
     if not forked:
         monkeypatch.delattr(os, "fork")
@@ -207,7 +207,7 @@ def test_estimate_distances_are_write_distance_csvs(system, params, forked, tmp_
 def test_many_states_or_pairs_need_few_open_files(action, initial, pairs, tmp_path):
     # 40 output files or 40 pairs under a limit of 16 more descriptors than
     # are open now: each file is written and closed in turn, and the pairs
-    # of distances.csv share one temp file and one spill file
+    # of distances.csv go to scratch files that are written in turn too
     fds = Path("/proc/self/fd")
     if not fds.is_dir():
         pytest.skip("needs /proc/self/fd to count the open descriptors")
@@ -246,7 +246,8 @@ def worker_peak_mb(tmp_path, horizon):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_the_workers_memory_does_not_grow_with_the_distances(tmp_path):
     # pairs 1..199 of distances.csv come before the end but are written
-    # after pair 0: the worker spills their text to disk instead of holding it
+    # after pair 0: the worker writes each pair's text to its own scratch
+    # file instead of holding it
     small, small_size = worker_peak_mb(tmp_path, 5)
     large, large_size = worker_peak_mb(tmp_path, 30)
     assert large_size - small_size > 15
@@ -290,12 +291,17 @@ def test_a_large_failure_report_does_not_stall_the_caller(tmp_path, monkeypatch,
     assert_clean(tmp_path)
 
 
-@pytest.mark.parametrize("action", ["figures", "estimate"])
-def test_a_blow_up_prints_only_its_line(action, tmp_path):
+@pytest.mark.parametrize("action, initial, box", [
+    ("figures", "initial = 1e10 0; 2 0\n", ""),
+    ("estimate", "initial = 1e10 0; 2 0\n", ""),
+    ("estimate", "", "box = -1e200 1e200; -1 1\n"),
+], ids=["figures", "estimate", "estimate-box-of-width-2e200"])
+def test_a_blow_up_prints_only_its_line(action, initial, box, tmp_path):
     # the rows that blew up overflow when their distances are formatted;
-    # that is the IEEE answer, so no numpy warning may reach stderr
+    # that is the IEEE answer, so no numpy warning may reach stderr, nor
+    # from the diagonal of a wide box or the norms of the pairs drawn in it
     cfg = tmp_path / f"{action}.cfg"
-    cfg.write_text(CONFIGS[action].format(initial="initial = 1e10 0; 2 0\n", pairs=3))
+    cfg.write_text(CONFIGS[action].format(initial=initial, pairs=3) + box)
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "ieskit.cli", action, "--config", str(cfg),

@@ -8,6 +8,7 @@ from ieskit.estimator import (
     CONTRACTING,
     INCONCLUSIVE,
     NON_CONTRACTING,
+    EnvelopeFit,
     ensemble_ies,
     fit_envelope,
     MIN_SEPARATION,
@@ -106,6 +107,26 @@ class TestFitEnvelope:
         assert abs(fit.lam) < 1e-12
         assert fit.verdict == INCONCLUSIVE
 
+    def test_a_window_below_the_floor_falls_back_to_the_whole_series(self):
+        # e^(-2t) falls below FLOOR_RATIO d(0) = 1e-10 near t = 11.5, before
+        # the post-transient window starts at t = 20: the fit takes every
+        # sample above the floor instead
+        ts, d = synthetic_exponential(t_end=100.0, n=10001)
+        above = d > 1e-10 * d[0]
+        assert not np.any(above & (ts >= 20.0))
+        fit = fit_envelope(ts, d)
+        slope, _ = np.polyfit(ts[above], np.log(d[above]), 1)
+        assert fit.lam == -slope
+        assert fit.window == (0.0, ts[above][-1])
+        assert fit.lam == pytest.approx(2.0, rel=1e-9)
+        assert fit.verdict == CONTRACTING
+
+    def test_a_series_with_one_sample_above_the_floor_is_inconclusive(self):
+        # e^(-30t) on a unit grid: only d(0) lies above FLOOR_RATIO d(0)
+        ts, d = synthetic_exponential(lam=30.0, n=11)
+        assert fit_envelope(ts, d) == EnvelopeFit(K=1.0, lam=0.0, window=(0.0, 0.0),
+                                                  residual=np.inf, verdict=INCONCLUSIVE)
+
 
 @given(scale=st.floats(1e-3, 1e3))
 @settings(max_examples=40, deadline=None)
@@ -153,6 +174,7 @@ class TestSamplers:
         ([[0.0, np.nan]], "finite"),
         ([[-np.inf, 1.0]], "finite"),
         ([[0.0, 1.0, 2.0]], "shape"),
+        ([[-1e308, 1e308], [-1.0, 1.0]], "widths hi - lo must be finite"),
     ])
     def test_box_without_separated_pairs_refused(self, bounds, match):
         with pytest.raises(ValueError, match=match):

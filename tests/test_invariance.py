@@ -265,6 +265,30 @@ class TestInvariantLevel:
         with pytest.raises(GridBuilt):
             search(2048, MAX_INVARIANT_POINTS)
 
+    @pytest.mark.parametrize("half, weights", [
+        (1e308, [1.0, 1.0]),  # the widths overflow
+        (1e200, [1.0, 1.0]),  # the corner's |z|^2 and W overflow
+        (1e150, [1.0, 1e300]),  # only the corner's W overflows
+    ])
+    def test_a_box_that_overflows_is_refused_before_its_grid(self, half, weights,
+                                                             monkeypatch):
+        class GridBuilt(Exception):
+            pass
+
+        def no_grid(*args):
+            raise GridBuilt
+
+        monkeypatch.setattr("ieskit.invariance.box_grid", no_grid)
+        field = linear_field(-np.eye(2))
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"too large: its widths, largest \|z\|\^2 and largest W "
+                                  r"must be finite"):
+            find_invariant_level(OuterLyapunov(weights), field, (0.5, 5.0),
+                                 [[-half, half]] * 2)
+        # at unit weights a half-width of 1e150 has finite corners: its grid is built
+        with pytest.raises(GridBuilt):
+            find_invariant_level(half_norm_lyapunov(), field, (0.5, 5.0), [[-1e150, 1e150]] * 2)
+
     def test_report_file(self, tmp_path):
         field = linear_field(-np.eye(2))
         est = find_invariant_level(half_norm_lyapunov(), field, (0.5, 5.0),
