@@ -119,6 +119,14 @@ def check_box(w: OuterLyapunov, box) -> Array:
     return box
 
 
+def check_shell(level_max: float, shell_width: float) -> None:
+    """Refuse with ValueError a shell width whose top shell, up to
+    level_max (1 + shell_width), has an upper edge that is not finite."""
+    if not math.isfinite(float(level_max) * (1.0 + float(shell_width))):
+        raise ValueError(f"the upper edge level_max * (1 + shell_width) = {level_max!r} "
+                         f"* (1 + {shell_width!r}) of the top shell must be finite")
+
+
 def find_invariant_level(
     w: OuterLyapunov,
     field: TimeVaryingField,
@@ -131,9 +139,10 @@ def find_invariant_level(
     """Smallest grid level whose sampled shell {L <= W <= L (1 + delta)} has
     strictly negative Wdot at t = 0; the enclosing radius comes from the
     sampled sublevel set, inflated by half a grid-cell diagonal.  A box that
-    ``check_box`` refuses, fewer than 2 grid points per axis, fewer than 1
-    level, and more than ``MAX_INVARIANT_POINTS`` grid points or levels are
-    refused with ValueError before any grid is built."""
+    ``check_box`` refuses, a shell width that ``check_shell`` refuses, fewer
+    than 2 grid points per axis, fewer than 1 level, and more than
+    ``MAX_INVARIANT_POINTS`` grid points or levels are refused with
+    ValueError before any grid is built."""
     lo, hi = level_range
     if not (0 < lo < hi):
         raise ValueError("level range must satisfy 0 < lo < hi")
@@ -141,6 +150,7 @@ def find_invariant_level(
         raise ValueError(f"grid_density must be at least 2, got {grid_density}")
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels}")
+    check_shell(hi, shell_width)
     box = check_box(w, box)
     points = int(grid_density) ** w.dim
     if max(points, n_levels) > MAX_INVARIANT_POINTS:

@@ -20,7 +20,6 @@ import gc
 import os
 import pickle
 import signal
-import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from itertools import chain, islice, takewhile
@@ -29,9 +28,6 @@ from pathlib import Path
 import numpy as np
 
 CHUNK = 1024
-# The shape (rows, N, d) that leads each block of float64 times and states
-# on the worker's pipe; a block of no rows ends the stream.
-_HEADER = struct.Struct("3q")
 
 
 def _cells(values):
@@ -107,26 +103,6 @@ def _commit(paths: Sequence[Path]) -> Iterator[list[Path]]:
         raise
 
 
-def _write_all(fd: int, data) -> None:
-    """Write all of ``data``, a contiguous buffer: ``os.write`` may take
-    only part of it, for one when a signal handler runs during the write."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exact(fd: int, size: int) -> bytearray:
-    """The next ``size`` bytes of ``fd``; EOFError if it ends before."""
-    buf = bytearray(size)
-    view, got = memoryview(buf), 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if not n:
-            raise EOFError("the block stream ended without its end mark")
-        got += n
-    return buf
-
-
 def _append(paths: Sequence[Path], parts) -> None:
     """Append part k, an iterable of text chunks, to the file ``paths[k]``.
     Each file is open only while it is appended to, so any number of files
@@ -138,32 +114,32 @@ def _append(paths: Sequence[Path], parts) -> None:
 
 class _ForkedWriter:
     """A forked worker process that reads the blocks from a pipe and calls
-    ``write(times, states)`` on each.  The worker runs no garbage collection
-    and ends with ``os._exit``, so it runs no finalizer or exit handler and
-    flushes no buffer it shares with the caller; a failure there comes back
-    pickled and is raised by ``send`` or ``finish``."""
+    ``write(times, states)`` on each.  Each block crosses the pipe as one
+    pickle, flushed as soon as it is dumped so that the worker formats it
+    while the caller computes the next, and ``None`` ends the stream.  The
+    worker runs no garbage collection and ends with ``os._exit``, so it runs
+    no finalizer or exit handler and flushes no buffer it shares with the
+    caller; a failure there comes back pickled and is raised by ``send`` or
+    ``finish``."""
 
     def __init__(self, write: Callable[[np.ndarray, np.ndarray], None]):
-        data_r, self.data_w = os.pipe()
+        data_r, data_w = os.pipe()
         self.status_r, status_w = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (data_r, self.data_w, self.status_r, status_w):
+            for fd in (data_r, data_w, self.status_r, status_w):
                 os.close(fd)
             raise
         if self.pid == 0:
             code = 1
             try:
                 gc.disable()
-                os.close(self.data_w)
+                os.close(data_w)
                 os.close(self.status_r)
-                while True:
-                    rows, n, d = _HEADER.unpack(_read_exact(data_r, _HEADER.size))
-                    if not rows:
-                        break
-                    values = np.frombuffer(_read_exact(data_r, 8 * rows * (1 + n * d)))
-                    write(values[:rows], values[rows:].reshape(rows, n, d))
+                blocks = open(data_r, "rb")
+                while (block := pickle.load(blocks)) is not None:
+                    write(*block)
                 code = 0
             except BaseException as exc:
                 try:
@@ -175,32 +151,27 @@ class _ForkedWriter:
                         pickle.loads(report)
                     except Exception:  # an exception that does not round-trip
                         report = pickle.dumps(RuntimeError(repr(exc)))
-                    _write_all(status_w, report)
+                    with open(status_w, "wb") as fh:
+                        fh.write(report)
                 except BaseException:
                     pass
             finally:
                 os._exit(code)
         os.close(data_r)
         os.close(status_w)
+        self.data = open(data_w, "wb")
 
     def send(self, times, states) -> None:
         """Hand the worker one block: ``times`` (k,) and ``states`` (k, N, d)."""
-        if not len(times):
-            return
-        states = np.ascontiguousarray(states, dtype=float)
         try:
-            _write_all(self.data_w, _HEADER.pack(*states.shape))
-            _write_all(self.data_w, np.ascontiguousarray(times, dtype=float))
-            _write_all(self.data_w, states)
+            pickle.dump((times, states), self.data, pickle.HIGHEST_PROTOCOL)
+            self.data.flush()
         except BrokenPipeError:  # the worker has stopped: raise its failure
             self._wait()
             raise
 
     def finish(self) -> None:
-        try:
-            _write_all(self.data_w, _HEADER.pack(0, 0, 0))
-        except BrokenPipeError:  # the worker has stopped; _wait raises why
-            pass
+        pickle.dump(None, self.data)  # closing the stream in _wait flushes it
         self._wait()
 
     def abort(self) -> None:
@@ -211,9 +182,8 @@ class _ForkedWriter:
         """Close the stream, stop the worker if ``kill``, wait for it to end
         and, unless killed, raise its failure.  Each step is done once, so
         that ``abort`` after an interrupted wait still reaps the worker."""
-        if self.data_w is not None:
-            os.close(self.data_w)
-            self.data_w = None
+        with suppress(BrokenPipeError):  # closing flushes
+            self.data.close()
         if kill:
             os.kill(self.pid, signal.SIGKILL)
         report = b""

@@ -48,6 +48,7 @@ from ieskit.invariance import (
     MAX_INVARIANT_POINTS,
     OuterLyapunov,
     check_box,
+    check_shell,
     fhn_dissipation_level,
     fhn_outer_lyapunov,
     find_invariant_level,
@@ -155,7 +156,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "box": Key(_matrix),  # default [-3, 3] on every axis
         "transient_skip": Key(_number, 0.2, (lambda v: 0 <= v < 1, "must lie in [0, 1)")),
     },
-    # an absent key takes a default derived from [params] in run_certify
+    # an absent key takes a default derived from [params] (_certify_defaults)
     "certify": {
         "radius": Key(_number, None, _POSITIVE),
         "alpha": Key(_number, None, _POSITIVE),
@@ -313,6 +314,8 @@ def parse_config(path) -> Scenario:
             raise ConfigError(f"{where}: {exc}") from None
     options = {section: _read(path, section, sections.get(section, {}), SCHEMA[section])
                for section in ("estimate", "certify", "invariant")}
+    if sc["action"] == "certify":
+        _certify_defaults(path, options["certify"], model, sections)
 
     try:
         IntegratorConfig(max_time=sc["horizon"], step=sc["step"])
@@ -370,6 +373,11 @@ def parse_config(path) -> Scenario:
                 raise ConfigError(f"{where}: {key} = {inv[key]} asks for {count} {what}, "
                                   f"above the limit of {MAX_INVARIANT_POINTS}")
         try:
+            check_shell(inv["level_max"], inv["shell_width"])
+        except ValueError as exc:
+            raise ConfigError(f"{_at(path, inv_entries, 'shell_width', 'level_max')}: "
+                              f"{exc}") from None
+        try:
             check_box(*_invariant_search(model, dim, inv["box_halfwidth"]))
         except ValueError as exc:
             # the key's line, else (a default half-width) the line of W's weight
@@ -378,6 +386,30 @@ def parse_config(path) -> Scenario:
             raise ConfigError(f"{where}: {exc}") from None
     return Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
                     model=model, params=params, options=options, **sc)
+
+
+def _certify_defaults(path: Path, opts: dict, params: FhnParams, sections) -> None:
+    """Give each [certify] key left out its default from [params]: alpha1 = alpha,
+    alpha2 = b / epsilon, alpha = min(alpha1, alpha2) / 2, the [params] gain beside
+    a requested rho1 or rho2, and the radius of the ball around the dissipation
+    chain's invariant sublevel set.  A default alpha that is not positive (half
+    of a rate that underflows) is refused at the line that set the smaller rate."""
+    defaults = {"alpha1": params.alpha, "alpha2": params.b / params.epsilon}
+    if opts["rho1"] is not None or opts["rho2"] is not None:  # a requested pair
+        defaults.update(rho1=params.rho1, rho2=params.rho2)
+    opts.update({key: value for key, value in defaults.items() if opts[key] is None})
+    if opts["alpha"] is None:
+        smaller = min(("alpha1", "alpha2"), key=opts.get)
+        opts["alpha"] = 0.5 * opts[smaller]
+        if not opts["alpha"] > 0.0:
+            # a rate that [certify] leaves out is set by these [params] keys
+            where = _at(path, {**sections.get("params", {}), **sections.get("certify", {})},
+                        smaller, *{"alpha1": ("alpha",), "alpha2": ("b", "epsilon")}[smaller])
+            raise ConfigError(f"{where}: the default target rate alpha = {smaller} / 2 = "
+                              f"{opts[smaller]!r} / 2 is not positive")
+    if opts["radius"] is None:  # level and radius each widened by the safety factor
+        level = fhn_dissipation_level(params) * SAFETY
+        opts["radius"] = fhn_outer_lyapunov(params).radius(level) * SAFETY
 
 
 def _read_fhn(path: Path, entries):
@@ -580,32 +612,16 @@ def run_fc_table(scenario: Scenario) -> list[Path]:
     return [out]
 
 
-def _given(value, default):
-    return default if value is None else value
-
-
 def run_certify(scenario: Scenario) -> list[Path]:
     params: FhnParams = scenario.model
     opts = scenario.options["certify"]
     table = build_fc(params)
     cand1, cand2 = fc_candidate(table)
-    alpha1 = _given(opts["alpha1"], params.alpha)
-    alpha2 = _given(opts["alpha2"], params.b / params.epsilon)
-    alpha = _given(opts["alpha"], 0.5 * min(alpha1, alpha2))
-    requested = None
-    if opts["rho1"] is not None or opts["rho2"] is not None:
-        requested = (_given(opts["rho1"], params.rho1), _given(opts["rho2"], params.rho2))
-    if opts["radius"] is not None:
-        radius = opts["radius"]
-    else:
-        # the ball around the dissipation chain's invariant sublevel set,
-        # level and radius each widened by the safety factor
-        level = fhn_dissipation_level(params) * SAFETY
-        radius = fhn_outer_lyapunov(params).radius(level) * SAFETY
+    requested = None if opts["rho1"] is None else (opts["rho1"], opts["rho2"])
     ic = fhn_field(params)
     cert = certify(
-        ic, cand1, cand2, radius,
-        alpha1=alpha1, alpha2=alpha2, alpha=alpha,
+        ic, cand1, cand2, opts["radius"],
+        alpha1=opts["alpha1"], alpha2=opts["alpha2"], alpha=opts["alpha"],
         requested_gains=requested, tol=scenario.tolerance,
     )
     out_rec = scenario.output_path / "certificate.rec"

@@ -742,6 +742,37 @@ def test_a_box_halfwidth_with_finite_corners_is_searched_without_a_warning(tmp_p
         "resolution; no shell had samples\n")
 
 
+LINEAR_INVARIANT = ("[scenario]\nsystem = builtin_linear\naction = invariant_set\n"
+                    "[params]\ndim = 2\n[invariant]\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, key", [
+    (FHN_INVARIANT.replace("b = 0.1\nepsilon = 1", "b = 1\nepsilon = 0.9")
+     + "shell_width = 1e308\n", "shell_width"),
+    (LINEAR_INVARIANT + "shell_width = 1e308\n", "shell_width"),
+    (LINEAR_INVARIANT + "level_max = 1.75e308\n", "level_max"),
+], ids=["fhn-shell_width-1e308", "linear-shell_width-1e308", "linear-level_max-1.75e308"])
+def test_a_shell_whose_upper_edge_overflows_exits_2_before_any_grid(text, key, tmp_path,
+                                                                     monkeypatch, capsys):
+    # level_max (1 + shell_width) is the upper edge of the top shell; with no
+    # shell_width given, the refusal names the level_max line
+    def no_grid(*args):
+        raise AssertionError("gridded")
+
+    monkeypatch.setattr("ieskit.invariance.box_grid", no_grid)
+    line = next(i for i, raw in enumerate(text.splitlines(), start=1)
+                if raw.startswith(f"{key} ="))
+    cfg = write_config(tmp_path, text)
+    rc = main(["invariant-set", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{line}: the upper edge level_max * "
+                          f"(1 + shell_width) = ") and err.count("\n") == 1
+    assert err.endswith(" of the top shell must be finite\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_invariant_set_of_a_linear_system_uses_the_half_norm(tmp_path):
     cfg = write_config(tmp_path, "[scenario]\nsystem = builtin_linear\n"
                                  "action = invariant_set\n[params]\ndim = 2\n")
@@ -774,6 +805,15 @@ EXTREME_CERTIFY = {
     "epsilon_1e-200": ({"epsilon = 0.9": "epsilon = 1e-200", "radius = 6": "radius = 5"},
                        "no finite sup-constants on the ball of radius 5.0: "
                        "non-finite value of g2"),
+    # an explicit target rate at the smaller block rate: alpha1 = 1 ([params]
+    # alpha) is below alpha2 = b / epsilon = 1 / 0.9
+    "alpha_at_alpha1": ({"radius = 6": "radius = 8\nalpha = 1"},
+                        "no budget exists: alpha = 1.0 must be below min(alpha1, alpha2) "
+                        "= 1.0"),
+    "alpha_at_a_subnormal_alpha1": ({"radius = 6": "radius = 8\nalpha1 = 5e-324\n"
+                                                   "alpha = 5e-324"},
+                                    "no budget exists: alpha = 5e-324 must be below "
+                                    "min(alpha1, alpha2) = 5e-324"),
 }
 
 
@@ -793,6 +833,35 @@ def test_extreme_certify_value_exits_4(case, tmp_path, capsys):
     # way (pytest would capture one away from stderr, so warnings are errors)
     assert err.startswith(f"certification refused: {cause}") and err.count("\n") == 1
     assert not (tmp_path / "o" / "certificate.rec").exists()
+
+
+# the default target rate min(alpha1, alpha2) / 2 is 0 when the smaller rate
+# is the least subnormal: (line replacements in FHN_CERTIFY at radius 8, the
+# key on the line the refusal names)
+UNDERFLOWING_RATES = {
+    "params_b": ({"b = 1": "b = 5e-324"}, "b"),
+    "params_alpha": ({"epsilon = 0.9": "epsilon = 0.9\nalpha = 5e-324"}, "alpha"),
+    "certify_alpha1": ({"radius = 8": "radius = 8\nalpha1 = 5e-324"}, "alpha1"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(UNDERFLOWING_RATES))
+def test_a_default_target_rate_that_underflows_exits_2_at_its_line(case, tmp_path, capsys):
+    lines, key = UNDERFLOWING_RATES[case]
+    text = FHN_CERTIFY.replace("radius = 6", "radius = 8")
+    for old, new in lines.items():
+        assert old in text
+        text = text.replace(old, new)
+    line = next(i for i, raw in enumerate(text.splitlines(), start=1)
+                if raw.startswith(f"{key} ="))
+    cfg = write_config(tmp_path, text)
+    rc = main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{line}: the default target rate alpha = ")
+    assert err.endswith(" = 5e-324 / 2 is not positive\n") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--tolerance", "nan")])

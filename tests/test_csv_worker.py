@@ -5,13 +5,15 @@ succeeds, blows up or its worker fails.  A failing worker leaves the targets
 as they were and exits as the in-process formatter does (the path taken
 where ``os.fork`` is missing), its failure reaches the caller also when it
 does not pickle or when the caller is blocked sending, and an interrupted
-wait still reaps the worker.  The bytes hold while a fast interval timer
-interrupts the caller, the worker never flushes the caller's stdout, and
-the estimate action's distance rows are those the library writer makes
-from the report.  Many states or pairs need no more open files, and the
-worker's memory does not grow with the size of distances.csv.  A blow-up
-prints its one line, and a target that is a directory leaves every target
-of the action as it was, the estimate's summary.csv included."""
+wait still reaps the worker.  A block reaches the worker as soon as it is
+sent, so that the worker formats it while the solve goes on.  The bytes
+hold while a fast interval timer interrupts the caller, the worker never
+flushes the caller's stdout, and the estimate action's distance rows are
+those the library writer makes from the report.  Many states or pairs
+need no more open files, and the worker's memory does not grow with the
+size of distances.csv.  A blow-up prints its one line, and a target that
+is a directory leaves every target of the action as it was, the
+estimate's summary.csv included."""
 
 import contextlib
 import os
@@ -19,14 +21,17 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ieskit import scenarios
 from ieskit.cli import EXIT_BLOWUP, EXIT_INTERNAL, EXIT_OK, main
 from ieskit.dynsys import IntegratorConfig
 from ieskit.estimator import ensemble_ies, sample_pairs_box, write_distance_csv
+from ieskit.io_utils import block_csvs
 from ieskit.scenarios import build_field, parse_config, run_scenario
 
 FIGURE3 = "[params]\nc = 1\nb = 1\nepsilon = 0.9\n"
@@ -154,6 +159,22 @@ def test_bytes_hold_under_a_fast_interval_timer(action, pairs, tmp_path):
     for name in TARGETS[action]:
         assert ((tmp_path / "timed" / name).read_bytes()
                 == (tmp_path / "plain" / name).read_bytes())
+    assert_clean(tmp_path)
+
+
+def test_a_block_reaches_the_worker_when_it_is_sent(tmp_path):
+    # a block held back in the caller until the next send would keep the
+    # worker idle while the solve computes that next block
+    target = tmp_path / "rows.csv"
+    target.touch()
+    with block_csvs([target], ["rows\n"],
+                    lambda times, states: [[f"{len(times)}\n"]]) as send:
+        send(np.zeros(3), np.zeros((3, 2, 2)))
+        deadline = time.monotonic() + 60
+        while target.read_text() != "rows\n3\n":
+            assert time.monotonic() < deadline, "the block did not reach the worker"
+            time.sleep(0.01)
+    assert target.read_text() == "rows\n3\n"
     assert_clean(tmp_path)
 
 

@@ -289,6 +289,19 @@ class TestInvariantLevel:
         with pytest.raises(GridBuilt):
             find_invariant_level(half_norm_lyapunov(), field, (0.5, 5.0), [[-1e150, 1e150]] * 2)
 
+    @pytest.mark.parametrize("level_max, shell_width", [(5.0, 1e308), (1.75e308, 0.05)])
+    def test_a_shell_whose_upper_edge_overflows_is_refused_before_its_grid(
+            self, level_max, shell_width, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("gridded")
+
+        monkeypatch.setattr("ieskit.invariance.box_grid", no_grid)
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"the upper edge level_max \* \(1 \+ shell_width\) = .* of "
+                                  r"the top shell must be finite"):
+            find_invariant_level(half_norm_lyapunov(), linear_field(-np.eye(2)),
+                                 (0.5, level_max), [[-2.0, 2.0]] * 2, shell_width=shell_width)
+
     def test_report_file(self, tmp_path):
         field = linear_field(-np.eye(2))
         est = find_invariant_level(half_norm_lyapunov(), field, (0.5, 5.0),
