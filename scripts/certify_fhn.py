@@ -7,11 +7,12 @@ cross-checks with a trajectory-pair ensemble sampled inside that set.
 """
 
 import argparse
+from functools import partial
 from pathlib import Path
 
 from ieskit.dynsys import IntegratorConfig, assemble
 from ieskit.estimator import ensemble_ies, sample_pairs_sublevel
-from ieskit.fhn import FhnParams, build_fc, fc_candidate, fhn_field
+from ieskit.fhn import FhnParams, build_fc, fc_candidate, fhn_field, sup_constants
 from ieskit.invariance import fhn_outer_lyapunov, find_invariant_level
 from ieskit.smallgain import certify
 
@@ -41,7 +42,7 @@ def main() -> int:
     ic = fhn_field(params)
     cert = certify(ic, cand1, cand2, args.radius,
                    alpha1=params.alpha, alpha2=params.b / params.epsilon,
-                   alpha=args.alpha)
+                   alpha=args.alpha, sup_constants=partial(sup_constants, table))
     print(f"gain budget: rho1 <= {cert.rho1_max:.6f}, rho2 <= {cert.rho2_max:.6f}")
     cert.write_record(args.out / "certificate.rec")
     cert.write_report(args.out / "certificate.txt")

@@ -11,7 +11,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -358,12 +358,18 @@ def write_distance_csv(path, results: Sequence[PairResult]) -> None:
     atomic_write_text(path, blocks())
 
 
-def write_summary_csv(path, results: Sequence[PairResult]) -> None:
-    """CSV with columns (pair_id, K, lambda, verdict); a pair that blew up
-    has no fit and reads nan, nan, inconclusive."""
+def summary_csv(results: Sequence[PairResult]) -> Iterator[str]:
+    """The text of a CSV with columns (pair_id, K, lambda, verdict), as a
+    generator of chunks; a pair that blew up has no fit and reads nan, nan,
+    inconclusive."""
     fits = [r.fit for r in results]
     columns = [(str(r.pair_id) for r in results),
                _cells([f.K if f else math.nan for f in fits]),
                _cells([f.lam if f else math.nan for f in fits]),
                (f.verdict if f else INCONCLUSIVE for f in fits)]
-    atomic_write_text(path, _csv_rows(columns, head="pair_id,K,lambda,verdict\n"))
+    return _csv_rows(columns, head="pair_id,K,lambda,verdict\n")
+
+
+def write_summary_csv(path, results: Sequence[PairResult]) -> None:
+    """Write ``summary_csv(results)`` to ``path`` atomically."""
+    atomic_write_text(path, summary_csv(results))

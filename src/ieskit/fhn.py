@@ -1,6 +1,6 @@
 """FitzHugh-Nagumo case study: model blocks, the constructive contraction
-weight f_c with its derivative, the constants mu and eta, and the component
-Finsler candidates."""
+weight f_c with its derivative, the constants mu and eta, the component
+Finsler candidates, and their certificate's sup-constants in closed form."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import numpy as np
 from ieskit.dynsys import CouplingMap, Interconnection, TimeVaryingField
 from ieskit.finsler import FinslerCandidate
 from ieskit.io_utils import _cells, _csv_rows, atomic_write_text
+from ieskit.smallgain import CLOSED_FORM, SAFETY, SupConstants
 
 Array = np.ndarray
 
@@ -382,11 +383,14 @@ class FcTable:
     is nonincreasing, and its derivative lies in [-eta, 0].  Off-plateau
     queries clamp to the plateau values.  A Python-float or ``np.float64``
     query returns a Python float, bitwise the one-element array query.
+    ``critical_points`` are the points of [-s*, s*] where f_c' may be least
+    (``build_fc``).
     """
 
     params: FhnParams
     mu: float
     eta: float
+    critical_points: Array = field(repr=False)
     _log_weight: Callable = field(repr=False)
     _ratio: Callable = field(repr=False)
 
@@ -445,8 +449,55 @@ def build_fc(params: FhnParams) -> FcTable:
     xs = np.clip((n.deriv() * q - n * q.deriv() + n * n).roots().real, -s, s)
     return FcTable(params=params,
                    mu=float(_log_weight(params, np.longdouble)(-s)),
-                   eta=-float(np.min(ratio(xs) * np.exp(log_weight(xs)))),
+                   eta=_least_slope(log_weight, ratio, xs), critical_points=xs,
                    _log_weight=log_weight, _ratio=ratio)
+
+
+def _least_slope(log_weight, ratio, xs: Array) -> float:
+    """-min f_c' over the points xs of [-s*, s*]."""
+    return -float(np.min(ratio(xs) * np.exp(log_weight(xs))))
+
+
+# ulps by which sup_constants steps eta1 outward from its critical-point value
+ETA_ULPS = 64
+
+
+def sup_constants(table: FcTable, radius: float) -> SupConstants:
+    """The sup-constants of ``fhn_field`` with the candidates of
+    ``fc_candidate(table)`` over the ball of the given radius, in closed
+    form, each times ``SAFETY`` as ``extract_constants`` takes it:
+
+    - a1 = R and b1 = 1, since g1(y) = -y;
+    - a2 = R/eps and b2 = 1/eps, since g2(x) = x/eps;
+    - eta2 = 0 and theta2 = 1: the second metric is the constant 1/2;
+    - theta1 = 2 f_c(-R), since f_c is nonincreasing; for R >= s* it is
+      2 exp(mu), the left plateau;
+    - eta1 = -min f_c' over [-R, R], taken as ``build_fc`` takes eta: over
+      the critical points clipped to [-h, h] and the ends +-h, h = min(R,
+      s*), then stepped ``ETA_ULPS`` ulps outward.  For R >= s* the ends add
+      slope 0, so before the step it is the table's eta bit for bit.
+
+    The step covers the rounding of f_c' near its least value, which a
+    sampled search can find above the critical point's value: a dense scan
+    around the point (8 001 consecutive doubles, and 40 001 points at each
+    of the spacings 5e-8 and 5e-12) on 1 500 random sets of r in
+    [1.3247, 3] (c from 1 up) and alpha at 1 % to 99 % of 2 r^2 - 2, at
+    radii above and below s*, found |f_c'| at most 33 ulps above it, near
+    c = 1 where eta reaches 4e3; 64 covers that twice.  Closer to the
+    weight domain's edge, c -> 2/3, the rounding grows (300 ulps at
+    c = 0.68, eta = 4e6).  A constant that is not finite raises ValueError
+    (``SupConstants``)."""
+    eps = table.params.epsilon
+    h = min(radius, table.s_star)
+    eta1 = _least_slope(table._log_weight, table._ratio,
+                        np.append(np.clip(table.critical_points, -h, h), (-h, h)))
+    for _ in range(ETA_ULPS):
+        eta1 = math.nextafter(eta1, math.inf)
+    return SupConstants(
+        radius=radius, a1=radius * SAFETY, a2=radius / eps * SAFETY,
+        b1=SAFETY, b2=1.0 / eps * SAFETY, eta1=eta1 * SAFETY, eta2=0.0,
+        theta1=2.0 * table.fc(-radius) * SAFETY, theta2=SAFETY,
+        provenance=CLOSED_FORM)
 
 
 def fc_candidate(table: FcTable) -> tuple[FinslerCandidate, FinslerCandidate]:

@@ -226,7 +226,8 @@ def fhn_dissipation_level(params: FhnParams) -> float:
     ignores the gains; it is proven at rho1 = rho2 only, and unequal gains
     are not refused."""
     kappa = min(0.125, params.b / params.epsilon)
-    return (2.0 + params.c**2 / 2.0) / (2.0 * kappa)
+    c = params.c  # c * c reads inf past the largest double, where c**2 raises
+    return (2.0 + c * c / 2.0) / (2.0 * kappa)
 
 
 @dataclass(frozen=True)

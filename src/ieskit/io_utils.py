@@ -60,9 +60,16 @@ def atomic_write_text(path, text: str | Iterable[str]) -> Path:
     after another, to ``path`` atomically (``_commit``): if a chunk fails to
     come or to encode, the target is left as it was."""
     path = Path(path)
-    with _commit([path]) as (tmp,), open(tmp, "w") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    with _commit([path]) as (tmp,):
+        _write_text(tmp, text)
     return path
+
+
+def _write_text(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string chunks, to ``path``
+    in place, such as a temp file of the caller's ``_commit``."""
+    with open(path, "w") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 @contextmanager

@@ -12,6 +12,7 @@ import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -33,7 +34,7 @@ from ieskit.estimator import (
     box_bounds,
     ensemble_ies,
     sample_pairs_box,
-    write_summary_csv,
+    summary_csv,
 )
 from ieskit.fhn import (
     FhnParams,
@@ -42,6 +43,7 @@ from ieskit.fhn import (
     fc_candidate,
     fhn_field,
     figure_params,
+    sup_constants,
     write_fc_csv,
 )
 from ieskit.invariance import (
@@ -54,7 +56,7 @@ from ieskit.invariance import (
     find_invariant_level,
     write_invariant_report,
 )
-from ieskit.io_utils import _cells, _commit, _csv_rows, block_csvs
+from ieskit.io_utils import _cells, _commit, _csv_rows, _write_text, block_csvs
 from ieskit.polynomials import parse_polynomial_component, polynomial_interconnection
 from ieskit.smallgain import SAFETY, certify
 
@@ -581,7 +583,7 @@ def run_estimate(scenario: Scenario) -> list[Path]:
             for part in parts:
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh)
-        write_summary_csv(tmp_s, report.results)
+        _write_text(tmp_s, summary_csv(report.results))
     return [out_d, out_s]
 
 
@@ -623,12 +625,13 @@ def run_certify(scenario: Scenario) -> list[Path]:
         ic, cand1, cand2, opts["radius"],
         alpha1=opts["alpha1"], alpha2=opts["alpha2"], alpha=opts["alpha"],
         requested_gains=requested, tol=scenario.tolerance,
+        sup_constants=partial(sup_constants, table),
     )
     out_rec = scenario.output_path / "certificate.rec"
     out_txt = scenario.output_path / "certificate.txt"
     with _commit([out_rec, out_txt]) as (tmp_rec, tmp_txt):
-        cert.write_record(tmp_rec)
-        cert.write_report(tmp_txt)
+        _write_text(tmp_rec, cert.record_text())
+        _write_text(tmp_txt, cert.to_text())
     return [out_rec, out_txt]
 
 

@@ -1,8 +1,10 @@
 """Gain budgets for two-block interconnections of contracting systems.
 
-Extracts the compact-set sup-constants from sampled grids, evaluates the
-explicit admissible-gain formulas, and bundles everything into a certificate
-whose composite decay check is re-run on the assembled field.
+Takes the compact-set sup-constants from a system's closed forms where it
+has them (``fhn.sup_constants``), and otherwise from sampled grids refined
+by a pattern search; evaluates the explicit admissible-gain formulas, and
+bundles everything into a certificate whose composite decay check is re-run
+on the assembled field.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ Array = np.ndarray
 
 # The eight sup-constants, in record order.
 CONSTANTS = ("a1", "a2", "b1", "b2", "eta1", "eta2", "theta1", "theta2")
-# Sampled maxima are inflated by this factor (true suprema are unattainable
-# numerically); a certificate record names how its constants were obtained.
+# Every sup-constant is inflated by this factor, sampled or closed form; a
+# certificate record names how its constants were obtained.
 SAFETY = 1.05
 PROVENANCE = "sampled, inflated"
+CLOSED_FORM = "closed form, inflated"
+# the first line of a certificate's text, per provenance
+_BASIS = {PROVENANCE: "sampled maxima", CLOSED_FORM: "closed-form suprema"}
 # Points per axis of the ball grid the constants are searched on.
 GRID_DENSITY = 101
 # Halton states per decay-check sample set (drawn from the box around the
@@ -52,8 +57,10 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SupConstants:
-    """Sampled suprema over the ball of the given radius, inflated by the
-    safety factor."""
+    """Suprema over the ball of the given radius, inflated by the safety
+    factor, and how they were obtained: ``PROVENANCE`` for the sampled
+    search of ``extract_constants``, ``CLOSED_FORM`` for a system's closed
+    forms."""
 
     radius: float
     a1: float
@@ -64,6 +71,7 @@ class SupConstants:
     eta2: float
     theta1: float
     theta2: float
+    provenance: str = PROVENANCE
 
     def __post_init__(self):
         for name in CONSTANTS:
@@ -72,6 +80,8 @@ class SupConstants:
                                  f"got {getattr(self, name)!r}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        if self.provenance not in _BASIS:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def _row_norm(v: Array) -> Array:
@@ -243,7 +253,7 @@ class GainCertificate:
             "tool_version": __version__,
             "radius": repr(c.radius),
             "safety": repr(SAFETY),
-            "provenance": PROVENANCE,
+            "provenance": c.provenance,
         }
         rec.update((name, repr(getattr(c, name))) for name in CONSTANTS)
         rec.update(alpha1=repr(self.alpha1), alpha2=repr(self.alpha2), alpha=repr(self.alpha))
@@ -256,14 +266,18 @@ class GainCertificate:
 
     def to_text(self) -> str:
         rec = self.to_record()
-        lines = ["gain certificate (constants are sampled maxima times a safety factor)"]
+        basis = _BASIS[self.constants.provenance]
+        lines = [f"gain certificate (constants are {basis} times a safety factor)"]
         lines += [f"  {k} = {v}" for k, v in rec.items()]
         lines.append(f"  note: {self.decay_report.note}")
         return "\n".join(lines) + "\n"
 
+    def record_text(self) -> str:
+        """The record as ``key = value`` lines."""
+        return "".join(f"{k} = {v}\n" for k, v in self.to_record().items())
+
     def write_record(self, path) -> None:
-        body = "".join(f"{k} = {v}\n" for k, v in self.to_record().items())
-        atomic_write_text(path, body)
+        atomic_write_text(path, self.record_text())
 
     def write_report(self, path) -> None:
         atomic_write_text(path, self.to_text())
@@ -293,18 +307,22 @@ def certify(
     alpha: float,
     requested_gains: Optional[tuple[float, float]] = None,
     tol: float = 1e-9,
+    sup_constants: Optional[Callable[[float], SupConstants]] = None,
 ) -> GainCertificate:
     """Full certification pipeline over the ball of the given radius.
 
     The component candidates are first checked against their decay rates in
-    squared-displacement form; the budget is then computed from the sampled
-    constants, and the composed candidate is re-checked on the assembled field
-    at the budget gains.  Any failing check refuses certification, and so
-    do a decay sample set with no state in the ball and a sampled value or
-    sup-constant that is not finite (finite constants give a budget that is
-    finite, or infinite on a zero denominator); a radius whose square is not
-    finite is refused first.  When ``requested_gains`` is given it must be
-    finite, nonnegative and within the budget.
+    squared-displacement form; the budget is then computed from the
+    sup-constants, and the composed candidate is re-checked on the assembled
+    field at the budget gains.  ``sup_constants(radius)`` gives the
+    constants, in closed form where the system has them; by default they
+    are ``extract_constants``' sampled search.  Any failing check refuses
+    certification, and so do a decay sample set with no state in the ball
+    and a sampled value or sup-constant that is not finite (finite constants
+    give a budget that is finite, or infinite on a zero denominator); a
+    radius whose square is not finite is refused first.  When
+    ``requested_gains`` is given it must be finite, nonnegative and within
+    the budget.
     """
     try:
         _check_radius(radius)
@@ -336,7 +354,8 @@ def certify(
     checked("second component", candidate2, ic.f2, alpha2)
 
     try:
-        constants = extract_constants(ic, candidate1, candidate2, radius)
+        constants = (extract_constants(ic, candidate1, candidate2, radius)
+                     if sup_constants is None else sup_constants(radius))
     except ValueError as exc:  # a sampled value or a sup-constant is not finite
         raise CertificationError(
             f"no finite sup-constants on the ball of radius {radius!r}: {exc}") from exc

@@ -684,6 +684,40 @@ def test_certify_without_radius_uses_the_closed_form_enclosure(tmp_path):
     assert parse_certificate_record(out / "certificate.rec")["radius"] == "16.864613649443623"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", ["1e154", "1e200"])
+def test_certify_without_radius_at_a_huge_c_exits_4(c, tmp_path, capsys):
+    # the default radius comes from the level (2 + c^2/2) / (2 kappa): at
+    # c = 1e154 its division overflows, at 1e200 its square (c * c reads inf
+    # where c**2 would raise OverflowError)
+    text = FHN_CERTIFY.replace("radius = 6\n", "").replace("r = 2.1", f"c = {c}")
+    cfg = write_config(tmp_path, text)
+    rc = main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_REFUSED
+    assert capsys.readouterr().err == ("certification refused: radius inf is too large: "
+                                       "its square is not finite\n")
+
+
+@pytest.mark.parametrize("action, text, names", [
+    ("certify", FHN_CERTIFY, ["certificate.rec", "certificate.txt"]),
+    ("estimate", LINEAR_ESTIMATE, ["distances.csv", "summary.csv"]),
+], ids=["certify", "estimate"])
+def test_each_action_file_is_renamed_once(action, text, names, tmp_path, monkeypatch):
+    # the writers fill the temp files of the action's one commit, which
+    # renames each onto its target; no writer makes a commit of its own
+    renamed = []
+    replace = os.replace
+
+    def counting_replace(src, dst):
+        renamed.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    cfg = write_config(tmp_path, text)
+    assert main([action, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert renamed == names
+
+
 def test_certify_commits_its_two_files_together(tmp_path, capsys):
     # certificate.txt cannot be replaced: certificate.rec keeps its old bytes
     cfg = write_config(tmp_path, FHN_CERTIFY)
@@ -802,9 +836,18 @@ EXTREME_CERTIFY = {
                      "radius 1e+160 is too large: its square is not finite"),
     "radius_1e200": ({"radius = 6": "radius = 1e200"},
                      "radius 1e+200 is too large: its square is not finite"),
-    "epsilon_1e-200": ({"epsilon = 0.9": "epsilon = 1e-200", "radius = 6": "radius = 5"},
-                       "no finite sup-constants on the ball of radius 5.0: "
-                       "non-finite value of g2"),
+    # the component checks come before the sup-constants: b / eps * y
+    # overflows on the second block's samples
+    "epsilon_1e-300_radius_1e10": ({"epsilon = 0.9": "epsilon = 1e-300",
+                                    "radius = 6": "radius = 1e10"},
+                                   "second component decay check failed at z=[-5.e+09], "
+                                   "dz=[1.] (violation non-finite)"),
+    # both component checks pass, and a2 = R / eps * 1.05 overflows
+    "epsilon_1e-300_radius_1.75e8": ({"epsilon = 0.9": "epsilon = 1e-300",
+                                      "radius = 6": "radius = 1.75e8"},
+                                     "no finite sup-constants on the ball of radius "
+                                     "175000000.0: a2 must be finite and nonnegative, "
+                                     "got inf"),
     # an explicit target rate at the smaller block rate: alpha1 = 1 ([params]
     # alpha) is below alpha2 = b / epsilon = 1 / 0.9
     "alpha_at_alpha1": ({"radius = 6": "radius = 8\nalpha = 1"},

@@ -1,19 +1,24 @@
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ieskit.dynsys import assemble
 from ieskit.fhn import (
+    ETA_ULPS,
     FhnParams,
     build_fc,
     check_weight_domain,
     fc_candidate,
     fhn_field,
     figure_params,
+    sup_constants,
     write_fc_csv,
     x_subsystem,
 )
+from ieskit.smallgain import CLOSED_FORM, CONSTANTS, SAFETY, certify, extract_constants
 from oracles import vdot
 
 
@@ -344,3 +349,84 @@ def test_weight_bounds_property(r, share):
 
     mu_oracle = -composite_gauss_legendre(log_slope(p), -s, s)
     assert abs(table.mu - mu_oracle) <= 1e-10
+
+
+# -- the certificate's sup-constants in closed form --
+
+# the four (r, b, epsilon, alpha) sets of the certify-sweep benchmark
+SWEEP_SETS = ((2.1, 1.0, 0.9, 1.0), (2.1, 2.0, 0.5, 1.0), (1.8, 1.0, 0.9, 0.8),
+              (2.5, 1.0, 0.9, 2.0))
+
+
+@st.composite
+def admitted_params(draw):
+    """(r, b, epsilon, alpha) with c >= 1 that build_fc admits."""
+    r = draw(st.floats(1.3247, 3.0))
+    p = FhnParams(b=draw(st.floats(0.1, 4.0)), rho1=1.0, rho2=1.0,
+                  epsilon=draw(st.floats(0.1, 4.0)), r=r,
+                  alpha=draw(st.floats(0.01, 0.99)) * (2 * r * r - 2))
+    try:
+        check_weight_domain(p)
+    except ValueError:
+        assume(False)
+    return p
+
+
+@given(params=admitted_params(),
+       # radii up to 1 lie below s* > 1
+       radius=st.one_of(st.floats(0.5, 1.0), st.floats(0.5, 64.0)))
+# the search finds eta1 17 ulps above the critical point's value here
+@example(params=FhnParams(b=2.2, rho1=1.0, rho2=1.0, epsilon=2.3, r=1.3339572580365575,
+                          alpha=0.7970342275308836), radius=1.3134516085421608)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_constants_bound_the_sampled_search(params, radius):
+    """Each closed-form constant is at least the sampled search's, and
+    within 1e-6 relative of it; both carry the safety factor."""
+    table = build_fc(params)
+    closed = sup_constants(table, radius)
+    sampled = extract_constants(fhn_field(params), *fc_candidate(table), radius)
+    assert (closed.radius, closed.provenance) == (radius, CLOSED_FORM)
+    for name in CONSTANTS:
+        want, got = getattr(sampled, name), getattr(closed, name)
+        assert want <= got <= want + 1e-6 * want, (name, want, got)
+
+
+@given(params=admitted_params(), stretch=st.lists(st.floats(1.0, 64.0), min_size=2,
+                                                   max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_closed_form_eta1_is_one_value_beyond_s_star(params, stretch):
+    """For every radius R >= s*, eta1 is the table's eta stepped ETA_ULPS
+    ulps outward, times the safety factor."""
+    table = build_fc(params)
+    eta = table.eta
+    for _ in range(ETA_ULPS):
+        eta = np.nextafter(eta, np.inf)
+    for k in stretch:
+        assert sup_constants(table, k * table.s_star).eta1 == float(eta) * SAFETY
+
+
+@pytest.mark.parametrize("radius", [2.0, 8.0, 16.0])
+@pytest.mark.parametrize("r, b, epsilon, alpha", SWEEP_SETS)
+def test_closed_form_budgets_pass_the_composite_check(r, b, epsilon, alpha, radius):
+    params = FhnParams(b=b, rho1=1.0, rho2=1.0, epsilon=epsilon, r=r, alpha=alpha)
+    table = build_fc(params)
+    alpha2 = b / epsilon
+    cert = certify(fhn_field(params), *fc_candidate(table), radius, alpha1=alpha,
+                   alpha2=alpha2, alpha=min(alpha, alpha2) / 2.0,
+                   sup_constants=partial(sup_constants, table))
+    assert cert.decay_report.passed and cert.decay_report.worst < 0.0
+    assert cert.constants.provenance == CLOSED_FORM
+
+
+@pytest.mark.parametrize("r, b, epsilon, alpha", SWEEP_SETS)
+def test_closed_form_eta1_bounds_a_dense_scan_of_the_slope(r, b, epsilon, alpha):
+    """No rounded |f_c'| near the critical point of least slope exceeds
+    eta1: 8 001 consecutive doubles and 40 001 points at spacing 5e-8."""
+    params = FhnParams(b=b, rho1=1.0, rho2=1.0, epsilon=epsilon, r=r, alpha=alpha)
+    table = build_fc(params)
+    crit = table.critical_points
+    x0 = crit[np.argmin(table.fc_prime(crit))]
+    pts = np.concatenate([x0 + np.arange(-4000, 4001) * np.spacing(abs(x0)),
+                          x0 + np.linspace(-1e-3, 1e-3, 40_001)])
+    gamma = fc_candidate(table)[0].gamma(pts[:, None])
+    assert float(np.max(gamma)) * SAFETY <= sup_constants(table, 8.0).eta1

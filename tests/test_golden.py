@@ -46,7 +46,7 @@ a1 = 9.450000000000001
 a2 = 10.5
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 0.6789446871162977
+eta1 = 0.6789446871163052
 eta2 = 0.0
 theta1 = 4.172843141918077
 theta2 = 1.05
@@ -57,7 +57,7 @@ epsilon1 = 0.16666666666666666
 epsilon2 = 0.16666666666666666
 epsilon3 = 0.20370370370370372
 epsilon4 = 0.20370370370370372
-rho1_max = 0.010712841423883148
+rho1_max = 0.010712841423883101
 rho2_max = 0.2857142857142857
 decay_check = pass
 decay_worst = -0.40312465548898074
@@ -70,7 +70,7 @@ a1 = 33.6
 a2 = 37.333333333333336
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 0.6789446871162979
+eta1 = 0.6789446871163052
 eta2 = 0.0
 theta1 = 4.172843141918077
 theta2 = 1.05
@@ -81,7 +81,7 @@ epsilon1 = 0.16666666666666666
 epsilon2 = 0.16666666666666666
 epsilon3 = 0.20370370370370372
 epsilon4 = 0.20370370370370372
-rho1_max = 0.005215803843148032
+rho1_max = 0.005215803843147992
 rho2_max = 0.2857142857142857
 decay_check = pass
 decay_worst = -0.4096160295318687
@@ -120,7 +120,7 @@ a1 = 17.707844331915805
 a2 = 19.67538259101756
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 0.6789446871162979
+eta1 = 0.6789446871163052
 eta2 = 0.0
 theta1 = 4.172843141918077
 theta2 = 1.05
@@ -131,10 +131,10 @@ epsilon1 = 0.16666666666666666
 epsilon2 = 0.16666666666666666
 epsilon3 = 0.20370370370370372
 epsilon4 = 0.20370370370370372
-rho1_max = 0.0078749065660914
+rho1_max = 0.007874906566091352
 rho2_max = 0.2857142857142857
 decay_check = pass
-decay_worst = -0.3931081061600142
+decay_worst = -0.39310810616001396
 decay_samples = 83
 """
 
@@ -175,7 +175,7 @@ a1 = 16.8
 a2 = 33.6
 b1 = 1.05
 b2 = 2.1
-eta1 = 0.6789446871162979
+eta1 = 0.6789446871163052
 eta2 = 0.0
 theta1 = 4.172843141918077
 theta2 = 1.05
@@ -186,7 +186,7 @@ epsilon1 = 0.16666666666666666
 epsilon2 = 0.16666666666666666
 epsilon3 = 1.1666666666666667
 epsilon4 = 1.1666666666666667
-rho1_max = 0.00811113046183114
+rho1_max = 0.008111130461831094
 rho2_max = 0.15873015873015872
 decay_check = pass
 decay_worst = -0.49310017530487926
@@ -199,7 +199,7 @@ a1 = 8.4
 a2 = 9.333333333333334
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 1.5799648917777736
+eta1 = 1.5799648917777884
 eta2 = 0.0
 theta1 = 6.360108574567145
 theta2 = 1.05
@@ -210,7 +210,7 @@ epsilon1 = 0.13333333333333333
 epsilon2 = 0.13333333333333333
 epsilon3 = 0.23703703703703705
 epsilon4 = 0.23703703703703705
-rho1_max = 0.0038637856944263196
+rho1_max = 0.0038637856944263053
 rho2_max = 0.22857142857142856
 decay_check = pass
 decay_worst = -0.3585952542778112
@@ -223,7 +223,7 @@ a1 = 33.6
 a2 = 37.333333333333336
 b1 = 1.05
 b2 = 1.1666666666666667
-eta1 = 0.4528564271299141
+eta1 = 0.45285642712991775
 eta2 = 0.0
 theta1 = 3.7333888260858594
 theta2 = 1.05
@@ -234,7 +234,7 @@ epsilon1 = 0.48148148148148145
 epsilon2 = 0.48148148148148145
 epsilon3 = 0.1851851851851852
 epsilon4 = 0.1851851851851852
-rho1_max = 0.02136733789468875
+rho1_max = 0.021367337894688632
 rho2_max = 0.28794586617715867
 decay_check = pass
 decay_worst = -0.5370257713232884

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ieskit.dynsys import (
     linear_coupling,
     linear_field,
 )
-from ieskit.fhn import build_fc, fc_candidate, fhn_field, figure_params
+from ieskit.fhn import build_fc, fc_candidate, fhn_field, figure_params, sup_constants
 from ieskit.finsler import FinslerCandidate
 from ieskit.smallgain import (
     CertificationError,
@@ -218,6 +219,39 @@ class TestCertify:
             certify(ic, half, half, radius=2.0,
                     alpha1=1.5, alpha2=1.0, alpha=0.9)
 
+    def test_given_constants_are_taken_after_the_component_checks(self):
+        ic = scalar_linear_interconnection()
+        half = half_norm_candidate()
+        radii = []
+
+        def constants(radius):
+            radii.append(radius)
+            return unit_constants(radius=radius, a2=math.inf)
+
+        with pytest.raises(CertificationError, match="first component"):
+            certify(ic, half, half, radius=2.0, alpha1=1.5, alpha2=1.0, alpha=0.9,
+                    sup_constants=constants)
+        assert radii == []
+        with pytest.raises(CertificationError,
+                           match=re.escape("no finite sup-constants on the ball of radius "
+                                           "2.0: a2 must be finite and nonnegative")):
+            certify(ic, half, half, radius=2.0, alpha1=1.0, alpha2=1.0, alpha=0.9,
+                    sup_constants=constants)
+        assert radii == [2.0]
+
+    def test_closed_form_certificate_names_its_basis(self, tmp_path, default_table):
+        params = default_table.params
+        cert = certify(fhn_field(params), *fc_candidate(default_table), radius=8.0,
+                       alpha1=params.alpha, alpha2=params.b / params.epsilon, alpha=0.5,
+                       sup_constants=partial(sup_constants, default_table))
+        rec_path = tmp_path / "cert.rec"
+        cert.write_record(rec_path)
+        assert rec_path.read_text() == cert.record_text()
+        parsed = parse_certificate_record(rec_path)
+        assert (parsed["safety"], parsed["provenance"]) == ("1.05", "closed form, inflated")
+        assert cert.to_text().startswith(
+            "gain certificate (constants are closed-form suprema times a safety factor)\n")
+
     @pytest.mark.parametrize("gains", [(math.nan, 0.0), (-1.0, 0.0), (0.0, math.inf),
                                        (0.0, -0.5)])
     def test_bad_requested_gains_refused(self, gains):
@@ -284,6 +318,8 @@ class TestCertify:
 def test_sup_constants_validate():
     with pytest.raises(ValueError):
         unit_constants(a1=-1.0)
+    with pytest.raises(ValueError, match="unknown provenance 'guessed'"):
+        unit_constants(provenance="guessed")
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="a2 must be finite and nonnegative"):
             unit_constants(a2=bad)

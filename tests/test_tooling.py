@@ -62,9 +62,12 @@ def test_tracer_records_a_certify_run(tmp_path):
     assert (finsler.check_decay, FcTable.__dict__["fc"]) == originals
     assert tracer.counts["fc_calls"] > 0
     assert tracer.calls["finsler.check_decay"] == 3
-    # one decay sample set per dimension (1 and 2), one ball grid for both 1-D blocks
+    # one decay sample set per dimension (1 and 2); the sup-constants are
+    # closed forms, so no ball grid and no sampled search
     assert tracer.calls["finsler.DisplacementSamples.product_ball"] == 2
-    assert tracer.calls["sampling.ball_grid"] == 1
+    assert tracer.calls["fhn.sup_constants"] == 1
+    assert tracer.calls["smallgain.extract_constants"] == 0
+    assert tracer.calls["sampling.ball_grid"] == 0
     assert tracer.counts["decay_samples"] > 0
     metrics = tracer.layer_metrics()
     assert metrics["fhn.fc_calls"] == tracer.counts["fc_calls"]
