@@ -339,6 +339,16 @@ def wies_scan(
     )
 
 
+# the layout of distances.csv: this header, then each pair's rows
+_DISTANCE_HEAD = "pair_id,t,distance\n"
+
+
+def _distance_rows(pair_id: int, times, distances) -> Iterator[str]:
+    """The rows 'pair_id,t,distance' of one pair under ``_DISTANCE_HEAD``,
+    from its formatted times (``_cells``) and its distances."""
+    return _csv_rows([times, _cells(distances)], prefix=f"{pair_id},")
+
+
 def write_distance_csv(path, results: Sequence[PairResult]) -> None:
     """CSV with columns (pair_id, t, distance), streamed pair by pair.  Each
     distinct times array is formatted once, keyed by its bytes: under a fixed
@@ -347,13 +357,12 @@ def write_distance_csv(path, results: Sequence[PairResult]) -> None:
     times: dict[bytes, list[str]] = {}
 
     def blocks():
-        yield "pair_id,t,distance\n"
+        yield _DISTANCE_HEAD
         for r in results:
             key = r.series.times.tobytes()
             if key not in times:
                 times[key] = list(_cells(r.series.times))
-            yield from _csv_rows([times[key], _cells(r.series.values)],
-                                 prefix=f"{r.pair_id},")
+            yield from _distance_rows(r.pair_id, times[key], r.series.values)
 
     atomic_write_text(path, blocks())
 

@@ -5,6 +5,7 @@ Finsler candidates, and their certificate's sup-constants in closed form."""
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -458,8 +459,19 @@ def _least_slope(log_weight, ratio, xs: Array) -> float:
     return -float(np.min(ratio(xs) * np.exp(log_weight(xs))))
 
 
-# ulps by which sup_constants steps eta1 outward from its critical-point value
+# eta1's outward step in ulps (sup_constants): ETA_ULPS, or ETA_EDGE_ULPS / q(-1)
+# where that is more, q(-1) = c - 2/3 being the weight domain's margin
 ETA_ULPS = 64
+ETA_EDGE_ULPS = 20
+_INF_BITS = struct.unpack("<q", struct.pack("<d", math.inf))[0]
+
+
+def _ulps_up(x: float, n: int) -> float:
+    """x >= 0 stepped n ulps toward +inf at once, as n calls of
+    ``math.nextafter`` would step it (inf past the largest double): the
+    doubles from +0 up to inf have consecutive bit patterns."""
+    bits = struct.unpack("<q", struct.pack("<d", x + 0.0))[0] + n
+    return struct.unpack("<d", struct.pack("<q", min(bits, _INF_BITS)))[0]
 
 
 def sup_constants(table: FcTable, radius: float) -> SupConstants:
@@ -474,25 +486,30 @@ def sup_constants(table: FcTable, radius: float) -> SupConstants:
       2 exp(mu), the left plateau;
     - eta1 = -min f_c' over [-R, R], taken as ``build_fc`` takes eta: over
       the critical points clipped to [-h, h] and the ends +-h, h = min(R,
-      s*), then stepped ``ETA_ULPS`` ulps outward.  For R >= s* the ends add
-      slope 0, so before the step it is the table's eta bit for bit.
+      s*), then stepped outward by the larger of ``ETA_ULPS`` and
+      ``ETA_EDGE_ULPS`` / (c - 2/3) ulps.  For R >= s* the ends add slope
+      0, so before the step it is the table's eta bit for bit.
 
     The step covers the rounding of f_c' near its least value, which a
-    sampled search can find above the critical point's value: a dense scan
-    around the point (8 001 consecutive doubles, and 40 001 points at each
-    of the spacings 5e-8 and 5e-12) on 1 500 random sets of r in
-    [1.3247, 3] (c from 1 up) and alpha at 1 % to 99 % of 2 r^2 - 2, at
-    radii above and below s*, found |f_c'| at most 33 ulps above it, near
-    c = 1 where eta reaches 4e3; 64 covers that twice.  Closer to the
-    weight domain's edge, c -> 2/3, the rounding grows (300 ulps at
-    c = 0.68, eta = 4e6).  A constant that is not finite raises ValueError
-    (``SupConstants``)."""
-    eps = table.params.epsilon
+    sampled search can find above the critical point's value.  That
+    rounding is relative, and it grows as the weight domain's margin
+    q(-1) = c - 2/3 (check_weight_domain) shrinks: q = x - x^3/3 + c
+    cancels near x = -1, and f_c' divides by q and exponentiates log f_c,
+    which holds log q.  A dense scan around the critical point (8 001
+    consecutive doubles, and 40 001 points at each of the spacings 5e-8
+    and 5e-12) together with the pattern search of ``extract_constants``,
+    on 3 600 random sets with c - 2/3 from 1e-5 to 5 and alpha at 0.1 % to
+    99 % of 2 r^2 - 2, at radii above and below s*, found |f_c'| at most
+    27 ulps above it for c >= 1, and at most 8.4 / (c - 2/3) ulps wherever
+    that was more than 64; the step covers every set 1.8 times or more.
+    For c >= 1 it is ``ETA_ULPS``.  A step in proportion to mu would not
+    do: near the edge the same scan needs over 10 000 mu ulps.
+    A constant that is not finite raises ValueError (``SupConstants``)."""
+    eps, c = table.params.epsilon, table.params.c
     h = min(radius, table.s_star)
     eta1 = _least_slope(table._log_weight, table._ratio,
                         np.append(np.clip(table.critical_points, -h, h), (-h, h)))
-    for _ in range(ETA_ULPS):
-        eta1 = math.nextafter(eta1, math.inf)
+    eta1 = _ulps_up(eta1, max(ETA_ULPS, math.ceil(ETA_EDGE_ULPS / (c - 2.0 / 3.0))))
     return SupConstants(
         radius=radius, a1=radius * SAFETY, a2=radius / eps * SAFETY,
         b1=SAFETY, b2=1.0 / eps * SAFETY, eta1=eta1 * SAFETY, eta2=0.0,

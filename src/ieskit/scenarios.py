@@ -31,6 +31,8 @@ from ieskit.dynsys import (
 )
 from ieskit.estimator import (
     MIN_SEPARATION,
+    _DISTANCE_HEAD,
+    _distance_rows,
     box_bounds,
     ensemble_ies,
     sample_pairs_box,
@@ -264,12 +266,24 @@ def _parse_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _at(path: Path, entries, *keys: str) -> str:
-    """'path:line' of the first of ``keys`` the section gives, else 'path'."""
-    for key in keys:
-        if key in entries:
-            return f"{path}:{entries[key][1]}"
+def _at(path: Path, sections, *names: str) -> str:
+    """'path:line' of the first of ``names``, each 'section.key', that the
+    config gives, else 'path'."""
+    for name in names:
+        section, _, key = name.partition(".")
+        if key in sections.get(section, {}):
+            return f"{path}:{sections[section][key][1]}"
     return str(path)
+
+
+def _checked(where: str, check: Callable, *args, **kwargs):
+    """``check(*args, **kwargs)``, whose ValueError becomes a ConfigError
+    anchored at ``where``: the one way a library's refusal of a config
+    value reaches the user."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _read(path: Path, section: str, entries, schema: dict[str, Key]) -> dict:
@@ -297,105 +311,85 @@ def parse_config(path) -> Scenario:
     sections = _parse_sections(path)
     if "scenario" not in sections:
         raise ConfigError(f"{path}: missing mandatory section [scenario]")
-    raw = sections["scenario"]
-    sc = _read(path, "scenario", raw, SCHEMA["scenario"])
+    at = partial(_at, path, sections)
+    sc = _read(path, "scenario", sections["scenario"], SCHEMA["scenario"])
     for key, choices in (("system", SYSTEMS), ("action", ACTIONS)):
         if sc[key] not in choices:
-            raise ConfigError(
-                f"{_at(path, raw, key)}: unknown {key} {sc[key]!r}; expected one of {choices}"
-            )
+            raise ConfigError(f"{at(f'scenario.{key}')}: unknown {key} {sc[key]!r}; "
+                              f"expected one of {choices}")
     if sc["action"] in ("certify", "fc_table", "figures") and sc["system"] != "fhn":
-        raise ConfigError(f"{_at(path, raw, 'system')}: {sc['action']} requires "
+        raise ConfigError(f"{at('scenario.system')}: {sc['action']} requires "
                           f"system = fhn, got {sc['system']!r}")
-    model, params, dim = _READERS[sc["system"]](path, sections.get("params", {}))
+    model, params, dim = _READERS[sc["system"]](path, sections)
     if sc["action"] in ("certify", "fc_table"):
-        try:
-            check_weight_domain(model)
-        except ValueError as exc:
-            where = _at(path, sections.get("params", {}), "r", "c", "alpha")
-            raise ConfigError(f"{where}: {exc}") from None
+        _checked(at("params.r", "params.c", "params.alpha"), check_weight_domain, model)
     options = {section: _read(path, section, sections.get(section, {}), SCHEMA[section])
                for section in ("estimate", "certify", "invariant")}
     if sc["action"] == "certify":
-        _certify_defaults(path, options["certify"], model, sections)
+        _certify_defaults(at, options["certify"], model)
 
-    try:
-        IntegratorConfig(max_time=sc["horizon"], step=sc["step"])
-    except ValueError as exc:
-        raise ConfigError(f"{_at(path, raw, 'step', 'horizon')}: {exc}") from None
+    _checked(at("scenario.step", "scenario.horizon"), IntegratorConfig,
+             max_time=sc["horizon"], step=sc["step"])
     for i, z0 in enumerate(sc["initial"]):
         if len(z0) != dim:
-            raise ConfigError(f"{_at(path, raw, 'initial')}: initial condition {i} has "
+            raise ConfigError(f"{at('scenario.initial')}: initial condition {i} has "
                               f"dimension {len(z0)}, field needs {dim}")
     if sc["action"] == "simulate" and not sc["initial"]:
         raise ConfigError(f"{path}: simulate requires at least one initial condition")
     given, n_pairs = len(sc["initial"]), options["estimate"]["pairs"]
     if sc["action"] == "figures" and given not in (0, 2):
-        raise ConfigError(f"{_at(path, raw, 'initial')}: figures takes no initial states "
+        raise ConfigError(f"{at('scenario.initial')}: figures takes no initial states "
                           f"or the two of one pair; got {given} states")
     if sc["action"] == "estimate" and (given % 2 or given > 2 * n_pairs):
-        raise ConfigError(f"{_at(path, raw, 'initial')}: estimate takes initial states "
+        raise ConfigError(f"{at('scenario.initial')}: estimate takes initial states "
                           f"two by two as pairs, at most pairs = {n_pairs} of them; got "
                           f"{given} states")
     if sc["action"] == "estimate":
         for k, pair in enumerate(zip(sc["initial"][0::2], sc["initial"][1::2])):
             if (gap := math.dist(*pair)) < MIN_SEPARATION:  # math.dist does not overflow
-                raise ConfigError(f"{_at(path, raw, 'initial')}: initial pair {k} has its "
+                raise ConfigError(f"{at('scenario.initial')}: initial pair {k} has its "
                                   f"states {gap:g} apart, closer than {MIN_SEPARATION:g}")
     rows = {"estimate": 2 * n_pairs, "simulate": given}.get(sc["action"])
-    if rows is not None:
-        try:  # integer arithmetic, before any pair is drawn
-            rk4_shape(sc["horizon"], sc["step"], (rows, dim))
-        except ValueError as exc:
-            key = "pairs" if sc["action"] == "estimate" else "initial"
-            where = _at(path, {**raw, **sections.get("estimate", {})}, key, "step", "horizon")
-            raise ConfigError(f"{where}: {exc}") from None
+    if rows is not None:  # integer arithmetic, before any pair is drawn
+        key = "estimate.pairs" if sc["action"] == "estimate" else "scenario.initial"
+        _checked(at(key, "scenario.step", "scenario.horizon"), rk4_shape,
+                 sc["horizon"], sc["step"], (rows, dim))
     box = options["estimate"]["box"]
     if box is None:
         options["estimate"]["box"] = np.array([[-3.0, 3.0]] * dim)
+    elif box.shape != (dim, 2) or np.any(box[:, 0] >= box[:, 1]):
+        raise ConfigError(f"{at('estimate.box')}: box needs {dim} rows 'lo hi' with lo < hi")
     else:
-        where = _at(path, sections["estimate"], "box")
-        if box.shape != (dim, 2) or np.any(box[:, 0] >= box[:, 1]):
-            raise ConfigError(f"{where}: box needs {dim} rows 'lo hi' with lo < hi")
-        try:
-            box_bounds(box)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    inv, inv_entries = options["invariant"], sections.get("invariant", {})
+        _checked(at("estimate.box"), box_bounds, box)
+    inv = options["invariant"]
     if inv["level_min"] >= inv["level_max"]:
-        where = _at(path, inv_entries, "level_max", "level_min")
-        raise ConfigError(f"{where}: level_min must be below level_max")
+        raise ConfigError(f"{at('invariant.level_max', 'invariant.level_min')}: "
+                          f"level_min must be below level_max")
     if sc["action"] == "invariant_set":  # before any grid is built
         for key, count, what in (("density", inv["density"] ** dim, f"grid points in {dim}-D"),
                                  ("levels", inv["levels"], "levels")):
             if count > MAX_INVARIANT_POINTS:
                 # the key's line, else (a default density) the dimension's line
-                where = _at(path, {**sections.get("params", {}), **inv_entries}, key,
-                            "dim", "matrix", "n", "m")
+                where = at(f"invariant.{key}", "params.dim", "params.matrix", "params.n",
+                           "params.m")
                 raise ConfigError(f"{where}: {key} = {inv[key]} asks for {count} {what}, "
                                   f"above the limit of {MAX_INVARIANT_POINTS}")
-        try:
-            check_shell(inv["level_max"], inv["shell_width"])
-        except ValueError as exc:
-            raise ConfigError(f"{_at(path, inv_entries, 'shell_width', 'level_max')}: "
-                              f"{exc}") from None
-        try:
-            check_box(*_invariant_search(model, dim, inv["box_halfwidth"]))
-        except ValueError as exc:
-            # the key's line, else (a default half-width) the line of W's weight
-            where = _at(path, {**sections.get("params", {}), **inv_entries}, "box_halfwidth",
-                        "epsilon")
-            raise ConfigError(f"{where}: {exc}") from None
+        _checked(at("invariant.shell_width", "invariant.level_max"), check_shell,
+                 inv["level_max"], inv["shell_width"])
+        # the key's line, else (a default half-width) the line of W's weight
+        _checked(at("invariant.box_halfwidth", "params.epsilon"), check_box,
+                 *_invariant_search(model, dim, inv["box_halfwidth"]))
     return Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
                     model=model, params=params, options=options, **sc)
 
 
-def _certify_defaults(path: Path, opts: dict, params: FhnParams, sections) -> None:
+def _certify_defaults(at: Callable[..., str], opts: dict, params: FhnParams) -> None:
     """Give each [certify] key left out its default from [params]: alpha1 = alpha,
     alpha2 = b / epsilon, alpha = min(alpha1, alpha2) / 2, the [params] gain beside
     a requested rho1 or rho2, and the radius of the ball around the dissipation
     chain's invariant sublevel set.  A default alpha that is not positive (half
-    of a rate that underflows) is refused at the line that set the smaller rate."""
+    of a rate that underflows) is refused at the line that set the smaller rate,
+    which ``at`` ('section.key' names to 'path:line') anchors."""
     defaults = {"alpha1": params.alpha, "alpha2": params.b / params.epsilon}
     if opts["rho1"] is not None or opts["rho2"] is not None:  # a requested pair
         defaults.update(rho1=params.rho1, rho2=params.rho2)
@@ -405,8 +399,8 @@ def _certify_defaults(path: Path, opts: dict, params: FhnParams, sections) -> No
         opts["alpha"] = 0.5 * opts[smaller]
         if not opts["alpha"] > 0.0:
             # a rate that [certify] leaves out is set by these [params] keys
-            where = _at(path, {**sections.get("params", {}), **sections.get("certify", {})},
-                        smaller, *{"alpha1": ("alpha",), "alpha2": ("b", "epsilon")}[smaller])
+            where = at(f"certify.{smaller}", *{"alpha1": ("params.alpha",),
+                                                "alpha2": ("params.b", "params.epsilon")}[smaller])
             raise ConfigError(f"{where}: the default target rate alpha = {smaller} / 2 = "
                               f"{opts[smaller]!r} / 2 is not positive")
     if opts["radius"] is None:  # level and radius each widened by the safety factor
@@ -414,32 +408,30 @@ def _certify_defaults(path: Path, opts: dict, params: FhnParams, sections) -> No
         opts["radius"] = fhn_outer_lyapunov(params).radius(level) * SAFETY
 
 
-def _read_fhn(path: Path, entries):
+def _read_fhn(path: Path, sections):
+    entries = sections.get("params", {})
     p = _read(path, "params", entries, PARAMS["fhn"])
     if "c" in entries and "r" in entries:
         raise ConfigError(f"{path}:{entries['c'][1]}: give either c or r, not both")
     shared = dict(b=p["b"], rho1=p["rho1"], rho2=p["rho2"], epsilon=p["epsilon"],
                   alpha=p["alpha"])
-    try:
-        if p["r"] is not None:
-            fp = FhnParams(r=p["r"], **shared)
-        else:
-            fp = FhnParams.from_c(c=p["c"], **shared)
-    except ValueError as exc:
-        raise ConfigError(f"{_at(path, entries, 'alpha', 'r', 'c')}: {exc}") from None
+    where = _at(path, sections, "params.alpha", "params.r", "params.c")
+    fp = (_checked(where, FhnParams, r=p["r"], **shared) if p["r"] is not None
+          else _checked(where, FhnParams.from_c, c=p["c"], **shared))
     echo = {k: f"{p[k]:g}" for k in ("b", "epsilon", "rho1", "rho2", "alpha")}
     return fp, {"c": f"{fp.c:g}", "r": f"{fp.r:g}", **echo}, 2
 
 
-def _read_linear(path: Path, entries):
-    p = _read(path, "params", entries, PARAMS["builtin_linear"])
+def _read_linear(path: Path, sections):
+    p = _read(path, "params", sections.get("params", {}), PARAMS["builtin_linear"])
     a = p["matrix"] if p["matrix"] is not None else -np.eye(p["dim"])
     # "+ 0.0" echoes the -0 entries of minus identity as 0
     text = "; ".join(" ".join(f"{v + 0.0:g}" for v in row) for row in a)
     return a, {"matrix": text, "dim": str(len(a))}, len(a)
 
 
-def _read_polynomial(path: Path, entries):
+def _read_polynomial(path: Path, sections):
+    entries = sections.get("params", {})
     blocks = {k: v for k, v in entries.items() if _POLY_BLOCK_RE.match(k)}
     p = _read(path, "params", {k: v for k, v in entries.items() if k not in blocks},
               PARAMS["user_polynomial"])
@@ -454,10 +446,8 @@ def _read_polynomial(path: Path, entries):
             if key not in blocks:
                 raise ConfigError(f"{path}: missing component {key} in [params]")
             text, lineno = blocks[key]
-            try:
-                components.append(parse_polynomial_component(text, in_dim))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+            components.append(_checked(f"{path}:{lineno}: {key}", parse_polynomial_component,
+                                       text, in_dim))
             echo[key] = text
         return tuple(components)
 
@@ -468,7 +458,7 @@ def _read_polynomial(path: Path, entries):
                 "rho2": f"{p['rho2']:g}", **echo}, n + m
 
 
-# Each system's [params] reader: (path, entries) -> (model, echo texts by key,
+# Each system's [params] reader: (path, sections) -> (model, echo texts by key,
 # dimension of the assembled field).
 _READERS = {"fhn": _read_fhn, "builtin_linear": _read_linear,
             "user_polynomial": _read_polynomial}
@@ -564,7 +554,7 @@ def run_estimate(scenario: Scenario) -> list[Path]:
     def rows(times, states):
         t = list(_cells(times))
         dist = _row_norms(states[:, :n] - states[:, n:])
-        return [_csv_rows([t, _cells(dist[:, k])], prefix=f"{k},") for k in range(n)]
+        return [_distance_rows(k, t, dist[:, k]) for k in range(n)]
 
     # the solve hands the pairs over time by time, and distances.csv lists
     # them pair by pair: pair k streams into scratch file k, joined after
@@ -579,7 +569,7 @@ def run_estimate(scenario: Scenario) -> list[Path]:
                 raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up "
                                   f"during estimation")
         with open(tmp_d, "wb") as fh:
-            fh.write(b"pair_id,t,distance\n")
+            fh.write(_DISTANCE_HEAD.encode())
             for part in parts:
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh)

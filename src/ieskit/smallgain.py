@@ -320,9 +320,11 @@ def certify(
     certification, and so do a decay sample set with no state in the ball
     and a sampled value or sup-constant that is not finite (finite constants
     give a budget that is finite, or infinite on a zero denominator); a
-    radius whose square is not finite is refused first.  When
-    ``requested_gains`` is given it must be finite, nonnegative and within
-    the budget.
+    radius whose square is not finite is refused first.  Once the budget
+    exists, a ``tol`` whose slack tol (1 + c_upper), over both candidates,
+    is not below ``alpha`` is refused: it would pass a field with no decay.
+    When ``requested_gains`` is given it must be finite, nonnegative and
+    within the budget.
     """
     try:
         _check_radius(radius)
@@ -361,6 +363,14 @@ def certify(
             f"no finite sup-constants on the ball of radius {radius!r}: {exc}") from exc
     epsilons = default_epsilons(alpha1, alpha2, alpha)
     rho1_max, rho2_max = gain_budget(constants, alpha1, alpha2, alpha, epsilons)
+    # a check passes at a state with lambda_max(Q) + rate <= tol (1 + |v^T M v|),
+    # |v^T M v| <= c_upper: a slack of alpha (below both block rates) would pass
+    # a composite that does not decay at all
+    slack = tol * (1.0 + max(candidate1.c_upper, candidate2.c_upper))
+    if slack >= alpha:
+        raise CertificationError(
+            f"tolerance {tol!r} leaves a slack of {slack:.3e} in the decay checks, "
+            f"not below alpha = {alpha!r}: a field with no decay would pass them")
 
     if requested_gains is not None:
         r1, r2 = requested_gains

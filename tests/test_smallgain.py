@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ieskit.cli import EXIT_REFUSED, main
 from ieskit.dynsys import (
     CouplingMap,
     Interconnection,
@@ -239,6 +240,26 @@ class TestCertify:
                     sup_constants=constants)
         assert radii == [2.0]
 
+    def test_a_tolerance_whose_slack_reaches_alpha_is_refused(self):
+        # with tol (1 + c_upper) >= alpha the decay checks would pass a field
+        # that does not decay at all; c_upper is 1/2 for both candidates here
+        zero = linear_field([[0.0]])
+        still = Interconnection(zero, zero, linear_coupling([[-1.0]]),
+                                linear_coupling([[1.0]]), 0.0, 0.0)
+        half = half_norm_candidate()
+        with pytest.raises(CertificationError, match=re.escape(
+                "tolerance 1.0 leaves a slack of 1.500e+00 in the decay checks, not below "
+                "alpha = 0.75")):
+            certify(still, half, half, radius=2.0, alpha1=1.0, alpha2=1.0, alpha=0.75,
+                    tol=1.0)
+        cert = certify(scalar_linear_interconnection(), half, half, radius=2.0, alpha1=1.0,
+                       alpha2=1.0, alpha=0.75, tol=0.25)
+        assert cert.decay_report.passed
+        # "no budget exists" is named first
+        with pytest.raises(InfeasibleBudgetError, match="no budget exists"):
+            certify(still, half, half, radius=2.0, alpha1=1.0, alpha2=1.0, alpha=1.0,
+                    tol=1e300)
+
     def test_closed_form_certificate_names_its_basis(self, tmp_path, default_table):
         params = default_table.params
         cert = certify(fhn_field(params), *fc_candidate(default_table), radius=8.0,
@@ -323,3 +344,50 @@ def test_sup_constants_validate():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="a2 must be finite and nonnegative"):
             unit_constants(a2=bad)
+
+
+# a block whose first rate alpha1 = 50 it does not have: the decay check
+# refutes it at the default tolerance, and a tolerance large enough to pass
+# it is refused after the budget
+LARGE_TOLERANCE_CERTIFY = """
+[scenario]
+system = fhn
+action = certify
+tolerance = {tolerance}
+
+[params]
+r = 2.1
+b = 1
+epsilon = 0.9
+
+[certify]
+radius = 8
+alpha1 = 50
+alpha = 0.4
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tolerance, slack", [("25", "7.468e+01"), ("1e300", "2.987e+300")])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_a_large_tolerance_exits_4_without_a_certificate(tolerance, slack, where,
+                                                         tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(LARGE_TOLERANCE_CERTIFY.format(
+        tolerance=tolerance if where == "config" else "1e-9"))
+    out = tmp_path / "o"
+    flag = ["--tolerance", tolerance] if where == "flag" else []
+    assert main(["certify", "--config", str(cfg), "--out", str(out), *flag]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err == (f"certification refused: tolerance {float(tolerance)!r} leaves a slack "
+                   f"of {slack} in the decay checks, not below alpha = 0.4: a field with "
+                   f"no decay would pass them\n")
+    assert not (out / "certificate.rec").exists()
+
+
+def test_the_default_tolerance_refutes_the_rate(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(LARGE_TOLERANCE_CERTIFY.format(tolerance="1e-9"))
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_REFUSED
+    assert capsys.readouterr().err.startswith(
+        "certification refused: first component decay check failed")

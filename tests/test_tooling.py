@@ -1,8 +1,9 @@
 """Smoke tests of the benchmark tooling: the tracer against the current
 ieskit (it patches public functions and a few methods by name, so a renamed
 or moved one would break every traced benchmark run), and the script that
-folds result files into a BENCH_<pr>.json record.  And a check on the
-source: only the commit routine renames files."""
+folds result files into a BENCH_<pr>.json record.  And checks on the
+source: only the commit routine renames files, and a library's refusal of a
+config value becomes a config error in one place."""
 
 import ast
 import importlib
@@ -364,3 +365,26 @@ def test_only_the_commit_routine_renames_files():
     for path in sorted((ROOT / "src" / "ieskit").glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), None, path.name)
     assert found == [("io_utils.py", "_commit")]
+
+
+def test_only_the_conversion_helper_turns_refusals_into_config_errors():
+    # scenarios turns a library's ValueError into a ConfigError in _checked
+    # alone; Key.read converts its parser's, naming the key
+    found = []
+
+    def raises_config_error(handler):
+        return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ConfigError"
+                   for node in ast.walk(handler))
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.ExceptHandler) and raises_config_error(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    path = ROOT / "src" / "ieskit" / "scenarios.py"
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    assert found == ["Key.read", "_checked"]
