@@ -57,8 +57,7 @@ def main() -> int:
           f"shell margin={est.margin:.4f}")
 
     pairs = sample_pairs_sublevel(w, est.level, args.pairs, args.seed)
-    report = ensemble_ies(field, pairs, 40.0,
-                          IntegratorConfig(max_time=40.0, step=0.02))
+    report = ensemble_ies(field, pairs, IntegratorConfig(max_time=40.0, step=0.02))
     print(f"ensemble: min lambda={report.min_lambda:.4f} "
           f"max K={report.max_gain:.3f} all contracting={report.passed}")
     return 0 if report.passed else 1

@@ -11,19 +11,19 @@ from pathlib import Path
 import numpy as np
 
 from ieskit.estimator import fit_envelope
-from ieskit.scenarios import run_figures
+from ieskit.scenarios import Scenario, run_figures
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("results/figures"))
-    ap.add_argument("--horizon", type=float, default=100.0)
-    ap.add_argument("--step", type=float, default=0.01)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--horizon", type=float, default=Scenario.horizon)
+    ap.add_argument("--step", type=float, default=Scenario.step)
+    ap.add_argument("--seed", type=int, default=Scenario.seed)
     args = ap.parse_args()
 
-    written = run_figures(args.out, horizon=args.horizon, step=args.step,
-                          seed=args.seed)
+    written = run_figures(Scenario("fhn", "figures", horizon=args.horizon, step=args.step,
+                                   seed=args.seed, output_path=args.out))
     for path in written:
         rows = np.loadtxt(path, delimiter=",", skiprows=2)
         ts, dist = rows[:, 0], rows[:, 5]

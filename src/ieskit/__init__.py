@@ -16,7 +16,6 @@ from ieskit.dynsys import (
     TimeVaryingField,
     Trajectory,
     assemble,
-    flow_difference,
     flow_differences,
     integrate,
     integrate_with_displacement,
@@ -34,7 +33,6 @@ __all__ = [
     "check_decay",
     "check_sandwich",
     "compose",
-    "flow_difference",
     "flow_differences",
     "integrate",
     "integrate_with_displacement",

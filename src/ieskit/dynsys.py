@@ -687,10 +687,11 @@ def _row_norms(diff: Array) -> Array:
 
 
 def flow_differences(
-    field: TimeVaryingField, t0: float, z1s, z2s, config: IntegratorConfig
+    field: TimeVaryingField, z1s, z2s, config: IntegratorConfig
 ) -> list[DistanceSeries]:
-    """Distance series t -> |phi(t, z1s[k]) - phi(t, z2s[k])| of every pair,
-    with all 2N flows integrated as one batch, pair k as rows k and N + k.
+    """Distance series t -> |phi(t, z1s[k]) - phi(t, z2s[k])| of every pair
+    from t = 0, with all 2N flows integrated as one batch, pair k as rows k
+    and N + k.
     Under fixed-step RK4 a pair that does not blow up is measured on the
     solver grid; the others are Hermite-resampled at spacing ``config.step``
     up to the earlier end of the pair's two rows, and the pairs resampled
@@ -700,7 +701,7 @@ def flow_differences(
     if z1s.shape != z2s.shape:
         raise ValueError("z1 and z2 must have the same dimension")
     n = len(z1s)
-    traj = integrate(field, t0, np.concatenate([z1s, z2s]), config)
+    traj = integrate(field, 0.0, np.concatenate([z1s, z2s]), config)
     series: list[Optional[DistanceSeries]] = [None] * n
     resampled: dict[int, list[int]] = {}  # resampling end -> its pairs
     for k in range(n):
@@ -711,7 +712,7 @@ def flow_differences(
             resampled.setdefault(min(len(tr1.times), len(tr2.times)), []).append(k)
     for end, members in resampled.items():
         t_end = float(traj.times[end - 1])
-        times = np.linspace(t0, t_end, max(2, math.ceil((t_end - t0) / config.step)) + 1)
+        times = np.linspace(0.0, t_end, max(2, math.ceil(t_end / config.step)) + 1)
         basis = _HermiteBasis(traj.times[:end], times, traj.states.shape[2:])
         for k in members:
             tr1, tr2 = traj.row(k), traj.row(n + k)
@@ -720,9 +721,3 @@ def flow_differences(
             series[k] = DistanceSeries(times, dist, tr1.blew_up or tr2.blew_up)
     return series
 
-
-def flow_difference(
-    field: TimeVaryingField, t0: float, z1, z2, config: IntegratorConfig
-) -> DistanceSeries:
-    """Distance series t -> |phi(t, z1) - phi(t, z2)| on a shared grid."""
-    return flow_differences(field, t0, [z1], [z2], config)[0]

@@ -230,7 +230,6 @@ class EnsembleReport:
 def _pair_results(
     field: TimeVaryingField,
     pairs: Iterable[tuple[Array, Array]],
-    horizon: float,
     config: IntegratorConfig,
     transient_skip: float = 0.2,
 ) -> list[PairResult]:
@@ -238,12 +237,10 @@ def _pair_results(
     flows are integrated as one batch, and a pair that blew up gets no fit.
     A ``transient_skip`` outside [0, 1) is refused before any integration."""
     _check_transient_skip(transient_skip)
-    if abs(config.max_time - horizon) > 1e-12:
-        config = dataclasses.replace(config, max_time=horizon)
     pairs = [(np.asarray(z1), np.asarray(z2)) for z1, z2 in pairs]
     if not pairs:
         raise ValueError("an ensemble needs at least one pair")
-    all_series = flow_differences(field, 0.0, *zip(*pairs), config)
+    all_series = flow_differences(field, *zip(*pairs), config)
     results = []
     for i, ((z1, z2), series) in enumerate(zip(pairs, all_series)):
         fit = None if series.blew_up else fit_envelope(series.times, series.values,
@@ -272,15 +269,14 @@ def _aggregate(results: Sequence[PairResult]) -> EnsembleReport:
 def ensemble_ies(
     field: TimeVaryingField,
     pairs: Iterable[tuple[Array, Array]],
-    horizon: float,
     config: IntegratorConfig,
     transient_skip: float = 0.2,
 ) -> EnsembleReport:
     """Fit the envelope of every pair's distance series; the 2N flows are
-    integrated as one batch from t = 0, and a pair that blew up gets no fit.
-    An empty ``pairs``, or a ``transient_skip`` outside [0, 1), is refused
-    with ``ValueError``."""
-    return _aggregate(_pair_results(field, pairs, horizon, config, transient_skip))
+    integrated as one batch from t = 0 to ``config.max_time``, and a pair
+    that blew up gets no fit.  An empty ``pairs``, or a ``transient_skip``
+    outside [0, 1), is refused with ``ValueError``."""
+    return _aggregate(_pair_results(field, pairs, config, transient_skip))
 
 
 @dataclass(frozen=True)
@@ -306,7 +302,8 @@ def wies_scan(
     """Fit envelopes for pair ensembles sampled at increasing initial radii.
 
     Radius k gets ``sample_pairs_ball(radius, field.dim, pairs_per_radius,
-    seed + k)``; the flows of all radii are integrated as one batch, and each
+    seed + k)``; the flows of all radii are integrated as one batch from
+    t = 0 to ``horizon``, which replaces ``config.max_time``, and each
     radius's report is that of ``ensemble_ies`` on its own pairs, numbered
     from 0.  Under fixed-step RK4 the numbers are bitwise those of one
     ``ensemble_ies`` call per radius whenever a row's derivative does not
@@ -325,7 +322,7 @@ def wies_scan(
         raise ValueError("radii must be strictly increasing")
     pairs = [pair for k, radius in enumerate(radii)
              for pair in sample_pairs_ball(radius, field.dim, pairs_per_radius, seed + k)]
-    results = _pair_results(field, pairs, horizon, config)
+    results = _pair_results(field, pairs, dataclasses.replace(config, max_time=horizon))
     n = pairs_per_radius
     reports = [_aggregate([dataclasses.replace(r, pair_id=i)
                            for i, r in enumerate(results[k * n:(k + 1) * n])])

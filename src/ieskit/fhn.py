@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -23,9 +24,9 @@ Array = np.ndarray
 class FhnParams:
     """Model parameters dx/dt = x - x^3/3 + c - rho1*y, eps*dy/dt = -b*y + rho2*x.
 
-    The constant term is tied to ``r`` by c = r^3 - r.  The exponent rate
-    ``alpha`` of the contraction weight must lie in (0, 2 r^2 - 2), which
-    guarantees s* = sqrt((2 + alpha)/2) < r.
+    The constant term is tied to ``r`` by c = r^3 - r, which must be a
+    finite float.  The exponent rate ``alpha`` of the contraction weight must
+    lie in (0, 2 r^2 - 2), which guarantees s* = sqrt((2 + alpha)/2) < r.
     """
 
     b: float
@@ -46,6 +47,10 @@ class FhnParams:
             raise ValueError(f"coupling gains must be finite, got {self.rho1}, {self.rho2}")
         if not math.isfinite(self.r):
             raise ValueError(f"r must be finite, got {self.r}")
+        try:
+            self.c
+        except OverflowError:  # a Python float cube raises past the range
+            raise ValueError(f"c = r^3 - r must be finite, got r = {self.r!r}") from None
         hi = 2.0 * self.r * self.r - 2.0
         if not (0.0 < self.alpha < hi):
             raise ValueError(
@@ -78,8 +83,11 @@ class FhnParams:
         if len(real) == 0:
             raise ValueError(f"no real r with r^3 - r = {c}")
         r = float(np.max(real))
-        for _ in range(3):  # Newton polish to the last ulp
-            r -= (r**3 - r - c) / (3.0 * r * r - 1.0)
+        try:
+            for _ in range(3):  # Newton polish to the last ulp
+                r -= (r**3 - r - c) / (3.0 * r * r - 1.0)
+        except OverflowError:  # a Python float cube raises past the range
+            raise ValueError(f"c = {c!r} leaves no r whose r^3 is a finite float") from None
         return cls(b=b, rho1=rho1, rho2=rho2, epsilon=epsilon, r=r, alpha=alpha)
 
 
@@ -375,6 +383,9 @@ def check_weight_domain(params: FhnParams) -> None:
                          f"minimum {den(x):.3e} at x = {x:.4f}")
 
 
+_LOG_MAX = math.log(sys.float_info.max)  # the largest mu whose exp(mu) is a float
+
+
 @dataclass(frozen=True, eq=False)
 class FcTable:
     """The contraction weight in closed form on [-s*, s*], with attached
@@ -440,17 +451,31 @@ def build_fc(params: FhnParams) -> FcTable:
     at +-s*.  Every root's real part, clamped to [-s*, s*], is a point of
     the interval, so trying them all, a complex pair's included, finds the
     least value without sorting the roots out.
+
+    Parameters that ``check_weight_domain`` refuses, and a weight whose
+    left plateau exp(mu) or eta is not finite, are refused with ValueError;
+    the constants are evaluated with numpy's floating-point warnings off.
     """
     check_weight_domain(params)
     s = params.s_star
-    log_weight, ratio = _log_weight(params), _weight_ratio(params)
-    poly = np.polynomial.Polynomial
-    n = poly([-2.0 - params.alpha, 0.0, 2.0])
-    q = poly([params.c, 1.0, 0.0, -1.0 / 3.0])
-    xs = np.clip((n.deriv() * q - n * q.deriv() + n * n).roots().real, -s, s)
-    return FcTable(params=params,
-                   mu=float(_log_weight(params, np.longdouble)(-s)),
-                   eta=_least_slope(log_weight, ratio, xs), critical_points=xs,
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_weight, ratio = _log_weight(params), _weight_ratio(params)
+        mu = float(_log_weight(params, np.longdouble)(-s))
+        if not mu <= _LOG_MAX:
+            raise ValueError(f"the weight's left plateau exp(mu) must be finite, "
+                             f"got mu = {mu:.6g}")
+        poly = np.polynomial.Polynomial
+        n = poly([-2.0 - params.alpha, 0.0, 2.0])
+        q = poly([params.c, 1.0, 0.0, -1.0 / 3.0])
+        quartic = n.deriv() * q - n * q.deriv() + n * n
+        if not np.all(np.isfinite(quartic.coef)):  # its roots need finite terms
+            raise ValueError("the weight's slope bound eta must be finite, but the quartic "
+                             "of its critical points has terms past the float range")
+        xs = np.clip(quartic.roots().real, -s, s)
+        eta = _least_slope(log_weight, ratio, xs)
+    if not math.isfinite(eta):
+        raise ValueError(f"the weight's slope bound eta must be finite, got {eta:.6g}")
+    return FcTable(params=params, mu=mu, eta=eta, critical_points=xs,
                    _log_weight=log_weight, _ratio=ratio)
 
 

@@ -119,6 +119,24 @@ def check_box(w: OuterLyapunov, box) -> Array:
     return box
 
 
+def check_wdot(w: OuterLyapunov, field: TimeVaryingField, box, level: float) -> None:
+    """Refuse with ValueError a field along which Wdot is not finite at a
+    corner of the part of ``box`` that the sublevel set {W <= level} spans,
+    each axis clipped to the set's half-axis: there the field or W leaves
+    the float range, and a search up to that level samples Wdot there.  The
+    2^d corners are no more points than a grid of the box has."""
+    box = np.atleast_2d(np.asarray(box, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = w.half_axes(level)
+        bits = (np.arange(2**w.dim)[:, None] >> np.arange(w.dim)) & 1
+        corners = np.where(bits, np.minimum(box[:, 1], half), np.maximum(box[:, 0], -half))
+        values = wdot(w, field, corners)
+    for corner, value in zip(corners, values):
+        if not np.isfinite(value):
+            raise ValueError(f"Wdot = {float(value)!r} at the corner {corner.tolist()} of "
+                             f"the searched box: W's derivative along the field must be finite")
+
+
 def check_shell(level_max: float, shell_width: float) -> None:
     """Refuse with ValueError a shell width whose top shell, up to
     level_max (1 + shell_width), has an upper edge that is not finite."""
@@ -140,9 +158,10 @@ def find_invariant_level(
     strictly negative Wdot at t = 0; the enclosing radius comes from the
     sampled sublevel set, inflated by half a grid-cell diagonal.  A box that
     ``check_box`` refuses, a shell width that ``check_shell`` refuses, fewer
-    than 2 grid points per axis, fewer than 1 level, and more than
-    ``MAX_INVARIANT_POINTS`` grid points or levels are refused with
-    ValueError before any grid is built."""
+    than 2 grid points per axis, fewer than 1 level, more than
+    ``MAX_INVARIANT_POINTS`` grid points or levels, and a field that
+    ``check_wdot`` refuses up to the top shell are refused with ValueError
+    before any grid is built."""
     lo, hi = level_range
     if not (0 < lo < hi):
         raise ValueError("level range must satisfy 0 < lo < hi")
@@ -156,6 +175,7 @@ def find_invariant_level(
     if max(points, n_levels) > MAX_INVARIANT_POINTS:
         raise ValueError(f"{points} grid points in {w.dim}-D and {n_levels} levels: either "
                          f"is refused above the limit of {MAX_INVARIANT_POINTS}")
+    check_wdot(w, field, box, hi * (1.0 + shell_width))
     pts = box_grid(box, grid_density)
     w_vals = w.value(pts)
     norms = np.linalg.norm(pts, axis=1)

@@ -41,7 +41,6 @@ from ieskit.estimator import (
 from ieskit.fhn import (
     FhnParams,
     build_fc,
-    check_weight_domain,
     fc_candidate,
     fhn_field,
     figure_params,
@@ -53,6 +52,7 @@ from ieskit.invariance import (
     OuterLyapunov,
     check_box,
     check_shell,
+    check_wdot,
     fhn_dissipation_level,
     fhn_outer_lyapunov,
     find_invariant_level,
@@ -215,7 +215,9 @@ class Scenario:
 
     ``model`` is the system's built model (``FhnParams`` for fhn, the matrix
     for builtin_linear, the ``Interconnection`` for user_polynomial), and
-    ``params`` the text of its [params] as ``echo`` prints it."""
+    ``params`` the text of its [params] as ``echo`` prints it.  ``options``
+    holds each option section's values by key, and for the certify and
+    fc_table actions the ``FcTable`` of the model under "weight"."""
 
     system: str
     action: str
@@ -321,10 +323,12 @@ def parse_config(path) -> Scenario:
         raise ConfigError(f"{at('scenario.system')}: {sc['action']} requires "
                           f"system = fhn, got {sc['system']!r}")
     model, params, dim = _READERS[sc["system"]](path, sections)
-    if sc["action"] in ("certify", "fc_table"):
-        _checked(at("params.r", "params.c", "params.alpha"), check_weight_domain, model)
-    options = {section: _read(path, section, sections.get(section, {}), SCHEMA[section])
-               for section in ("estimate", "certify", "invariant")}
+    options = {}
+    if sc["action"] in ("certify", "fc_table"):  # the run's weight, built once
+        options["weight"] = _checked(at("params.r", "params.c", "params.alpha"),
+                                     build_fc, model)
+    options.update({section: _read(path, section, sections.get(section, {}), SCHEMA[section])
+                    for section in ("estimate", "certify", "invariant")})
     if sc["action"] == "certify":
         _certify_defaults(at, options["certify"], model)
 
@@ -365,7 +369,9 @@ def parse_config(path) -> Scenario:
     if inv["level_min"] >= inv["level_max"]:
         raise ConfigError(f"{at('invariant.level_max', 'invariant.level_min')}: "
                           f"level_min must be below level_max")
-    if sc["action"] == "invariant_set":  # before any grid is built
+    scenario = Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
+                        model=model, params=params, options=options, **sc)
+    if scenario.action == "invariant_set":  # before any grid is built
         for key, count, what in (("density", inv["density"] ** dim, f"grid points in {dim}-D"),
                                  ("levels", inv["levels"], "levels")):
             if count > MAX_INVARIANT_POINTS:
@@ -377,10 +383,12 @@ def parse_config(path) -> Scenario:
         _checked(at("invariant.shell_width", "invariant.level_max"), check_shell,
                  inv["level_max"], inv["shell_width"])
         # the key's line, else (a default half-width) the line of W's weight
-        _checked(at("invariant.box_halfwidth", "params.epsilon"), check_box,
-                 *_invariant_search(model, dim, inv["box_halfwidth"]))
-    return Scenario(initial_conditions=sc.pop("initial"), output_path=sc.pop("out"),
-                    model=model, params=params, options=options, **sc)
+        where = at("invariant.box_halfwidth", "params.epsilon")
+        w, box = _invariant_search(model, dim, inv["box_halfwidth"])
+        _checked(where, check_box, w, box)
+        _checked(where, check_wdot, w, build_field(scenario), box,
+                 inv["level_max"] * (1.0 + inv["shell_width"]))
+    return scenario
 
 
 def _certify_defaults(at: Callable[..., str], opts: dict, params: FhnParams) -> None:
@@ -500,29 +508,23 @@ def run_simulate(scenario: Scenario) -> list[Path]:
 DEFAULT_FIGURE_PAIR = (np.array([2.0, 0.0]), np.array([-2.0, 1.0]))
 
 
-def run_figures(
-    out_dir,
-    horizon: float = 100.0,
-    step: float = 0.01,
-    pair=DEFAULT_FIGURE_PAIR,
-    seed: int = 0,
-) -> list[Path]:
+def run_figures(scenario: Scenario) -> list[Path]:
     """Reproduce the three benchmark scenarios: one CSV per figure with
-    columns (t, x1, y1, x2, y2, distance).  The pair is integrated under all
-    three presets in one batch laid out as ``flow_differences`` lays out
-    three pairs."""
-    out_dir = Path(out_dir)
+    columns (t, x1, y1, x2, y2, distance), from the scenario's pair, else
+    ``DEFAULT_FIGURE_PAIR``.  The pair is integrated under all three presets
+    in one batch laid out as ``flow_differences`` lays out three pairs."""
+    pair = tuple(scenario.initial_conditions) or DEFAULT_FIGURE_PAIR
     z1, z2 = (np.asarray(p, dtype=float) for p in pair)
     presets = [figure_params(fig) for fig in (1, 2, 3)]
     n = len(presets)
     field = assemble(fhn_field(presets * 2))
-    paths = [out_dir / f"figure{fig}.csv" for fig in (1, 2, 3)]
+    paths = [scenario.output_path / f"figure{fig}.csv" for fig in (1, 2, 3)]
     heads = [
         f"# ieskit {__version__} figure={fig} c={p.c:g} b={p.b:g} "
         f"epsilon={p.epsilon:g} rho1={p.rho1:g} rho2={p.rho2:g} "
-        f"horizon={horizon:g} step={step:g} "
+        f"horizon={scenario.horizon:g} step={scenario.step:g} "
         f"z1={' '.join(f'{v:g}' for v in z1)} "
-        f"z2={' '.join(f'{v:g}' for v in z2)} seed={seed}\n"
+        f"z2={' '.join(f'{v:g}' for v in z2)} seed={scenario.seed}\n"
         "t,x1,y1,x2,y2,distance\n"
         for fig, p in enumerate(presets, start=1)
     ]
@@ -535,7 +537,8 @@ def run_figures(
                 for k in range(n)]
 
     with _commit(paths) as temps, block_csvs(temps, heads, rows) as sink:
-        config = IntegratorConfig(max_time=horizon, step=step, block_sink=sink)
+        config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step,
+                                  block_sink=sink)
         _integrate_all(field, [z1] * n + [z2] * n, config)
     return paths
 
@@ -564,7 +567,7 @@ def run_estimate(scenario: Scenario) -> list[Path]:
         with block_csvs(parts, [""] * n, rows) as sink:
             config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step,
                                       block_sink=sink)
-            report = ensemble_ies(field, pairs, scenario.horizon, config, opts["transient_skip"])
+            report = ensemble_ies(field, pairs, config, opts["transient_skip"])
             if report.blown_up:
                 raise BlowUpError(f"trajectory pairs {list(report.blown_up)} blew up "
                                   f"during estimation")
@@ -598,16 +601,15 @@ def run_invariant_set(scenario: Scenario) -> list[Path]:
 
 
 def run_fc_table(scenario: Scenario) -> list[Path]:
-    table = build_fc(scenario.model)
     out = scenario.output_path / "fc_table.csv"
-    write_fc_csv(table, out)
+    write_fc_csv(scenario.options["weight"], out)
     return [out]
 
 
 def run_certify(scenario: Scenario) -> list[Path]:
     params: FhnParams = scenario.model
     opts = scenario.options["certify"]
-    table = build_fc(params)
+    table = scenario.options["weight"]
     cand1, cand2 = fc_candidate(table)
     requested = None if opts["rho1"] is None else (opts["rho1"], opts["rho2"])
     ic = fhn_field(params)
@@ -625,16 +627,10 @@ def run_certify(scenario: Scenario) -> list[Path]:
     return [out_rec, out_txt]
 
 
-def _run_figures(scenario: Scenario) -> list[Path]:
-    pair = tuple(scenario.initial_conditions) or DEFAULT_FIGURE_PAIR
-    return run_figures(scenario.output_path, scenario.horizon, scenario.step, pair,
-                       scenario.seed)
-
-
 # Each action's runner: scenario -> the paths it wrote.
 _RUNNERS = {"simulate": run_simulate, "certify": run_certify, "estimate": run_estimate,
             "invariant_set": run_invariant_set, "fc_table": run_fc_table,
-            "figures": _run_figures}
+            "figures": run_figures}
 ACTIONS = tuple(_RUNNERS)
 
 

@@ -203,7 +203,8 @@ def gain_budget(
         rho2_max = min(2 e3 / (2 a2 eta2 + b2 theta2^2), 2 e2 / b2)
 
     for any positive e1..e4 with e1 + e2 < alpha1 - alpha and
-    e3 + e4 < alpha2 - alpha.  Zero denominators yield an infinite branch.
+    e3 + e4 < alpha2 - alpha.  Zero denominators yield an infinite branch,
+    and denominators past the float range a zero one.
     """
     if alpha <= 0:
         raise ValueError("target rate alpha must be positive")
@@ -226,9 +227,15 @@ def gain_budget(
     def ratio(num: float, den: float) -> float:
         return math.inf if den == 0.0 else num / den
 
-    rho1 = min(ratio(2.0 * e1, 2.0 * c.a1 * c.eta1 + c.b1 * c.theta1**2),
+    def square(x: float) -> float:
+        try:
+            return x**2
+        except OverflowError:  # a Python float square raises past the range
+            return math.inf
+
+    rho1 = min(ratio(2.0 * e1, 2.0 * c.a1 * c.eta1 + c.b1 * square(c.theta1)),
                ratio(2.0 * e4, c.b1))
-    rho2 = min(ratio(2.0 * e3, 2.0 * c.a2 * c.eta2 + c.b2 * c.theta2**2),
+    rho2 = min(ratio(2.0 * e3, 2.0 * c.a2 * c.eta2 + c.b2 * square(c.theta2)),
                ratio(2.0 * e2, c.b2))
     return rho1, rho2
 

@@ -14,7 +14,7 @@ import pytest
 from ieskit.dynsys import (
     IntegratorConfig,
     assemble,
-    flow_difference,
+    flow_differences,
     integrate,
     integrate_with_displacement,
     linear_field,
@@ -42,7 +42,7 @@ from ieskit.invariance import (
     ultimate_bound_fhn,
     wdot,
 )
-from ieskit.scenarios import run_figures
+from ieskit.scenarios import Scenario, run_figures
 from ieskit.smallgain import SupConstants, certify, gain_budget
 
 PAIR = (np.array([2.0, 0.0]), np.array([-2.0, 1.0]))
@@ -205,7 +205,7 @@ def test_criterion_7_figure_reproduction():
     finals = {}
     for fig in (1, 2, 3):
         field = assemble(fhn_field(figure_params(fig)))
-        series = flow_difference(field, 0.0, *PAIR, cfg)
+        series = flow_differences(field, *zip(PAIR), cfg)[0]
         fits[fig] = fit_envelope(series.times, series.values)
         finals[fig] = series.values[-1] / series.values[0]
         if fig == 1:
@@ -250,7 +250,7 @@ def test_criterion_8_certificate_simulation_consistency():
     assert est.radius <= radius, "invariant set not contained in the certified ball"
 
     pairs = sample_pairs_sublevel(w, est.level, 20, seed=17)
-    report = ensemble_ies(field, pairs, 40.0,
+    report = ensemble_ies(field, pairs,
                           IntegratorConfig(max_time=40.0, step=0.02))
     non_contracting = [v for v in report.verdicts if v == NON_CONTRACTING]
     elapsed = time.perf_counter() - start
@@ -287,8 +287,8 @@ def test_criterion_9_ultimate_bound():
 
 def test_criterion_10_figures_determinism(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    run_figures(out1, seed=123)
-    run_figures(out2, seed=123)
+    run_figures(Scenario("fhn", "figures", seed=123, output_path=out1))
+    run_figures(Scenario("fhn", "figures", seed=123, output_path=out2))
     identical = all(
         (out1 / f"figure{fig}.csv").read_bytes() == (out2 / f"figure{fig}.csv").read_bytes()
         for fig in (1, 2, 3)

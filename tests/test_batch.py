@@ -160,8 +160,8 @@ BAD_PAIR = (np.array([3.0]), np.array([3.5]))
 class TestBlowUpIsolation:
     def test_rk4_flags_only_the_bad_pair(self):
         cfg = IntegratorConfig(max_time=5.0, step=0.01)
-        mixed = ensemble_ies(CUBIC, [GOOD_PAIR, BAD_PAIR], 5.0, cfg)
-        alone = ensemble_ies(CUBIC, [GOOD_PAIR], 5.0, cfg)
+        mixed = ensemble_ies(CUBIC, [GOOD_PAIR, BAD_PAIR], cfg)
+        alone = ensemble_ies(CUBIC, [GOOD_PAIR], cfg)
         assert [r.blew_up for r in mixed.results] == [False, True]
         assert mixed.inconclusive and not mixed.passed
         good, ref = mixed.results[0].series, alone.results[0].series
@@ -172,7 +172,7 @@ class TestBlowUpIsolation:
     def test_dopri_good_pair_still_contracts(self):
         cfg = IntegratorConfig(max_time=5.0, method=ADAPTIVE_EMBEDDED,
                                atol=1e-9, rtol=1e-6)
-        mixed = ensemble_ies(CUBIC, [GOOD_PAIR, BAD_PAIR], 5.0, cfg)
+        mixed = ensemble_ies(CUBIC, [GOOD_PAIR, BAD_PAIR], cfg)
         assert [r.blew_up for r in mixed.results] == [False, True]
         assert mixed.results[0].fit.verdict == CONTRACTING
         assert mixed.results[0].series.times[-1] == 5.0
@@ -221,10 +221,9 @@ SCAN_FIELDS = {
 }
 
 
-def radius_loop(field, radii, n_pairs, horizon, cfg, seed):
+def radius_loop(field, radii, n_pairs, cfg, seed):
     """One ensemble_ies call per radius on the pairs wies_scan draws there."""
-    return [ensemble_ies(field, sample_pairs_ball(r, field.dim, n_pairs, seed + k),
-                         horizon, cfg)
+    return [ensemble_ies(field, sample_pairs_ball(r, field.dim, n_pairs, seed + k), cfg)
             for k, r in enumerate(radii)]
 
 
@@ -243,7 +242,7 @@ def test_rk4_scan_is_bitwise_a_loop_of_ensembles(name, radii, n_pairs, seed):
     field = SCAN_FIELDS[name]
     cfg = IntegratorConfig(max_time=3.0, step=0.02)
     scan = wies_scan(field, radii, n_pairs, 3.0, cfg, seed=seed)
-    loop = radius_loop(field, radii, n_pairs, 3.0, cfg, seed)
+    loop = radius_loop(field, radii, n_pairs, cfg, seed)
     assert len(scan.per_radius) == len(loop)
     for merged, alone in zip(scan.per_radius, loop):
         assert [r.pair_id for r in merged.results] == list(range(n_pairs))
@@ -265,7 +264,7 @@ def test_dopri_scan_verdicts_are_the_per_radius_ones(cfg_name, radii, horizon):
     field = build_field(parse_config(SCAN_CONFIGS / cfg_name))
     cfg = IntegratorConfig(max_time=horizon, method=ADAPTIVE_EMBEDDED, atol=1e-9, rtol=1e-6)
     scan = wies_scan(field, radii, 8, horizon, cfg, seed=0)
-    loop = radius_loop(field, radii, 8, horizon, cfg, 0)
+    loop = radius_loop(field, radii, 8, cfg, 0)
     for merged, alone in zip(scan.per_radius, loop, strict=True):
         assert merged.verdicts == alone.verdicts
         assert (merged.passed, merged.inconclusive) == (alone.passed, alone.inconclusive)

@@ -1142,3 +1142,91 @@ dim = 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_CONFIG
+
+
+# Each FHN [params] key at the ends of the float range and at the edges of
+# its rule, one key at a time, under every action that takes fhn.
+PROBE_ACTIONS = {"certify": "[certify]\nradius = 8\n", "fc_table": "",
+                 "invariant_set": "", "estimate": "[estimate]\npairs = 2\n",
+                 "simulate": ""}
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-308", "1e154", "1e308", "-1e308", "0", "-1"])
+@pytest.mark.parametrize("key", list(PARAMS["fhn"]))
+def test_an_extreme_fhn_parameter_ends_at_a_documented_exit(key, value, tmp_path, capsys):
+    # exit 0 in silence, or a refusal of one line: never an internal error,
+    # which a leaked RuntimeWarning (an error under Tier-1) would also give
+    outcomes = {}
+    for action, section in PROBE_ACTIONS.items():
+        initial = "initial = 1 0\n" if action == "simulate" else ""
+        cfg = write_config(tmp_path, f"[scenario]\nsystem = fhn\naction = {action}\n"
+                                     f"horizon = 1\n{initial}[params]\n{key} = {value}\n"
+                                     f"{section}")
+        rc = main([action.replace("_", "-"), "--config", str(cfg),
+                   "--out", str(tmp_path / action)])
+        err = capsys.readouterr().err
+        outcomes[action] = (rc, err)
+    assert {action: (rc, err) for action, (rc, err) in outcomes.items()
+            if not ((rc == EXIT_OK and not err)
+                    or (rc in (EXIT_CONFIG, EXIT_BLOWUP, EXIT_REFUSED)
+                        and err.count("\n") == 1 and err.endswith("\n")))} == {}
+
+
+WEIGHT_EDGE = ("[scenario]\nsystem = fhn\naction = {action}\n[params]\nb = 1\nepsilon = 0.9\n"
+               "alpha = 0.9\nc = {c!r}\n[certify]\nradius = 8\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, certify_exit, fc_table_exit", [
+    # mu = 403 and 635: theta1^2 is past the float range, so the budget
+    # reads 0 and the slack check refuses the certificate
+    (2 / 3 + 5e-5, EXIT_REFUSED, EXIT_OK),
+    (2 / 3 + 2e-5, EXIT_REFUSED, EXIT_OK),
+    # mu = 897 and 1361: the left plateau exp(mu) is past it
+    (2 / 3 + 1e-5, EXIT_CONFIG, EXIT_CONFIG),
+    (0.666671, EXIT_CONFIG, EXIT_CONFIG),
+    # the quartic whose roots eta is taken at has terms past it
+    (1e308, EXIT_CONFIG, EXIT_CONFIG),
+])
+def test_a_weight_near_the_float_range_ends_in_one_line(c, certify_exit, fc_table_exit,
+                                                         tmp_path, capsys):
+    for action, expected in (("certify", certify_exit), ("fc_table", fc_table_exit)):
+        cfg = write_config(tmp_path, WEIGHT_EDGE.format(action=action, c=c))
+        out = tmp_path / action
+        rc = main([action.replace("_", "-"), "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == expected, (action, err)
+        if rc == EXIT_CONFIG:  # at the c line, before any output
+            assert err.startswith(f"config error: {cfg}:8: ") and err.count("\n") == 1
+            assert not out.exists()
+        elif rc == EXIT_REFUSED:
+            assert err.startswith("certification refused: ") and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ["b = 1e308", "epsilon = 1e-308", "epsilon = 5e-324",
+                                   "c = 1e308", "c = -1e308", "rho1 = 1e308", "rho2 = 1e308",
+                                   "r = 1e154", "r = 1e308", "r = -1e308"])
+def test_an_fhn_field_past_the_float_range_is_refused_before_any_grid(entry, tmp_path,
+                                                                      monkeypatch, capsys):
+    # Wdot is not finite at a corner of the default box (or c = r^3 - r is
+    # not finite): refused at parse time, before the search grid is built
+    def no_grid(*args):
+        raise AssertionError("gridded")
+
+    monkeypatch.setattr("ieskit.invariance.box_grid", no_grid)
+    cfg = write_config(tmp_path, f"[scenario]\nsystem = fhn\naction = invariant_set\n"
+                                 f"[params]\n{entry}\n")
+    rc = main(["invariant-set", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and err.count("\n") == 1
+    if entry.startswith(("r =", "epsilon =")):  # r's own line, or the box check's W weight
+        assert err.startswith(f"config error: {cfg}:5: ")
+    else:
+        assert err.startswith(f"config error: {cfg}: Wdot = ")
+        assert err.endswith(" of the searched box: W's derivative along the field must be "
+                            "finite\n")
+    assert not (tmp_path / "o").exists()

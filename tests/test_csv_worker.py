@@ -215,7 +215,7 @@ def test_estimate_distances_are_write_distance_csvs(system, params, forked, tmp_
     opts = scenario.options["estimate"]
     config = IntegratorConfig(max_time=scenario.horizon, step=scenario.step)
     report = ensemble_ies(build_field(scenario), sample_pairs_box(opts["box"], 5, 4),
-                          scenario.horizon, config, opts["transient_skip"])
+                          config, opts["transient_skip"])
     write_distance_csv(tmp_path / "library.csv", report.results)
     assert ((tmp_path / "out" / "distances.csv").read_bytes()
             == (tmp_path / "library.csv").read_bytes())

@@ -18,7 +18,6 @@ from ieskit.dynsys import (
     TimeVaryingField,
     assemble,
     fd_jacobian,
-    flow_difference,
     flow_differences,
     integrate,
     integrate_with_displacement,
@@ -299,20 +298,20 @@ class TestDisplacement:
 class TestFlowDifference:
     def test_identical_states_zero_series(self):
         field = assemble(fhn_field(figure_params(1)))
-        series = flow_difference(field, 0.0, [2.0, 0.0], [2.0, 0.0],
-                                 IntegratorConfig(max_time=5.0, step=0.01))
+        series = flow_differences(field, [[2.0, 0.0]], [[2.0, 0.0]],
+                                  IntegratorConfig(max_time=5.0, step=0.01))[0]
         assert np.all(series.values == 0.0)
 
     def test_fig2_contracts_below_threshold(self, fig_pair):
         field = assemble(fhn_field(figure_params(2)))
-        series = flow_difference(field, 0.0, *fig_pair,
-                                 IntegratorConfig(max_time=60.0, step=0.01))
+        series = flow_differences(field, *zip(fig_pair),
+                                  IntegratorConfig(max_time=60.0, step=0.01))[0]
         assert series.values[-1] < 1e-3 * series.values[0]
 
     def test_fig1_does_not_contract(self, fig_pair):
         field = assemble(fhn_field(figure_params(1)))
-        series = flow_difference(field, 0.0, *fig_pair,
-                                 IntegratorConfig(max_time=100.0, step=0.01))
+        series = flow_differences(field, *zip(fig_pair),
+                                  IntegratorConfig(max_time=100.0, step=0.01))[0]
         late = series.values[(series.times >= 80.0) & (series.times <= 100.0)]
         assert np.min(late) > 0.1
 
@@ -751,7 +750,7 @@ def test_shared_basis_resampling_is_each_rows_own(seed, n_pairs, scale, method):
     cfg = IntegratorConfig(max_time=1.0, method=method, step=0.01, atol=1e-9, rtol=1e-6)
     z = np.random.default_rng(seed).uniform(-scale, scale, (2 * n_pairs, 2))
     traj = integrate(CUBIC_X, 0.0, z, cfg)
-    series = flow_differences(CUBIC_X, 0.0, z[:n_pairs], z[n_pairs:], cfg)
+    series = flow_differences(CUBIC_X, z[:n_pairs], z[n_pairs:], cfg)
     for k, s in enumerate(series):
         r1, r2 = traj.row(k), traj.row(n_pairs + k)
         assert s.blew_up == (r1.blew_up or r2.blew_up)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ieskit.dynsys import IntegratorConfig, assemble, flow_difference, linear_field
+from ieskit.dynsys import IntegratorConfig, assemble, flow_differences, linear_field
 from ieskit.estimator import (
     CONTRACTING,
     INCONCLUSIVE,
@@ -74,16 +74,16 @@ class TestFitEnvelope:
 
     def test_fig2_pair_contracts(self, fig_pair):
         field = assemble(fhn_field(figure_params(2)))
-        series = flow_difference(field, 0.0, *fig_pair,
-                                 IntegratorConfig(max_time=100.0, step=0.01))
+        series = flow_differences(field, *zip(fig_pair),
+                                  IntegratorConfig(max_time=100.0, step=0.01))[0]
         fit = fit_envelope(series.times, series.values)
         assert fit.verdict == CONTRACTING
         assert fit.lam > 1e-3
 
     def test_fig1_pair_non_contracting(self, fig_pair):
         field = assemble(fhn_field(figure_params(1)))
-        series = flow_difference(field, 0.0, *fig_pair,
-                                 IntegratorConfig(max_time=100.0, step=0.01))
+        series = flow_differences(field, *zip(fig_pair),
+                                  IntegratorConfig(max_time=100.0, step=0.01))[0]
         fit = fit_envelope(series.times, series.values)
         assert fit.verdict == NON_CONTRACTING
 
@@ -91,8 +91,8 @@ class TestFitEnvelope:
         # the third benchmark run hits the integrator noise floor midway; the
         # fitted window must stop there instead of averaging flat noise
         field = assemble(fhn_field(figure_params(3)))
-        series = flow_difference(field, 0.0, *fig_pair,
-                                 IntegratorConfig(max_time=100.0, step=0.01))
+        series = flow_differences(field, *zip(fig_pair),
+                                  IntegratorConfig(max_time=100.0, step=0.01))[0]
         fit = fit_envelope(series.times, series.values)
         assert fit.verdict == CONTRACTING
         assert fit.window[1] < 50.0
@@ -226,7 +226,7 @@ class TestEnsemble:
     def test_linear_contraction_rates(self):
         field = linear_field(-np.eye(2))
         pairs = sample_pairs_box([[-3, 3]] * 2, 20, seed=0)
-        report = ensemble_ies(field, pairs, 12.0,
+        report = ensemble_ies(field, pairs,
                               IntegratorConfig(max_time=12.0, step=0.01))
         assert report.passed
         assert report.min_lambda == pytest.approx(1.0, abs=0.02)
@@ -237,7 +237,7 @@ class TestEnsemble:
     def test_fig3_box_ensemble_contracts(self):
         field = assemble(fhn_field(figure_params(3)))
         pairs = sample_pairs_box([[-3, 3]] * 2, 20, seed=3)
-        report = ensemble_ies(field, pairs, 40.0,
+        report = ensemble_ies(field, pairs,
                               IntegratorConfig(max_time=40.0, step=0.02))
         assert report.passed
         assert all(v == CONTRACTING for v in report.verdicts)
@@ -245,7 +245,7 @@ class TestEnsemble:
     def test_fig1_ensemble_fails(self):
         field = assemble(fhn_field(figure_params(1)))
         pairs = sample_pairs_box([[-3, 3]] * 2, 6, seed=5)
-        report = ensemble_ies(field, pairs, 80.0,
+        report = ensemble_ies(field, pairs,
                               IntegratorConfig(max_time=80.0, step=0.02))
         assert not report.passed
         assert NON_CONTRACTING in report.verdicts
@@ -255,7 +255,7 @@ class TestEnsemble:
 
         field = TimeVaryingField(1, lambda t, z: z**3, lambda t, z: 3 * z[..., None] ** 2)
         pairs = [(np.array([3.0]), np.array([3.5]))]
-        report = ensemble_ies(field, pairs, 5.0,
+        report = ensemble_ies(field, pairs,
                               IntegratorConfig(max_time=5.0, step=0.01))
         assert report.inconclusive
         assert not report.passed
@@ -266,7 +266,7 @@ class TestEnsemble:
 
         field = TimeVaryingField(1, lambda t, z: z**3, lambda t, z: 3 * z[..., None] ** 2)
         pairs = [(np.array([3.0]), np.array([3.5])), (np.array([0.0]), np.array([0.1]))]
-        report = ensemble_ies(field, pairs, 5.0, IntegratorConfig(max_time=5.0, step=0.01))
+        report = ensemble_ies(field, pairs, IntegratorConfig(max_time=5.0, step=0.01))
         write_summary_csv(tmp_path / "summary.csv", report.results)
         fit = report.results[1].fit
         assert (tmp_path / "summary.csv").read_text() == (
@@ -283,20 +283,20 @@ class TestEnsemble:
         mostly_x = (np.array([1.0, 0.005]), np.array([-1.0, -0.005]))
         in_x = (np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         in_y = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
-        only_x = ensemble_ies(field, [mostly_x, mostly_x], 40.0, cfg)
+        only_x = ensemble_ies(field, [mostly_x, mostly_x], cfg)
         assert only_x.verdicts == [INCONCLUSIVE, INCONCLUSIVE]
         assert only_x.inconclusive and not only_x.passed
-        both = ensemble_ies(field, [mostly_x, in_y], 40.0, cfg)
+        both = ensemble_ies(field, [mostly_x, in_y], cfg)
         assert both.verdicts == [INCONCLUSIVE, NON_CONTRACTING]
         assert not both.inconclusive and not both.passed
-        contracting = ensemble_ies(field, [in_x], 40.0, cfg)
+        contracting = ensemble_ies(field, [in_x], cfg)
         assert contracting.verdicts == [CONTRACTING]
         assert contracting.passed and not contracting.inconclusive
 
     def test_empty_ensemble_refused(self):
         # no pair is no evidence: it must not read as a refutation
         with pytest.raises(ValueError, match="at least one pair"):
-            ensemble_ies(linear_field(-np.eye(2)), [], 5.0,
+            ensemble_ies(linear_field(-np.eye(2)), [],
                          IntegratorConfig(max_time=5.0, step=0.05))
 
     @pytest.mark.parametrize("skip", [np.nan, 1.0, 1.5, -3.0])
@@ -307,13 +307,13 @@ class TestEnsemble:
         monkeypatch.setattr("ieskit.estimator.flow_differences", no_integration)
         pairs = sample_pairs_box([[-1, 1]] * 2, 2, seed=0)
         with pytest.raises(ValueError, match="transient_skip"):
-            ensemble_ies(linear_field(-np.eye(2)), pairs, 5.0,
+            ensemble_ies(linear_field(-np.eye(2)), pairs,
                          IntegratorConfig(max_time=5.0, step=0.05), transient_skip=skip)
 
     def test_csv_exports(self, tmp_path):
         field = linear_field(-np.eye(2))
         pairs = sample_pairs_box([[-1, 1]] * 2, 3, seed=0)
-        report = ensemble_ies(field, pairs, 5.0,
+        report = ensemble_ies(field, pairs,
                               IntegratorConfig(max_time=5.0, step=0.05))
         d_path = tmp_path / "distances.csv"
         s_path = tmp_path / "summary.csv"

@@ -12,10 +12,10 @@ import pytest
 from ieskit.cli import EXIT_OK, main
 from ieskit.dynsys import ADAPTIVE_EMBEDDED, IntegratorConfig
 from ieskit.estimator import sample_pairs_ball, sample_pairs_box, wies_scan
-from ieskit.scenarios import build_field, parse_config, run_figures
+from ieskit.scenarios import Scenario, build_field, parse_config, run_figures
 
 # SHA-256 of every line after the '# ieskit ...' header of figure<k>.csv at
-# the defaults of run_figures: the column line and the 10 001 data rows.
+# the defaults of a figures Scenario: the column line and the 10 001 data rows.
 FIGURE_ROWS_SHA256 = {
     1: "2ee6800efc7ab717b3bdd2f9f1c84afae85999d2735ef871f7cc59cda7081c95",
     2: "9972489c49aec1aa6ab62aa2da7cd085a3bc6e7486acdc53c1c18892fb3b9654",
@@ -91,7 +91,7 @@ decay_samples = 83
 
 
 def test_figure_rows_are_pinned(tmp_path):
-    run_figures(tmp_path)
+    run_figures(Scenario("fhn", "figures", output_path=tmp_path))
     for fig, digest in FIGURE_ROWS_SHA256.items():
         header, sep, rows = (tmp_path / f"figure{fig}.csv").read_bytes().partition(b"\n")
         assert header.startswith(b"# ieskit ") and sep

@@ -130,8 +130,8 @@ def test_distance_csv_with_different_time_grids(tmp_path):
     field = assemble(fhn_field(figure_params(3)))
     z1s = np.array([[2.0, 0.0], [0.5, -1.0], [-1.0, 3.0]])
     z2s = np.array([[-2.0, 1.0], [0.4, -1.2], [1.5, -2.0]])
-    rk4 = flow_differences(field, 0.0, z1s, z2s, IntegratorConfig(max_time=3.0, step=0.01))
-    dopri = flow_differences(field, 0.0, z1s[:2], z2s[:2],
+    rk4 = flow_differences(field, z1s, z2s, IntegratorConfig(max_time=3.0, step=0.01))
+    dopri = flow_differences(field, z1s[:2], z2s[:2],
                              IntegratorConfig(max_time=2.95, step=0.013,
                                               method=ADAPTIVE_EMBEDDED))
     signed = rk4[2].times.copy()

@@ -127,6 +127,13 @@ class TestGainBudget:
         assert math.isinf(rho1)
         assert math.isinf(rho2)
 
+    def test_a_denominator_past_the_float_range_reads_zero(self):
+        # theta1^2 = 1e400 is past the float range: that branch reads 0, as a
+        # zero denominator reads inf, and the other budget does not move
+        rho1, rho2 = gain_budget(unit_constants(theta1=1e200), 1.0, 1.0, 0.5)
+        assert rho1 == 0.0
+        assert rho2 == gain_budget(unit_constants(), 1.0, 1.0, 0.5)[1]
+
     def test_infeasible_alpha(self):
         cons = unit_constants()
         with pytest.raises(InfeasibleBudgetError, match="alpha"):

@@ -388,3 +388,22 @@ def test_only_the_conversion_helper_turns_refusals_into_config_errors():
     path = ROOT / "src" / "ieskit" / "scenarios.py"
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     assert found == ["Key.read", "_checked"]
+
+
+def test_each_run_setting_has_one_source():
+    # a runner reads every setting from its Scenario, and a pair solve reads
+    # its horizon from its IntegratorConfig and starts at t = 0
+    assert scenarios._RUNNERS["figures"] is scenarios.run_figures
+    for action, runner in scenarios._RUNNERS.items():
+        assert list(inspect.signature(runner).parameters) == ["scenario"], action
+    for fn in (estimator.ensemble_ies, estimator._pair_results, dynsys.flow_differences):
+        assert not {"horizon", "t0"} & set(inspect.signature(fn).parameters), fn.__name__
+    assert not hasattr(dynsys, "flow_difference")
+    # wies_scan alone takes a horizon beside its config: the benchmark's
+    # adaptive-scan workload calls it as wies_scan(field, radii, n, horizon, config)
+    both = [f"{mod.__name__}.{name}"
+            for mod in (dynsys, estimator, finsler, scenarios)
+            for name, fn in vars(mod).items()
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+            and {"horizon", "config"} <= set(inspect.signature(fn).parameters)]
+    assert both == ["ieskit.estimator.wies_scan"]
