@@ -12,7 +12,11 @@ runs, the operations attempted and failed, and the median of each per-layer
 metric over the traced runs.  Every untraced run counts, also several at one
 seed.  Where both sides have untraced runs at the same seed, it also counts
 the seeds at which the change's median at that seed is better than the
-parent's.
+parent's (``pairs``, ``after_better``), and states the gain rule: the
+parent's spread ``parent_iqr`` (q3 - q1), the signed ``median_change``
+(after minus before), and ``gain``, true when the change is better at 9 in
+10 of the pairs or more and its median moved the better way by more than
+``parent_iqr``.
 """
 
 from __future__ import annotations
@@ -78,6 +82,17 @@ def fold_side(runs: list[dict]) -> dict[str, dict]:
     return sides
 
 
+def gain_rule(before: dict, after: dict, sign: float, pairs: int, after_better: int) -> dict:
+    """The parent's spread q3 - q1, the signed change of the median, and
+    whether it is a gain: the change better at 9 in 10 of the seeds paired
+    or more, and its median moved the better way (``sign`` -1 for lower) by
+    more than the parent's spread."""
+    iqr = before["q3"] - before["q1"]
+    change = after["median"] - before["median"]
+    gain = pairs > 0 and after_better >= 0.9 * pairs and sign * change > iqr
+    return {"parent_iqr": iqr, "median_change": change, "gain": gain}
+
+
 def record(pr: int, before: list[dict], after: list[dict]) -> dict:
     better = directions()
     sides = {"before": fold_side(before), "after": fold_side(after)}
@@ -109,6 +124,9 @@ def record(pr: int, before: list[dict], after: list[dict]) -> dict:
                 out["after_better"] = sum(
                     sign * (statistics.median(a[s]) - statistics.median(b[s])) > 0
                     for s in seeds)
+                if "before" in out and "after" in out:
+                    out.update(gain_rule(out["before"], out["after"], sign, out["pairs"],
+                                         out["after_better"]))
         workloads[name] = entry
     return {"pr": pr, "machine": after[0].get("machine", {}),
             "seconds": after[0]["args"].get("seconds"), "workloads": workloads}

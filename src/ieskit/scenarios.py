@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -278,14 +278,16 @@ def _at(path: Path, sections, *names: str) -> str:
     return str(path)
 
 
-def _checked(where: str, check: Callable, *args, **kwargs):
+def _checked(where: Union[str, Callable[[ValueError], str]], check: Callable, *args,
+             **kwargs):
     """``check(*args, **kwargs)``, whose ValueError becomes a ConfigError
-    anchored at ``where``: the one way a library's refusal of a config
-    value reaches the user."""
+    anchored at ``where``, or at ``where(exc)`` for an anchor that depends on
+    the refusal: the one way a library's refusal of a config value reaches
+    the user."""
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where(exc) if callable(where) else where}: {exc}") from None
 
 
 def _read(path: Path, section: str, entries, schema: dict[str, Key]) -> dict:
@@ -386,9 +388,26 @@ def parse_config(path) -> Scenario:
         where = at("invariant.box_halfwidth", "params.epsilon")
         w, box = _invariant_search(model, dim, inv["box_halfwidth"])
         _checked(where, check_box, w, box)
-        _checked(where, check_wdot, w, build_field(scenario), box,
-                 inv["level_max"] * (1.0 + inv["shell_width"]))
+        top = inv["level_max"] * (1.0 + inv["shell_width"])
+        if scenario.system == "fhn":
+            where = partial(_wdot_key, path, sections, inv["box_halfwidth"], top, where)
+        _checked(where, check_wdot, w, build_field(scenario), box, top)
     return scenario
+
+
+def _wdot_key(path: Path, sections, half: float, level: float, where: str, exc) -> str:
+    """'path:line' of the first FHN [params] key, in config order, whose
+    default makes Wdot finite at every corner; else ``where``."""
+    for key, (_, lineno) in sections.get("params", {}).items():
+        rest = {k: v for k, v in sections["params"].items() if k != key}
+        try:
+            model = _read_fhn(path, {**sections, "params": rest})[0]
+            w, box = _invariant_search(model, 2, half)
+            check_wdot(w, assemble(fhn_field(model)), box, level)
+        except ValueError:  # a ConfigError too: that default is refused
+            continue
+        return f"{path}:{lineno}"
+    return where
 
 
 def _certify_defaults(at: Callable[..., str], opts: dict, params: FhnParams) -> None:
@@ -423,7 +442,12 @@ def _read_fhn(path: Path, sections):
         raise ConfigError(f"{path}:{entries['c'][1]}: give either c or r, not both")
     shared = dict(b=p["b"], rho1=p["rho1"], rho2=p["rho2"], epsilon=p["epsilon"],
                   alpha=p["alpha"])
-    where = _at(path, sections, "params.alpha", "params.r", "params.c")
+
+    def where(exc: ValueError) -> str:
+        # the alpha range refusal at alpha's line, those of r and c = r^3 - r at theirs
+        first = ("params.alpha",) if str(exc).startswith("alpha") else ()
+        return _at(path, sections, *first, "params.r", "params.c")
+
     fp = (_checked(where, FhnParams, r=p["r"], **shared) if p["r"] is not None
           else _checked(where, FhnParams.from_c, c=p["c"], **shared))
     echo = {k: f"{p[k]:g}" for k in ("b", "epsilon", "rho1", "rho2", "alpha")}

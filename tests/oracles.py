@@ -10,7 +10,12 @@ The FHN outer Lyapunov function W = (x^2 + eps y^2) / 2 written out: its
 value, gradient and derivative along a field, which ``OuterLyapunov`` with
 weights (1, eps) must match byte for byte; and the terms of its dissipation
 chain, whose gaps ``invariance.fhn_dissipation_level`` states in closed
-form."""
+form.
+
+Fixed-step RK4 as the textbook writes it, with Python-float multipliers and
+2 k, which ``integrate`` must match byte for byte."""
+
+import math
 
 import numpy as np
 
@@ -75,3 +80,53 @@ def dissipation_chain(params, x, y):
     w = 0.5 * (x * x + eps * y * y)
     s3 = -2.0 * kappa * w + 2.0 + c * c / 2.0
     return wd, s1, s2, s3
+
+
+def _first(bad: Array, start: int) -> Array:
+    """Per column of ``bad`` (T, N), the first row from ``start`` on that
+    holds True; T where there is none."""
+    rows = np.arange(len(bad))[:, None]
+    return np.where(bad & (rows >= start), rows, len(bad)).min(axis=0)
+
+
+def rk4_reference(rhs, t0: float, z0: Array, horizon: float, step: float):
+    """Fixed-step RK4 of the batch z0 (N, d), every row stepped to the
+    horizon in n = max(2, ceil(horizon / step)) steps, with the step written
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4).  Returns the samples ``integrate``
+    reports, ``(times, states, derivatives, ends, blew_up)``, and the raw
+    states before any row is cut, which its block sink is handed.
+
+    A row ends at its first state from sample 1 on, or its first derivative,
+    that is not finite: it keeps the samples before the state, or up to the
+    derivative, whose value it reads as 0, and holds NaN after them.  The
+    path stops at the last row's end."""
+    n = max(2, math.ceil(horizon / step - 1e-12))
+    h = horizon / n
+    half, sixth = 0.5 * h, h / 6.0
+    times = t0 + h * np.arange(n + 1)
+    times[-1] = t0 + horizon
+    ts = times.tolist()
+    states = np.empty((n + 1, *z0.shape))
+    derivs = np.empty_like(states)
+    states[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivs[0] = rhs(t0, z0)
+        for i in range(n):
+            y, k1, t = states[i], derivs[i], ts[i]
+            k2 = rhs(t + half, y + half * k1)
+            k3 = rhs(t + half, y + half * k2)
+            k4 = rhs(t + h, y + h * k3)
+            states[i + 1] = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            derivs[i + 1] = rhs(ts[i + 1], states[i + 1])
+    bad_state = _first(~np.isfinite(states).all(axis=2), 1)
+    bad_deriv = _first(~np.isfinite(derivs).all(axis=2), 0)
+    ends = np.minimum(bad_state, bad_deriv + 1)
+    blew = np.minimum(bad_state, bad_deriv) <= n
+    end = ends.max()
+    raw = states[:end].copy()
+    cut = np.nonzero(bad_deriv < bad_state)[0]
+    derivs[bad_deriv[cut], cut] = 0.0
+    after = np.arange(n + 1)[:, None] >= ends
+    states[after] = np.nan
+    derivs[after] = np.nan
+    return times[:end], states[:end], derivs[:end], ends, blew, raw

@@ -1223,10 +1223,57 @@ def test_an_fhn_field_past_the_float_range_is_refused_before_any_grid(entry, tmp
     rc = main(["invariant-set", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG and err.count("\n") == 1
-    if entry.startswith(("r =", "epsilon =")):  # r's own line, or the box check's W weight
-        assert err.startswith(f"config error: {cfg}:5: ")
-    else:
-        assert err.startswith(f"config error: {cfg}: Wdot = ")
+    # at the entry's own line: r's, the box check's W weight, or the key
+    # whose default makes Wdot finite
+    assert err.startswith(f"config error: {cfg}:5: ")
+    if not entry.startswith(("r =", "epsilon =")):
+        assert err.startswith(f"config error: {cfg}:5: Wdot = ")
         assert err.endswith(" of the searched box: W's derivative along the field must be "
                             "finite\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries, line", [
+    (["b = 1e308"], 5),
+    (["b = 1e308", "epsilon = 0.9"], 5),
+    (["epsilon = 0.9", "b = 1e308"], 6),
+    (["epsilon = 1e-308"], 5),
+    (["rho1 = 1e308"], 5),
+    (["alpha = 0.5", "rho2 = 1e308", "b = 2"], 6),
+])
+def test_a_wdot_refusal_names_the_key_at_fault(entries, line, tmp_path, capsys):
+    # the first [params] key whose default makes Wdot finite at every corner
+    cfg = write_config(tmp_path, "[scenario]\nsystem = fhn\naction = invariant_set\n"
+                                 "[params]\n" + "".join(e + "\n" for e in entries))
+    rc = main(["invariant-set", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and err.count("\n") == 1
+    assert err.startswith(f"config error: {cfg}:{line}: Wdot = ")
+
+
+def test_a_wdot_refusal_with_no_single_key_at_fault_keeps_its_anchor(tmp_path, capsys):
+    # b and rho1 each overflow Wdot, so neither default alone makes it finite
+    cfg = write_config(tmp_path, "[scenario]\nsystem = fhn\naction = invariant_set\n"
+                                 "[params]\nb = 1e308\nrho1 = 1e308\n")
+    rc = main(["invariant-set", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and err.startswith(f"config error: {cfg}: Wdot = ")
+
+
+@pytest.mark.parametrize("params, line, message", [
+    # r = 1e154 overflows its cube, at r's line whichever of r and alpha comes first
+    ("r = 1e154\nalpha = 0.9\n", 7, "c = r^3 - r must be finite"),
+    ("alpha = 0.9\nr = 1e154\n", 8, "c = r^3 - r must be finite"),
+    # alpha outside (0, 2 r^2 - 2) stays at alpha's line
+    ("r = 2.1\nalpha = 9\n", 8, "alpha must lie in"),
+    ("alpha = 9\nr = 2.1\n", 7, "alpha must lie in"),
+])
+def test_an_fhn_params_refusal_names_the_key_it_refuses(params, line, message, tmp_path,
+                                                          capsys):
+    cfg = write_config(tmp_path, "[scenario]\nsystem = fhn\naction = simulate\n"
+                                 f"initial = 1 0\n[params]\nb = 1\n{params}")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and err.count("\n") == 1
+    assert err.startswith(f"config error: {cfg}:{line}: {message}")

@@ -27,6 +27,7 @@ from ieskit.dynsys import (
 from ieskit.dynsys import _SCAN_BLOCK, _row_norms
 from ieskit.fhn import FhnParams, fhn_field, figure_params
 from ieskit.polynomials import polynomial_field, polynomial_interconnection
+from oracles import rk4_reference
 
 
 def central_difference_jacobian(rhs, t, z, h):
@@ -651,6 +652,69 @@ def solve_with_blocks(field, z0, horizon, step):
                                                     block_sink=log))
     log.assert_joins_to(tr)
     return tr, log, calls[0]
+
+
+def time_field():
+    """A field that reads t: the same state gets another slope later."""
+    def rhs(t, z):
+        return math.cos(t) * z[..., ::-1] - 0.5 * z
+
+    return TimeVaryingField(2, rhs, fd_jacobian(rhs, 2))
+
+
+def identity_field():
+    """dz/dt = z, with the rhs returning the very array it is given."""
+    def rhs(t, z):
+        return z
+
+    return TimeVaryingField(2, rhs, fd_jacobian(rhs, 2))
+
+
+def textbook_field(kind: str, rows: int):
+    if kind == "time":
+        return time_field()
+    if kind == "identity":
+        return identity_field()
+    return autonomous_field(kind, rows)
+
+
+@given(kind=st.sampled_from(KINDS + ["time", "identity"]), rows=st.integers(1, 6),
+       single=st.booleans(), seed=st.integers(0, 2**16),
+       special=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e200]),
+       horizon=st.sampled_from([1.0, 20.0, 60.0]))
+@example(kind="fhn_rows", rows=6, single=False, seed=0, special=None, horizon=60.0)
+@example(kind="polynomial_blocks", rows=3, single=False, seed=1, special=np.nan, horizon=60.0)
+@example(kind="time", rows=4, single=False, seed=2, special=1e200, horizon=20.0)
+@example(kind="identity", rows=1, single=True, seed=3, special=-np.inf, horizon=20.0)
+@example(kind="linear", rows=2, single=False, seed=4, special=np.inf, horizon=60.0)
+@settings(max_examples=40, deadline=None)
+def test_rk4_is_the_textbook_step_byte_for_byte(kind, rows, single, seed, special, horizon):
+    # every output of integrate, and its blocks joined, are those of the
+    # textbook loop, for autonomous fields that stop at a repeat, fields
+    # that read t, rows that blow up and a single state
+    rng = np.random.default_rng(seed)
+    rows = 1 if single else rows
+    z0 = rng.uniform(-3.0, 3.0, (rows, 2))
+    if special is not None:
+        z0[rng.integers(rows), rng.integers(2)] = special
+    field = textbook_field(kind, rows)
+    times, states, derivs, ends, blew, raw = rk4_reference(field.rhs, 0.0, z0, horizon, 0.05)
+    if single:
+        z0, states, derivs, blew, raw = z0[0], states[:, 0], derivs[:, 0], blew[0], raw[:, 0]
+    log = BlockLog()
+    tr = integrate(field, 0.0, z0, IntegratorConfig(max_time=horizon, step=0.05,
+                                                    block_sink=log))
+    want = dict(times=times, states=states, derivatives=derivs, blew_up=blew)
+    if single:
+        assert tr.ends is None
+    else:
+        want["ends"] = ends
+    for name, b in want.items():
+        a, b = np.asarray(getattr(tr, name)), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    joined = [np.concatenate([block[k] for block in log.blocks]) for k in (0, 1)]
+    assert joined[0].tobytes() == times.tobytes()
+    assert joined[1].shape == raw.shape and joined[1].tobytes() == raw.tobytes()
 
 
 def test_blocks_of_a_batch_that_repeat_stops():

@@ -12,6 +12,7 @@ import inspect
 import json
 import math
 import re
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,29 @@ def test_bench_record_keeps_every_run_of_a_seed(tmp_path):
     assert ens["operations"]["before"]["runs"] == 3
     assert round_s["before"] == {"n": 3, "median": 2.0, "q1": 1.5, "q3": 2.5}
     assert (round_s["pairs"], round_s["after_better"]) == (2, 1)
+
+
+@pytest.mark.parametrize("after, gain", [
+    # 10/10 better, the median 0.05 below the parent's 0.5, its spread
+    # (inclusive quartiles 0.4925 and 0.5075) 0.015
+    ([0.45] * 10, True),
+    # 10/10 better, but by 0.005, within the parent's spread
+    ([v - 0.005 for v in [0.49, 0.49, 0.49, 0.5, 0.5, 0.5, 0.5, 0.51, 0.51, 0.51]], False),
+    # 10/10 worse by more than the spread
+    ([0.55] * 10, False),
+])
+def test_bench_record_states_the_gain_rule(after, gain, tmp_path):
+    before_runs = [0.49, 0.49, 0.49, 0.5, 0.5, 0.5, 0.5, 0.51, 0.51, 0.51]
+    for seed, (old, new) in enumerate(zip(before_runs, after), 101):
+        write_run(tmp_path / "before", "figures", seed, 0, {"round_s": (old, "s")})
+        write_run(tmp_path / "after", "figures", seed, 0, {"round_s": (new, "s")})
+    bench_record = load_bench_record()
+    rec = bench_record.record(0, bench_record.load_runs(tmp_path / "before"),
+                              bench_record.load_runs(tmp_path / "after"))
+    round_s = rec["workloads"]["figures"]["end_to_end"]["round_s"]
+    assert round_s["parent_iqr"] == pytest.approx(0.015)
+    assert round_s["median_change"] == pytest.approx(statistics.median(after) - 0.5)
+    assert round_s["gain"] is gain
 
 
 def readme_config_tables() -> dict[str, set[str]]:
